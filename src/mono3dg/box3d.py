@@ -2,8 +2,10 @@
 
 The general IoU path clips one box's polytope against the other's six face
 half-spaces (Sutherland-Hodgman per face, plus a cap polygon on each cut
-plane) and integrates the volume with signed tetrahedra. A yaw-only fast
-path and a Monte-Carlo estimator exist as independent cross-checks.
+plane) and integrates the volume with signed tetrahedra. A yaw-only BEV
+path (footprint overlap times height overlap) is the fast kernel for pairs
+of yaw-only boxes; it and a Monte-Carlo estimator are independent
+cross-checks of the general path.
 
 Local box axes: length along x, width along y, height along z.
 """
@@ -247,20 +249,37 @@ def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def is_yaw_only(box: OrientedBox3D) -> bool:
+    """True when the rotation has no pitch/roll terms (within YAW_ONLY_TOL),
+    so the box's footprint and height extent separate."""
+    R = box.rot.tolist()
+    return (
+        abs(R[2][0]) <= YAW_ONLY_TOL
+        and abs(R[2][1]) <= YAW_ONLY_TOL
+        and abs(R[0][2]) <= YAW_ONLY_TOL
+        and abs(R[1][2]) <= YAW_ONLY_TOL
+    )
+
+
 def _require_yaw_only(box: OrientedBox3D) -> float:
-    R = box.rot
-    for entry in (R[2, 0], R[2, 1], R[0, 2], R[1, 2]):
-        if abs(entry) > YAW_ONLY_TOL:
-            raise NotYawOnly(f"rotation has out-of-plane term {entry:.3e}")
-    return math.atan2(R[1, 0], R[0, 0])
+    if not is_yaw_only(box):
+        R = box.rot
+        terms = ", ".join(f"{float(e):.3e}" for e in (R[2, 0], R[2, 1], R[0, 2], R[1, 2]))
+        raise NotYawOnly(f"rotation has out-of-plane terms ({terms})")
+    return math.atan2(box.rot[1, 0], box.rot[0, 0])
+
+
+# The BEV path holds 2D points as (x, y) float tuples: per-call numpy
+# overhead on 2-vectors costs more than the arithmetic it does.
 
 
 def _footprint(box: OrientedBox3D, yaw: float) -> list:
     c, s = math.cos(yaw), math.sin(yaw)
-    hl, hw = box.dims[0] / 2.0, box.dims[1] / 2.0
-    cx, cy = box.center[0], box.center[1]
-    pts = [(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)]
-    poly = [np.array([cx + c * x - s * y, cy + s * x + c * y]) for x, y in pts]
+    length, width, _ = box.dims.tolist()
+    hl, hw = length / 2.0, width / 2.0
+    cx, cy, _ = box.center.tolist()
+    pts = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    poly = [(cx + c * x - s * y, cy + s * x + c * y) for x, y in pts]
     if _signed_area(poly) < 0:
         poly.reverse()
     return poly
@@ -268,28 +287,22 @@ def _footprint(box: OrientedBox3D, yaw: float) -> list:
 
 def _signed_area(poly: list) -> float:
     area = 0.0
-    for i, p in enumerate(poly):
-        q = poly[(i + 1) % len(poly)]
-        area += p[0] * q[1] - q[0] * p[1]
+    for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+        area += px * qy - qx * py
     return area / 2.0
 
 
 def _clip_convex_2d(subject: list, clipper: list) -> list:
     # Both polygons CCW; clip subject against each clipper edge half-plane.
     result = subject
-    k = len(clipper)
-    for i in range(k):
+    for a, b in zip(clipper, clipper[1:] + clipper[:1]):
         if not result:
             return []
-        a, b = clipper[i], clipper[(i + 1) % k]
-        edge = b - a
+        ax, ay = a
+        ex, ey = b[0] - ax, b[1] - ay
+        inside = [ex * (py - ay) - ey * (px - ax) >= -CLIP_EPSILON for px, py in result]
         out = []
-        def inside(p):
-            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= -CLIP_EPSILON
-        m = len(result)
-        for j in range(m):
-            p, q = result[j], result[(j + 1) % m]
-            p_in, q_in = inside(p), inside(q)
+        for p, q, p_in, q_in in zip(result, result[1:] + result[:1], inside, inside[1:] + inside[:1]):
             if p_in:
                 out.append(p)
                 if not q_in:
@@ -301,11 +314,11 @@ def _clip_convex_2d(subject: list, clipper: list) -> list:
 
 
 def _edge_intersection(p, q, a, b):
-    r = q - p
-    s = b - a
-    denom = r[0] * s[1] - r[1] * s[0]
-    t = ((a[0] - p[0]) * s[1] - (a[1] - p[1]) * s[0]) / denom
-    return p + t * r
+    rx, ry = q[0] - p[0], q[1] - p[1]
+    sx, sy = b[0] - a[0], b[1] - a[1]
+    denom = rx * sy - ry * sx
+    t = ((a[0] - p[0]) * sy - (a[1] - p[1]) * sx) / denom
+    return (p[0] + t * rx, p[1] + t * ry)
 
 
 def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
@@ -317,9 +330,9 @@ def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
     yaw_b = _require_yaw_only(b)
     inter_poly = _clip_convex_2d(_footprint(a, yaw_a), _footprint(b, yaw_b))
     area = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    za0, za1 = a.center[2] - a.dims[2] / 2.0, a.center[2] + a.dims[2] / 2.0
-    zb0, zb1 = b.center[2] - b.dims[2] / 2.0, b.center[2] + b.dims[2] / 2.0
-    dz = max(0.0, min(za1, zb1) - max(za0, zb0))
+    za, ha = float(a.center[2]), float(a.dims[2])
+    zb, hb = float(b.center[2]), float(b.dims[2])
+    dz = max(0.0, min(za + ha / 2.0, zb + hb / 2.0) - max(za - ha / 2.0, zb - hb / 2.0))
     inter = area * dz
     union = a.volume + b.volume - inter
     if union <= 0.0:

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .box3d import OrientedBox3D, corners
-from .camera import CameraIntrinsics, DepthMode, Point3D, VirtualCamera
+from .camera import HEIGHT2D_EPSILON, CameraIntrinsics, DepthMode, Point3D, VirtualCamera
 from .decoder import RawHeadOutput
 from .errors import InvalidRanges, NotARotation, SchemaError
 from .jsonio import (
     as_finite_float,
     as_float_list,
-    dumps_canonical,
+    dumps_canonical,  # noqa: F401  perfbench/tracing.py wraps scenes.dumps_canonical
     read_jsonl,
     require_field,
     write_jsonl,
@@ -355,6 +355,8 @@ def scene_from_json(obj) -> SceneRecord:
             raise SchemaError(f"{path}.box3d.center", "box center must have Z > 0")
         box2d = as_float_list(require_field(entry, "box2d", path), f"{path}.box2d", 4)
         h2d = as_finite_float(require_field(entry, "h2d", path), f"{path}.h2d")
+        if h2d <= HEIGHT2D_EPSILON:
+            raise SchemaError(f"{path}.h2d", f"2D height {h2d} px must exceed {HEIGHT2D_EPSILON} px")
         objects.append(SceneObject(object_id, str(caption), box, tuple(box2d), h2d))
     return SceneRecord(image_id, cam, objects)
 
@@ -388,7 +390,16 @@ def write_scenes(path, records: list[SceneRecord]) -> None:
 
 
 def read_scenes(path) -> list[SceneRecord]:
-    return list(read_jsonl(path, scene_from_json))
+    seen = set()
+
+    def decode(obj) -> SceneRecord:
+        record = scene_from_json(obj)
+        if record.image_id in seen:
+            raise SchemaError("image_id", f"duplicate image_id {record.image_id!r}")
+        seen.add(record.image_id)
+        return record
+
+    return list(read_jsonl(path, decode))
 
 
 def write_predictions(path, records: list[PredictionRecord]) -> None:
@@ -404,7 +415,3 @@ def read_predictions(path, mode: str) -> list[PredictionRecord]:
             raise SchemaError("object_id", f"multiple predictions for {key}")
         seen.add(key)
     return records
-
-
-def scene_record_bytes(record: SceneRecord) -> bytes:
-    return (dumps_canonical(scene_to_json(record)) + "\n").encode("utf-8")

@@ -11,8 +11,10 @@ from mono3dg.box3d import (
     corners,
     intersection_volume,
     iou3d,
+    _require_yaw_only,
     iou3d_bev_yaw,
     iou3d_monte_carlo,
+    is_yaw_only,
 )
 from mono3dg.errors import NotYawOnly
 from mono3dg.rotation import random_rotation
@@ -143,6 +145,29 @@ class TestBEVFastPath:
         )
         with pytest.raises(NotYawOnly):
             iou3d_bev_yaw(tilted, UNIT_CUBE)
+
+    def test_is_yaw_only_iff_require_does_not_raise(self):
+        flipped = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, 0.0, -1.0]])
+        rots = [np.eye(3), yaw_box([0, 0, 0], [1, 1, 1], 2.5).rot, flipped]
+        for row, col in ((2, 0), (2, 1), (0, 2), (1, 2)):
+            for value in (1e-9, 1e-6, np.nan):
+                rot = np.eye(3)
+                rot[row, col] = value
+                rots.append(rot)
+        rng = np.random.default_rng(14)
+        rots += [random_rotation(rng) for _ in range(5)]
+        verdicts = []
+        for rot in rots:
+            box = OrientedBox3D(np.zeros(3), np.ones(3), rot)
+            try:
+                _require_yaw_only(box)
+                accepted = True
+            except NotYawOnly:
+                accepted = False
+            assert is_yaw_only(box) == accepted
+            verdicts.append(accepted)
+        # Identity, yaw, flipped and the four entries at exactly the tolerance.
+        assert sum(verdicts) == 7
 
     def test_matches_general_path(self):
         rng = np.random.default_rng(7)

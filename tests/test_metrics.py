@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono3dg.box3d import OrientedBox3D
+from mono3dg import box3d, metrics
+from mono3dg.box3d import OrientedBox3D, iou3d
 from mono3dg.metrics import (
     REPORT_COLUMNS,
     MetricReport,
@@ -21,6 +22,17 @@ from mono3dg.metrics import (
 
 def axis_box(center, dims):
     return OrientedBox3D(np.asarray(center, float), np.asarray(dims, float), np.eye(3))
+
+
+def yaw_rot(yaw: float) -> np.ndarray:
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def flipped_yaw_rot(yaw: float) -> np.ndarray:
+    # A half turn about an in-plane axis: z maps to -z, still yaw-only.
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
 
 
 def result_with_iou(iou: float) -> QueryResult:
@@ -54,6 +66,60 @@ class TestScoreQuery:
         assert score_query(pred, gt, "q", depth_metric="euclidean").depth_error == pytest.approx(5.0)
         with pytest.raises(ValueError):
             score_query(pred, gt, "q", depth_metric="chebyshev")
+
+
+class TestYawOnlyRouting:
+    CASES = {
+        "contained": (
+            OrientedBox3D([1.0, 2.0, 20.0], [4.0, 2.0, 1.5], yaw_rot(0.3)),
+            OrientedBox3D([1.2, 2.1, 20.1], [1.0, 0.5, 0.5], yaw_rot(-1.1)),
+        ),
+        "touching_faces": (
+            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.7)),
+            OrientedBox3D(
+                [2.0 * math.cos(0.7), 2.0 * math.sin(0.7), 10.0], [2.0, 1.0, 1.0], yaw_rot(0.7)
+            ),
+        ),
+        "touching_top": (
+            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
+            OrientedBox3D([0.3, 0.1, 11.0], [2.0, 1.0, 1.0], yaw_rot(1.2)),
+        ),
+        "disjoint": (
+            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
+            OrientedBox3D([5.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(2.0)),
+        ),
+        "flipped": (
+            OrientedBox3D([0.0, 0.0, 10.0], [3.0, 1.5, 1.0], flipped_yaw_rot(0.4)),
+            OrientedBox3D([0.5, 0.2, 10.3], [2.5, 1.2, 1.4], yaw_rot(-0.6)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_exact_iou(self, case):
+        pred, gt = self.CASES[case]
+        assert box3d.is_yaw_only(pred) and box3d.is_yaw_only(gt)
+        assert score_query(pred, gt, "q").iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
+
+    def test_yaw_only_pair_skips_exact_clipper(self, monkeypatch):
+        def fail(a, b):
+            raise AssertionError("exact clipper called on a yaw-only pair")
+
+        monkeypatch.setattr(metrics, "iou3d", fail)
+        pred, gt = self.CASES["flipped"]
+        assert score_query(pred, gt, "q").iou > 0.0
+
+    def test_tilted_pair_never_reaches_bev(self, monkeypatch):
+        def fail(a, b):
+            raise AssertionError("BEV kernel called on a tilted pair")
+
+        monkeypatch.setattr(box3d, "iou3d_bev_yaw", fail)
+        gt = OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.3))
+        tilted_rot = yaw_rot(0.5)
+        tilted_rot[2, 0] = 1e-6
+        pred = OrientedBox3D([0.1, 0.0, 10.0], [2.0, 1.0, 1.0], tilted_rot)
+        assert not box3d.is_yaw_only(pred)
+        assert score_query(pred, gt, "q").iou == iou3d(pred, gt)
+        assert score_query(gt, pred, "q").iou == iou3d(gt, pred)
 
 
 class TestAggregate:

@@ -146,6 +146,27 @@ class TestSceneJsonl:
             scene_from_json(loads_strict(dumps_canonical(record)))
         assert "object_id" in str(info.value)
 
+    def test_repeated_image_id_rejected_with_line(self, tmp_path):
+        records = synth_scenes(3, seed=15, profile_name="outdoor")
+        path = tmp_path / "repeated.jsonl"
+        write_scenes(path, records + records[:1])
+        with pytest.raises(SchemaError) as info:
+            read_scenes(path)
+        assert info.value.field == "image_id"
+        assert "line 4" in str(info.value)
+        assert repr(records[0].image_id) in str(info.value)
+
+    @pytest.mark.parametrize("h2d", [0.0, 1e-6, -3.0])
+    def test_degenerate_h2d_rejected_with_line(self, tmp_path, h2d):
+        records = [scene_to_json(r) for r in synth_scenes(2, seed=16, profile_name="outdoor")]
+        records[1]["objects"][0]["h2d"] = h2d
+        path = tmp_path / "h2d.jsonl"
+        path.write_text("".join(dumps_canonical(r) + "\n" for r in records))
+        with pytest.raises(SchemaError) as info:
+            read_scenes(path)
+        assert info.value.field == "objects[0].h2d"
+        assert "line 2" in str(info.value)
+
     def test_nonpositive_dims_rejected(self):
         record = scene_to_json(synth_scenes(1, seed=11)[0])
         record["objects"][0]["box3d"]["dims"] = [0.0, 1.0, 1.0]
