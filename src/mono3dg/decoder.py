@@ -7,14 +7,15 @@ whose final hidden state feeds four small MLP heads (center projection,
 sizes, virtual depth, 6D rotation). Layers are causal single-head
 self-attention + feed-forward, both with residual connections and no
 normalization, so gradients stay exactly checkable against finite
-differences.
+differences. Training runs one forward/backward per minibatch over the
+stacked (B, T, d) sequences, and every parameter lives in one flat vector.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def vector_to_raw(vec: np.ndarray) -> RawHeadOutput:
 # -- parameters ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLPParams:
     w1: np.ndarray
     b1: np.ndarray
@@ -109,7 +110,7 @@ class MLPParams:
     b2: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     w_q: np.ndarray
     w_k: np.ndarray
@@ -147,71 +148,74 @@ class DecoderConfig:
 
 
 _HEAD_DIMS = {"uv": 2, "lwh": 3, "d": 1, "rot": 6}
+_LAYER_NAMES = tuple(LayerParams.__dataclass_fields__)
+_MLP_NAMES = tuple(MLPParams.__dataclass_fields__)
 
 
-@dataclass
+def _layout(config: DecoderConfig) -> list:
+    """(name, shape) of every parameter, in checkpoint and flat-vector order."""
+    d, f, h = config.d_model, config.d_ff, config.head_hidden
+    entries = [("query", (d,))]
+    for i in range(config.n_layers):
+        shapes = ((d, d), (d, d), (d, d), (d, d), (d, f), (f,), (f, d), (d,))
+        entries += [(f"layer{i}.{name}", shape) for name, shape in zip(_LAYER_NAMES, shapes)]
+    for head, out in sorted(_HEAD_DIMS.items()):
+        shapes = ((d, h), (h,), (h, out), (out,))
+        entries += [(f"head_{head}.{name}", shape) for name, shape in zip(_MLP_NAMES, shapes)]
+    return entries
+
+
 class DecoderParams:
-    config: DecoderConfig
-    layers: list
-    heads: dict
-    query: np.ndarray
+    """Every decoder parameter in one contiguous float64 vector, ``flat``.
+
+    ``query``, ``layers[i].<name>`` and ``heads[<head>].<name>`` are
+    contiguous reshaped views into ``flat``, so an in-place write to any of
+    them writes the vector. Gradients use the same layout.
+    """
+
+    def __init__(self, config: DecoderConfig, flat: np.ndarray | None = None):
+        layout = _layout(config)
+        sizes = [math.prod(shape) for _, shape in layout]
+        flat = np.zeros(sum(sizes)) if flat is None else flat
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
+            raise ShapeMismatch(f"parameters {flat.dtype}{flat.shape} vs float64 ({sum(sizes)},)")
+        self.config = config
+        self.flat = flat
+        pieces = np.split(flat, np.cumsum(sizes)[:-1])
+        self._views = {name: piece.reshape(shape) for (name, shape), piece in zip(layout, pieces)}
+        self.layers = [
+            LayerParams(*(self._views[f"layer{i}.{name}"] for name in _LAYER_NAMES))
+            for i in range(config.n_layers)
+        ]
+        self.heads = {
+            head: MLPParams(*(self._views[f"head_{head}.{name}"] for name in _MLP_NAMES))
+            for head in _HEAD_DIMS
+        }
+
+    @property
+    def query(self) -> np.ndarray:
+        return self._views["query"]
 
     def named_arrays(self):
-        """Deterministic (name, array) iteration over every parameter."""
-        yield "query", self.query
-        for i, layer in enumerate(self.layers):
-            for name in ("w_q", "w_k", "w_v", "w_o", "ff_w1", "ff_b1", "ff_w2", "ff_b2"):
-                yield f"layer{i}.{name}", getattr(layer, name)
-        for head in sorted(self.heads):
-            mlp = self.heads[head]
-            for name in ("w1", "b1", "w2", "b2"):
-                yield f"head_{head}.{name}", getattr(mlp, name)
+        """Deterministic (name, view) iteration over every parameter."""
+        return iter(self._views.items())
 
     def set_named(self, name: str, value: np.ndarray) -> None:
-        if name == "query":
-            self.query = value
-            return
-        owner, attr = name.split(".")
-        if owner.startswith("layer"):
-            setattr(self.layers[int(owner[5:])], attr, value)
-        else:
-            setattr(self.heads[owner[len("head_"):]], attr, value)
+        self._views[name][...] = value
 
     def copy(self) -> "DecoderParams":
-        out = DecoderParams(
-            config=replace(self.config),
-            layers=[LayerParams(**{k: getattr(l, k).copy() for k in l.__dataclass_fields__}) for l in self.layers],
-            heads={k: MLPParams(v.w1.copy(), v.b1.copy(), v.w2.copy(), v.b2.copy()) for k, v in self.heads.items()},
-            query=self.query.copy(),
-        )
-        return out
+        return DecoderParams(replace(self.config), self.flat.copy())
 
 
 def init_params(config: DecoderConfig, rng: np.random.Generator) -> DecoderParams:
-    d, h = config.d_model, config.head_hidden
-    scale = 0.1
-
-    def mat(rows, cols):
-        return scale * rng.standard_normal((rows, cols))
-
-    layers = [
-        LayerParams(
-            w_q=mat(d, d),
-            w_k=mat(d, d),
-            w_v=mat(d, d),
-            w_o=mat(d, d),
-            ff_w1=mat(d, config.d_ff),
-            ff_b1=np.zeros(config.d_ff),
-            ff_w2=mat(config.d_ff, d),
-            ff_b2=np.zeros(d),
-        )
-        for _ in range(config.n_layers)
-    ]
-    heads = {
-        name: MLPParams(w1=mat(d, h), b1=np.zeros(h), w2=mat(h, out), b2=np.zeros(out))
-        for name, out in _HEAD_DIMS.items()
-    }
-    return DecoderParams(config=config, layers=layers, heads=heads, query=scale * rng.standard_normal(d))
+    params = DecoderParams(config)
+    weights = [getattr(layer, name) for layer in params.layers
+               for name in ("w_q", "w_k", "w_v", "w_o", "ff_w1", "ff_w2")]
+    weights += [w for mlp in params.heads.values() for w in (mlp.w1, mlp.w2)] + [params.query]
+    # biases stay zero; draw order is layers, heads, then the query
+    for w in weights:
+        w[...] = 0.1 * rng.standard_normal(w.shape)
+    return params
 
 
 # -- activations ---------------------------------------------------------------
@@ -225,15 +229,16 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
+def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
 # -- forward -------------------------------------------------------------------
+# The stack runs on one sequence (T, d) or on a stacked minibatch (B, T, d).
 
 
 def substitute_query(seq: TokenSequence, query: np.ndarray) -> TokenSequence:
@@ -246,17 +251,15 @@ def substitute_query(seq: TokenSequence, query: np.ndarray) -> TokenSequence:
     return TokenSequence(emb, seq.kinds)
 
 
-def _layer_forward(x: np.ndarray, layer: LayerParams):
-    d = x.shape[1]
+def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
     q = x @ layer.w_q
     k = x @ layer.w_k
     v = x @ layer.w_v
-    logits = q @ k.T / math.sqrt(d)
-    mask = np.triu(np.ones(logits.shape, dtype=bool), k=1)
+    logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(x.shape[-1])
     logits = np.where(mask, _MASK_VALUE, logits)
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     attn = np.exp(logits)
-    attn /= attn.sum(axis=1, keepdims=True)
+    attn /= attn.sum(axis=-1, keepdims=True)
     summary = attn @ v
     attended = x + summary @ layer.w_o
     pre_act = attended @ layer.ff_w1 + layer.ff_b1
@@ -266,22 +269,21 @@ def _layer_forward(x: np.ndarray, layer: LayerParams):
     return out, cache
 
 
-def _stack_forward(seq: TokenSequence, params: DecoderParams):
-    if seq.embeddings.shape[1] != params.config.d_model:
-        raise ShapeMismatch(
-            f"sequence d_model {seq.embeddings.shape[1]} vs config {params.config.d_model}"
-        )
-    x = seq.embeddings
+def _stack_forward(x: np.ndarray, params: DecoderParams):
+    if x.shape[-1] != params.config.d_model:
+        raise ShapeMismatch(f"sequence d_model {x.shape[-1]} vs config {params.config.d_model}")
+    n = x.shape[-2]
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     caches = []
     for layer in params.layers:
-        x, cache = _layer_forward(x, layer)
+        x, cache = _layer_forward(x, layer, mask)
         caches.append(cache)
     return x, caches
 
 
 def forward(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     """Run the decoder stack; returns the query position's final hidden state."""
-    x, _ = _stack_forward(seq, params)
+    x, _ = _stack_forward(seq.embeddings, params)
     return x[seq.query_position].copy()
 
 
@@ -292,25 +294,17 @@ def _head_forward(f3d: np.ndarray, mlp: MLPParams):
     return z, (pre, hidden)
 
 
+def _squash(zs: dict) -> np.ndarray:
+    """Head pre-activations -> the 12 regressed components, in raw_to_vector order."""
+    parts = [sigmoid(zs["uv"]), softplus(zs["d"]), softplus(zs["lwh"]), zs["rot"]]
+    return np.concatenate(parts, axis=-1)
+
+
 def heads(f3d: np.ndarray, params: DecoderParams) -> RawHeadOutput:
     """Regress all geometric quantities from the single 3D feature vector."""
     f3d = np.asarray(f3d, dtype=float)
-    z_uv, _ = _head_forward(f3d, params.heads["uv"])
-    z_lwh, _ = _head_forward(f3d, params.heads["lwh"])
-    z_d, _ = _head_forward(f3d, params.heads["d"])
-    z_rot, _ = _head_forward(f3d, params.heads["rot"])
-    uv = _sigmoid(z_uv)
-    lwh = _softplus(z_lwh)
-    d_v = _softplus(z_d)
-    return RawHeadOutput(
-        u_norm=float(uv[0]),
-        v_norm=float(uv[1]),
-        d_v=float(d_v[0]),
-        L=float(lwh[0]),
-        W=float(lwh[1]),
-        H=float(lwh[2]),
-        rot6d=Rot6D.from_array(z_rot),
-    )
+    zs = {name: _head_forward(f3d, params.heads[name])[0] for name in _HEAD_DIMS}
+    return vector_to_raw(_squash(zs))
 
 
 def predict(seq: TokenSequence, params: DecoderParams) -> RawHeadOutput:
@@ -325,11 +319,87 @@ def loss(raw: RawHeadOutput, target: RawHeadOutput) -> float:
 # -- backward ------------------------------------------------------------------
 
 
-def _zeros_like_params(params: DecoderParams) -> DecoderParams:
-    grads = params.copy()
-    for name, arr in grads.named_arrays():
-        grads.set_named(name, np.zeros_like(arr))
-    return grads
+def _sample_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading sample axis strictly in sample order; ``ndarray.sum``
+    may add pairwise, and the batch gradient would drift from the per-sample sum."""
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
+def _batch_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over samples of a[s].T @ b[s], added in sample order."""
+    return _sample_sum(np.swapaxes(a, 1, 2) @ b)
+
+
+def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
+    """Per-sample L1 losses and batch-summed gradients for a stacked minibatch.
+
+    ``x`` is (B, T, d) with the query in the last position; ``targets`` is
+    (B, 12). Each gradient equals the running sum of per-sample ``backward``.
+    """
+    x_final, caches = _stack_forward(x, params)
+    # (B, 1, d): the heads see a one-token sequence per sample
+    f3d = x_final[:, -1:]
+
+    head_outs = {name: _head_forward(f3d, params.heads[name]) for name in _HEAD_DIMS}
+    zs = {name: z for name, (z, _) in head_outs.items()}
+    pred = _squash(zs)
+    diff = pred - targets[:, None]
+    losses = np.abs(diff).sum(axis=2)[:, 0]
+    d_pred = np.sign(diff)
+
+    # squash derivatives back to head pre-activations
+    uv = pred[..., 0:2]
+    dz = {
+        "uv": d_pred[..., 0:2] * uv * (1.0 - uv),
+        "d": d_pred[..., 2:3] * sigmoid(zs["d"]),
+        "lwh": d_pred[..., 3:6] * sigmoid(zs["lwh"]),
+        "rot": d_pred[..., 6:12],
+    }
+
+    grads = DecoderParams(params.config)
+    g_f3d = np.zeros_like(f3d)
+    for name in _HEAD_DIMS:
+        mlp = params.heads[name]
+        g = grads.heads[name]
+        pre, hidden = head_outs[name][1]
+        g.b2[...] = _sample_sum(dz[name].sum(axis=1))
+        g.w2[...] = _batch_sum_outer(hidden, dz[name])
+        d_pre = (dz[name] @ mlp.w2.T) * gelu_grad(pre)
+        g.b1[...] = _sample_sum(d_pre.sum(axis=1))
+        g.w1[...] = _batch_sum_outer(f3d, d_pre)
+        g_f3d += d_pre @ mlp.w1.T
+
+    g_x = np.zeros_like(x_final)
+    g_x[:, -1:] = g_f3d
+    for layer, g_layer, cache in zip(params.layers[::-1], grads.layers[::-1], caches[::-1]):
+        x, q, k, v, attn, summary, attended, pre_act, hidden = cache
+        # feed-forward branch
+        g_layer.ff_b2[...] = _sample_sum(g_x.sum(axis=1))
+        g_layer.ff_w2[...] = _batch_sum_outer(hidden, g_x)
+        d_pre = (g_x @ layer.ff_w2.T) * gelu_grad(pre_act)
+        g_layer.ff_b1[...] = _sample_sum(d_pre.sum(axis=1))
+        g_layer.ff_w1[...] = _batch_sum_outer(attended, d_pre)
+        g_attended = g_x + d_pre @ layer.ff_w1.T
+        # attention branch
+        g_layer.w_o[...] = _batch_sum_outer(summary, g_attended)
+        d_summary = g_attended @ layer.w_o.T
+        d_attn = d_summary @ np.swapaxes(v, 1, 2)
+        d_v_mat = np.swapaxes(attn, 1, 2) @ d_summary
+        d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=2, keepdims=True))
+        d_logits /= math.sqrt(params.config.d_model)
+        d_q = d_logits @ k
+        d_k = np.swapaxes(d_logits, 1, 2) @ q
+        g_layer.w_q[...] = _batch_sum_outer(x, d_q)
+        g_layer.w_k[...] = _batch_sum_outer(x, d_k)
+        g_layer.w_v[...] = _batch_sum_outer(x, d_v_mat)
+        g_x = g_attended + d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v_mat @ layer.w_v.T
+
+    # the query fills the last slot of every sample
+    grads.query[...] = _sample_sum(g_x[:, -1])
+    return losses, grads
 
 
 def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
@@ -339,76 +409,8 @@ def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
     on the query slot's input embedding is the query gradient.
     """
     sub = substitute_query(seq, params.query)
-    x_final, caches = _stack_forward(sub, params)
-    pos = sub.query_position
-    f3d = x_final[pos]
-
-    head_caches = {}
-    zs = {}
-    for name in _HEAD_DIMS:
-        zs[name], head_caches[name] = _head_forward(f3d, params.heads[name])
-    uv = _sigmoid(zs["uv"])
-    lwh = _softplus(zs["lwh"])
-    d_v = _softplus(zs["d"])
-    pred_vec = np.concatenate([[uv[0], uv[1], d_v[0]], lwh, zs["rot"]])
-    target_vec = raw_to_vector(target)
-    diff = pred_vec - target_vec
-    loss_value = float(np.abs(diff).sum())
-    d_pred = np.sign(diff)
-
-    # squash derivatives back to head pre-activations
-    dz = {
-        "uv": d_pred[0:2] * uv * (1.0 - uv),
-        "d": d_pred[2:3] * _sigmoid(zs["d"]),
-        "lwh": d_pred[3:6] * _sigmoid(zs["lwh"]),
-        "rot": d_pred[6:12],
-    }
-
-    grads = _zeros_like_params(params)
-    g_f3d = np.zeros_like(f3d)
-    for name in _HEAD_DIMS:
-        mlp = params.heads[name]
-        g = grads.heads[name]
-        pre, hidden = head_caches[name]
-        g.b2 += dz[name]
-        g.w2 += np.outer(hidden, dz[name])
-        d_hidden = mlp.w2 @ dz[name]
-        d_pre = d_hidden * gelu_grad(pre)
-        g.b1 += d_pre
-        g.w1 += np.outer(f3d, d_pre)
-        g_f3d += mlp.w1 @ d_pre
-
-    g_x = np.zeros_like(x_final)
-    g_x[pos] = g_f3d
-    d = params.config.d_model
-    for layer, g_layer, cache in zip(
-        reversed(params.layers), reversed(grads.layers), reversed(caches)
-    ):
-        x, q, k, v, attn, summary, attended, pre_act, hidden = cache
-        # feed-forward branch
-        g_layer.ff_b2 += g_x.sum(axis=0)
-        g_layer.ff_w2 += hidden.T @ g_x
-        d_hidden = g_x @ layer.ff_w2.T
-        d_pre = d_hidden * gelu_grad(pre_act)
-        g_layer.ff_b1 += d_pre.sum(axis=0)
-        g_layer.ff_w1 += attended.T @ d_pre
-        g_attended = g_x + d_pre @ layer.ff_w1.T
-        # attention branch
-        g_layer.w_o += summary.T @ g_attended
-        d_summary = g_attended @ layer.w_o.T
-        d_attn = d_summary @ v.T
-        d_v_mat = attn.T @ d_summary
-        d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
-        d_logits /= math.sqrt(d)
-        d_q = d_logits @ k
-        d_k = d_logits.T @ q
-        g_layer.w_q += x.T @ d_q
-        g_layer.w_k += x.T @ d_k
-        g_layer.w_v += x.T @ d_v_mat
-        g_x = g_attended + d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v_mat @ layer.w_v.T
-
-    grads.query = g_x[pos].copy()
-    return loss_value, grads
+    losses, grads = _batch_backward(sub.embeddings[None], params, raw_to_vector(target)[None])
+    return float(losses[0]), grads
 
 
 # -- training ------------------------------------------------------------------
@@ -425,39 +427,43 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig) -> None:
+    """Adam step number t on the parameter vector; flat, m and v change in place."""
+    m *= cfg.beta1
+    m += (1 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1 - cfg.beta2) * grad * grad
+    m_hat = m / (1 - cfg.beta1**t)
+    v_hat = v / (1 - cfg.beta2**t)
+    flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _adam_step(params: DecoderParams, grads: dict, state: AdamState, cfg: TrainConfig):
-    state.step += 1
-    t = state.step
-    for name, arr in params.named_arrays():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        state.m[name] = cfg.beta1 * state.m[name] + (1 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1 - cfg.beta2) * g * g
-        m_hat = state.m[name] / (1 - cfg.beta1**t)
-        v_hat = state.v[name] / (1 - cfg.beta2**t)
-        params.set_named(name, arr - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps))
+def _stack_dataset(dataset: list, d_model: int):
+    """(N, T, d) embeddings and (N, 12) targets; every sequence must share T and d."""
+    n_tokens = len(dataset[0][0].kinds)
+    for i, (seq, _) in enumerate(dataset):
+        if seq.embeddings.shape[1] != d_model:
+            raise ShapeMismatch(f"sample {i}: d_model {seq.embeddings.shape[1]}, config {d_model}")
+        if len(seq.kinds) != n_tokens:
+            raise MalformedSequence(f"sample {i}: {len(seq.kinds)} tokens, sample 0: {n_tokens}")
+    return (np.stack([seq.embeddings for seq, _ in dataset]),
+            np.stack([raw_to_vector(target) for _, target in dataset]))
 
 
 def train(dataset: list, params: DecoderParams, cfg: TrainConfig):
     """Adam-train on (TokenSequence, RawHeadOutput target) pairs.
 
-    Deterministic given cfg.seed. Returns the trained parameters and the
-    per-epoch mean training loss.
+    Each minibatch runs one batched forward/backward; its gradient is the
+    mean over its samples. Deterministic given cfg.seed. Returns the trained
+    parameters and the per-epoch mean training loss.
     """
     if not dataset:
         raise EmptyDataset("training requires at least one sample")
+    embeddings, targets = _stack_dataset(dataset, params.config.d_model)
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState()
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    step = 0
     history = []
     n = len(dataset)
     for _ in range(cfg.epochs):
@@ -465,20 +471,13 @@ def train(dataset: list, params: DecoderParams, cfg: TrainConfig):
         sample_losses = np.zeros(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grad_sums: dict = {}
-            for idx in batch:
-                seq, target = dataset[idx]
-                sample_loss, sample_grads = backward(seq, params, target)
-                sample_losses[idx] = sample_loss
-                for name, arr in sample_grads.named_arrays():
-                    if name in grad_sums:
-                        grad_sums[name] += arr
-                    else:
-                        grad_sums[name] = arr.copy()
-            inv = 1.0 / len(batch)
-            for name in grad_sums:
-                grad_sums[name] *= inv
-            _adam_step(params, grad_sums, state, cfg)
+            x = embeddings[batch]
+            x[:, -1] = params.query
+            losses, grads = _batch_backward(x, params, targets[batch])
+            sample_losses[batch] = losses
+            grads.flat *= 1.0 / len(batch)
+            step += 1
+            _adam_step(params.flat, grads.flat, m, v, step, cfg)
         # summed in sample order so the history is shuffle-independent
         history.append(float(sample_losses.sum()) / n)
     return params, history
@@ -498,10 +497,9 @@ def save_checkpoint(path: str | Path, params: DecoderParams, seed: int) -> None:
 
 def load_checkpoint(path: str | Path) -> DecoderParams:
     payload = loads_strict(Path(path).read_text(encoding="utf-8"))
-    config = DecoderConfig.from_json(payload["config"])
-    params = init_params(config, np.random.default_rng(0))
+    params = DecoderParams(DecoderConfig.from_json(payload["config"]))
     for name, arr in params.named_arrays():
-        params.set_named(name, np.asarray(payload["params"][name], dtype=float).reshape(arr.shape))
+        arr[...] = np.asarray(payload["params"][name], dtype=float).reshape(arr.shape)
     return params
 
 

@@ -37,6 +37,10 @@ class NotYawOnly(Mono3DGError):
     """The yaw-only IoU fast path received a rotation with pitch/roll terms."""
 
 
+class BehindCamera(Mono3DGError, ValueError):
+    """A viewing ray was requested toward a center that is not in front of the camera."""
+
+
 # -- feature / decoder numerics ---------------------------------------------
 
 class ShapeMismatch(Mono3DGError):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import sigmoid, softplus
 from .errors import EmptyValidMask, ShapeMismatch
 
 
@@ -65,14 +66,6 @@ def apply_linear_map(grid: np.ndarray, m: LinearMap) -> np.ndarray:
 def branch_split(f_local: np.ndarray, spatial_map: LinearMap, rgb_map: LinearMap):
     """Split the local features into the spatial branch and the RGB branch."""
     return apply_linear_map(f_local, spatial_map), apply_linear_map(f_local, rgb_map)
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def depth_head(f_spatial: np.ndarray, depth_map_params: LinearMap) -> DepthMap:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSixD, GimbalLockRegion, NotARotation
+from .errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation
 
 # Below this, a 6D input is considered unrecoverable rather than noisy.
 SIXD_EPSILON = 1e-8
@@ -142,7 +142,7 @@ def view_rotation(center) -> np.ndarray:
     c = np.asarray(tuple(center), dtype=float).reshape(3)
     n = np.linalg.norm(c)
     if n == 0.0 or c[2] <= 0.0:
-        raise ValueError("view ray requires a center with positive Z")
+        raise BehindCamera("view ray requires a center with positive Z")
     r = c / n
     z = np.array([0.0, 0.0, 1.0])
     v = np.cross(z, r)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3dg import decoder as D
-from mono3dg.errors import EmptyDataset, MalformedSequence
+from mono3dg.errors import EmptyDataset, MalformedSequence, ShapeMismatch
 
 # Central FD at step 1e-6 has ~1e-9 absolute noise, so gradient entries
 # below this magnitude are held to an absolute bar of tol * floor instead.
@@ -343,3 +343,145 @@ def test_single_query_token_is_the_only_regression_source():
             np.zeros((5, 8)),
             (D.KIND_CAPTION, D.KIND_POS, D.KIND_QUERY, D.KIND_POS, D.KIND_QUERY),
         )
+
+
+def reference_adam(params, grads, state, cfg):
+    """The per-parameter Adam update, one named array at a time."""
+    state["step"] += 1
+    t = state["step"]
+    for name, arr in params.named_arrays():
+        g = grads[name]
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(arr)
+            state["v"][name] = np.zeros_like(arr)
+        state["m"][name] = cfg.beta1 * state["m"][name] + (1 - cfg.beta1) * g
+        state["v"][name] = cfg.beta2 * state["v"][name] + (1 - cfg.beta2) * g * g
+        m_hat = state["m"][name] / (1 - cfg.beta1**t)
+        v_hat = state["v"][name] / (1 - cfg.beta2**t)
+        params.set_named(name, arr - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps))
+
+
+def reference_train(dataset, params, cfg):
+    """Per-sample backward, gradients accumulated by name, per-name Adam."""
+    params = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    state = {"step": 0, "m": {}, "v": {}}
+    history = []
+    n = len(dataset)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        sample_losses = np.zeros(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            sums = {}
+            for idx in batch:
+                seq, target = dataset[idx]
+                sample_losses[idx], grads = D.backward(seq, params, target)
+                for name, arr in grads.named_arrays():
+                    sums[name] = sums[name] + arr if name in sums else arr.copy()
+            reference_adam(params, {k: v * (1.0 / len(batch)) for k, v in sums.items()}, state, cfg)
+        history.append(float(sample_losses.sum()) / n)
+    return params, history
+
+
+class TestBatchedBackward:
+    @pytest.mark.parametrize("config", [small_config(), D.DecoderConfig()], ids=["small", "default"])
+    def test_equals_sum_of_single_sample_backward(self, config):
+        rng = np.random.default_rng(30)
+        params = D.init_params(config, rng)
+        samples = [(make_sequence(rng, config.d_model, 6), make_target(rng)) for _ in range(5)]
+        x = np.stack([D.substitute_query(seq, params.query).embeddings for seq, _ in samples])
+        targets = np.stack([D.raw_to_vector(target) for _, target in samples])
+        losses, batch_grads = D._batch_backward(x, params, targets)
+        singles = [D.backward(seq, params, target) for seq, target in samples]
+        assert list(losses) == [value for value, _ in singles]
+        summed = {name: sum(dict(g.named_arrays())[name] for _, g in singles)
+                  for name, _ in params.named_arrays()}
+        groups = 0
+        for name, grad in batch_grads.named_arrays():
+            scale = np.abs(summed[name]).max()
+            assert np.abs(grad - summed[name]).max() <= 1e-12 * scale, name
+            groups += scale > 0.0
+        assert groups == len(summed)
+
+    def test_train_matches_per_sample_loop(self):
+        # Same per-sample arithmetic, summed in sample order, so the results
+        # are equal, not close. Batches of 16 expose a pairwise sum.
+        rng = np.random.default_rng(31)
+        dataset = tiny_dataset(rng, n=40)
+        params = D.init_params(small_config(), np.random.default_rng(4))
+        cfg = D.TrainConfig(epochs=20, batch_size=16, lr=1e-2, seed=5)
+        trained, history = D.train(dataset, params, cfg)
+        expected, expected_history = reference_train(dataset, params, cfg)
+        assert history == expected_history
+        assert np.array_equal(trained.flat, expected.flat)
+
+
+class TestFlatParameters:
+    def test_views_share_the_vector(self):
+        params = D.init_params(small_config(), np.random.default_rng(32))
+        for _, arr in params.named_arrays():
+            assert arr.flags.c_contiguous and np.shares_memory(arr, params.flat)
+        sizes = sum(arr.size for _, arr in params.named_arrays())
+        assert sizes == params.flat.size
+
+    def test_in_place_edit_shows_in_vector(self):
+        params = D.init_params(small_config(), np.random.default_rng(33))
+        params.layers[0].w_o[2, 3] = 17.5
+        offset = 0
+        for name, arr in params.named_arrays():
+            if name == "layer0.w_o":
+                break
+            offset += arr.size
+        assert params.flat[offset + 2 * 8 + 3] == 17.5
+
+    def test_set_named_writes_through(self):
+        params = D.init_params(small_config(), np.random.default_rng(34))
+        # head_uv.b2 is the last entry of the layout
+        view = dict(params.named_arrays())["head_uv.b2"]
+        params.set_named("head_uv.b2", np.array([0.25, -4.0]))
+        assert np.array_equal(view, [0.25, -4.0])
+        assert np.array_equal(params.heads["uv"].b2, [0.25, -4.0])
+        assert np.array_equal(params.flat[-2:], [0.25, -4.0])
+
+    def test_copy_is_independent(self):
+        params = D.init_params(small_config(), np.random.default_rng(35))
+        before = params.flat.copy()
+        clone = params.copy()
+        assert np.array_equal(clone.flat, before)
+        params.query[0] = 9.0
+        clone.layers[0].w_q[0, 0] = -9.0
+        assert clone.query[0] == before[0]
+        assert params.layers[0].w_q[0, 0] == before[8]
+        assert not np.shares_memory(clone.flat, params.flat)
+
+    def test_vector_adam_equals_per_name_update(self):
+        rng = np.random.default_rng(36)
+        cfg = D.TrainConfig(lr=3e-3)
+        vector = D.init_params(small_config(), rng)
+        named = vector.copy()
+        m, v = np.zeros_like(vector.flat), np.zeros_like(vector.flat)
+        state = {"step": 0, "m": {}, "v": {}}
+        for step in range(1, 4):
+            grad = D.DecoderParams(vector.config, rng.standard_normal(vector.flat.size))
+            D._adam_step(vector.flat, grad.flat, m, v, step, cfg)
+            reference_adam(named, dict(grad.named_arrays()), state, cfg)
+            assert np.array_equal(vector.flat, named.flat)
+
+
+class TestStackedDataset:
+    def test_mixed_lengths_rejected(self):
+        rng = np.random.default_rng(37)
+        dataset = tiny_dataset(rng, n=4)
+        dataset[2] = (make_sequence(rng, n_tokens=6), make_target(rng))
+        params = D.init_params(small_config(), rng)
+        with pytest.raises(MalformedSequence, match="sample 2"):
+            D.train(dataset, params, D.TrainConfig(epochs=1))
+
+    def test_wrong_d_model_rejected(self):
+        rng = np.random.default_rng(38)
+        dataset = tiny_dataset(rng, n=4)
+        dataset[3] = (make_sequence(rng, d_model=6), make_target(rng))
+        params = D.init_params(small_config(), rng)
+        with pytest.raises(ShapeMismatch, match="sample 3"):
+            D.train(dataset, params, D.TrainConfig(epochs=1))
