@@ -1,7 +1,6 @@
 """Geometry engine and evaluation harness for monocular 3D grounding."""
 
 from .box3d import (
-    ConvexPolytope,
     OrientedBox3D,
     corners,
     intersection_volume,

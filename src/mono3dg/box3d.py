@@ -1,11 +1,13 @@
 """Oriented 3D boxes, corner enumeration, and exact box-box IoU.
 
-The general IoU path clips one box's polytope against the other's six face
-half-spaces (Sutherland-Hodgman per face, plus a cap polygon on each cut
-plane) and integrates the volume with signed tetrahedra. A yaw-only BEV
-path (footprint overlap times height overlap) is the fast kernel for pairs
-of yaw-only boxes; it and a Monte-Carlo estimator are independent
-cross-checks of the general path.
+The exact path enumerates the vertices of the intersection polytope: the
+corners of each box and the points where its edges cross the other box's
+face planes, kept when inside both boxes. Each of the 12 face planes
+collects the kept vertices on it, ordered by angle into a polygon, and the
+volume is the sum of the cones from the vertex centroid over those
+polygons. A yaw-only BEV path (footprint overlap times height overlap) is
+the fast kernel for pairs of yaw-only boxes; it and a Monte-Carlo
+estimator are independent cross-checks of the exact path.
 
 Local box axes: length along x, width along y, height along z.
 """
@@ -13,14 +15,14 @@ Local box axes: length along x, width along y, height along z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotYawOnly
 from .rotation import validate_rotation
 
-# On-plane classification band for clipping; scene scale is <= 100 m.
+# Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
 CLIP_EPSILON = 1e-9
 # Rotation entries that must vanish for the yaw-only fast path.
 YAW_ONLY_TOL = 1e-9
@@ -31,15 +33,12 @@ _CORNER_SIGNS = np.array(
     [[1.0 if i & 1 else -1.0, 1.0 if i & 2 else -1.0, 1.0 if i & 4 else -1.0] for i in range(8)]
 )
 
-# Outward-oriented faces over the corner indices above.
-_FACE_CYCLES = (
-    (1, 3, 7, 5),  # +x
-    (0, 4, 6, 2),  # -x
-    (2, 6, 7, 3),  # +y
-    (0, 1, 5, 4),  # -y
-    (4, 5, 7, 6),  # +z
-    (0, 2, 3, 1),  # -z
-)
+# Box edges: corner-index pairs that differ in one sign bit.
+_EDGES = np.array([(i, i | bit) for bit in (1, 2, 4) for i in range(8) if not i & bit])
+# Face f lies across local axis f // 2, on its + side for even f; _IN_PLANE[f]
+# are the two local axes that span it.
+_FACE_SIGNS = np.array([[1.0], [-1.0]] * 3)
+_IN_PLANE = np.array([[(f // 2 + 1) % 3, (f // 2 + 2) % 3] for f in range(6)])
 
 
 @dataclass(frozen=True)
@@ -72,153 +71,20 @@ def corners(box: OrientedBox3D) -> np.ndarray:
     return box.center + offsets @ box.rot.T
 
 
-@dataclass
-class ConvexPolytope:
-    """Convex polytope as a vertex list plus outward-oriented face cycles."""
-
-    vertices: np.ndarray
-    faces: list = field(default_factory=list)
-
-    @staticmethod
-    def from_face_polygons(polygons: list) -> "ConvexPolytope":
-        verts: list = []
-        faces = []
-        for poly in polygons:
-            cycle = []
-            for p in poly:
-                for i, q in enumerate(verts):
-                    if np.max(np.abs(q - p)) <= CLIP_EPSILON:
-                        cycle.append(i)
-                        break
-                else:
-                    verts.append(np.asarray(p, dtype=float))
-                    cycle.append(len(verts) - 1)
-            faces.append(cycle)
-        vertex_array = np.array(verts) if verts else np.zeros((0, 3))
-        return ConvexPolytope(vertex_array, faces)
-
-    def face_polygons(self) -> list:
-        return [[self.vertices[i] for i in cycle] for cycle in self.faces]
-
-    def volume(self) -> float:
-        return _volume_of_polygons(self.face_polygons())
-
-    def is_convex(self, tol: float = CLIP_EPSILON) -> bool:
-        """Every vertex on or inside every face plane (within tol)."""
-        for poly in self.face_polygons():
-            if len(poly) < 3:
-                return False
-            n = _polygon_normal(poly)
-            d = float(n @ poly[0])
-            if np.any(self.vertices @ n - d > tol):
-                return False
-        return True
+def _face_planes(box: OrientedBox3D):
+    """Outward unit normals (6, 3) and plane offsets (6,), ordered +x, -x, +y, -y, +z, -z."""
+    normals = np.repeat(box.rot.T, 2, axis=0) * _FACE_SIGNS
+    return normals, normals @ box.center + np.repeat(box.dims / 2.0, 2)
 
 
-def box_polytope(box: OrientedBox3D) -> ConvexPolytope:
-    c = corners(box)
-    return ConvexPolytope(c, [list(cycle) for cycle in _FACE_CYCLES])
-
-
-def _polygon_normal(poly) -> np.ndarray:
-    # Newell's method: robust for near-degenerate polygons.
-    n = np.zeros(3)
-    for i, p in enumerate(poly):
-        q = poly[(i + 1) % len(poly)]
-        n[0] += (p[1] - q[1]) * (p[2] + q[2])
-        n[1] += (p[2] - q[2]) * (p[0] + q[0])
-        n[2] += (p[0] - q[0]) * (p[1] + q[1])
-    norm = np.linalg.norm(n)
-    return n / norm if norm > 0 else n
-
-
-def _volume_of_polygons(polygons: list) -> float:
-    pts = [p for poly in polygons for p in poly]
-    if not pts:
-        return 0.0
-    centroid = np.mean(np.array(pts), axis=0)
-    total = 0.0
-    for poly in polygons:
-        if len(poly) < 3:
-            continue
-        p0 = poly[0] - centroid
-        for i in range(1, len(poly) - 1):
-            total += np.dot(p0, np.cross(poly[i] - centroid, poly[i + 1] - centroid))
-    return max(total / 6.0, 0.0)
-
-
-def _clip_polygon(poly: list, normal: np.ndarray, offset: float) -> list:
-    """Sutherland-Hodgman: keep the part of poly with normal.x <= offset."""
-    out: list = []
-    dists = [float(normal @ p) - offset for p in poly]
-    k = len(poly)
-    for i in range(k):
-        p, dp = poly[i], dists[i]
-        q, dq = poly[(i + 1) % k], dists[(i + 1) % k]
-        p_in = dp <= CLIP_EPSILON
-        q_in = dq <= CLIP_EPSILON
-        if p_in:
-            out.append(poly[i])
-            if not q_in:
-                t = dp / (dp - dq)
-                out.append(p + t * (q - p))
-        elif q_in:
-            t = dp / (dp - dq)
-            out.append(p + t * (q - p))
-    return out
-
-
-def _clip_faces_halfspace(polygons: list, normal: np.ndarray, offset: float) -> list:
-    """Clip a closed face set against {x : normal.x <= offset}, re-capping the cut."""
-    all_d = [float(normal @ p) - offset for poly in polygons for p in poly]
-    if all(d <= CLIP_EPSILON for d in all_d):
-        return polygons
-    if all(d >= -CLIP_EPSILON for d in all_d):
-        return []
-    clipped = []
-    cap_points: list = []
-    for poly in polygons:
-        res = _clip_polygon(poly, normal, offset)
-        if len(res) >= 3:
-            clipped.append(res)
-            for p in res:
-                if abs(float(normal @ p) - offset) <= 10 * CLIP_EPSILON:
-                    cap_points.append(p)
-    cap = _build_cap(cap_points, normal)
-    if cap is not None:
-        clipped.append(cap)
-    return clipped
-
-
-def _build_cap(points: list, normal: np.ndarray) -> list | None:
-    # Dedupe, then order the (convex) cap boundary by angle around its centroid.
-    unique: list = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= 10 * CLIP_EPSILON for q in unique):
-            unique.append(p)
-    if len(unique) < 3:
-        return None
-    centroid = np.mean(np.array(unique), axis=0)
-    axis = np.argmin(np.abs(normal))
-    e1 = np.zeros(3)
-    e1[axis] = 1.0
-    e1 = e1 - (e1 @ normal) * normal
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    angles = [math.atan2(float((p - centroid) @ e2), float((p - centroid) @ e1)) for p in unique]
-    ordered = [unique[i] for i in np.argsort(angles)]
-    # Angular order around (e1, e2) winds counter-clockwise seen from +normal,
-    # which is the outward side of the cap.
-    return ordered
-
-
-def _box_halfspaces(box: OrientedBox3D):
-    half = box.dims / 2.0
-    for k in range(3):
-        axis = box.rot[:, k]
-        center_proj = float(axis @ box.center)
-        yield axis, center_proj + half[k]
-        yield -axis, -(center_proj - half[k])
+def _edge_cuts(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Points where the box edges between corners `pts` cross the given planes."""
+    dist = pts @ normals.T - offsets
+    dp, dq = dist[_EDGES[:, 0]], dist[_EDGES[:, 1]]
+    edge, plane = np.nonzero(dp * dq < 0.0)
+    t = dp[edge, plane] / (dp[edge, plane] - dq[edge, plane])
+    p = pts[_EDGES[edge, 0]]
+    return p + t[:, None] * (pts[_EDGES[edge, 1]] - p)
 
 
 def _canonical_key(box: OrientedBox3D):
@@ -233,12 +99,40 @@ def intersection_volume(a: OrientedBox3D, b: OrientedBox3D) -> float:
     """
     if _canonical_key(b) < _canonical_key(a):
         a, b = b, a
-    polygons = box_polytope(a).face_polygons()
-    for normal, offset in _box_halfspaces(b):
-        polygons = _clip_faces_halfspace(polygons, normal, offset)
-        if not polygons:
-            return 0.0
-    return _volume_of_polygons(polygons)
+    ca, cb = corners(a), corners(b)
+    na, da = _face_planes(a)
+    nb, db = _face_planes(b)
+    pts = np.vstack([ca, cb, _edge_cuts(ca, nb, db), _edge_cuts(cb, na, da)])
+    dist = pts @ np.vstack([na, nb]).T - np.concatenate([da, db])
+    inside = np.all(dist <= CLIP_EPSILON, axis=1)
+    pts, on = pts[inside], np.abs(dist[inside]) <= CLIP_EPSILON
+    # Fewer than 4 vertices, or all on one plane: the intersection is flat.
+    if len(pts) < 4 or on.all(axis=0).any():
+        return 0.0
+    # Two face planes that (nearly) coincide both collect the shared face, so
+    # each face of a also yields the polygon of its vertices in common with
+    # the most parallel face of b, counted negatively (inclusion-exclusion).
+    # Planes that cross instead share a segment, which has no area.
+    partner = 6 + np.argmax(na @ nb.T, axis=1)
+    on = np.hstack([on, on[:, :6] & on[:, partner]])
+    sign = np.repeat([1.0, -1.0], [12, 6])
+    in_plane_a = a.rot.T[_IN_PLANE]
+    axes = np.concatenate([in_plane_a, b.rot.T[_IN_PLANE], in_plane_a])
+    count = on.sum(axis=0)
+    faces = count >= 3
+    on, axes, sign, count = on[:, faces].T, axes[faces], sign[faces], count[faces, None]
+    # Each face polygon: its vertices relative to their mean, ordered by angle.
+    mean = (on @ pts) / count
+    rel = pts - mean[:, None]
+    uv = rel @ axes.transpose(0, 2, 1)
+    angle = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    ring = rel[np.arange(len(rel))[:, None], np.argsort(angle, axis=1)]
+    # Pad each ring with its first vertex, which closes it and adds nothing.
+    ring = np.where((np.arange(len(pts)) < count)[..., None], ring, ring[:, :1])
+    area = np.sum(np.cross(ring, np.roll(ring, -1, axis=1)), axis=1) / 2.0
+    # Cone from the vertex centroid (inside the polytope) over each face.
+    cones = np.sum(area * (mean - pts.mean(axis=0)), axis=1)
+    return float(sign @ np.abs(cones)) / 3.0
 
 
 def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
@@ -341,15 +235,16 @@ def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
 
 
 def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:
-    local = (points - box.center) @ box.rot
-    return np.all(np.abs(local) <= box.dims / 2.0, axis=1)
+    local = np.abs((points - box.center) @ box.rot)
+    hl, hw, hh = box.dims / 2.0
+    return (local[:, 0] <= hl) & (local[:, 1] <= hw) & (local[:, 2] <= hh)
 
 
 def iou3d_monte_carlo(a: OrientedBox3D, b: OrientedBox3D, samples: int, seed: int) -> float:
     """Rejection-sampling IoU estimate over the pair's bounding hull.
 
     Deterministic for a fixed seed; the independent oracle for the exact
-    clipping path.
+    path.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

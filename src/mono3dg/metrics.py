@@ -62,7 +62,7 @@ def score_query(
     axis; 'euclidean' uses the full center distance (comparison mode only).
 
     A pair of yaw-only boxes is scored by the BEV kernel, which agrees with
-    the exact clipper to rounding and costs a fraction of it."""
+    the exact kernel to rounding and costs a fraction of it."""
     if depth_metric == "z":
         depth_error = abs(float(pred.center[2]) - float(gt.center[2]))
     elif depth_metric == "euclidean":

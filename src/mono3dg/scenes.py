@@ -354,6 +354,12 @@ def scene_from_json(obj) -> SceneRecord:
         if box.center[2] <= 0:
             raise SchemaError(f"{path}.box3d.center", "box center must have Z > 0")
         box2d = as_float_list(require_field(entry, "box2d", path), f"{path}.box2d", 4)
+        x1, y1, x2, y2 = box2d
+        if not (0.0 <= x1 <= x2 <= cam.width and 0.0 <= y1 <= y2 <= cam.height):
+            raise SchemaError(
+                f"{path}.box2d",
+                f"{box2d} must satisfy 0 <= x1 <= x2 <= {cam.width} and 0 <= y1 <= y2 <= {cam.height}",
+            )
         h2d = as_finite_float(require_field(entry, "h2d", path), f"{path}.h2d")
         if h2d <= HEIGHT2D_EPSILON:
             raise SchemaError(f"{path}.h2d", f"2D height {h2d} px must exceed {HEIGHT2D_EPSILON} px")

@@ -1,13 +1,18 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mono3dg
+
 from conftest import overlapping_box_pair, random_box
 from mono3dg.box3d import (
-    ConvexPolytope,
     OrientedBox3D,
-    box_polytope,
     corners,
     intersection_volume,
     iou3d,
@@ -26,8 +31,23 @@ def yaw_box(center, dims, yaw):
     return OrientedBox3D(np.asarray(center, float), np.asarray(dims, float), rot)
 
 
+def turned(rot, axis, angle):
+    """rot turned by `angle` rad about `axis` (Rodrigues)."""
+    x, y, z = np.asarray(axis, float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return (np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k) @ rot
+
+
 UNIT_CUBE = OrientedBox3D(np.zeros(3), np.ones(3), np.eye(3))
 
+# Placements of a second box along one axis of a box spanning [-1, 1]:
+# (local center, extent, overlap length).
+AXIS_RELATIONS = (
+    (0.0, 2.0, 2.0),  # identical
+    (0.75, 0.5, 0.5),  # inside, one face flush
+    (1.0, 2.0, 1.0),  # half overlapping
+    (1.5, 1.0, 0.0),  # touching
+)
 
 class TestCorners:
     def test_unit_cube(self):
@@ -80,6 +100,19 @@ class TestIntersectionVolume:
         small = OrientedBox3D([0, 0, 0], [0.5, 0.5, 0.5], random_rotation(np.random.default_rng(1)))
         assert intersection_volume(UNIT_CUBE, small) == pytest.approx(0.125, rel=1e-9)
 
+    @pytest.mark.parametrize("far", [0.0, 50.0])
+    def test_shared_frame_matches_axis_overlaps(self, far):
+        rng = np.random.default_rng(15)
+        rot = random_rotation(rng)
+        center = far * random_rotation(rng)[:, 0]
+        a = OrientedBox3D(center, [2.0, 2.0, 2.0], rot)
+        worst = 0.0
+        for relations in itertools.product(AXIS_RELATIONS, repeat=3):
+            local, dims, overlaps = np.array(relations).T
+            b = OrientedBox3D(center + rot @ local, dims, rot)
+            worst = max(worst, abs(intersection_volume(a, b) - np.prod(overlaps)))
+        assert worst <= 1e-12
+
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -100,6 +133,42 @@ class TestIoU3D:
     def test_disjoint_zero(self):
         far = OrientedBox3D([0, 50.0, 0], np.ones(3), np.eye(3))
         assert iou3d(UNIT_CUBE, far) == 0.0
+
+    def test_near_identical_general_rotation(self):
+        # Tilted by 1e-10 rad and moved by 1 nm, a box still fills its twin.
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            a = random_box(rng)
+            offset = rng.standard_normal(3)
+            offset *= 1e-9 / np.linalg.norm(offset)
+            b = OrientedBox3D(a.center + offset, a.dims, turned(a.rot, rng.standard_normal(3), 1e-10))
+            assert iou3d(a, b) >= 0.99
+
+    def test_touching_is_zero(self):
+        rot = random_rotation(np.random.default_rng(16))
+        a = OrientedBox3D(np.zeros(3), [2.0, 1.0, 1.5], rot)
+        for local in ([2.0, 0.3, 0.2], [0.4, -0.2, 1.5], [2.0, 1.0, 0.1]):  # side, top, edge
+            assert iou3d(a, OrientedBox3D(rot @ local, a.dims, rot)) == 0.0
+        # Ridge edges crossing at one point: a cube turned 45 deg about x
+        # under one turned 45 deg about y.
+        lower = OrientedBox3D(np.zeros(3), np.ones(3), turned(np.eye(3), [1, 0, 0], math.pi / 4))
+        upper = OrientedBox3D([0, 0, math.sqrt(2)], np.ones(3), turned(np.eye(3), [0, 1, 0], math.pi / 4))
+        assert iou3d(lower, upper) == 0.0
+
+    def test_leaves_scipy_spatial_unloaded(self):
+        # Importing scipy.spatial adds about 11 MB of resident memory.
+        code = (
+            "import sys, numpy as np, mono3dg\n"
+            "from mono3dg.rotation import random_rotation\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = mono3dg.OrientedBox3D(np.zeros(3), np.ones(3), random_rotation(rng))\n"
+            "b = mono3dg.OrientedBox3D([0.2, 0.1, 0.0], np.ones(3), random_rotation(rng))\n"
+            "assert mono3dg.iou3d(a, b) > 0.0\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(mono3dg.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"
 
     def test_range_and_symmetry(self):
         rng = np.random.default_rng(4)
@@ -171,8 +240,14 @@ class TestBEVFastPath:
 
     def test_matches_general_path(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b = overlapping_box_pair(rng, yaw_only=True)
+        pairs = [overlapping_box_pair(rng, yaw_only=True) for _ in range(200)]
+        far = yaw_box([100.0, -3.0, 1.2], [0.04, 0.03, 0.05], 0.3)
+        pairs += [
+            (yaw_box([1, 2, 3], [4, 3, 2], 0.4), yaw_box([1.2, 2.1, 3.3], [1, 0.5, 0.7], 2.0)),  # contained
+            (yaw_box([0, 0, 0], [2, 1, 1], 0.0), yaw_box([0.1, 0.2, 0.3], [2, 1, 1], math.pi / 2)),
+            (far, yaw_box([100.01, -2.99, 1.21], [0.05, 0.02, 0.04], -1.0)),
+        ]
+        for a, b in pairs:
             assert iou3d_bev_yaw(a, b) == pytest.approx(iou3d(a, b), abs=1e-9)
 
 
@@ -204,21 +279,3 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             iou3d_monte_carlo(UNIT_CUBE, UNIT_CUBE, 0, 0)
 
-
-class TestConvexPolytope:
-    def test_box_polytope_valid(self):
-        rng = np.random.default_rng(11)
-        poly = box_polytope(random_box(rng))
-        assert poly.is_convex()
-        assert len(poly.faces) == 6 and poly.vertices.shape == (8, 3)
-
-    def test_volume_matches_dims(self):
-        box = OrientedBox3D([0, 1, 2], [2.0, 0.5, 3.0], random_rotation(np.random.default_rng(12)))
-        assert box_polytope(box).volume() == pytest.approx(3.0, rel=1e-12)
-
-    def test_face_polygon_round_trip(self):
-        poly = box_polytope(UNIT_CUBE)
-        rebuilt = ConvexPolytope.from_face_polygons(poly.face_polygons())
-        assert rebuilt.vertices.shape == (8, 3)
-        assert rebuilt.volume() == pytest.approx(1.0, rel=1e-12)
-        assert rebuilt.is_convex()

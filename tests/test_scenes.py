@@ -167,6 +167,23 @@ class TestSceneJsonl:
         assert info.value.field == "objects[0].h2d"
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "corner, value",
+        [(0, 500.0), (1, 400.0), (0, -1.0), (1, -0.5), (2, 1e5), (3, 1e5)],
+    )
+    def test_bad_box2d_rejected_with_line(self, tmp_path, corner, value):
+        records = [scene_to_json(r) for r in synth_scenes(2, seed=17)]
+        cam = records[1]["intrinsics"]
+        records[1]["objects"][0]["box2d"] = [100.0, 80.0, 300.0, 200.0]
+        assert 300.0 <= cam["width"] and 200.0 <= cam["height"]
+        records[1]["objects"][0]["box2d"][corner] = value
+        path = tmp_path / "box2d.jsonl"
+        path.write_text("".join(dumps_canonical(r) + "\n" for r in records))
+        with pytest.raises(SchemaError) as info:
+            read_scenes(path)
+        assert info.value.field == "objects[0].box2d"
+        assert "line 2" in str(info.value)
+
     def test_nonpositive_dims_rejected(self):
         record = scene_to_json(synth_scenes(1, seed=11)[0])
         record["objects"][0]["box3d"]["dims"] = [0.0, 1.0, 1.0]
