@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotYawOnly
+from .errors import NotYawOnly, reject_first
 from .rotation import validate_rotation
 
 # Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
@@ -53,7 +53,8 @@ class OrientedBox3D:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "dims", np.asarray(self.dims, dtype=float).reshape(3))
         object.__setattr__(self, "rot", np.asarray(self.rot, dtype=float).reshape(3, 3))
-        if not np.all(self.dims > 0):
+        length, width, height = self.dims.tolist()
+        if not (length > 0 and width > 0 and height > 0):
             raise ValueError(f"box dims must be positive, got {self.dims}")
 
     def validate(self) -> "OrientedBox3D":
@@ -63,6 +64,41 @@ class OrientedBox3D:
     @property
     def volume(self) -> float:
         return float(self.dims[0] * self.dims[1] * self.dims[2])
+
+
+@dataclass(frozen=True)
+class BoxBatch:
+    """N oriented boxes as columns: centers (N, 3), dims (N, 3), rotations (N, 3, 3)."""
+
+    center: np.ndarray
+    dims: np.ndarray
+    rot: np.ndarray
+
+    def __post_init__(self):
+        reject_first(
+            ~(self.dims > 0).all(axis=1),
+            self.dims,
+            lambda dims: ValueError(f"box dims must be positive, got {dims}"),
+        )
+
+    @staticmethod
+    def stack(boxes) -> "BoxBatch":
+        boxes = list(boxes)
+        return BoxBatch(
+            np.array([b.center for b in boxes]).reshape(-1, 3),
+            np.array([b.dims for b in boxes]).reshape(-1, 3),
+            np.array([b.rot for b in boxes]).reshape(-1, 3, 3),
+        )
+
+    def box(self, i: int) -> OrientedBox3D:
+        return OrientedBox3D(self.center[i], self.dims[i], self.rot[i])
+
+    def take(self, rows) -> "BoxBatch":
+        return BoxBatch(self.center[rows], self.dims[rows], self.rot[rows])
+
+    @property
+    def volume(self) -> np.ndarray:
+        return self.dims[:, 0] * self.dims[:, 1] * self.dims[:, 2]
 
 
 def corners(box: OrientedBox3D) -> np.ndarray:
@@ -143,95 +179,122 @@ def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def yaw_only(rot: np.ndarray) -> np.ndarray:
+    """Which rotations of an (N, 3, 3) stack have no pitch/roll terms (within
+    YAW_ONLY_TOL), so that their box's footprint and height extent separate."""
+    return (np.abs(rot[:, [2, 2, 0, 1], [0, 1, 2, 2]]) <= YAW_ONLY_TOL).all(axis=1)
+
+
 def is_yaw_only(box: OrientedBox3D) -> bool:
-    """True when the rotation has no pitch/roll terms (within YAW_ONLY_TOL),
-    so the box's footprint and height extent separate."""
-    R = box.rot.tolist()
-    return (
-        abs(R[2][0]) <= YAW_ONLY_TOL
-        and abs(R[2][1]) <= YAW_ONLY_TOL
-        and abs(R[0][2]) <= YAW_ONLY_TOL
-        and abs(R[1][2]) <= YAW_ONLY_TOL
-    )
+    """:func:`yaw_only` for one box."""
+    return bool(yaw_only(box.rot[None])[0])
 
 
-def _require_yaw_only(box: OrientedBox3D) -> float:
-    if not is_yaw_only(box):
-        R = box.rot
+def _require_yaw_only(boxes) -> None:
+    """Raise NotYawOnly for the first box that is not yaw-only; boxes is one
+    OrientedBox3D or a BoxBatch."""
+    def error(R):
         terms = ", ".join(f"{float(e):.3e}" for e in (R[2, 0], R[2, 1], R[0, 2], R[1, 2]))
-        raise NotYawOnly(f"rotation has out-of-plane terms ({terms})")
-    return math.atan2(box.rot[1, 0], box.rot[0, 0])
+        return NotYawOnly(f"rotation has out-of-plane terms ({terms})")
+
+    rot = boxes.rot.reshape(-1, 3, 3)
+    reject_first(~yaw_only(rot), rot, error)
 
 
-# The BEV path holds 2D points as (x, y) float tuples: per-call numpy
-# overhead on 2-vectors costs more than the arithmetic it does.
+# The BEV kernel clips N footprint pairs at once. Polygons are (N, K) x and
+# y columns plus a vertex count per row; the slots past a row's count are
+# ignored. The arithmetic, and the order of every sum, is that of clipping
+# one pair at a time, so each row's result has the same bits.
 
 
-def _footprint(box: OrientedBox3D, yaw: float) -> list:
-    c, s = math.cos(yaw), math.sin(yaw)
-    length, width, _ = box.dims.tolist()
-    hl, hw = length / 2.0, width / 2.0
-    cx, cy, _ = box.center.tolist()
-    pts = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    poly = [(cx + c * x - s * y, cy + s * x + c * y) for x, y in pts]
-    if _signed_area(poly) < 0:
-        poly.reverse()
-    return poly
+def _footprints(boxes: BoxBatch):
+    """Counter-clockwise footprint corners of yaw-only boxes, as (N, 4) x and y."""
+    R = boxes.rot
+    yaw = [math.atan2(s, c) for s, c in zip(R[:, 1, 0].tolist(), R[:, 0, 0].tolist())]
+    c = np.array([math.cos(t) for t in yaw])[:, None]
+    s = np.array([math.sin(t) for t in yaw])[:, None]
+    hl, hw = boxes.dims[:, 0] / 2.0, boxes.dims[:, 1] / 2.0
+    x = np.stack([hl, -hl, -hl, hl], axis=1)
+    y = np.stack([hw, hw, -hw, -hw], axis=1)
+    px = boxes.center[:, 0, None] + c * x - s * y
+    py = boxes.center[:, 1, None] + s * x + c * y
+    clockwise = (_signed_areas(px, py, np.full(len(px), 4)) < 0)[:, None]
+    return np.where(clockwise, px[:, ::-1], px), np.where(clockwise, py[:, ::-1], py)
 
 
-def _signed_area(poly: list) -> float:
-    area = 0.0
-    for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
-        area += px * qy - qx * py
+def _following(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each slot's value at the next vertex, wrapping at the row's count."""
+    slots = (np.arange(values.shape[1]) + 1) % np.maximum(count, 1)[:, None]
+    return np.take_along_axis(values, slots, 1)
+
+
+def _signed_areas(px, py, count) -> np.ndarray:
+    terms = px * _following(py, count) - _following(px, count) * py
+    area = np.zeros(len(px))
+    for k in range(px.shape[1]):
+        area = np.where(k < count, area + terms[:, k], area)
     return area / 2.0
 
 
-def _clip_convex_2d(subject: list, clipper: list) -> list:
-    # Both polygons CCW; clip subject against each clipper edge half-plane.
-    result = subject
-    for a, b in zip(clipper, clipper[1:] + clipper[:1]):
-        if not result:
-            return []
-        ax, ay = a
-        ex, ey = b[0] - ax, b[1] - ay
-        inside = [ex * (py - ay) - ey * (px - ax) >= -CLIP_EPSILON for px, py in result]
-        out = []
-        for p, q, p_in, q_in in zip(result, result[1:] + result[:1], inside, inside[1:] + inside[:1]):
-            if p_in:
-                out.append(p)
-                if not q_in:
-                    out.append(_edge_intersection(p, q, a, b))
-            elif q_in:
-                out.append(_edge_intersection(p, q, a, b))
-        result = out
-    return result
+def _clip_convex_2d(px, py, count, clip_x, clip_y):
+    """Sutherland-Hodgman: clip each subject polygon against the matching
+    clipper polygon (both CCW, the clipper (N, 4)), one clipper edge at a time."""
+    for e in range(clip_x.shape[1]):
+        ax, ay = clip_x[:, e, None], clip_y[:, e, None]
+        f = (e + 1) % clip_x.shape[1]
+        ex, ey = clip_x[:, f, None] - ax, clip_y[:, f, None] - ay
+        valid = np.arange(px.shape[1]) < count[:, None]
+        inside = ex * (py - ay) - ey * (px - ax) >= -CLIP_EPSILON
+        q_inside = _following(inside, count)
+        # Where the edge p -> q crosses the clipper edge's line.
+        rx, ry = _following(px, count) - px, _following(py, count) - py
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((ax - px) * ey - (ay - py) * ex) / (rx * ey - ry * ex)
+            cut_x, cut_y = px + t * rx, py + t * ry
+        # Each slot emits its vertex if inside, then the crossing if p and q
+        # lie on opposite sides.
+        keep = valid & inside
+        cut = valid & (inside != q_inside)
+        emitted = keep.astype(int) + cut
+        start = np.cumsum(emitted, axis=1) - emitted
+        count = emitted.sum(axis=1)
+        out_x = np.zeros((len(px), max(int(count.max(initial=0)), 1)))
+        out_y = np.zeros_like(out_x)
+        for mask, pos, vx, vy in ((keep, start, px, py), (cut, start + keep, cut_x, cut_y)):
+            row, slot = np.nonzero(mask)
+            out_x[row, pos[row, slot]] = vx[row, slot]
+            out_y[row, pos[row, slot]] = vy[row, slot]
+        px, py = out_x, out_y
+    return px, py, count
 
 
-def _edge_intersection(p, q, a, b):
-    rx, ry = q[0] - p[0], q[1] - p[1]
-    sx, sy = b[0] - a[0], b[1] - a[1]
-    denom = rx * sy - ry * sx
-    t = ((a[0] - p[0]) * sy - (a[1] - p[1]) * sx) / denom
-    return (p[0] + t * rx, p[1] + t * ry)
+def iou3d_bev_yaw_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
+    """Fast IoU for N pairs of yaw-only boxes: footprint polygon overlap x
+    height overlap, as an (N,) array.
+
+    Raises NotYawOnly for the first box whose rotation is not a pure
+    rotation about z.
+    """
+    _require_yaw_only(a)
+    _require_yaw_only(b)
+    ax, ay = _footprints(a)
+    bx, by = _footprints(b)
+    px, py, count = _clip_convex_2d(ax, ay, np.full(len(ax), 4), bx, by)
+    area = np.where(count >= 3, np.abs(_signed_areas(px, py, count)), 0.0)
+    za, ha = a.center[:, 2], a.dims[:, 2]
+    zb, hb = b.center[:, 2], b.dims[:, 2]
+    top = np.minimum(za + ha / 2.0, zb + hb / 2.0)
+    dz = np.maximum(0.0, top - np.maximum(za - ha / 2.0, zb - hb / 2.0))
+    inter = area * dz
+    union = a.volume + b.volume - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.minimum(np.maximum(inter / union, 0.0), 1.0)
+    return np.where(union <= 0.0, 0.0, iou)
 
 
 def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    """Fast IoU for yaw-only boxes: footprint polygon overlap x height overlap.
-
-    Raises NotYawOnly unless both rotations are pure rotations about z.
-    """
-    yaw_a = _require_yaw_only(a)
-    yaw_b = _require_yaw_only(b)
-    inter_poly = _clip_convex_2d(_footprint(a, yaw_a), _footprint(b, yaw_b))
-    area = abs(_signed_area(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    za, ha = float(a.center[2]), float(a.dims[2])
-    zb, hb = float(b.center[2]), float(b.dims[2])
-    dz = max(0.0, min(za + ha / 2.0, zb + hb / 2.0) - max(za - ha / 2.0, zb - hb / 2.0))
-    inter = area * dz
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    """:func:`iou3d_bev_yaw_batch` for one pair."""
+    return float(iou3d_bev_yaw_batch(BoxBatch.stack([a]), BoxBatch.stack([b]))[0])
 
 
 def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:

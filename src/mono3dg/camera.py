@@ -6,7 +6,9 @@ reference camera, a second depth estimate from 2D/3D object heights, depth
 fusion, and back-projection.
 
 Conventions: camera frame is x-right, y-down, z-forward; all lengths in
-meters, all image quantities in pixels. Every function here is pure.
+meters, all image quantities in pixels. Every function here is pure. The
+depth and back-projection steps take scalars or (N,) columns alike, so the
+chain runs on one query or on a whole file of them with the same code.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth
+import numpy as np
+
+from .errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth, reject_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decoder import RawHeadOutput
@@ -84,42 +88,81 @@ def real_to_virtual_depth(z: float, cam: CameraIntrinsics, vc: VirtualCamera) ->
     return (vc.fx_v / cam.fx) * (cam.width / vc.width_v) * z
 
 
-def virtual_to_real_depth(d_v: float, cam: CameraIntrinsics, vc: VirtualCamera) -> float:
+def virtual_to_real_depth(d_v, cam: CameraIntrinsics, vc: VirtualCamera):
     """Exact inverse of :func:`real_to_virtual_depth`."""
-    if d_v <= 0.0:
-        raise NonPositiveDepth(f"virtual depth must be positive, got {d_v}")
+    reject_first(
+        d_v <= 0.0, d_v, lambda v: NonPositiveDepth(f"virtual depth must be positive, got {v}")
+    )
     return d_v * (cam.fx / vc.fx_v) * (vc.width_v / cam.width)
 
 
-def height_depth(h3d: float, h2d: float, cam: CameraIntrinsics) -> float:
+def height_depth(h3d, h2d, cam: CameraIntrinsics):
     """Second depth estimate from the 3D object height and its 2D pixel height."""
-    if h3d <= 0.0:
-        raise DegenerateHeight(f"3D height must be positive, got {h3d}")
-    if h2d <= HEIGHT2D_EPSILON:
-        raise DegenerateHeight(f"2D height {h2d} px is at or below {HEIGHT2D_EPSILON} px")
+    reject_first(
+        h3d <= 0.0, h3d, lambda v: DegenerateHeight(f"3D height must be positive, got {v}")
+    )
+    reject_first(
+        h2d <= HEIGHT2D_EPSILON,
+        h2d,
+        lambda v: DegenerateHeight(f"2D height {v} px is at or below {HEIGHT2D_EPSILON} px"),
+    )
     return (h3d / h2d) * cam.fy
 
 
-def fuse_depth(z1: float, z2: float | None, mode: DepthMode) -> float:
+def fuse_depth(z1, z2, mode: DepthMode):
     """Combine the virtual-depth estimate z1 with the height-based z2.
 
     VIRTUAL_ONLY returns z1 and ignores z2; FUSED_AVERAGE returns the plain
     mean of the two.
     """
-    if z1 is None or z1 <= 0.0:
-        raise NonPositiveDepth(f"z1 must be positive, got {z1}")
+    if z1 is None:
+        raise NonPositiveDepth("z1 must be positive, got None")
+    reject_first(z1 <= 0.0, z1, lambda v: NonPositiveDepth(f"z1 must be positive, got {v}"))
     if mode is DepthMode.VIRTUAL_ONLY:
         return z1
-    if z2 is None or z2 <= 0.0:
-        raise NonPositiveDepth(f"z2 must be positive for fused mode, got {z2}")
+    if z2 is None:
+        raise NonPositiveDepth("z2 must be positive for fused mode, got None")
+    reject_first(
+        z2 <= 0.0, z2, lambda v: NonPositiveDepth(f"z2 must be positive for fused mode, got {v}")
+    )
     return 0.5 * (z1 + z2)
 
 
-def backproject_center(p: Point2D, z: float, cam: CameraIntrinsics) -> Point3D:
+def backproject_center(p: Point2D, z, cam: CameraIntrinsics) -> Point3D:
     """Recover the camera-frame point from a pixel location and a depth."""
-    if z <= 0.0:
-        raise NonPositiveDepth(f"depth must be positive, got {z}")
+    reject_first(z <= 0.0, z, lambda v: NonPositiveDepth(f"depth must be positive, got {v}"))
     return Point3D((z / cam.fx) * (p.u - cam.cx), (z / cam.fy) * (p.v - cam.cy), z)
+
+
+def reason_center_batch(
+    u_norm: np.ndarray,
+    v_norm: np.ndarray,
+    d_v: np.ndarray,
+    h3d: np.ndarray,
+    cam: CameraIntrinsics,
+    vc: VirtualCamera,
+    mode: DepthMode,
+    h2d: np.ndarray | None = None,
+) -> np.ndarray:
+    """Full reasoning chain from head outputs to 3D box centers, for N queries.
+
+    Each argument is an (N,) column, and every field of cam is one too (one
+    camera per query). Scales the normalized projection back to pixels,
+    converts virtual depth to real depth, optionally fuses with the
+    height-based depth (h2d is required in that mode), and back-projects.
+    Returns the (N, 3) centers. The checks run in that order, each over all
+    queries, and the first one to fail raises for its first failing query.
+    """
+    u = u_norm * cam.width
+    v = v_norm * cam.height
+    z1 = virtual_to_real_depth(d_v, cam, vc)
+    z2 = None
+    if mode is DepthMode.FUSED_AVERAGE:
+        if h2d is None:
+            raise MissingHeight2D("fused depth mode requires a 2D height")
+        z2 = height_depth(h3d, h2d, cam)
+    z = fuse_depth(z1, z2, mode)
+    return np.stack(backproject_center(Point2D(u, v), z, cam), axis=-1)
 
 
 def reason_center(
@@ -129,19 +172,18 @@ def reason_center(
     mode: DepthMode,
     h2d: float | None = None,
 ) -> Point3D:
-    """Full reasoning chain from head outputs to the 3D box center.
+    """:func:`reason_center_batch` for one query."""
+    def column(value):
+        return np.array([value], dtype=float)
 
-    Scales the normalized projection back to pixels, converts virtual depth
-    to real depth, optionally fuses with the height-based depth (h2d is
-    required in that mode), and back-projects.
-    """
-    u = raw.u_norm * cam.width
-    v = raw.v_norm * cam.height
-    z1 = virtual_to_real_depth(raw.d_v, cam, vc)
-    z2 = None
-    if mode is DepthMode.FUSED_AVERAGE:
-        if h2d is None:
-            raise MissingHeight2D("fused depth mode requires a 2D height")
-        z2 = height_depth(raw.H, h2d, cam)
-    z = fuse_depth(z1, z2, mode)
-    return backproject_center(Point2D(u, v), z, cam)
+    center = reason_center_batch(
+        column(raw.u_norm),
+        column(raw.v_norm),
+        column(raw.d_v),
+        column(raw.H),
+        CameraIntrinsics(*map(column, cam)),
+        vc,
+        mode,
+        None if h2d is None else column(h2d),
+    )
+    return Point3D(*center[0].tolist())

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises
+them for the first failing entry of a batch."""
+
+
+def reject_first(bad, values, make_error) -> None:
+    """Raise make_error(v) for the first value v whose entry of bad holds.
+
+    bad and values are both scalars, or both arrays of the same length, so
+    one check serves a single query and a batch of them alike.
+    """
+    if getattr(bad, "ndim", 0):
+        if bad.any():
+            raise make_error(values[int(bad.argmax())])
+    elif bad:
+        raise make_error(values)
 
 
 class Mono3DGError(Exception):

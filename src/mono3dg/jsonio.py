@@ -2,7 +2,8 @@
 
 Floats are emitted with 17 significant digits (lossless for float64), so
 write -> read -> write is byte-identical and equal seeds give equal files.
-NaN and infinities are rejected in both directions.
+NaN and infinities are rejected in both directions. Schema checks of the
+decoded records live with the record types, in ``scenes``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -60,9 +61,12 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"forbidden JSON constant {name}")
 
 
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads_strict(text: str) -> Any:
     """json.loads that rejects NaN/Infinity literals."""
-    return json.loads(text, parse_constant=_reject_constant)
+    return _STRICT_DECODER.decode(text)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -72,8 +76,13 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict], Any]) -> Iterator[Any]:
-    """Yield decode(obj) per line; ParseError carries the 1-based line number."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, decoded record) for each non-blank line.
+
+    A line that is not JSON raises ParseError when it is reached, so a
+    caller that checks each record as it arrives reports the first bad line
+    of the file, whatever its kind of fault.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -83,29 +92,4 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], Any]) -> Iterator[Any]
                 obj = loads_strict(line)
             except ValueError as exc:
                 raise ParseError(line_number, str(exc)) from exc
-            try:
-                yield decode(obj)
-            except SchemaError as exc:
-                raise SchemaError(exc.field, f"line {line_number}: {exc}") from exc
-
-
-def require_field(obj: dict, field: str, path: str = ""):
-    name = f"{path}.{field}" if path else field
-    if not isinstance(obj, dict) or field not in obj:
-        raise SchemaError(name, "missing")
-    return obj[field]
-
-
-def as_finite_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(name, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError(name, "NaN/Inf forbidden")
-    return value
-
-
-def as_float_list(value, name: str, length: int) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
-        raise SchemaError(name, f"expected a list of {length} numbers")
-    return [as_finite_float(v, f"{name}[{i}]") for i, v in enumerate(value)]
+            yield line_number, obj

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import box3d
-from .box3d import OrientedBox3D, iou3d, is_yaw_only
+from .box3d import BoxBatch, OrientedBox3D, iou3d
 
 REPORT_COLUMNS = (
     "Acc@0.25",
@@ -52,37 +54,49 @@ class MetricReport:
     count: int
 
 
+def score_query_batch(
+    pred: BoxBatch,
+    gt: BoxBatch,
+    query_ids: list,
+    depth_metric: str = "z",
+) -> list[QueryResult]:
+    """Score N predictions against their ground truths. depth_metric='z'
+    uses |dZ| along the optical axis; 'euclidean' uses the full center
+    distance (comparison mode only).
+
+    Pairs whose two boxes are both yaw-only are scored together by the BEV
+    kernel, which agrees with the exact kernel to rounding and costs a
+    fraction of it; every other pair goes to the exact kernel."""
+    if depth_metric == "z":
+        depth_errors = np.abs(pred.center[:, 2] - gt.center[:, 2]).tolist()
+    elif depth_metric == "euclidean":
+        depth_errors = [math.dist(p, g) for p, g in zip(pred.center.tolist(), gt.center.tolist())]
+    else:
+        raise ValueError(f"unknown depth_metric {depth_metric!r}")
+    bev = box3d.yaw_only(pred.rot) & box3d.yaw_only(gt.rot)
+    iou = np.empty(len(query_ids))
+    # Both kernels are resolved at call time, on box3d and on this module,
+    # so a wrapper installed there (perfbench's tracer, a test) sees the calls.
+    if bev.any():
+        iou[bev] = box3d.iou3d_bev_yaw_batch(pred.take(bev), gt.take(bev))
+    for i in np.flatnonzero(~bev).tolist():
+        iou[i] = iou3d(pred.box(i), gt.box(i))
+    size_errors = np.abs(pred.dims - gt.dims).tolist()
+    return [
+        QueryResult(query_id, value, depth, *sizes)
+        for query_id, value, depth, sizes in zip(query_ids, iou.tolist(), depth_errors, size_errors)
+    ]
+
+
 def score_query(
     pred: OrientedBox3D,
     gt: OrientedBox3D,
     query_id: str,
     depth_metric: str = "z",
 ) -> QueryResult:
-    """Score one prediction. depth_metric='z' uses |dZ| along the optical
-    axis; 'euclidean' uses the full center distance (comparison mode only).
-
-    A pair of yaw-only boxes is scored by the BEV kernel, which agrees with
-    the exact kernel to rounding and costs a fraction of it."""
-    if depth_metric == "z":
-        depth_error = abs(float(pred.center[2]) - float(gt.center[2]))
-    elif depth_metric == "euclidean":
-        depth_error = float(math.dist(tuple(pred.center), tuple(gt.center)))
-    else:
-        raise ValueError(f"unknown depth_metric {depth_metric!r}")
-    if is_yaw_only(pred) and is_yaw_only(gt):
-        # Resolved on the module at call time, so a wrapper installed on
-        # box3d (perfbench's tracer) sees the call.
-        iou = box3d.iou3d_bev_yaw(pred, gt)
-    else:
-        iou = iou3d(pred, gt)
-    return QueryResult(
-        query_id=query_id,
-        iou=iou,
-        depth_error=depth_error,
-        length_error=abs(float(pred.dims[0]) - float(gt.dims[0])),
-        width_error=abs(float(pred.dims[1]) - float(gt.dims[1])),
-        height_error=abs(float(pred.dims[2]) - float(gt.dims[2])),
-    )
+    """:func:`score_query_batch` for one query."""
+    batch = score_query_batch(BoxBatch.stack([pred]), BoxBatch.stack([gt]), [query_id], depth_metric)
+    return batch[0]
 
 
 def missing_result(query_id: str) -> QueryResult:

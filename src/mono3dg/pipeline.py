@@ -17,8 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .box3d import OrientedBox3D
-from .camera import CameraIntrinsics, Point3D, project, real_to_virtual_depth, reason_center
+from .box3d import BoxBatch, OrientedBox3D
+from .camera import (
+    CameraIntrinsics,
+    Point3D,
+    project,
+    real_to_virtual_depth,
+    reason_center,  # noqa: F401  perfbench/tracing.py wraps pipeline.reason_center
+    reason_center_batch,
+)
 from .decoder import (
     KIND_CAPTION,
     KIND_IMAGE,
@@ -31,12 +38,20 @@ from .decoder import (
     raw_to_vector,
 )
 from .errors import UnmatchedPrediction
-from .metrics import MetricReport, aggregate, missing_result, score_query
+from .metrics import (
+    MetricReport,
+    aggregate,
+    missing_result,
+    score_query,  # noqa: F401  perfbench/tracing.py wraps pipeline.score_query
+    score_query_batch,
+)
 from .rotation import (
-    allocentric_to_egocentric,
+    allocentric_to_egocentric,  # noqa: F401  perfbench/tracing.py wraps it here
+    allocentric_to_egocentric_batch,
     egocentric_to_allocentric,
     matrix_to_rot6d,
-    rot6d_to_matrix,
+    rot6d_to_matrix,  # noqa: F401  perfbench/tracing.py wraps it here
+    rot6d_to_matrix_batch,
 )
 from .scenes import (
     ROTATION_ALLOCENTRIC,
@@ -65,18 +80,39 @@ def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProf
     )
 
 
+def box_from_raw_batch(
+    raws: list[RawHeadOutput],
+    cams: list[CameraIntrinsics],
+    profile: DatasetProfile,
+    h2d: list | None = None,
+) -> BoxBatch:
+    """Geometry reasoning for N queries: head outputs -> oriented boxes in
+    the camera frame, one camera (and 2D height) per query."""
+    values = np.array([(r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H) for r in raws], dtype=float)
+    values = values.reshape(-1, 6)
+    u_norm, v_norm, d_v, _, _, height = values.T
+    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, 6).T)
+    h2d = None if h2d is None else np.asarray(h2d, dtype=float)
+    center = reason_center_batch(
+        u_norm, v_norm, d_v, height, cam, profile.virtual_camera, profile.depth_mode, h2d
+    )
+    rot = rot6d_to_matrix_batch(
+        np.array([r.rot6d.a for r in raws], dtype=float).reshape(-1, 3),
+        np.array([r.rot6d.b for r in raws], dtype=float).reshape(-1, 3),
+    )
+    if profile.rotation_frame == ROTATION_ALLOCENTRIC:
+        rot = allocentric_to_egocentric_batch(rot, center)
+    return BoxBatch(center, values[:, 3:], rot)
+
+
 def box_from_raw(
     raw: RawHeadOutput,
     cam: CameraIntrinsics,
     profile: DatasetProfile,
     h2d: float | None = None,
 ) -> OrientedBox3D:
-    """Geometry reasoning: head outputs -> oriented box in the camera frame."""
-    center = reason_center(raw, cam, profile.virtual_camera, profile.depth_mode, h2d)
-    rot = rot6d_to_matrix(raw.rot6d)
-    if profile.rotation_frame == ROTATION_ALLOCENTRIC:
-        rot = allocentric_to_egocentric(rot, center)
-    return OrientedBox3D(np.array(center), np.array([raw.L, raw.W, raw.H]), rot)
+    """:func:`box_from_raw_batch` for one query."""
+    return box_from_raw_batch([raw], [cam], profile, None if h2d is None else [h2d]).box(0)
 
 
 def perfect_raw_predictions(scenes: list[SceneRecord], profile: DatasetProfile) -> list[PredictionRecord]:
@@ -115,7 +151,8 @@ def run_pipeline(
     """Score predictions against ground truth and aggregate.
 
     Every prediction must match a ground-truth (image_id, object_id); the
-    reverse is not required.
+    reverse is not required. All predicted queries are reasoned and scored
+    in one batch.
     """
     gt_index = {}
     for record in scenes:
@@ -128,19 +165,48 @@ def run_pipeline(
             raise UnmatchedPrediction(f"prediction for unknown query {key}")
         by_key[key] = p
     results = []
+    scored = []  # (slot in results, query id, scene record, gt object, prediction)
     for record in scenes:
         for obj in record.objects:
             query_id = f"{record.image_id}/{obj.object_id}"
             pred = by_key.get((record.image_id, obj.object_id))
             if pred is None:
                 results.append(missing_result(query_id))
-                continue
-            if pred.box3d is not None:
-                box = pred.box3d
             else:
-                box = box_from_raw(pred.raw, record.intrinsics, profile, h2d=obj.h2d)
-            results.append(score_query(box, obj.box3d, query_id, depth_metric))
+                scored.append((len(results), query_id, record, obj, pred))
+                results.append(None)
+    if scored:
+        slots, query_ids, records, objs, picked = zip(*scored)
+        pred_boxes = _predicted_boxes(picked, records, objs, profile)
+        gt_boxes = BoxBatch.stack([obj.box3d for obj in objs])
+        batch = score_query_batch(pred_boxes, gt_boxes, list(query_ids), depth_metric)
+        for slot, result in zip(slots, batch):
+            results[slot] = result
     return aggregate(results)
+
+
+def _predicted_boxes(preds, records, objs, profile: DatasetProfile) -> BoxBatch:
+    """The predicted box of each query: raw head outputs go through the
+    geometry chain as one batch, direct boxes are taken as they are."""
+    raw = [k for k, p in enumerate(preds) if p.raw is not None]
+    direct = [k for k, p in enumerate(preds) if p.raw is None]
+    parts = []
+    if raw:
+        parts.append(box_from_raw_batch(
+            [preds[k].raw for k in raw],
+            [records[k].intrinsics for k in raw],
+            profile,
+            [objs[k].h2d for k in raw],
+        ))
+    if direct:
+        parts.append(BoxBatch.stack([preds[k].box3d for k in direct]))
+    if len(parts) == 1:
+        return parts[0]
+    order = np.argsort(raw + direct)
+    return BoxBatch(*(
+        np.concatenate([getattr(part, name) for part in parts])[order]
+        for name in ("center", "dims", "rot")
+    ))
 
 
 # -- toy token task --------------------------------------------------------------

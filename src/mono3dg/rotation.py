@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation
+from .errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation, reject_first
 
 # Below this, a 6D input is considered unrecoverable rather than noisy.
 SIXD_EPSILON = 1e-8
@@ -51,6 +51,13 @@ class EulerAngles:
     yaw: float
 
 
+def rotation_defects(R: np.ndarray) -> tuple:
+    """Orthonormality error max|R^T R - I| and determinant of a 3x3 matrix,
+    or of each matrix of an (N, 3, 3) stack."""
+    err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+    return err, np.linalg.det(R)
+
+
 def validate_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     """Return R as a float64 array, raising NotARotation if it fails checks."""
     R = np.asarray(R, dtype=float)
@@ -58,30 +65,55 @@ def validate_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
         raise NotARotation(f"expected 3x3 matrix, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise NotARotation("matrix contains non-finite entries")
-    err = np.abs(R.T @ R - np.eye(3)).max()
+    err, det = rotation_defects(R)
     if err > tol:
         raise NotARotation(f"R^T R deviates from identity by {err:.3e}")
-    det = float(np.linalg.det(R))
     if abs(det - 1.0) > tol:
-        raise NotARotation(f"determinant {det} is not 1")
+        raise NotARotation(f"determinant {float(det)} is not 1")
     return R
 
 
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays. A stacked matmul gives the
+    same bits as ``x[i] @ y[i]`` and ``np.linalg.norm`` row by row, which an
+    elementwise sum does not."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vector rows: the same products and differences, so
+    the same bits, without its per-call overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt N pairs of raw columns, a and b (N, 3), into (N, 3, 3)
+    rotation matrices; a degenerate pair raises for its first row."""
+    na = np.sqrt(row_dots(a, a))
+    reject_first(
+        na < SIXD_EPSILON,
+        na,
+        lambda v: DegenerateSixD(f"first column norm {v} below {SIXD_EPSILON}"),
+    )
+    c1 = a / na[:, None]
+    b_perp = b - row_dots(c1, b)[:, None] * c1
+    nb = np.sqrt(row_dots(b_perp, b_perp))
+    reject_first(
+        nb < SIXD_EPSILON,
+        nb,
+        lambda v: DegenerateSixD(f"second column parallel to first (residual norm {v})"),
+    )
+    c2 = b_perp / nb[:, None]
+    return np.stack([c1, c2, _cross(c1, c2)], axis=2)
+
+
 def rot6d_to_matrix(r: Rot6D) -> np.ndarray:
-    """Gram-Schmidt the two raw columns into a proper rotation matrix."""
-    a = np.asarray(r.a, dtype=float).reshape(3)
-    b = np.asarray(r.b, dtype=float).reshape(3)
-    na = np.linalg.norm(a)
-    if na < SIXD_EPSILON:
-        raise DegenerateSixD(f"first column norm {na} below {SIXD_EPSILON}")
-    c1 = a / na
-    b_perp = b - (c1 @ b) * c1
-    nb = np.linalg.norm(b_perp)
-    if nb < SIXD_EPSILON:
-        raise DegenerateSixD(f"second column parallel to first (residual norm {nb})")
-    c2 = b_perp / nb
-    c3 = np.cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=1)
+    """:func:`rot6d_to_matrix_batch` for one 6D vector."""
+    a = np.asarray(r.a, dtype=float).reshape(1, 3)
+    b = np.asarray(r.b, dtype=float).reshape(1, 3)
+    return rot6d_to_matrix_batch(a, b)[0]
 
 
 def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
@@ -133,29 +165,54 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def view_rotation(center) -> np.ndarray:
-    """Minimal rotation taking the camera z-axis onto the ray toward center.
+_CAMERA_Z = np.array([0.0, 0.0, 1.0])
+# Slots of the flattened skew matrix [v]x that hold v0, v1, v2, -v0, -v1, -v2.
+_SKEW_SLOTS = np.array([7, 2, 3, 5, 6, 1])
+
+
+def view_rotation_batch(centers: np.ndarray) -> np.ndarray:
+    """Minimal rotations taking the camera z-axis onto the rays toward N
+    centers (N, 3), as (N, 3, 3) matrices.
 
     Used to move between viewing-ray-relative (allocentric) and camera-frame
-    (egocentric) orientations. The center must be in front of the camera.
+    (egocentric) orientations. Every center must be in front of the camera.
     """
-    c = np.asarray(tuple(center), dtype=float).reshape(3)
-    n = np.linalg.norm(c)
-    if n == 0.0 or c[2] <= 0.0:
-        raise BehindCamera("view ray requires a center with positive Z")
-    r = c / n
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(z, r)
-    cos_a = float(z @ r)
-    s2 = float(v @ v)
-    if s2 < 1e-30:
-        return np.eye(3)
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx * ((1.0 - cos_a) / s2)
+    n = np.sqrt(row_dots(centers, centers))
+    reject_first(
+        (n == 0.0) | (centers[:, 2] <= 0.0),
+        centers,
+        lambda c: BehindCamera("view ray requires a center with positive Z"),
+    )
+    r = centers / n[:, None]
+    v = _cross(_CAMERA_Z, r)
+    cos_a = r[:, 2]
+    s2 = row_dots(v, v)
+    on_axis = s2 < 1e-30
+    vx = np.zeros((len(v), 9))
+    vx[:, _SKEW_SLOTS] = np.concatenate([v, -v], axis=1)
+    vx = vx.reshape(-1, 3, 3)
+    scale = np.divide(1.0 - cos_a, s2, out=np.zeros_like(s2), where=~on_axis)
+    out = np.eye(3) + vx + np.matmul(vx, vx) * scale[:, None, None]
+    if on_axis.any():
+        out[on_axis] = np.eye(3)
+    return out
+
+
+def view_rotation(center) -> np.ndarray:
+    """:func:`view_rotation_batch` for one center."""
+    return view_rotation_batch(np.asarray(tuple(center), dtype=float).reshape(1, 3))[0]
+
+
+def allocentric_to_egocentric_batch(R_alloc: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Camera-frame rotations (N, 3, 3) from viewing-ray-relative ones and their centers (N, 3)."""
+    return np.matmul(view_rotation_batch(centers), R_alloc)
 
 
 def allocentric_to_egocentric(R_alloc: np.ndarray, center) -> np.ndarray:
-    return view_rotation(center) @ np.asarray(R_alloc, dtype=float)
+    """:func:`allocentric_to_egocentric_batch` for one rotation."""
+    R = np.asarray(R_alloc, dtype=float).reshape(1, 3, 3)
+    c = np.asarray(tuple(center), dtype=float).reshape(1, 3)
+    return allocentric_to_egocentric_batch(R, c)[0]
 
 
 def egocentric_to_allocentric(R_ego: np.ndarray, center) -> np.ndarray:

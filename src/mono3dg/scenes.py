@@ -19,16 +19,13 @@ import numpy as np
 from .box3d import OrientedBox3D, corners
 from .camera import HEIGHT2D_EPSILON, CameraIntrinsics, DepthMode, Point3D, VirtualCamera
 from .decoder import RawHeadOutput
-from .errors import InvalidRanges, NotARotation, SchemaError
+from .errors import InvalidRanges, ParseError, SchemaError
 from .jsonio import (
-    as_finite_float,
-    as_float_list,
     dumps_canonical,  # noqa: F401  perfbench/tracing.py wraps scenes.dumps_canonical
     read_jsonl,
-    require_field,
     write_jsonl,
 )
-from .rotation import Rot6D, random_rotation, validate_rotation
+from .rotation import SIXD_EPSILON, Rot6D, random_rotation, rotation_defects, row_dots
 
 FOCAL_PAIR_SUFFIX = "_fp"
 FOCAL_PAIR_FRACTION = 10  # one pair scene per this many scenes
@@ -236,6 +233,377 @@ def synth_scenes(
 
 
 # -- JSON schemas --------------------------------------------------------------
+#
+# Records are validated as columns. One pass over a file's records checks
+# their structure (fields present, strings, list lengths, ids) and gathers
+# every number, unchecked, into a column; each remaining rule is then one
+# predicate over whole columns. Every check has a position (record, object,
+# step): object -1 is the scene level before any object, _AFTER_OBJECTS
+# follows the last one, and steps follow the order in which one record is
+# read. The failure at the earliest position is raised, so a file reports
+# the error that reading it one record at a time would.
+
+_AFTER_OBJECTS = 1 << 30
+_NUMBER_TYPES = {int, float}  # JSON numbers; bool is a subclass of int but not one
+_JSON_ROTATION_TOL = 1e-6  # loose: serialized at 17 digits
+
+_INTRINSICS = ("fx", "fy", "cx", "cy", "width", "height")
+# Scene-level steps: image_id 0-1, intrinsics field k present at 2 + 2k and a
+# number at 3 + 2k, then the intrinsics rules, then the objects list.
+_INTRINSICS_STEPS = tuple(range(3, 15, 2))
+_INTRINSICS_POSITIVE, _PRINCIPAL_POINT, _OBJECTS_PRESENT, _OBJECTS_LIST = 14, 15, 16, 17
+
+# Object-level steps: object_id 0-2, caption 3-4, box3d present 5, then each
+# number list (present and of the right length at its first step, its
+# numbers after), the box rules, Z, box2d and h2d.
+_BOX_LISTS = (("center", 3, 6), ("dims", 3, 10), ("rot", 9, 14))
+_DIMS_POSITIVE, _VOLUME_FINITE, _ORTHONORMAL, _DETERMINANT, _CENTER_Z = 24, 25, 26, 27, 28
+_BOX2D_LIST, _BOX2D_BOUNDS, _H2D_PRESENT, _H2D_ABOVE_EPSILON = 29, 34, 35, 37
+# The number columns of an object, with the step and name of each.
+_OBJECT_STEPS = tuple(
+    [first + 1 + k for _, width, first in _BOX_LISTS for k in range(width)]
+    + [_BOX2D_LIST + 1 + k for k in range(4)]
+    + [_H2D_PRESENT + 1]
+)
+_OBJECT_NAMES = tuple(
+    [f"box3d.{name}[{k}]" for name, width, _ in _BOX_LISTS for k in range(width)]
+    + [f"box2d[{k}]" for k in range(4)]
+    + ["h2d"]
+)
+_BOX_WIDTH = 15
+_BOX2D_COLUMNS, _H2D_COLUMN = slice(_BOX_WIDTH, _BOX_WIDTH + 4), _BOX_WIDTH + 4
+
+# Prediction steps: image_id and object_id present 0-1, both strings 2, the
+# payload present 3. Raw field k is present at 4 + 2k and a number at
+# 5 + 2k, then its rules and rot6d; a box payload takes the box steps above.
+_RAW_FIELDS = ("u_norm", "v_norm", "d_v", "L", "W", "H")
+_UV_RANGE, _RAW_POSITIVE, _RAW_VOLUME, _ROT6D_LIST, _ROT6D_ZERO, _ROT6D_PARALLEL = (
+    16, 17, 18, 19, 26, 27
+)
+_RAW_STEPS = tuple(range(5, 17, 2)) + tuple(range(_ROT6D_LIST + 1, _ROT6D_LIST + 7))
+_RAW_NAMES = tuple(f"raw.{k}" for k in _RAW_FIELDS) + tuple(f"raw.rot6d[{k}]" for k in range(6))
+
+
+class _Structure(Exception):
+    """A structural failure met while walking records; it ends the walk."""
+
+    def __init__(self, step: int, field: str, message: str):
+        super().__init__(message)
+        self.step, self.field, self.message = step, field, message
+
+
+class _Failures:
+    """The earliest failed check of a batch of records, by position."""
+
+    def __init__(self):
+        self.lines = []  # line number of each record walked; None for a bare record
+        self.position = None
+        self.error = None
+
+    def add(self, position: tuple, field: str, message: str) -> None:
+        """Note a SchemaError for field at position."""
+        self.add_error(position, (field, message))
+
+    def add_error(self, position: tuple, error) -> None:
+        """Note a failure at position: a (field, message) pair or a ready error."""
+        if self.position is None or position < self.position:
+            self.position, self.error = position, error
+
+    def column(self, bad, rows, objects, step: int, field, message) -> None:
+        """A rule over a column: bad marks the failing entries, which are in
+        file order; field and message map the first one's index to text."""
+        if bad.any():
+            i = int(bad.argmax())
+            self.add((rows[i], objects[i], step), field(i), message(i))
+
+    def numbers(self, values: list, width: int, rows, objects, steps, name):
+        """The gathered values as a float64 (-1, width) array, once each is
+        checked to be a finite JSON number; column c's check is at steps[c]
+        and name(i, c) is the field of entry (i, c)."""
+        not_number = None
+        numbers = values
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            not_number = np.array([type(v) not in _NUMBER_TYPES for v in values])
+            numbers = [math.nan if bad else v for v, bad in zip(values, not_number)]
+            not_number = not_number.reshape(-1, width)
+        try:
+            array = np.array(numbers, dtype=float)
+        except OverflowError:  # an integer literal beyond float range reads as inf
+            array = np.array([_to_float(v) for v in numbers])
+        array = array.reshape(-1, width)
+        bad = ~np.isfinite(array)
+        if not_number is not None:
+            bad |= not_number
+        if bad.any():
+            i, c = divmod(int(bad.argmax()), width)
+            if not_number is not None and not_number[i, c]:
+                message = f"expected a number, got {type(values[i * width + c]).__name__}"
+            else:
+                message = "NaN/Inf forbidden"
+            self.add((rows[i], objects[i], steps[c]), name(i, c), message)
+        return array
+
+    def raise_first(self) -> None:
+        if self.error is None:
+            return
+        if isinstance(self.error, Exception):
+            raise self.error
+        field, message = self.error
+        error = SchemaError(field, message)
+        line = self.lines[self.position[0]]
+        if line is None:
+            raise error
+        raise SchemaError(field, f"line {line}: {error}") from error
+
+
+def _to_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _required(obj, key: str, path: str, step: int):
+    if isinstance(obj, dict) and key in obj:
+        return obj[key]
+    raise _Structure(step, f"{path}.{key}" if path else key, "missing")
+
+
+def _gather_fields(obj, keys: tuple, out: list, path: str, first_step: int) -> None:
+    for k, key in enumerate(keys):
+        out.append(_required(obj, key, path, first_step + 2 * k))
+
+
+def _gather_list(obj, key: str, length: int, out: list, path: str, step: int) -> None:
+    value = _required(obj, key, path, step)
+    if not isinstance(value, list) or len(value) != length:
+        field = f"{path}.{key}" if path else key
+        raise _Structure(step, field, f"expected a list of {length} numbers")
+    out.extend(value)
+
+
+def _gather_box(obj, out: list, path: str) -> None:
+    for name, length, step in _BOX_LISTS:
+        _gather_list(obj, name, length, out, path, step)
+
+
+def _check_intrinsics(fail: _Failures, values: list, rows, objects, path: str) -> np.ndarray:
+    cam = fail.numbers(
+        values, 6, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"{path}.{_INTRINSICS[c]}"
+    )
+    fx, fy, cx, cy, width, height = cam.T
+    fail.column(
+        (fx <= 0) | (fy <= 0) | (width <= 0) | (height <= 0), rows, objects, _INTRINSICS_POSITIVE,
+        lambda i: path, lambda i: "fx, fy, width, height must be positive",
+    )
+    fail.column(
+        ~((0 <= cx) & (cx <= width) & (0 <= cy) & (cy <= height)), rows, objects, _PRINCIPAL_POINT,
+        lambda i: path, lambda i: "principal point must lie inside the image",
+    )
+    return cam
+
+
+def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
+    """Rules on (M, 15) box columns (center, dims, row-major rot); path(i)
+    is entry i's box field."""
+    dims = box[:, 3:6]
+    fail.column(
+        (dims <= 0).any(axis=1), rows, objects, _DIMS_POSITIVE,
+        lambda i: f"{path(i)}.dims", lambda i: "dimensions must be positive",
+    )
+    with np.errstate(over="ignore"):
+        volume = dims[:, 0] * dims[:, 1] * dims[:, 2]
+    fail.column(
+        ~np.isfinite(volume), rows, objects, _VOLUME_FINITE,
+        lambda i: f"{path(i)}.dims", lambda i: f"volume L*W*H = {volume[i]} is not finite",
+    )
+    with np.errstate(invalid="ignore"):
+        err, det = rotation_defects(box[:, 6:].reshape(-1, 3, 3))
+    fail.column(
+        err > _JSON_ROTATION_TOL, rows, objects, _ORTHONORMAL,
+        lambda i: f"{path(i)}.rot", lambda i: f"R^T R deviates from identity by {err[i]:.3e}",
+    )
+    fail.column(
+        np.abs(det - 1.0) > _JSON_ROTATION_TOL, rows, objects, _DETERMINANT,
+        lambda i: f"{path(i)}.rot", lambda i: f"determinant {float(det[i])} is not 1",
+    )
+
+
+def _decode_scenes(numbered) -> list[SceneRecord]:
+    """Validate decoded scene records and build them. numbered yields
+    (line number or None, record) and may raise ParseError; each record is
+    walked as it arrives, so only its numbers are kept."""
+    fail = _Failures()
+    image_ids, cam_values, seen = [], [], set()
+    obj_rows, obj_slots, obj_ids, captions, obj_values = [], [], [], [], []
+    row = slot = -1
+    try:
+        for row, (line, rec) in enumerate(numbered):
+            fail.lines.append(line)
+            slot = -1
+            image_id = _required(rec, "image_id", "", 0)
+            if not isinstance(image_id, str):
+                raise _Structure(1, "image_id", "must be a string")
+            image_ids.append(image_id)
+            intrinsics = _required(rec, "intrinsics", "", 2)
+            _gather_fields(intrinsics, _INTRINSICS, cam_values, "intrinsics", 2)
+            objects = _required(rec, "objects", "", _OBJECTS_PRESENT)
+            if not isinstance(objects, list):
+                raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
+            ids = set()
+            for slot, entry in enumerate(objects):
+                path = f"objects[{slot}]"
+                obj_rows.append(row)
+                obj_slots.append(slot)
+                object_id = _required(entry, "object_id", path, 0)
+                if not isinstance(object_id, str):
+                    raise _Structure(1, f"{path}.object_id", "must be a string")
+                if object_id in ids:
+                    raise _Structure(2, f"{path}.object_id", f"duplicate id {object_id!r}")
+                ids.add(object_id)
+                obj_ids.append(object_id)
+                caption = _required(entry, "caption", path, 3)
+                if not isinstance(caption, str):
+                    raise _Structure(4, f"{path}.caption", "must be a string")
+                captions.append(caption)
+                _gather_box(_required(entry, "box3d", path, 5), obj_values, f"{path}.box3d")
+                _gather_list(entry, "box2d", 4, obj_values, path, _BOX2D_LIST)
+                obj_values.append(_required(entry, "h2d", path, _H2D_PRESENT))
+            slot = _AFTER_OBJECTS
+            if image_id in seen:
+                raise _Structure(0, "image_id", f"duplicate image_id {image_id!r}")
+            seen.add(image_id)
+    except ParseError as error:
+        fail.add_error((len(fail.lines), -1, -1), error)
+    except _Structure as failure:
+        fail.add((row, slot, failure.step), failure.field, failure.message)
+        # The numbers of a record cut short read as NaN; every check on them
+        # sits after the structural failure.
+        cam_values += [math.nan] * (6 * len(image_ids) - len(cam_values))
+        obj_values += [math.nan] * (len(_OBJECT_STEPS) * len(obj_rows) - len(obj_values))
+
+    scene_rows = np.arange(len(image_ids))
+    cam = _check_intrinsics(fail, cam_values, scene_rows, np.full(len(image_ids), -1), "intrinsics")
+    rows, slots = np.array(obj_rows, dtype=int), np.array(obj_slots, dtype=int)
+
+    def field(name):
+        return lambda i: f"objects[{slots[i]}].{name}"
+
+    objs = fail.numbers(
+        obj_values, len(_OBJECT_STEPS), rows, slots, _OBJECT_STEPS,
+        lambda i, c: f"objects[{slots[i]}].{_OBJECT_NAMES[c]}",
+    )
+    _check_boxes(fail, objs[:, :_BOX_WIDTH], rows, slots, field("box3d"))
+    fail.column(
+        objs[:, 2] <= 0, rows, slots, _CENTER_Z,
+        field("box3d.center"), lambda i: "box center must have Z > 0",
+    )
+    x1, y1, x2, y2 = objs[:, _BOX2D_COLUMNS].T
+    width, height = cam[rows, 4], cam[rows, 5]
+    fail.column(
+        ~((0.0 <= x1) & (x1 <= x2) & (x2 <= width) & (0.0 <= y1) & (y1 <= y2) & (y2 <= height)),
+        rows, slots, _BOX2D_BOUNDS, field("box2d"),
+        lambda i: f"{objs[i, _BOX2D_COLUMNS].tolist()} must satisfy 0 <= x1 <= x2 <= {width[i]} "
+        f"and 0 <= y1 <= y2 <= {height[i]}",
+    )
+    h2d = objs[:, _H2D_COLUMN]
+    fail.column(
+        h2d <= HEIGHT2D_EPSILON, rows, slots, _H2D_ABOVE_EPSILON, field("h2d"),
+        lambda i: f"2D height {h2d[i]} px must exceed {HEIGHT2D_EPSILON} px",
+    )
+    fail.raise_first()
+
+    per_scene = [[] for _ in image_ids]
+    center, dims, rot = objs[:, 0:3], objs[:, 3:6], objs[:, 6:15].reshape(-1, 3, 3)
+    box2d, h2d_values = objs[:, _BOX2D_COLUMNS].tolist(), h2d.tolist()
+    for k, row in enumerate(obj_rows):
+        box = OrientedBox3D(center[k], dims[k], rot[k])
+        obj = SceneObject(obj_ids[k], captions[k], box, tuple(box2d[k]), h2d_values[k])
+        per_scene[row].append(obj)
+    cams = [CameraIntrinsics(*values) for values in cam.tolist()]
+    return [SceneRecord(*fields) for fields in zip(image_ids, cams, per_scene)]
+
+
+def _decode_predictions(numbered, mode: str) -> list[PredictionRecord]:
+    """Validate decoded prediction records and build them; see _decode_scenes."""
+    if mode not in ("raw", "box"):
+        raise ValueError(f"unknown prediction mode {mode!r}")
+    fail = _Failures()
+    width = len(_RAW_STEPS) if mode == "raw" else _BOX_WIDTH
+    keys, values, seen = [], [], set()
+    row = slot = -1
+    try:
+        for row, (line, rec) in enumerate(numbered):
+            fail.lines.append(line)
+            slot = -1
+            image_id = _required(rec, "image_id", "", 0)
+            object_id = _required(rec, "object_id", "", 1)
+            if not isinstance(image_id, str) or not isinstance(object_id, str):
+                raise _Structure(2, "image_id", "ids must be strings")
+            keys.append((image_id, object_id))
+            if mode == "raw":
+                raw = _required(rec, "raw", "", 3)
+                _gather_fields(raw, _RAW_FIELDS, values, "raw", 4)
+                _gather_list(raw, "rot6d", 6, values, "raw", _ROT6D_LIST)
+            else:
+                _gather_box(_required(rec, "box3d", "", 3), values, "box3d")
+            slot = _AFTER_OBJECTS
+            if keys[-1] in seen:
+                raise _Structure(0, "object_id", f"multiple predictions for {keys[-1]}")
+            seen.add(keys[-1])
+    except ParseError as error:
+        fail.add_error((len(fail.lines), -1, -1), error)
+    except _Structure as failure:
+        fail.add((row, slot, failure.step), failure.field, failure.message)
+        values += [math.nan] * (width * len(keys) - len(values))
+
+    rows, objects = np.arange(len(keys)), np.full(len(keys), -1)
+    if mode == "box":
+        cols = fail.numbers(
+            values, width, rows, objects, _OBJECT_STEPS, lambda i, c: _OBJECT_NAMES[c]
+        )
+        _check_boxes(fail, cols, rows, objects, lambda i: "box3d")
+        fail.raise_first()
+        center, dims, rot = cols[:, 0:3], cols[:, 3:6], cols[:, 6:15].reshape(-1, 3, 3)
+        return [
+            PredictionRecord(*key, box3d=OrientedBox3D(center[k], dims[k], rot[k]))
+            for k, key in enumerate(keys)
+        ]
+
+    cols = fail.numbers(values, width, rows, objects, _RAW_STEPS, lambda i, c: _RAW_NAMES[c])
+    u, v, d_v, length, wide, height = cols[:, :6].T
+    fail.column(
+        ~((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)), rows, objects, _UV_RANGE,
+        lambda i: "raw.u_norm", lambda i: "normalized projection must be in [0, 1]",
+    )
+    fail.column(
+        (d_v <= 0) | (length <= 0) | (wide <= 0) | (height <= 0), rows, objects, _RAW_POSITIVE,
+        lambda i: "raw.d_v", lambda i: "depth and sizes must be positive",
+    )
+    with np.errstate(over="ignore"):
+        volume = length * wide * height
+    fail.column(
+        ~np.isfinite(volume), rows, objects, _RAW_VOLUME,
+        lambda i: "raw.L", lambda i: f"volume L*W*H = {volume[i]} is not finite",
+    )
+    a, b = cols[:, 6:9], cols[:, 9:12]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_norm = np.sqrt(row_dots(a, a))
+        residual = b - (row_dots(a, b) / (a_norm * a_norm))[:, None] * a
+        residual_norm = np.sqrt(row_dots(residual, residual))
+    fail.column(
+        a_norm < SIXD_EPSILON, rows, objects, _ROT6D_ZERO,
+        lambda i: "raw.rot6d", lambda i: "first column is numerically zero",
+    )
+    fail.column(
+        residual_norm < SIXD_EPSILON, rows, objects, _ROT6D_PARALLEL,
+        lambda i: "raw.rot6d", lambda i: "columns are parallel",
+    )
+    fail.raise_first()
+    return [
+        PredictionRecord(*key, raw=RawHeadOutput(*scalars, rot6d=Rot6D(a[k], b[k])))
+        for k, (key, scalars) in enumerate(zip(keys, cols[:, :6].tolist()))
+    ]
 
 
 def intrinsics_to_json(cam: CameraIntrinsics) -> dict:
@@ -250,15 +618,18 @@ def intrinsics_to_json(cam: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
-    cam = CameraIntrinsics(
-        *(as_finite_float(require_field(obj, k, path), f"{path}.{k}")
-          for k in ("fx", "fy", "cx", "cy", "width", "height"))
-    )
-    if cam.fx <= 0 or cam.fy <= 0 or cam.width <= 0 or cam.height <= 0:
-        raise SchemaError(path, "fx, fy, width, height must be positive")
-    if not (0 <= cam.cx <= cam.width and 0 <= cam.cy <= cam.height):
-        raise SchemaError(path, "principal point must lie inside the image")
-    return cam
+    """Camera intrinsics, checked by the scene records' intrinsics rules."""
+    fail = _Failures()
+    fail.lines.append(None)
+    values: list = []
+    try:
+        _gather_fields(obj, _INTRINSICS, values, path, 2)
+    except _Structure as failure:
+        fail.add((0, -1, failure.step), failure.field, failure.message)
+        values += [math.nan] * (6 - len(values))
+    cam = _check_intrinsics(fail, values, [0], [-1], path)
+    fail.raise_first()
+    return CameraIntrinsics(*cam[0].tolist())
 
 
 def box_to_json(box: OrientedBox3D) -> dict:
@@ -267,20 +638,6 @@ def box_to_json(box: OrientedBox3D) -> dict:
         "dims": [float(x) for x in box.dims],
         "rot": [float(x) for x in box.rot.ravel()],
     }
-
-
-def box_from_json(obj, path: str = "box3d") -> OrientedBox3D:
-    center = as_float_list(require_field(obj, "center", path), f"{path}.center", 3)
-    dims = as_float_list(require_field(obj, "dims", path), f"{path}.dims", 3)
-    rot = as_float_list(require_field(obj, "rot", path), f"{path}.rot", 9)
-    if min(dims) <= 0:
-        raise SchemaError(f"{path}.dims", "dimensions must be positive")
-    matrix = np.array(rot).reshape(3, 3)
-    try:
-        validate_rotation(matrix, tol=1e-6)  # loose: serialized at 17 digits
-    except NotARotation as exc:
-        raise SchemaError(f"{path}.rot", str(exc)) from exc
-    return OrientedBox3D(np.array(center), np.array(dims), matrix)
 
 
 def raw_to_json(raw: RawHeadOutput) -> dict:
@@ -293,25 +650,6 @@ def raw_to_json(raw: RawHeadOutput) -> dict:
         "H": float(raw.H),
         "rot6d": [float(x) for x in raw.rot6d.as_array()],
     }
-
-
-def raw_from_json(obj, path: str = "raw") -> RawHeadOutput:
-    vals = {
-        k: as_finite_float(require_field(obj, k, path), f"{path}.{k}")
-        for k in ("u_norm", "v_norm", "d_v", "L", "W", "H")
-    }
-    if not (0.0 <= vals["u_norm"] <= 1.0 and 0.0 <= vals["v_norm"] <= 1.0):
-        raise SchemaError(f"{path}.u_norm", "normalized projection must be in [0, 1]")
-    if vals["d_v"] <= 0 or vals["L"] <= 0 or vals["W"] <= 0 or vals["H"] <= 0:
-        raise SchemaError(f"{path}.d_v", "depth and sizes must be positive")
-    rot6d = Rot6D.from_array(as_float_list(require_field(obj, "rot6d", path), f"{path}.rot6d", 6))
-    a_norm = float(np.linalg.norm(rot6d.a))
-    if a_norm < 1e-8:
-        raise SchemaError(f"{path}.rot6d", "first column is numerically zero")
-    residual = rot6d.b - (rot6d.a @ rot6d.b) / (a_norm * a_norm) * rot6d.a
-    if float(np.linalg.norm(residual)) < 1e-8:
-        raise SchemaError(f"{path}.rot6d", "columns are parallel")
-    return RawHeadOutput(**vals, rot6d=rot6d)
 
 
 def scene_to_json(record: SceneRecord) -> dict:
@@ -332,39 +670,8 @@ def scene_to_json(record: SceneRecord) -> dict:
 
 
 def scene_from_json(obj) -> SceneRecord:
-    image_id = require_field(obj, "image_id")
-    if not isinstance(image_id, str):
-        raise SchemaError("image_id", "must be a string")
-    cam = intrinsics_from_json(require_field(obj, "intrinsics"))
-    raw_objects = require_field(obj, "objects")
-    if not isinstance(raw_objects, list):
-        raise SchemaError("objects", "must be a list")
-    objects = []
-    seen = set()
-    for i, entry in enumerate(raw_objects):
-        path = f"objects[{i}]"
-        object_id = require_field(entry, "object_id", path)
-        if not isinstance(object_id, str):
-            raise SchemaError(f"{path}.object_id", "must be a string")
-        if object_id in seen:
-            raise SchemaError(f"{path}.object_id", f"duplicate id {object_id!r}")
-        seen.add(object_id)
-        caption = require_field(entry, "caption", path)
-        box = box_from_json(require_field(entry, "box3d", path), f"{path}.box3d")
-        if box.center[2] <= 0:
-            raise SchemaError(f"{path}.box3d.center", "box center must have Z > 0")
-        box2d = as_float_list(require_field(entry, "box2d", path), f"{path}.box2d", 4)
-        x1, y1, x2, y2 = box2d
-        if not (0.0 <= x1 <= x2 <= cam.width and 0.0 <= y1 <= y2 <= cam.height):
-            raise SchemaError(
-                f"{path}.box2d",
-                f"{box2d} must satisfy 0 <= x1 <= x2 <= {cam.width} and 0 <= y1 <= y2 <= {cam.height}",
-            )
-        h2d = as_finite_float(require_field(entry, "h2d", path), f"{path}.h2d")
-        if h2d <= HEIGHT2D_EPSILON:
-            raise SchemaError(f"{path}.h2d", f"2D height {h2d} px must exceed {HEIGHT2D_EPSILON} px")
-        objects.append(SceneObject(object_id, str(caption), box, tuple(box2d), h2d))
-    return SceneRecord(image_id, cam, objects)
+    """One scene record, checked by the same rules as a file of them."""
+    return _decode_scenes([(None, obj)])[0]
 
 
 def prediction_to_json(pred: PredictionRecord) -> dict:
@@ -377,15 +684,8 @@ def prediction_to_json(pred: PredictionRecord) -> dict:
 
 
 def prediction_from_json(obj, mode: str) -> PredictionRecord:
-    image_id = require_field(obj, "image_id")
-    object_id = require_field(obj, "object_id")
-    if not isinstance(image_id, str) or not isinstance(object_id, str):
-        raise SchemaError("image_id", "ids must be strings")
-    if mode == "raw":
-        return PredictionRecord(image_id, object_id, raw=raw_from_json(require_field(obj, "raw")))
-    if mode == "box":
-        return PredictionRecord(image_id, object_id, box3d=box_from_json(require_field(obj, "box3d")))
-    raise ValueError(f"unknown prediction mode {mode!r}")
+    """One prediction record, checked by the same rules as a file of them."""
+    return _decode_predictions([(None, obj)], mode)[0]
 
 
 # -- JSONL I/O -----------------------------------------------------------------
@@ -396,16 +696,9 @@ def write_scenes(path, records: list[SceneRecord]) -> None:
 
 
 def read_scenes(path) -> list[SceneRecord]:
-    seen = set()
-
-    def decode(obj) -> SceneRecord:
-        record = scene_from_json(obj)
-        if record.image_id in seen:
-            raise SchemaError("image_id", f"duplicate image_id {record.image_id!r}")
-        seen.add(record.image_id)
-        return record
-
-    return list(read_jsonl(path, decode))
+    """Every scene of a JSONL file. The first bad line in file order is
+    reported, whether it fails to parse or to validate."""
+    return _decode_scenes(read_jsonl(path))
 
 
 def write_predictions(path, records: list[PredictionRecord]) -> None:
@@ -413,11 +706,5 @@ def write_predictions(path, records: list[PredictionRecord]) -> None:
 
 
 def read_predictions(path, mode: str) -> list[PredictionRecord]:
-    records = list(read_jsonl(path, lambda obj: prediction_from_json(obj, mode)))
-    seen = set()
-    for r in records:
-        key = (r.image_id, r.object_id)
-        if key in seen:
-            raise SchemaError("object_id", f"multiple predictions for {key}")
-        seen.add(key)
-    return records
+    """Every prediction of a JSONL file; see read_scenes."""
+    return _decode_predictions(read_jsonl(path), mode)

@@ -1,7 +1,13 @@
 import json
+from dataclasses import replace
 
+import pytest
+
+from mono3dg.box3d import OrientedBox3D
 from mono3dg.cli import main
 from mono3dg.jsonio import loads_strict
+from mono3dg.pipeline import box_predictions_from_gt, perfect_raw_predictions, scale_virtual_depth
+from mono3dg.scenes import profile_by_name, synth_scenes, write_predictions, write_scenes
 
 
 def run_cli(capsys, *argv):
@@ -151,3 +157,89 @@ class TestTrainToy:
             assert code == 0
             outputs.append((ckpt.read_bytes(), (tmp_path / f"{name}.json.loss.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestGoldenReports:
+    """`evaluate` report bytes on small synthesized files, pinned literally.
+
+    Each literal was produced by the per-query scoring code before scoring
+    was batched; any change in the bits of an IoU near a threshold, of a
+    center or of an error sum shows up here.
+    """
+
+    GOLDEN = {
+        "outdoor_raw": (
+            '{"acc_25":0.23376623376623376,"acc_50":0.064935064935064929,'
+            '"mean_depth_error":1.5491852701744395,"mean_length_error":0,'
+            '"mean_width_error":0,"mean_height_error":0,"count":77}'
+        ),
+        "outdoor_raw_euclidean": (
+            '{"acc_25":0.23376623376623376,"acc_50":0.064935064935064929,'
+            '"mean_depth_error":1.6836898864775367,"mean_length_error":0,'
+            '"mean_width_error":0,"mean_height_error":0,"count":77}'
+        ),
+        "outdoor_raw_missing": (
+            '{"acc_25":0.23376623376623376,"acc_50":0.064935064935064929,'
+            '"mean_depth_error":1.5530034573967566,"mean_length_error":0,'
+            '"mean_width_error":0,"mean_height_error":0,"count":77}'
+        ),
+        "outdoor_box": (
+            '{"acc_25":0.62337662337662336,"acc_50":0.31168831168831168,'
+            '"mean_depth_error":0.36559664612760212,"mean_length_error":0.21673424286557377,'
+            '"mean_width_error":0.085607750597629789,"mean_height_error":0.081598137848133315,'
+            '"count":77}'
+        ),
+        "indoor_raw": (
+            '{"acc_25":0.50632911392405067,"acc_50":0.26582278481012656,'
+            '"mean_depth_error":0.49194657709911005,"mean_length_error":0,'
+            '"mean_width_error":0,"mean_height_error":0,"count":79}'
+        ),
+        "indoor_box": (
+            '{"acc_25":0.60759493670886078,"acc_50":0.30379746835443039,'
+            '"mean_depth_error":0.27415324683352804,"mean_length_error":0.063833701541747848,'
+            '"mean_width_error":0.067791750353082367,"mean_height_error":0.064362165054066361,'
+            '"count":79}'
+        ),
+    }
+
+    @staticmethod
+    def _inputs(tmp_path, profile_name):
+        scenes = synth_scenes(40, seed=3, profile_name=profile_name)
+        gt = tmp_path / f"gt_{profile_name}.jsonl"
+        write_scenes(gt, scenes)
+        raw = scale_virtual_depth(perfect_raw_predictions(scenes, profile_by_name(profile_name)), 1.1)
+        boxes = []
+        for k, p in enumerate(box_predictions_from_gt(scenes)):
+            b = p.box3d
+            shift = b.rot @ ((0.05 * (k % 10)) * b.dims)
+            boxes.append(replace(p, box3d=OrientedBox3D(b.center + shift, 1.05 * b.dims, b.rot)))
+        return gt, raw, boxes
+
+    @staticmethod
+    def _evaluate(capsys, tmp_path, gt, preds, mode, profile_name, *extra):
+        pred_path = tmp_path / "preds.jsonl"
+        write_predictions(pred_path, preds)
+        report = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "evaluate", "--gt", str(gt), "--pred", str(pred_path), "--mode", mode,
+            "--profile", profile_name, "--report", str(report), *extra,
+        )
+        assert code == 0, err
+        return report.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
+    def test_reports_match_golden(self, tmp_path, capsys, profile_name):
+        gt, raw, boxes = self._inputs(tmp_path, profile_name)
+        got = {
+            f"{profile_name}_raw": self._evaluate(capsys, tmp_path, gt, raw, "raw", profile_name),
+            f"{profile_name}_box": self._evaluate(capsys, tmp_path, gt, boxes, "box", profile_name),
+        }
+        if profile_name == "outdoor":
+            got["outdoor_raw_euclidean"] = self._evaluate(
+                capsys, tmp_path, gt, raw, "raw", profile_name, "--depth-metric", "euclidean"
+            )
+            got["outdoor_raw_missing"] = self._evaluate(
+                capsys, tmp_path, gt, raw[:5] + raw[6:], "raw", profile_name
+            )
+        for name, text in got.items():
+            assert text == self.GOLDEN[name] + "\n", name

@@ -113,6 +113,7 @@ class TestYawOnlyRouting:
             raise AssertionError("BEV kernel called on a tilted pair")
 
         monkeypatch.setattr(box3d, "iou3d_bev_yaw", fail)
+        monkeypatch.setattr(box3d, "iou3d_bev_yaw_batch", fail)
         gt = OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.3))
         tilted_rot = yaw_rot(0.5)
         tilted_rot[2, 0] = 1e-6
@@ -120,6 +121,40 @@ class TestYawOnlyRouting:
         assert not box3d.is_yaw_only(pred)
         assert score_query(pred, gt, "q").iou == iou3d(pred, gt)
         assert score_query(gt, pred, "q").iou == iou3d(gt, pred)
+
+    @staticmethod
+    def _tilted(box: OrientedBox3D) -> OrientedBox3D:
+        rot = box.rot.copy()
+        rot[2, 0] = 1e-6
+        return OrientedBox3D(box.center, box.dims, rot)
+
+    def test_mixed_batch_routes_each_pair(self, monkeypatch):
+        pairs = [self.CASES[name] for name in sorted(self.CASES)]
+        tilted = [(self._tilted(pred), gt) for pred, gt in pairs]
+        tilted += [(gt, self._tilted(pred)) for pred, gt in pairs[:2]]
+        rows = pairs + tilted
+        exact_calls = []
+
+        def counting_iou3d(a, b):
+            exact_calls.append((a, b))
+            return iou3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou3d", counting_iou3d)
+        results = metrics.score_query_batch(
+            box3d.BoxBatch.stack(p for p, _ in rows),
+            box3d.BoxBatch.stack(g for _, g in rows),
+            [f"q{k}" for k in range(len(rows))],
+        )
+        assert len(exact_calls) == len(tilted)
+        for (pred, gt), result in zip(pairs, results):
+            assert result.iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
+        for (pred, gt), result in zip(tilted, results[len(pairs):]):
+            assert not (box3d.is_yaw_only(pred) and box3d.is_yaw_only(gt))
+            assert result.iou == iou3d(pred, gt)
+        # Each row of the batch is what scoring that pair alone gives.
+        monkeypatch.undo()
+        for (pred, gt), result in zip(rows, results):
+            assert score_query(pred, gt, result.query_id) == result
 
 
 class TestAggregate:

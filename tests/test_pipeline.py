@@ -1,13 +1,16 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mono3dg.box3d import OrientedBox3D, iou3d, iou3d_monte_carlo
+from mono3dg.box3d import BoxBatch, OrientedBox3D, iou3d, iou3d_monte_carlo
 from mono3dg.camera import DepthMode
 from mono3dg.errors import UnmatchedPrediction
+from mono3dg.metrics import score_query, score_query_batch
 from mono3dg.pipeline import (
     box_from_raw,
+    box_from_raw_batch,
     box_predictions_from_gt,
     build_toy_dataset,
     perfect_raw_predictions,
@@ -153,3 +156,45 @@ class TestToyDataset:
         b, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
         for (seq_a, _), (seq_b, _) in zip(a, b):
             assert np.array_equal(seq_a.embeddings, seq_b.embeddings)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+class TestSameBitsAsPerQueryCode:
+    """SHA-256 of the predicted boxes (center, dims, rot) and of the IoUs of
+    every query of two small files, as the per-query code computed them
+    before scoring was batched. Both the batch and its single-query
+    wrappers must still produce those exact bits."""
+
+    DIGESTS = {
+        "outdoor": (
+            "dabe51af018e5edaf30752faa6fa44e92c3b08eb63468003fca7003430211fc6",
+            "666b160b7dda335e908f852302d53ff1cd49490494e4348943890cedc2c98ea0",
+        ),
+        "indoor": (
+            "a74817bb1d3cae23b34c4a629467eb39e51d590587ab91d30ddb5fa948883eb9",
+            "8ce6f92327c10abe480449c92c245487417fe6f71059117f81e5d4a23aa37c81",
+        ),
+    }
+
+    @pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
+    def test_batch_and_single_query_bits(self, profile_name):
+        profile = INDOOR_PROFILE if profile_name == "indoor" else OUTDOOR_PROFILE
+        scenes = synth_scenes(60, seed=11, profile_name=profile_name)
+        preds = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
+        queries = [(r, o) for r in scenes for o in r.objects]
+        single = [box_from_raw(p.raw, r.intrinsics, profile, o.h2d) for (r, o), p in zip(queries, preds)]
+        batch = box_from_raw_batch(
+            [p.raw for p in preds], [r.intrinsics for r, _ in queries], profile,
+            [o.h2d for _, o in queries],
+        )
+        gt = BoxBatch.stack(o.box3d for _, o in queries)
+        boxes_digest, iou_digest = self.DIGESTS[profile_name]
+        assert _digest([np.concatenate([b.center, b.dims, b.rot.ravel()]) for b in single]) == boxes_digest
+        assert _digest(np.hstack([batch.center, batch.dims, batch.rot.reshape(-1, 9)])) == boxes_digest
+        single_ious = [score_query(b, o.box3d, "q").iou for b, (_, o) in zip(single, queries)]
+        batch_ious = [r.iou for r in score_query_batch(batch, gt, ["q"] * len(queries))]
+        assert _digest(single_ious) == iou_digest
+        assert _digest(batch_ious) == iou_digest

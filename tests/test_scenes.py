@@ -241,3 +241,116 @@ class TestPredictionJsonl:
     def test_payload_exclusivity(self):
         with pytest.raises(ValueError):
             PredictionRecord("img", "obj")
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+class TestParseTimeGaps:
+    def test_overflowing_gt_volume_rejected_with_line(self, tmp_path):
+        records = [scene_to_json(r) for r in synth_scenes(2, seed=18)]
+        records[1]["objects"][0]["box3d"]["dims"] = [1e200, 1e200, 1.0]
+        path = _write_lines(tmp_path / "gt.jsonl", [dumps_canonical(r) for r in records])
+        with pytest.raises(SchemaError) as info:
+            read_scenes(path)
+        assert info.value.field == "objects[0].box3d.dims"
+        assert "line 2" in str(info.value)
+
+    def test_overflowing_box_prediction_volume_rejected_with_line(self, tmp_path):
+        scenes = synth_scenes(2, seed=19)
+        preds = [prediction_to_json(PredictionRecord(r.image_id, o.object_id, box3d=o.box3d))
+                 for r in scenes for o in r.objects]
+        preds[1]["box3d"]["dims"] = [1.0, 1e200, 1e200]
+        path = _write_lines(tmp_path / "boxes.jsonl", [dumps_canonical(p) for p in preds])
+        with pytest.raises(SchemaError) as info:
+            read_predictions(path, "box")
+        assert info.value.field == "box3d.dims"
+        assert "line 2" in str(info.value)
+
+    @pytest.mark.parametrize("size", ["L", "W", "H"])
+    def test_overflowing_raw_volume_rejected_with_line(self, tmp_path, size):
+        preds = [prediction_to_json(p)
+                 for p in perfect_raw_predictions(synth_scenes(2, seed=20), INDOOR_PROFILE)]
+        preds[1]["raw"]["L"] = preds[1]["raw"]["W"] = 1e150
+        preds[1]["raw"][size] = 1e200
+        path = _write_lines(tmp_path / "raw.jsonl", [dumps_canonical(p) for p in preds])
+        with pytest.raises(SchemaError) as info:
+            read_predictions(path, "raw")
+        assert info.value.field == "raw.L"
+        assert "line 2" in str(info.value)
+
+    def test_non_string_caption_rejected_with_line(self, tmp_path):
+        records = [scene_to_json(r) for r in synth_scenes(2, seed=21)]
+        records[1]["objects"][0]["caption"] = 7
+        path = _write_lines(tmp_path / "gt.jsonl", [dumps_canonical(r) for r in records])
+        with pytest.raises(SchemaError) as info:
+            read_scenes(path)
+        assert info.value.field == "objects[0].caption"
+        assert "line 2" in str(info.value)
+        with pytest.raises(SchemaError):
+            scene_from_json(records[1])
+
+
+class TestEarliestBadLineWins:
+    """A reader that decodes every line before validating must still report
+    the first bad line of the file, whatever its kind of fault."""
+
+    @staticmethod
+    def _scene_lines():
+        return [dumps_canonical(scene_to_json(r)) for r in synth_scenes(3, seed=22)]
+
+    @staticmethod
+    def _raw_lines():
+        preds = perfect_raw_predictions(synth_scenes(3, seed=23), INDOOR_PROFILE)
+        return [dumps_canonical(prediction_to_json(p)) for p in preds[:3]]
+
+    @staticmethod
+    def _bad_scene(line):
+        record = loads_strict(line)
+        record["intrinsics"]["fx"] = "wide"
+        return dumps_canonical(record)
+
+    @staticmethod
+    def _bad_raw(line):
+        record = loads_strict(line)
+        record["raw"]["u_norm"] = 1.5
+        return dumps_canonical(record)
+
+    def _read(self, kind, path):
+        return read_scenes(path) if kind == "scenes" else read_predictions(path, "raw")
+
+    @pytest.mark.parametrize("kind", ["scenes", "raw"])
+    def test_schema_error_before_parse_error(self, tmp_path, kind):
+        lines = self._scene_lines() if kind == "scenes" else self._raw_lines()
+        bad = self._bad_scene if kind == "scenes" else self._bad_raw
+        lines[1], lines[2] = bad(lines[1]), "{not json"
+        with pytest.raises(SchemaError) as info:
+            self._read(kind, _write_lines(tmp_path / "f.jsonl", lines))
+        assert "line 2" in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["scenes", "raw"])
+    def test_parse_error_before_schema_error(self, tmp_path, kind):
+        lines = self._scene_lines() if kind == "scenes" else self._raw_lines()
+        bad = self._bad_scene if kind == "scenes" else self._bad_raw
+        lines[1], lines[2] = "{not json", bad(lines[2])
+        with pytest.raises(ParseError) as info:
+            self._read(kind, _write_lines(tmp_path / "f.jsonl", lines))
+        assert info.value.line_number == 2
+
+    def test_repeated_image_id_before_bad_field(self, tmp_path):
+        lines = self._scene_lines()
+        lines[1], lines[2] = lines[0], self._bad_scene(lines[2])
+        with pytest.raises(SchemaError) as info:
+            read_scenes(_write_lines(tmp_path / "f.jsonl", lines))
+        assert info.value.field == "image_id"
+        assert "line 2" in str(info.value)
+
+    def test_repeated_prediction_before_bad_field(self, tmp_path):
+        lines = self._raw_lines()
+        lines[1], lines[2] = lines[0], self._bad_raw(lines[2])
+        with pytest.raises(SchemaError) as info:
+            read_predictions(_write_lines(tmp_path / "f.jsonl", lines), "raw")
+        assert info.value.field == "object_id"
+        assert "line 2" in str(info.value)
