@@ -7,8 +7,9 @@ fusion, and back-projection.
 
 Conventions: camera frame is x-right, y-down, z-forward; all lengths in
 meters, all image quantities in pixels. Every function here is pure. The
-depth and back-projection steps take scalars or (N,) columns alike, so the
-chain runs on one query or on a whole file of them with the same code.
+projection, depth and back-projection steps take scalars or (N,) columns
+alike, so the chain runs on one query or on a whole file of them with the
+same code.
 """
 
 from __future__ import annotations
@@ -75,16 +76,14 @@ def project(p: Point3D, cam: CameraIntrinsics) -> Point2D:
 
     Raises NonPositiveDepth if the point is on or behind the camera plane.
     """
-    if p.Z <= 0.0:
-        raise NonPositiveDepth(f"cannot project point with Z={p.Z}")
+    reject_first(p.Z <= 0.0, p.Z, lambda z: NonPositiveDepth(f"cannot project point with Z={z}"))
     return Point2D(cam.fx * p.X / p.Z + cam.cx, cam.fy * p.Y / p.Z + cam.cy)
 
 
-def real_to_virtual_depth(z: float, cam: CameraIntrinsics, vc: VirtualCamera) -> float:
+def real_to_virtual_depth(z, cam: CameraIntrinsics, vc: VirtualCamera):
     """Depth the point would have under the virtual camera at the same
     normalized pixel position and the same X."""
-    if z <= 0.0:
-        raise NonPositiveDepth(f"real depth must be positive, got {z}")
+    reject_first(z <= 0.0, z, lambda v: NonPositiveDepth(f"real depth must be positive, got {v}"))
     return (vc.fx_v / cam.fx) * (cam.width / vc.width_v) * z
 
 

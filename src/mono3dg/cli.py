@@ -8,6 +8,7 @@ seed; an explicit --seed always wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -87,6 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p_grad.add_argument("--seed", type=int, default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing does not change it."""
+    return build_parser()
 
 
 def _cmd_synth(args) -> int:
@@ -211,8 +218,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

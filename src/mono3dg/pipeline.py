@@ -34,8 +34,9 @@ from .decoder import (
     DecoderParams,
     RawHeadOutput,
     TokenSequence,
-    predict,
-    raw_to_vector,
+    predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
+    predict_batch,
+    vector_to_raw,
 )
 from .errors import UnmatchedPrediction
 from .metrics import (
@@ -48,8 +49,8 @@ from .metrics import (
 from .rotation import (
     allocentric_to_egocentric,  # noqa: F401  perfbench/tracing.py wraps it here
     allocentric_to_egocentric_batch,
-    egocentric_to_allocentric,
-    matrix_to_rot6d,
+    egocentric_to_allocentric_batch,
+    matrix_to_rot6d_batch,
     rot6d_to_matrix,  # noqa: F401  perfbench/tracing.py wraps it here
     rot6d_to_matrix_batch,
 )
@@ -62,22 +63,33 @@ from .scenes import (
 )
 
 
-def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> RawHeadOutput:
-    """The head outputs a perfect network would emit for this box."""
-    center = Point3D(*box.center)
-    pix = project(center, cam)
-    rot = box.rot
+def raw_from_box_batch(
+    boxes: BoxBatch,
+    cams: list[CameraIntrinsics],
+    profile: DatasetProfile,
+) -> np.ndarray:
+    """The head outputs a perfect network would emit for N boxes, one camera
+    per box, as (N, 12) rows in :func:`raw_to_vector` order.
+
+    Queries are checked as if one at a time, depth before rotation: the
+    first query behind the camera or with a non-rotation raises.
+    """
+    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, 6).T)
+    behind = boxes.center[:, 2] <= 0.0
+    ahead = int(behind.argmax()) if behind.any() else len(behind)
+    rot = boxes.rot[:ahead]
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
-        rot = egocentric_to_allocentric(rot, box.center)
-    return RawHeadOutput(
-        u_norm=pix.u / cam.width,
-        v_norm=pix.v / cam.height,
-        d_v=real_to_virtual_depth(center.Z, cam, profile.virtual_camera),
-        L=float(box.dims[0]),
-        W=float(box.dims[1]),
-        H=float(box.dims[2]),
-        rot6d=matrix_to_rot6d(rot),
-    )
+        rot = egocentric_to_allocentric_batch(rot, boxes.center[:ahead])
+    rot6d = matrix_to_rot6d_batch(rot)
+    center = Point3D(*boxes.center.T)
+    pix = project(center, cam)
+    d_v = real_to_virtual_depth(center.Z, cam, profile.virtual_camera)
+    return np.column_stack([pix.u / cam.width, pix.v / cam.height, d_v, boxes.dims, rot6d])
+
+
+def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> RawHeadOutput:
+    """:func:`raw_from_box_batch` for one box."""
+    return vector_to_raw(raw_from_box_batch(BoxBatch.stack([box]), [cam], profile)[0])
 
 
 def box_from_raw_batch(
@@ -115,11 +127,19 @@ def box_from_raw(
     return box_from_raw_batch([raw], [cam], profile, None if h2d is None else [h2d]).box(0)
 
 
+def _queries(scenes: list[SceneRecord]):
+    """Every query of these scenes, in scene order: the ground-truth boxes,
+    one camera per box, and the (image_id, object_id) keys."""
+    pairs = [(r, o) for r in scenes for o in r.objects]
+    boxes = BoxBatch.stack(o.box3d for _, o in pairs)
+    return boxes, [r.intrinsics for r, _ in pairs], [(r.image_id, o.object_id) for r, o in pairs]
+
+
 def perfect_raw_predictions(scenes: list[SceneRecord], profile: DatasetProfile) -> list[PredictionRecord]:
+    boxes, cams, keys = _queries(scenes)
     return [
-        PredictionRecord(r.image_id, o.object_id, raw=raw_from_box(o.box3d, r.intrinsics, profile))
-        for r in scenes
-        for o in r.objects
+        PredictionRecord(image_id, object_id, raw=vector_to_raw(row))
+        for (image_id, object_id), row in zip(keys, raw_from_box_batch(boxes, cams, profile))
     ]
 
 
@@ -263,23 +283,42 @@ class ToyEncoder:
             half=half,
         )
 
-    def encode(self, target: RawHeadOutput, noise_rng: np.random.Generator | None) -> TokenSequence:
-        g = (raw_to_vector(target) - self.mid) / self.half
-        d = self.config.d_model
-        rows = [row for row in self.caption_tokens]
-        for m, b in zip(self.image_maps, self.image_biases):
-            token = m @ g + b
-            if self.config.noise_sigma > 0 and noise_rng is not None:
-                token = token + self.config.noise_sigma * noise_rng.standard_normal(d)
-            rows.append(token)
-        rows.append(self.pos_token)
-        rows.append(np.zeros(d))
-        kinds = (
-            [KIND_CAPTION] * self.config.n_caption
-            + [KIND_IMAGE] * self.config.n_image
-            + [KIND_POS, KIND_QUERY]
-        )
-        return TokenSequence(np.stack(rows), tuple(kinds))
+    @property
+    def kinds(self) -> tuple:
+        cfg = self.config
+        return (KIND_CAPTION,) * cfg.n_caption + (KIND_IMAGE,) * cfg.n_image + (KIND_POS, KIND_QUERY)
+
+    def encode_batch(self, targets: np.ndarray, noise_rng: np.random.Generator) -> np.ndarray:
+        """Token embeddings (N, T, d) of N target vectors (N, 12), with
+        positions as in :attr:`kinds`; the query slot is left zero. Noise is
+        drawn query by query, image token by image token."""
+        cfg = self.config
+        g = (targets - self.mid) / self.half
+        emb = np.zeros((len(g), len(self.kinds), cfg.d_model))
+        emb[:, : cfg.n_caption] = self.caption_tokens
+        image = emb[:, cfg.n_caption : cfg.n_caption + cfg.n_image]
+        for i, (m, b) in enumerate(zip(self.image_maps, self.image_biases)):
+            image[:, i] = np.matmul(m, g[:, :, None])[:, :, 0] + b
+        if cfg.noise_sigma > 0:
+            image += cfg.noise_sigma * noise_rng.standard_normal(image.shape)
+        emb[:, -2] = self.pos_token
+        return emb
+
+
+def _toy_columns(
+    scenes: list[SceneRecord],
+    profile: DatasetProfile,
+    ranges: SynthRanges,
+    config: ToyTaskConfig | None,
+):
+    """Targets (N, 12), embeddings (N, T, d), token kinds and query keys of
+    every query, in scene order."""
+    config = config or ToyTaskConfig()
+    encoder = ToyEncoder.create(config, ranges, profile)
+    boxes, cams, keys = _queries(scenes)
+    targets = raw_from_box_batch(boxes, cams, profile)
+    embeddings = encoder.encode_batch(targets, np.random.default_rng(config.encoding_seed + 1))
+    return targets, embeddings, encoder.kinds, keys
 
 
 def build_toy_dataset(
@@ -289,16 +328,8 @@ def build_toy_dataset(
     config: ToyTaskConfig | None = None,
 ):
     """(sequence, target) training pairs plus the query keys, in scene order."""
-    config = config or ToyTaskConfig()
-    encoder = ToyEncoder.create(config, ranges, profile)
-    noise_rng = np.random.default_rng(config.encoding_seed + 1)
-    samples = []
-    keys = []
-    for record in scenes:
-        for obj in record.objects:
-            target = raw_from_box(obj.box3d, record.intrinsics, profile)
-            samples.append((encoder.encode(target, noise_rng), target))
-            keys.append((record.image_id, obj.object_id))
+    targets, embeddings, kinds, keys = _toy_columns(scenes, profile, ranges, config)
+    samples = [(TokenSequence(e, kinds), vector_to_raw(t)) for e, t in zip(embeddings, targets)]
     return samples, keys
 
 
@@ -309,9 +340,9 @@ def decoder_predictions(
     ranges: SynthRanges,
     config: ToyTaskConfig | None = None,
 ) -> list[PredictionRecord]:
-    """Run the trained decoder over the toy encodings of these scenes."""
-    samples, keys = build_toy_dataset(scenes, profile, ranges, config)
+    """Run the trained decoder over the toy encodings of these scenes, as one batch."""
+    _, embeddings, _, keys = _toy_columns(scenes, profile, ranges, config)
     return [
-        PredictionRecord(image_id, object_id, raw=predict(seq, params))
-        for (seq, _), (image_id, object_id) in zip(samples, keys)
+        PredictionRecord(image_id, object_id, raw=vector_to_raw(row))
+        for (image_id, object_id), row in zip(keys, predict_batch(embeddings, params))
     ]

@@ -122,6 +122,16 @@ def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
     return Rot6D(R[:, 0].copy(), R[:, 1].copy())
 
 
+def matrix_to_rot6d_batch(R: np.ndarray) -> np.ndarray:
+    """First two columns, as (N, 6) rows [a, b], of N rotation matrices
+    (N, 3, 3). The matrices are checked in order, and the first one that
+    :func:`validate_rotation` rejects raises its error."""
+    err, det = rotation_defects(R)
+    for k in np.flatnonzero(~((err <= ROTATION_TOL) & (np.abs(det - 1.0) <= ROTATION_TOL))):
+        validate_rotation(R[k])
+    return np.concatenate([R[:, :, 0], R[:, :, 1]], axis=1)
+
+
 def euler_to_matrix(e: EulerAngles) -> np.ndarray:
     cy, sy = math.cos(e.yaw), math.sin(e.yaw)
     cp, sp = math.cos(e.pitch), math.sin(e.pitch)
@@ -215,5 +225,13 @@ def allocentric_to_egocentric(R_alloc: np.ndarray, center) -> np.ndarray:
     return allocentric_to_egocentric_batch(R, c)[0]
 
 
+def egocentric_to_allocentric_batch(R_ego: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Viewing-ray-relative rotations (N, 3, 3) from camera-frame ones and their centers (N, 3)."""
+    return np.matmul(np.swapaxes(view_rotation_batch(centers), 1, 2), R_ego)
+
+
 def egocentric_to_allocentric(R_ego: np.ndarray, center) -> np.ndarray:
-    return view_rotation(center).T @ np.asarray(R_ego, dtype=float)
+    """:func:`egocentric_to_allocentric_batch` for one rotation."""
+    R = np.asarray(R_ego, dtype=float).reshape(1, 3, 3)
+    c = np.asarray(tuple(center), dtype=float).reshape(1, 3)
+    return egocentric_to_allocentric_batch(R, c)[0]

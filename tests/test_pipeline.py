@@ -4,17 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mono3dg import cli
+from mono3dg import decoder as D
 from mono3dg.box3d import BoxBatch, OrientedBox3D, iou3d, iou3d_monte_carlo
 from mono3dg.camera import DepthMode
-from mono3dg.errors import UnmatchedPrediction
+from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import score_query, score_query_batch
 from mono3dg.pipeline import (
+    ToyTaskConfig,
     box_from_raw,
     box_from_raw_batch,
     box_predictions_from_gt,
     build_toy_dataset,
+    decoder_predictions,
     perfect_raw_predictions,
     raw_from_box,
+    raw_from_box_batch,
     run_pipeline,
     scale_virtual_depth,
 )
@@ -23,7 +28,10 @@ from mono3dg.scenes import (
     OUTDOOR_PROFILE,
     PredictionRecord,
     SynthRanges,
+    profile_by_name,
+    ranges_for_profile,
     synth_scenes,
+    write_scenes,
 )
 
 
@@ -198,3 +206,110 @@ class TestSameBitsAsPerQueryCode:
         batch_ious = [r.iou for r in score_query_batch(batch, gt, ["q"] * len(queries))]
         assert _digest(single_ious) == iou_digest
         assert _digest(batch_ious) == iou_digest
+
+
+class TestToySameBitsAsPerQueryCode:
+    """SHA-256 of the toy targets, the toy embeddings and the decoder's
+    predictions from fixed initial parameters, and of the checkpoint and
+    loss CSV of a small ``train-toy`` run, as the per-query code computed
+    them before the toy task was batched. Both the batch and the
+    single-query wrappers (``raw_from_box``, ``predict``) must still produce
+    those exact bits."""
+
+    DIGESTS = {
+        ("indoor", 0.0): (
+            "b86fd1bece62adae349db523e3d5e0460b9e6097a93d95955b6bc74d447767ef",
+            "2ae766a03b525fe4ba3c41a8ed24668377bd74125bdc336b98a8576ac756982a",
+            "d82cc593a8a04a4eaf96367d7cf22c2dcbd9cac98a320496bda13be210495769",
+        ),
+        ("indoor", 0.1): (
+            "b86fd1bece62adae349db523e3d5e0460b9e6097a93d95955b6bc74d447767ef",
+            "6a8bdcd8fc72ae4eeb20be738f39ba7eaea0195b381b2ee31b161580e1763ec8",
+            "fe45a8089351f6e417ee937a8aeb4a4b8f57ca31786a497f4fc84052567cda35",
+        ),
+        ("outdoor", 0.0): (
+            "317b566bb6fac2e451849a327a235e7a4f4fe97eaff860fe9cc6a42bb05b0b28",
+            "fc06b25c9c76b378b86892e63185060562e831e490dad8a4f1b78d14128df490",
+            "23e165a0013b163be08f20b18bde17895dfd017ac74c60a8fb62b69d70d77abc",
+        ),
+        ("outdoor", 0.1): (
+            "317b566bb6fac2e451849a327a235e7a4f4fe97eaff860fe9cc6a42bb05b0b28",
+            "6651b653eb09e1b526d1f136ea76fcb48c5ebeaaf9c34c40d246df00f6d63e5a",
+            "4784b3e3f6a3aa5b85d017b3287fe2f30d53949bfaa350f0166a6e467b8341c4",
+        ),
+    }
+    TRAIN_DIGESTS = (
+        "d79530505802ddc11c74759144462c617c15cf153bb71eec88612c8cd07aba0e",
+        "043953cdb0069c550ced94faedb15b370e6017225f348591490dd514dd4de1d5",
+    )
+
+    @pytest.mark.parametrize("profile_name, sigma", sorted(DIGESTS))
+    def test_batch_and_single_query_bits(self, profile_name, sigma):
+        profile, ranges = profile_by_name(profile_name), ranges_for_profile(profile_name)
+        scenes = synth_scenes(24, seed=13, profile_name=profile_name)
+        config = ToyTaskConfig(noise_sigma=sigma)
+        params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
+        targets_digest, embeddings_digest, predictions_digest = self.DIGESTS[(profile_name, sigma)]
+
+        samples, _ = build_toy_dataset(scenes, profile, ranges, config)
+        assert _digest([D.raw_to_vector(t) for _, t in samples]) == targets_digest
+        assert _digest([seq.embeddings for seq, _ in samples]) == embeddings_digest
+        preds = decoder_predictions(scenes, params, profile, ranges, config)
+        assert _digest([D.raw_to_vector(p.raw) for p in preds]) == predictions_digest
+        perfect = perfect_raw_predictions(scenes, profile)
+        assert _digest([D.raw_to_vector(p.raw) for p in perfect]) == targets_digest
+
+        single = [raw_from_box(o.box3d, r.intrinsics, profile) for r in scenes for o in r.objects]
+        assert _digest([D.raw_to_vector(t) for t in single]) == targets_digest
+        single_preds = [D.predict(seq, params) for seq, _ in samples]
+        assert _digest([D.raw_to_vector(p) for p in single_preds]) == predictions_digest
+
+    def test_train_toy_checkpoint_and_loss_csv_bits(self, tmp_path, capsys):
+        data, ckpt, loss_csv = tmp_path / "toy.jsonl", tmp_path / "ckpt.json", tmp_path / "loss.csv"
+        write_scenes(data, synth_scenes(16, seed=5, profile_name="indoor"))
+        code = cli.main(["train-toy", "--data", str(data), "--epochs", "3", "--seed", "2",
+                         "--batch-size", "8", "--out", str(ckpt), "--loss-csv", str(loss_csv)])
+        assert code == 0, capsys.readouterr().err
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, loss_csv))
+        assert digests == self.TRAIN_DIGESTS
+
+
+class TestRawFromBoxBatchErrors:
+    """The batch raises what the per-query loop would have raised first:
+    queries in order, and within one query its depth before its rotation."""
+
+    @staticmethod
+    def _queries(profile_name):
+        scenes = synth_scenes(6, seed=14, profile_name=profile_name)
+        pairs = [(r, o) for r in scenes for o in r.objects]
+        return [o.box3d for _, o in pairs], [r.intrinsics for r, _ in pairs]
+
+    @staticmethod
+    def _behind(box):
+        return OrientedBox3D(box.center * np.array([1.0, 1.0, -1.0]), box.dims, box.rot)
+
+    @staticmethod
+    def _scaled(box):
+        return OrientedBox3D(box.center, box.dims, 2.0 * box.rot)
+
+    @staticmethod
+    def _reflected(box):
+        return OrientedBox3D(box.center, box.dims, box.rot * np.array([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("profile_name", ["indoor", "outdoor"])
+    @pytest.mark.parametrize("first, second, error", [
+        ("_behind", "_scaled", NonPositiveDepth),
+        ("_scaled", "_behind", NotARotation),
+        ("_reflected", "_scaled", NotARotation),
+        ("_behind", "_behind", NonPositiveDepth),
+    ])
+    def test_first_bad_row_raises_its_error(self, profile_name, first, second, error):
+        profile = profile_by_name(profile_name)
+        boxes, cams = self._queries(profile_name)
+        boxes[2] = getattr(self, first)(boxes[2])
+        boxes[4] = getattr(self, second)(boxes[4])
+        with pytest.raises(error) as single:
+            raw_from_box(boxes[2], cams[2], profile)
+        with pytest.raises(error) as batch:
+            raw_from_box_batch(BoxBatch.stack(boxes), cams, profile)
+        assert str(batch.value) == str(single.value)
