@@ -9,6 +9,14 @@ polygons. A yaw-only BEV path (footprint overlap times height overlap) is
 the fast kernel for pairs of yaw-only boxes; it and a Monte-Carlo
 estimator are independent cross-checks of the exact path.
 
+Both IoU kernels score N pairs at once, and their one-pair functions are
+the N = 1 case with the same bits. The exact kernel runs in two stages:
+stage 1 finds every pair's kept vertices on a fixed set of 160 candidates,
+and stage 2 builds the faces of the pairs with a solid intersection, in
+groups of equal vertex and face counts. Stacked products keep the shape
+they have for one pair, because the bits of a BLAS product depend on its
+shape.
+
 Local box axes: length along x, width along y, height along z.
 """
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotYawOnly, reject_first
-from .rotation import validate_rotation
+from .rotation import _cross, validate_rotation
 
 # Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
 CLIP_EPSILON = 1e-9
@@ -39,6 +47,15 @@ _EDGES = np.array([(i, i | bit) for bit in (1, 2, 4) for i in range(8) if not i 
 # are the two local axes that span it.
 _FACE_SIGNS = np.array([[1.0], [-1.0]] * 3)
 _IN_PLANE = np.array([[(f // 2 + 1) % 3, (f // 2 + 2) % 3] for f in range(6)])
+# The exact kernel's 18 faces per pair: the 6 of its first box, the 6 of its
+# second, then the 6 polygons that the first box's faces share with their
+# partner faces, subtracted. Face c lies on box _FACE_BOX[c], spanned by its
+# local axes _FACE_AXES[c].
+_FACE_SIGN = np.repeat([1.0, -1.0], [12, 6])
+_FACE_BOX = np.repeat([0, 1, 0], 6)
+_FACE_AXES = np.tile(_IN_PLANE, (3, 1))
+# Stage 1 of the exact kernel runs on at most this many pairs at once.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,11 @@ class BoxBatch:
             np.array([b.rot for b in boxes]).reshape(-1, 3, 3),
         )
 
+    @staticmethod
+    def of(box: OrientedBox3D) -> "BoxBatch":
+        """The one box as a batch of one."""
+        return BoxBatch(box.center[None], box.dims[None], box.rot[None])
+
     def box(self, i: int) -> OrientedBox3D:
         return OrientedBox3D(self.center[i], self.dims[i], self.rot[i])
 
@@ -98,85 +120,180 @@ class BoxBatch:
 
     @property
     def volume(self) -> np.ndarray:
-        return self.dims[:, 0] * self.dims[:, 1] * self.dims[:, 2]
+        return self.dims.prod(axis=1)
+
+
+def _corners(center: np.ndarray, dims: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """The 8 corners of N boxes as (N, 8, 3), in the documented sign order."""
+    return center[:, None] + (_CORNER_SIGNS * (dims[:, None] / 2.0)) @ rot.transpose(0, 2, 1)
 
 
 def corners(box: OrientedBox3D) -> np.ndarray:
     """The 8 corners as an (8, 3) array, in the documented sign order."""
-    offsets = _CORNER_SIGNS * (box.dims / 2.0)
-    return box.center + offsets @ box.rot.T
+    return _corners(box.center[None], box.dims[None], box.rot[None])[0]
 
 
-def _face_planes(box: OrientedBox3D):
-    """Outward unit normals (6, 3) and plane offsets (6,), ordered +x, -x, +y, -y, +z, -z."""
-    normals = np.repeat(box.rot.T, 2, axis=0) * _FACE_SIGNS
-    return normals, normals @ box.center + np.repeat(box.dims / 2.0, 2)
+def _edge_cuts(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
+    """Where the 12 edges between the corners pts (N, 8, 3) of each box cross
+    the 6 planes given for it: (N, 12, 6, 3) points and a mask of the
+    (edge, plane) pairs that do cross."""
+    dist = pts @ normals.transpose(0, 2, 1) - offsets[:, None]
+    dp, dq = dist[:, _EDGES[:, 0]], dist[:, _EDGES[:, 1]]
+    cross = dp * dq < 0.0
+    # Only a crossing pair divides; the others take the finite t = 0.
+    t = np.where(cross, dp, 0.0) / np.where(cross, dp - dq, 1.0)
+    p = pts[:, _EDGES[:, 0], None]
+    return p + t[..., None] * (pts[:, _EDGES[:, 1], None] - p), cross
 
 
-def _edge_cuts(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Points where the box edges between corners `pts` cross the given planes."""
-    dist = pts @ normals.T - offsets
-    dp, dq = dist[_EDGES[:, 0]], dist[_EDGES[:, 1]]
-    edge, plane = np.nonzero(dp * dq < 0.0)
-    t = dp[edge, plane] / (dp[edge, plane] - dq[edge, plane])
-    p = pts[_EDGES[edge, 0]]
-    return p + t[:, None] * (pts[_EDGES[edge, 1]] - p)
+def _canonical_pairs(a: BoxBatch, b: BoxBatch) -> np.ndarray:
+    """Each pair as (N, 2, 15) rows of (center, dims, row-major rot), the box
+    whose row compares lower as a tuple first, so that results are bitwise
+    symmetric in (a, b). Inputs hold no NaN, and -0.0 == 0.0 as in tuples."""
+    n = len(a.center)
+    keys = np.concatenate(
+        [a.center, a.dims, a.rot.reshape(n, 9), b.center, b.dims, b.rot.reshape(n, 9)], axis=1
+    ).reshape(n, 2, 15)
+    rows = np.arange(n)
+    first = (keys[:, 0] != keys[:, 1]).argmax(axis=1)
+    swap = keys[rows, 1, first] < keys[rows, 0, first]
+    return np.where(swap[:, None, None], keys[:, ::-1], keys)
 
 
-def _canonical_key(box: OrientedBox3D):
-    return (tuple(box.center), tuple(box.dims), tuple(box.rot.ravel()))
+def _polytope_vertices(pairs: np.ndarray):
+    """Stage 1 of the exact kernel, for (N, 2, 15) canonical pairs.
+
+    Each pair has a fixed set of 160 candidate vertices: the 8 corners of
+    each box, then the 72 points where the first box's edges cross the
+    second box's face planes, then the 72 the other way. A candidate is
+    kept when it exists and lies inside all 12 half-spaces within
+    CLIP_EPSILON. Returns the candidates (N, 160, 3), the keep mask
+    (N, 160), the on-plane mask (N, 160, 12) over the first box's faces then
+    the second's, and the face normals (N, 12, 3).
+    """
+    boxes = pairs.reshape(-1, 15)
+    center, dims, rot = boxes[:, :3], boxes[:, 3:6], boxes[:, 6:].reshape(-1, 3, 3)
+    pts = _corners(center, dims, rot)
+    # Outward unit normals ordered +x, -x, +y, -y, +z, -z, and plane offsets.
+    normals = np.repeat(rot.transpose(0, 2, 1), 2, axis=1) * _FACE_SIGNS
+    offsets = (normals @ center[..., None])[..., 0] + np.repeat(dims / 2.0, 2, axis=1)
+    # Box 2i is the first box of pair i and box 2i + 1 its second: each
+    # box's edges meet the planes of the other box of its pair.
+    other = np.arange(len(boxes)) ^ 1
+    cuts, cross = _edge_cuts(pts, normals[other], offsets[other])
+    n = len(pairs)
+    pts = np.concatenate([pts.reshape(n, 16, 3), cuts.reshape(n, 144, 3)], axis=1)
+    normals = normals.reshape(n, 12, 3)
+    dist = pts @ normals.transpose(0, 2, 1) - offsets.reshape(n, 1, 12)
+    keep = np.concatenate([np.ones((n, 16), bool), cross.reshape(n, 144)], axis=1)
+    keep &= (dist <= CLIP_EPSILON).all(axis=2)
+    return pts, keep, np.abs(dist) <= CLIP_EPSILON, normals
+
+
+def _face_cones(pts: np.ndarray, on: np.ndarray, axes: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Stage 2 of the exact kernel, for G pairs that share their kept vertex
+    count K and face count F: the signed volume of the cone from the vertex
+    centroid over each face polygon, as (G, F).
+
+    pts (G, K, 3) are the kept vertices, on (G, F, K) says which lie on each
+    face, axes (G, F, 2, 3) are the face's two in-plane axes and count
+    (G, F) its vertex count. Every product has the shape it has for one
+    pair, because the bits of a BLAS product depend on its shape.
+    """
+    g, f, k = on.shape
+    count = count[..., None]
+    # Each face polygon: its vertices relative to their mean, ordered by
+    # angle. The mask goes in as a C-contiguous float array, the copy numpy
+    # makes when it casts a bool operand: another layout takes another BLAS
+    # path, with other bits.
+    mean = (np.ascontiguousarray(on, dtype=float) @ pts) / count
+    rel = (pts[:, None] - mean[:, :, None]).reshape(g * f, k, 3)
+    uv = rel @ axes.reshape(g * f, 2, 3).transpose(0, 2, 1)
+    angle = np.where(on.reshape(g * f, k), np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    ring = rel[np.arange(g * f)[:, None], angle.argsort(axis=1)]
+    # Pad each ring with its first vertex, which closes it and adds nothing.
+    ring = np.where((np.arange(k) < count.reshape(-1, 1))[..., None], ring, ring[:, :1])
+    following = np.concatenate([ring[:, 1:], ring[:, :1]], axis=1)
+    area = _cross(ring, following).sum(axis=1).reshape(g, f, 3) / 2.0
+    # Cone from the vertex centroid (inside the polytope) over each face.
+    return (area * (mean - (pts.sum(axis=1) / k)[:, None])).sum(axis=2)
+
+
+def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
+    """Volumes of the convex intersections of N pairs of oriented boxes, as
+    an (N,) array; each is bitwise symmetric in its pair."""
+    pairs = _canonical_pairs(a, b)
+    volume = np.zeros(len(pairs))
+    # Stage 1 runs on a bounded number of pairs at a time, which bounds its
+    # scratch memory. Fewer than 4 kept vertices make a flat intersection.
+    found = []
+    for lo in range(0, len(pairs), _CHUNK):
+        pts, keep, on, normals = _polytope_vertices(pairs[lo:lo + _CHUNK])
+        count = keep.sum(axis=1)
+        live = count >= 4
+        if live.any():
+            keep &= live[:, None]
+            found.append((lo + live.nonzero()[0], count[live], pts[keep], on[keep], normals[live]))
+    if not found:
+        return volume
+    # Stage 2 on the kept vertices of the pairs left, pair after pair, each
+    # in candidate order.
+    rows, count, pts, on, normals = map(np.concatenate, zip(*found))
+    # Two face planes that (nearly) coincide both collect the shared face, so
+    # each face of the first box also yields the polygon of its vertices in
+    # common with the most parallel face of the second, counted negatively
+    # (inclusion-exclusion). Planes that cross instead share a segment,
+    # which has no area.
+    partner = 6 + (normals[:, :6] @ normals[:, 6:].transpose(0, 2, 1)).argmax(axis=2)
+    pair_of = np.repeat(np.arange(len(rows)), count)
+    shared = on[:, :6] & on[np.arange(len(on))[:, None], partner[pair_of]]
+    on = np.concatenate([on, shared], axis=1)
+    start = np.cumsum(count) - count
+    face_count = np.add.reduceat(on, start, axis=0, dtype=np.intp)
+    faces = face_count >= 3
+    rot_t = pairs[rows, :, 6:].reshape(-1, 2, 3, 3).transpose(0, 1, 3, 2)
+    # Pairs with equal vertex and face counts go through stage 2 together.
+    # Key 0 marks a pair whose kept vertices all lie on one plane: its
+    # intersection is flat.
+    flat = (face_count[:, :12] == count[:, None]).any(axis=1)
+    group = np.where(flat, 0, count * 32 + faces.sum(axis=1))
+    for key in sorted(set(group.tolist()) - {0}):
+        members = (group == key).nonzero()[0]
+        k, f = divmod(key, 32)
+        cols = faces[members].nonzero()[1].reshape(-1, f)
+        vertex = start[members, None] + np.arange(k)
+        cones = _face_cones(
+            pts[vertex],
+            on[vertex[:, None], cols[..., None]],
+            rot_t[members[:, None, None], _FACE_BOX[cols][..., None], _FACE_AXES[cols]],
+            face_count[members[:, None], cols],
+        )
+        volume[rows[members]] = (_FACE_SIGN[cols][:, None] @ np.abs(cones)[..., None])[:, 0, 0] / 3.0
+    return volume
 
 
 def intersection_volume(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    """Volume of the convex intersection of two oriented boxes.
+    """Volume of the convex intersection of two oriented boxes:
+    :func:`intersection_volume_batch` for one pair."""
+    return float(intersection_volume_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
 
-    The argument pair is put in a canonical order first so the result is
-    bitwise symmetric in (a, b).
-    """
-    if _canonical_key(b) < _canonical_key(a):
-        a, b = b, a
-    ca, cb = corners(a), corners(b)
-    na, da = _face_planes(a)
-    nb, db = _face_planes(b)
-    pts = np.vstack([ca, cb, _edge_cuts(ca, nb, db), _edge_cuts(cb, na, da)])
-    dist = pts @ np.vstack([na, nb]).T - np.concatenate([da, db])
-    inside = np.all(dist <= CLIP_EPSILON, axis=1)
-    pts, on = pts[inside], np.abs(dist[inside]) <= CLIP_EPSILON
-    # Fewer than 4 vertices, or all on one plane: the intersection is flat.
-    if len(pts) < 4 or on.all(axis=0).any():
-        return 0.0
-    # Two face planes that (nearly) coincide both collect the shared face, so
-    # each face of a also yields the polygon of its vertices in common with
-    # the most parallel face of b, counted negatively (inclusion-exclusion).
-    # Planes that cross instead share a segment, which has no area.
-    partner = 6 + np.argmax(na @ nb.T, axis=1)
-    on = np.hstack([on, on[:, :6] & on[:, partner]])
-    sign = np.repeat([1.0, -1.0], [12, 6])
-    in_plane_a = a.rot.T[_IN_PLANE]
-    axes = np.concatenate([in_plane_a, b.rot.T[_IN_PLANE], in_plane_a])
-    count = on.sum(axis=0)
-    faces = count >= 3
-    on, axes, sign, count = on[:, faces].T, axes[faces], sign[faces], count[faces, None]
-    # Each face polygon: its vertices relative to their mean, ordered by angle.
-    mean = (on @ pts) / count
-    rel = pts - mean[:, None]
-    uv = rel @ axes.transpose(0, 2, 1)
-    angle = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
-    ring = rel[np.arange(len(rel))[:, None], np.argsort(angle, axis=1)]
-    # Pad each ring with its first vertex, which closes it and adds nothing.
-    ring = np.where((np.arange(len(pts)) < count)[..., None], ring, ring[:, :1])
-    area = np.sum(np.cross(ring, np.roll(ring, -1, axis=1)), axis=1) / 2.0
-    # Cone from the vertex centroid (inside the polytope) over each face.
-    cones = np.sum(area * (mean - pts.mean(axis=0)), axis=1)
-    return float(sign @ np.abs(cones)) / 3.0
+
+def _iou(inter: np.ndarray, a: BoxBatch, b: BoxBatch) -> np.ndarray:
+    """IoU from N intersection volumes, clamped to [0, 1]; 0 for an empty union."""
+    union = a.volume + b.volume - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.minimum(np.maximum(inter / union, 0.0), 1.0)
+    return np.where(union <= 0.0, 0.0, iou)
+
+
+def iou3d_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
+    """Exact IoU of N pairs of oriented boxes, as an (N,) array."""
+    return _iou(intersection_volume_batch(a, b), a, b)
 
 
 def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    inter = intersection_volume(a, b)
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    """:func:`iou3d_batch` for one pair."""
+    return float(iou3d_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
 
 
 def yaw_only(rot: np.ndarray) -> np.ndarray:
@@ -285,16 +402,12 @@ def iou3d_bev_yaw_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
     zb, hb = b.center[:, 2], b.dims[:, 2]
     top = np.minimum(za + ha / 2.0, zb + hb / 2.0)
     dz = np.maximum(0.0, top - np.maximum(za - ha / 2.0, zb - hb / 2.0))
-    inter = area * dz
-    union = a.volume + b.volume - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.minimum(np.maximum(inter / union, 0.0), 1.0)
-    return np.where(union <= 0.0, 0.0, iou)
+    return _iou(area * dz, a, b)
 
 
 def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
     """:func:`iou3d_bev_yaw_batch` for one pair."""
-    return float(iou3d_bev_yaw_batch(BoxBatch.stack([a]), BoxBatch.stack([b]))[0])
+    return float(iou3d_bev_yaw_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
 
 
 def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:

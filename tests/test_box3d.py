@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -11,11 +12,14 @@ import pytest
 import mono3dg
 
 from conftest import overlapping_box_pair, random_box
+from mono3dg import box3d
 from mono3dg.box3d import (
+    BoxBatch,
     OrientedBox3D,
     corners,
     intersection_volume,
     iou3d,
+    iou3d_batch,
     _require_yaw_only,
     iou3d_bev_yaw,
     iou3d_monte_carlo,
@@ -188,6 +192,140 @@ class TestIoU3D:
             a2 = OrientedBox3D(R @ a.center + t, a.dims, R @ a.rot)
             b2 = OrientedBox3D(R @ b.center + t, b.dims, R @ b.rot)
             assert iou3d(a2, b2) == pytest.approx(base, abs=1e-9)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _apart_pairs(rng):
+    """Boxes that touch face to face (even k) or lie 1 m apart (odd k)."""
+    pairs = []
+    for k in range(100):
+        a = random_box(rng)
+        dims = rng.uniform(0.3, 2.0, size=3)
+        axis = k % 3
+        side = rng.choice([-1.0, 1.0])
+        local = rng.uniform(-0.3, 0.3, size=3)
+        local[axis] = side * (a.dims[axis] + dims[axis]) / 2.0
+        if k % 2:
+            local[axis] += side
+            rot = random_rotation(rng)
+        else:
+            rot = a.rot
+        pairs.append((a, OrientedBox3D(a.center + a.rot @ local, dims, rot)))
+    return pairs
+
+
+class TestSameBitsAsPerPairCode:
+    """SHA-256 of the exact IoUs of seeded general-rotation pairs, as the
+    per-pair kernel computed them before exact IoU was batched. Both the
+    batch and its one-pair wrapper must still produce those exact bits."""
+
+    DIGESTS = {
+        "overlapping": "fc1289a1ecb2f5413c78b2128fe44ee99767f9e7229ef7df589c54b5d4388bac",
+        "apart": "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+    }
+
+    @staticmethod
+    def _pairs(kind):
+        if kind == "overlapping":
+            rng = np.random.default_rng(22)
+            return [overlapping_box_pair(rng) for _ in range(300)]
+        return _apart_pairs(np.random.default_rng(23))
+
+    @pytest.mark.parametrize("kind", ["overlapping", "apart"])
+    def test_batch_and_single_pair_bits(self, kind):
+        pairs = self._pairs(kind)
+        batch = iou3d_batch(BoxBatch.stack(a for a, _ in pairs), BoxBatch.stack(b for _, b in pairs))
+        assert _digest(batch) == self.DIGESTS[kind]
+        assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
+        assert np.count_nonzero(batch) == (280 if kind == "overlapping" else 0)
+
+
+def _rot(*turns):
+    """The identity turned about each (axis, angle) in order."""
+    rot = np.eye(3)
+    for axis, angle in turns:
+        rot = turned(rot, axis, angle)
+    return rot
+
+
+class TestBatchEqualsAlone:
+    """One batch of fixed hard pairs, more than a stage-1 chunk and across
+    many (vertex count, face count) groups: each row has the bits of that
+    pair scored alone, in either order."""
+
+    ROTATIONS = (
+        _rot(([1, 0, 0], 0.3), ([0, 1, 0], 0.5)),
+        _rot(([1, 2, 3], 1.1)),
+        _rot(([0, 0, 1], 0.7)),
+        _rot(([-2, 1, 0.5], 2.4)),
+    )
+
+    @classmethod
+    def _cases(cls):
+        """(name, a, b, expected IoU or None)."""
+        cases = []
+        for r, rot in enumerate(cls.ROTATIONS):
+            other = cls.ROTATIONS[(r + 1) % 4]
+            center = rot @ [0.5, -1.0, 2.0]
+            a = OrientedBox3D(center, [2.0, 1.0, 1.5], rot)
+            for where, local in (("side", [2.0, 0.3, 0.2]), ("top", [0.4, -0.2, 1.5]), ("edge", [2.0, 1.0, 0.1])):
+                cases.append((f"touching {where} {r}", a, OrientedBox3D(center + rot @ local, a.dims, rot), 0.0))
+            cases.append((f"disjoint {r}", a, OrientedBox3D(center + [10.0, 0.0, 0.0], [1.0, 2.0, 1.0], other), 0.0))
+            inner = OrientedBox3D(center + rot @ [0.1, 0.05, -0.1], [0.5, 0.4, 0.3], other)
+            cases.append((f"contained {r}", a, inner, 0.06 / 3.0))
+            offset = rot @ [1.0, 2.0, -2.0]
+            near = OrientedBox3D(center + 1e-9 * offset / 3.0, a.dims, turned(rot, [3, -1, 2], 1e-10))
+            cases.append((f"near-identical {r}", a, near, None))
+            for tilt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
+                tilted = OrientedBox3D(center + rot @ [1.0, 0.0, 0.0], a.dims, turned(rot, rot[:, 2], tilt))
+                cases.append((f"tilt {tilt:g} {r}", a, tilted, None))
+            far = rot @ [100.0, -3.0, 1.2]
+            small = OrientedBox3D(far, [0.04, 0.03, 0.05], rot)
+            cases.append((f"100 m {r}", small, OrientedBox3D(far + 0.01, [0.05, 0.02, 0.04], other), None))
+            for shift in (0.0, 0.3):
+                quarter = OrientedBox3D(center + shift * rot[:, 0], a.dims, turned(rot, rot[:, 2], math.pi / 2))
+                cases.append((f"90 deg yaw {shift} {r}", a, quarter, None))
+        lower = OrientedBox3D(np.zeros(3), np.ones(3), _rot(([1, 0, 0], math.pi / 4)))
+        upper = OrientedBox3D([0, 0, math.sqrt(2)], np.ones(3), _rot(([0, 1, 0], math.pi / 4)))
+        cases.append(("ridge edges crossing", lower, upper, 0.0))
+        for r, rot in enumerate(cls.ROTATIONS[:2]):
+            center = 50.0 * r * rot[:, 1]
+            a = OrientedBox3D(center, [2.0, 2.0, 2.0], rot)
+            for relations in itertools.product(AXIS_RELATIONS, repeat=3):
+                local, dims, overlaps = np.array(relations).T
+                b = OrientedBox3D(center + rot @ local, dims, rot)
+                cases.append((f"shared frame {relations} {r}", a, b, None))
+        return cases
+
+    def test_rows_match_single_pairs(self, monkeypatch):
+        cases = self._cases()
+        a = BoxBatch.stack(a for _, a, _, _ in cases)
+        b = BoxBatch.stack(b for _, _, b, _ in cases)
+        groups = set()
+        face_cones = box3d._face_cones
+
+        def recording(pts, on, axes, count):
+            groups.add(on.shape[1:])
+            return face_cones(pts, on, axes, count)
+
+        monkeypatch.setattr(box3d, "_face_cones", recording)
+        batch, swapped = iou3d_batch(a, b), iou3d_batch(b, a)
+        monkeypatch.undo()
+        assert len(cases) > 2 * box3d._CHUNK
+        assert len(groups) >= 10
+        alone = np.array([iou3d(a, b) for _, a, b, _ in cases])
+        bits = zip(batch.view(np.int64), swapped.view(np.int64), alone.view(np.int64))
+        assert [name for (name, *_), (x, y, z) in zip(cases, bits) if not x == y == z] == []
+        for (name, _, _, expected), value in zip(cases, batch):
+            if expected == 0.0:
+                assert value == 0.0, name
+            elif expected is not None:
+                assert value == pytest.approx(expected, rel=1e-9), name
+            elif name.startswith("near-identical"):
+                assert value >= 0.99, name
 
 
 class TestBEVFastPath:

@@ -105,6 +105,7 @@ class TestYawOnlyRouting:
             raise AssertionError("exact clipper called on a yaw-only pair")
 
         monkeypatch.setattr(metrics, "iou3d", fail)
+        monkeypatch.setattr(box3d, "iou3d_batch", fail)
         pred, gt = self.CASES["flipped"]
         assert score_query(pred, gt, "q").iou > 0.0
 
@@ -133,19 +134,20 @@ class TestYawOnlyRouting:
         tilted = [(self._tilted(pred), gt) for pred, gt in pairs]
         tilted += [(gt, self._tilted(pred)) for pred, gt in pairs[:2]]
         rows = pairs + tilted
-        exact_calls = []
+        exact_rows = []
+        iou3d_batch = box3d.iou3d_batch
 
-        def counting_iou3d(a, b):
-            exact_calls.append((a, b))
-            return iou3d(a, b)
+        def counting_iou3d_batch(a, b):
+            exact_rows.extend(zip(a.center.tolist(), b.center.tolist()))
+            return iou3d_batch(a, b)
 
-        monkeypatch.setattr(metrics, "iou3d", counting_iou3d)
+        monkeypatch.setattr(box3d, "iou3d_batch", counting_iou3d_batch)
         results = metrics.score_query_batch(
             box3d.BoxBatch.stack(p for p, _ in rows),
             box3d.BoxBatch.stack(g for _, g in rows),
             [f"q{k}" for k in range(len(rows))],
         )
-        assert len(exact_calls) == len(tilted)
+        assert exact_rows == [(p.center.tolist(), g.center.tolist()) for p, g in tilted]
         for (pred, gt), result in zip(pairs, results):
             assert result.iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
         for (pred, gt), result in zip(tilted, results[len(pairs):]):

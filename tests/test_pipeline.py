@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,17 @@ class TestSameBitsAsPerQueryCode:
         batch_ious = [r.iou for r in score_query_batch(batch, gt, ["q"] * len(queries))]
         assert _digest(single_ious) == iou_digest
         assert _digest(batch_ious) == iou_digest
+
+
+def test_indoor_scoring_emits_no_warnings():
+    # Every indoor pair goes to the exact kernel, whose stage 1 must not
+    # divide by zero or make NaNs on valid input.
+    scenes = synth_scenes(60, seed=11, profile_name="indoor")
+    preds = scale_virtual_depth(perfect_raw_predictions(scenes, INDOOR_PROFILE), 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_pipeline(scenes, preds, INDOOR_PROFILE)
+    assert report.count == sum(len(r.objects) for r in scenes)
 
 
 class TestToySameBitsAsPerQueryCode:
