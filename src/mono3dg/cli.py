@@ -133,25 +133,41 @@ def _cmd_train_toy(args) -> int:
     scenes = read_scenes(args.data)
     profile = profile_by_name(args.profile)
     ranges = ranges_for_profile(args.profile)
-    dataset, _ = build_toy_dataset(scenes, profile, ranges, ToyTaskConfig())
+    embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges, ToyTaskConfig())
     rng = np.random.default_rng(seed)
     params = decoder.init_params(decoder.DecoderConfig(), rng)
     cfg = decoder.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=seed)
-    trained, history = decoder.train(dataset, params, cfg)
+    trained, history = decoder.train(embeddings, targets, params, cfg)
     decoder.save_checkpoint(args.out, trained, seed)
     loss_csv = args.loss_csv or args.out.with_suffix(args.out.suffix + ".loss.csv")
     decoder.write_loss_history(loss_csv, history)
     print(
-        f"trained on {len(dataset)} samples for {args.epochs} epochs: "
+        f"trained on {len(targets)} samples for {args.epochs} epochs: "
         f"loss {history[0]:.4f} -> {history[-1]:.4f}"
     )
     return 0
 
 
+def _fd_error(loss, array: np.ndarray, grad: np.ndarray, rng: np.random.Generator) -> float:
+    """Relative error, floored at GRADCHECK_FLOOR, of grad at one entry of
+    array drawn from rng, against a central difference of loss()."""
+    step = 1e-6
+    flat = array.reshape(-1)
+    idx = int(rng.integers(flat.size))
+    original = flat[idx]
+    flat[idx] = original + step
+    up = loss()
+    flat[idx] = original - step
+    down = loss()
+    flat[idx] = original
+    fd = (up - down) / (2 * step)
+    analytic = grad.reshape(-1)[idx]
+    return abs(fd - analytic) / max(abs(fd), abs(analytic), GRADCHECK_FLOOR)
+
+
 def _run_gradchecks(seed: int) -> float:
     """Max relative FD error across decoder and fusion parameter groups."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
 
     config = decoder.DecoderConfig(d_model=8, n_layers=1, d_ff=12, head_hidden=6)
     params = decoder.init_params(config, rng)
@@ -162,40 +178,25 @@ def _run_gradchecks(seed: int) -> float:
         np.concatenate([[0.4, 0.6, 1.5, 0.8, 0.6, 1.1], rng.standard_normal(6)])
     )
     _, grads = decoder.backward(seq, params, target)
-    step = 1e-6
-    for name, grad in grads.named_arrays():
-        base = dict(params.named_arrays())[name]
-        flat = base.ravel()
-        idx = int(rng.integers(flat.size))
-        original = flat[idx]
-        flat[idx] = original + step
-        up, _ = decoder.backward(seq, params, target)
-        flat[idx] = original - step
-        down, _ = decoder.backward(seq, params, target)
-        flat[idx] = original
-        fd = (up - down) / (2 * step)
-        denom = max(abs(fd), abs(grad.ravel()[idx]), GRADCHECK_FLOOR)
-        worst = max(worst, abs(fd - grad.ravel()[idx]) / denom)
+
+    def decoder_loss():
+        return decoder.backward(seq, params, target)[0]
+
+    errors = [_fd_error(decoder_loss, base, grad, rng)
+              for (_, base), (_, grad) in zip(params.named_arrays(), grads.named_arrays())]
 
     f_sl = rng.standard_normal((3, 3, 5))
     t_vit = rng.standard_normal((2, 5))
     att = fusion.AttentionParams(*(rng.standard_normal((5, 4)) for _ in range(3)))
     d_out = rng.standard_normal((2, 4))
     grads_att = fusion.cross_branch_attention_grads(t_vit, f_sl, att, d_out)
-    for name in ("w_q", "w_k", "w_v"):
-        mat = getattr(att, name)
-        grad = getattr(grads_att, name)
-        idx = int(rng.integers(mat.size))
-        original = mat.ravel()[idx]
-        mat.ravel()[idx] = original + step
-        up = float(np.sum(fusion.cross_branch_attention(t_vit, f_sl, att) * d_out))
-        mat.ravel()[idx] = original - step
-        down = float(np.sum(fusion.cross_branch_attention(t_vit, f_sl, att) * d_out))
-        mat.ravel()[idx] = original
-        fd = (up - down) / (2 * step)
-        denom = max(abs(fd), abs(grad.ravel()[idx]), GRADCHECK_FLOOR)
-        worst = max(worst, abs(fd - grad.ravel()[idx]) / denom)
-    return worst
+
+    def fusion_loss():
+        return float(np.sum(fusion.cross_branch_attention(t_vit, f_sl, att) * d_out))
+
+    errors += [_fd_error(fusion_loss, getattr(att, name), getattr(grads_att, name), rng)
+               for name in ("w_q", "w_k", "w_v")]
+    return max(errors)
 
 
 def _cmd_gradcheck(args) -> int:

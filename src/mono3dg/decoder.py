@@ -9,6 +9,9 @@ self-attention + feed-forward, both with residual connections and no
 normalization, so gradients stay exactly checkable against finite
 differences. Training runs one forward/backward per minibatch over the
 stacked (B, T, d) sequences, and every parameter lives in one flat vector.
+:func:`attention` and :func:`attention_backward` are the one softmax
+attention of the package; the fusion block's cross-branch attention uses
+them too.
 """
 
 from __future__ import annotations
@@ -258,21 +261,39 @@ def substitute_query(seq: TokenSequence, query: np.ndarray) -> TokenSequence:
     return TokenSequence(emb, seq.kinds)
 
 
-def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
-    q = x @ layer.w_q
-    k = x @ layer.w_k
-    v = x @ layer.w_v
-    logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(x.shape[-1])
-    logits = np.where(mask, _MASK_VALUE, logits)
+def attention(x_q: np.ndarray, x_kv: np.ndarray, w_q, w_k, w_v, mask=None):
+    """softmax(Q K^T / sqrt(d_k)) V over [..., T, d] inputs, with Q = x_q w_q,
+    K = x_kv w_k and V = x_kv w_v; masked logits (where ``mask`` holds) get no
+    weight. Returns the output and the cache :func:`attention_backward` needs."""
+    q = x_q @ w_q
+    k = x_kv @ w_k
+    v = x_kv @ w_v
+    logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(w_q.shape[-1])
+    if mask is not None:
+        logits = np.where(mask, _MASK_VALUE, logits)
     logits -= logits.max(axis=-1, keepdims=True)
     attn = np.exp(logits)
     attn /= attn.sum(axis=-1, keepdims=True)
-    summary = attn @ v
+    return attn @ v, (q, k, v, attn)
+
+
+def attention_backward(d_out: np.ndarray, cache):
+    """Gradients of sum(out * d_out) with respect to Q, K and V."""
+    q, k, v, attn = cache
+    d_attn = d_out @ np.swapaxes(v, -1, -2)
+    d_v = np.swapaxes(attn, -1, -2) @ d_out
+    d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
+    d_logits /= math.sqrt(q.shape[-1])
+    return d_logits @ k, np.swapaxes(d_logits, -1, -2) @ q, d_v
+
+
+def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
+    summary, attn_cache = attention(x, x, layer.w_q, layer.w_k, layer.w_v, mask)
     attended = x + summary @ layer.w_o
     pre_act = attended @ layer.ff_w1 + layer.ff_b1
     hidden, term = _gelu(pre_act)
     out = attended + hidden @ layer.ff_w2 + layer.ff_b2
-    cache = (x, q, k, v, attn, summary, attended, pre_act, term, hidden)
+    cache = (x, attn_cache, summary, attended, pre_act, term, hidden)
     return out, cache
 
 
@@ -407,7 +428,7 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
     g_x = np.zeros_like(x_final)
     g_x[:, -1:] = g_f3d
     for layer, g_layer, cache in zip(params.layers[::-1], grads.layers[::-1], caches[::-1]):
-        x, q, k, v, attn, summary, attended, pre_act, term, hidden = cache
+        x, attn_cache, summary, attended, pre_act, term, hidden = cache
         # feed-forward branch
         g_layer.ff_b2[...] = _sample_sum(g_x.sum(axis=1))
         g_layer.ff_w2[...] = _batch_sum_outer(hidden, g_x)
@@ -417,17 +438,11 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
         g_attended = g_x + d_pre @ layer.ff_w1.T
         # attention branch
         g_layer.w_o[...] = _batch_sum_outer(summary, g_attended)
-        d_summary = g_attended @ layer.w_o.T
-        d_attn = d_summary @ np.swapaxes(v, 1, 2)
-        d_v_mat = np.swapaxes(attn, 1, 2) @ d_summary
-        d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=2, keepdims=True))
-        d_logits /= math.sqrt(params.config.d_model)
-        d_q = d_logits @ k
-        d_k = np.swapaxes(d_logits, 1, 2) @ q
+        d_q, d_k, d_v = attention_backward(g_attended @ layer.w_o.T, attn_cache)
         g_layer.w_q[...] = _batch_sum_outer(x, d_q)
         g_layer.w_k[...] = _batch_sum_outer(x, d_k)
-        g_layer.w_v[...] = _batch_sum_outer(x, d_v_mat)
-        g_x = g_attended + d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v_mat @ layer.w_v.T
+        g_layer.w_v[...] = _batch_sum_outer(x, d_v)
+        g_x = g_attended + d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v @ layer.w_v.T
 
     # the query fills the last slot of every sample
     grads.query[...] = _sample_sum(g_x[:, -1])
@@ -470,34 +485,29 @@ def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig) -> None:
     flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _stack_dataset(dataset: list, d_model: int):
-    """(N, T, d) embeddings and (N, 12) targets; every sequence must share T and d."""
-    n_tokens = len(dataset[0][0].kinds)
-    for i, (seq, _) in enumerate(dataset):
-        if seq.embeddings.shape[1] != d_model:
-            raise ShapeMismatch(f"sample {i}: d_model {seq.embeddings.shape[1]}, config {d_model}")
-        if len(seq.kinds) != n_tokens:
-            raise MalformedSequence(f"sample {i}: {len(seq.kinds)} tokens, sample 0: {n_tokens}")
-    return (np.stack([seq.embeddings for seq, _ in dataset]),
-            np.stack([raw_to_vector(target) for _, target in dataset]))
-
-
-def train(dataset: list, params: DecoderParams, cfg: TrainConfig):
-    """Adam-train on (TokenSequence, RawHeadOutput target) pairs.
+def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cfg: TrainConfig):
+    """Adam-train on N stacked sequences (N, T, d), query slot last, and
+    their targets (N, 12) in :func:`raw_to_vector` order.
 
     Each minibatch runs one batched forward/backward; its gradient is the
     mean over its samples. Deterministic given cfg.seed. Returns the trained
     parameters and the per-epoch mean training loss.
     """
-    if not dataset:
+    embeddings, targets = np.asarray(embeddings, dtype=float), np.asarray(targets, dtype=float)
+    n = len(embeddings)
+    if n == 0:
         raise EmptyDataset("training requires at least one sample")
-    embeddings, targets = _stack_dataset(dataset, params.config.d_model)
+    if embeddings.ndim != 3 or embeddings.shape[2] != params.config.d_model:
+        raise ShapeMismatch(f"embeddings {embeddings.shape} vs (N, T, {params.config.d_model})")
+    if targets.shape != (n, 12):
+        raise ShapeMismatch(f"targets {targets.shape} vs ({n}, 12)")
+    if not np.all(np.isfinite(embeddings)):
+        raise MalformedSequence("embeddings contain non-finite values")
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     step = 0
     history = []
-    n = len(dataset)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         sample_losses = np.zeros(n)

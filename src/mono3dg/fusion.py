@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import sigmoid, softplus
+from .decoder import attention, attention_backward, sigmoid, softplus
 from .errors import EmptyValidMask, ShapeMismatch
 
 
@@ -111,7 +111,9 @@ def add_fuse(f_spatial: np.ndarray, f_rgb: np.ndarray) -> np.ndarray:
     return f_spatial + f_rgb
 
 
-def _attention_forward(t_vit: np.ndarray, f_sl: np.ndarray, params: AttentionParams):
+def _attention_inputs(t_vit: np.ndarray, f_sl: np.ndarray, params: AttentionParams):
+    """The token matrix and the flattened (cells, channels) grid, checked
+    against the projections."""
     t_vit = np.asarray(t_vit, dtype=float)
     f_sl = _check_grid(f_sl, "spatial-local features")
     if t_vit.ndim != 2:
@@ -121,46 +123,26 @@ def _attention_forward(t_vit: np.ndarray, f_sl: np.ndarray, params: AttentionPar
         raise ShapeMismatch("projection input dims do not match features")
     if not (params.w_q.shape[1] == params.w_k.shape[1] == params.w_v.shape[1]):
         raise ShapeMismatch("W_Q/W_K/W_V must share d_k")
-    cells = f_sl.reshape(-1, channels)
-    q = t_vit @ params.w_q
-    k = cells @ params.w_k
-    v = cells @ params.w_v
-    d_k = params.w_q.shape[1]
-    logits = q @ k.T / np.sqrt(d_k)
-    logits = logits - logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return t_vit, cells, q, k, v, weights
+    return t_vit, f_sl.reshape(-1, channels)
 
 
 def cross_branch_attention(
     t_vit: np.ndarray, f_sl: np.ndarray, params: AttentionParams
 ) -> np.ndarray:
-    """Tokens query the flattened grid cells: softmax(Q K^T / sqrt(d_k)) V.
-
-    Row-wise softmax with max subtraction; output is (tokens, d_k).
-    """
-    _, _, _, _, v, weights = _attention_forward(t_vit, f_sl, params)
-    return weights @ v
+    """Tokens query the flattened grid cells: softmax(Q K^T / sqrt(d_k)) V,
+    through the decoder's :func:`attention`; output is (tokens, d_k)."""
+    tokens, cells = _attention_inputs(t_vit, f_sl, params)
+    return attention(tokens, cells, params.w_q, params.w_k, params.w_v)[0]
 
 
 def cross_branch_attention_grads(
     t_vit: np.ndarray, f_sl: np.ndarray, params: AttentionParams, d_out: np.ndarray
 ) -> AttentionParams:
     """Gradients of sum(output * d_out) w.r.t. the three projections."""
-    tokens, cells, q, k, v, weights = _attention_forward(t_vit, f_sl, params)
+    tokens, cells = _attention_inputs(t_vit, f_sl, params)
+    _, cache = attention(tokens, cells, params.w_q, params.w_k, params.w_v)
     d_out = np.asarray(d_out, dtype=float)
     if d_out.shape != (tokens.shape[0], params.w_v.shape[1]):
         raise ShapeMismatch(f"upstream gradient shape {d_out.shape} is wrong")
-    d_k = params.w_q.shape[1]
-    d_v = weights.T @ d_out
-    d_weights = d_out @ v.T
-    d_logits = weights * (d_weights - np.sum(d_weights * weights, axis=1, keepdims=True))
-    d_logits /= np.sqrt(d_k)
-    d_q = d_logits @ k
-    d_k_mat = d_logits.T @ q
-    return AttentionParams(
-        w_q=tokens.T @ d_q,
-        w_k=cells.T @ d_k_mat,
-        w_v=cells.T @ d_v,
-    )
+    d_q, d_k, d_v = attention_backward(d_out, cache)
+    return AttentionParams(w_q=tokens.T @ d_q, w_k=cells.T @ d_k, w_v=cells.T @ d_v)

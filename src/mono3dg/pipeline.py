@@ -33,7 +33,6 @@ from .decoder import (
     KIND_QUERY,
     DecoderParams,
     RawHeadOutput,
-    TokenSequence,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
     predict_batch,
     vector_to_raw,
@@ -305,32 +304,20 @@ class ToyEncoder:
         return emb
 
 
-def _toy_columns(
-    scenes: list[SceneRecord],
-    profile: DatasetProfile,
-    ranges: SynthRanges,
-    config: ToyTaskConfig | None,
-):
-    """Targets (N, 12), embeddings (N, T, d), token kinds and query keys of
-    every query, in scene order."""
-    config = config or ToyTaskConfig()
-    encoder = ToyEncoder.create(config, ranges, profile)
-    boxes, cams, keys = _queries(scenes)
-    targets = raw_from_box_batch(boxes, cams, profile)
-    embeddings = encoder.encode_batch(targets, np.random.default_rng(config.encoding_seed + 1))
-    return targets, embeddings, encoder.kinds, keys
-
-
 def build_toy_dataset(
     scenes: list[SceneRecord],
     profile: DatasetProfile,
     ranges: SynthRanges,
     config: ToyTaskConfig | None = None,
 ):
-    """(sequence, target) training pairs plus the query keys, in scene order."""
-    targets, embeddings, kinds, keys = _toy_columns(scenes, profile, ranges, config)
-    samples = [(TokenSequence(e, kinds), vector_to_raw(t)) for e, t in zip(embeddings, targets)]
-    return samples, keys
+    """Embeddings (N, T, d), targets (N, 12) and (image_id, object_id) keys
+    of every query, in scene order; the query slot of each sequence is last."""
+    config = config or ToyTaskConfig()
+    encoder = ToyEncoder.create(config, ranges, profile)
+    boxes, cams, keys = _queries(scenes)
+    targets = raw_from_box_batch(boxes, cams, profile)
+    embeddings = encoder.encode_batch(targets, np.random.default_rng(config.encoding_seed + 1))
+    return embeddings, targets, keys
 
 
 def decoder_predictions(
@@ -341,7 +328,7 @@ def decoder_predictions(
     config: ToyTaskConfig | None = None,
 ) -> list[PredictionRecord]:
     """Run the trained decoder over the toy encodings of these scenes, as one batch."""
-    _, embeddings, _, keys = _toy_columns(scenes, profile, ranges, config)
+    embeddings, _, keys = build_toy_dataset(scenes, profile, ranges, config)
     return [
         PredictionRecord(image_id, object_id, raw=vector_to_raw(row))
         for (image_id, object_id), row in zip(keys, predict_batch(embeddings, params))

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .box3d import OrientedBox3D, corners
-from .camera import HEIGHT2D_EPSILON, CameraIntrinsics, DepthMode, Point3D, VirtualCamera
+from .camera import (
+    HEIGHT2D_EPSILON,
+    CameraIntrinsics,
+    DepthMode,
+    Point2D,
+    VirtualCamera,
+    backproject_center,
+)
 from .decoder import RawHeadOutput
 from .errors import InvalidRanges, ParseError, SchemaError
 from .jsonio import (
@@ -152,7 +159,7 @@ def _sample_object(
     u = cam.width * rng.uniform(0.02, 0.98)
     v = cam.height * rng.uniform(0.02, 0.98)
     z = rng.uniform(*ranges.depth)
-    center = Point3D((z / cam.fx) * (u - cam.cx), (z / cam.fy) * (v - cam.cy), z)
+    center = backproject_center(Point2D(u, v), z, cam)
     dims = (
         rng.uniform(*ranges.length),
         rng.uniform(*ranges.width),

@@ -318,10 +318,11 @@ def test_c7_attention_decoder_numerics():
 def test_c8_toy_training():
     ranges = SynthRanges(objects_per_scene=(1, 1))
     scenes = synth_scenes(256, seed=11, ranges=ranges, profile_name="indoor")
-    dataset, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
+    embeddings, targets, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
     params = D.init_params(D.DecoderConfig(), np.random.default_rng(0))
+    cfg = D.TrainConfig(epochs=500, batch_size=16, seed=0)
     start = time.perf_counter()
-    trained, history = D.train(dataset, params, D.TrainConfig(epochs=500, batch_size=16, seed=0))
+    trained, history = D.train(embeddings, targets, params, cfg)
     elapsed = time.perf_counter() - start
     preds = decoder_predictions(scenes, trained, INDOOR_PROFILE, ranges)
     report = run_pipeline(scenes, preds, INDOOR_PROFILE)

@@ -19,9 +19,12 @@ def small_config():
     return D.DecoderConfig(d_model=8, n_layers=1, d_ff=12, head_hidden=6)
 
 
+def sequence_kinds(n_tokens):
+    return (D.KIND_CAPTION,) + (D.KIND_IMAGE,) * (n_tokens - 3) + (D.KIND_POS, D.KIND_QUERY)
+
+
 def make_sequence(rng, d_model=8, n_tokens=5):
-    kinds = [D.KIND_CAPTION] + [D.KIND_IMAGE] * (n_tokens - 3) + [D.KIND_POS, D.KIND_QUERY]
-    return D.TokenSequence(rng.standard_normal((n_tokens, d_model)), tuple(kinds))
+    return D.TokenSequence(rng.standard_normal((n_tokens, d_model)), sequence_kinds(n_tokens))
 
 
 def make_target(rng):
@@ -271,7 +274,10 @@ class TestBackward:
 
 
 def tiny_dataset(rng, n=6):
-    return [(make_sequence(rng), make_target(rng)) for _ in range(n)]
+    """(n, 5, 8) embeddings and their (n, 12) targets."""
+    rows = [(make_sequence(rng).embeddings, D.raw_to_vector(make_target(rng))) for _ in range(n)]
+    embeddings, targets = map(np.stack, zip(*rows))
+    return embeddings, targets
 
 
 class TestTrain:
@@ -281,8 +287,8 @@ class TestTrain:
         cfg = D.TrainConfig(epochs=5, batch_size=3, seed=42)
         p1 = D.init_params(small_config(), np.random.default_rng(0))
         p2 = D.init_params(small_config(), np.random.default_rng(0))
-        _, h1 = D.train(dataset, p1, cfg)
-        _, h2 = D.train(dataset, p2, cfg)
+        _, h1 = D.train(*dataset, p1, cfg)
+        _, h2 = D.train(*dataset, p2, cfg)
         assert h1 == h2
 
     def test_zero_learning_rate_is_inert(self):
@@ -290,7 +296,7 @@ class TestTrain:
         dataset = tiny_dataset(rng)
         params = D.init_params(small_config(), np.random.default_rng(1))
         before = {name: arr.copy() for name, arr in params.named_arrays()}
-        trained, history = D.train(dataset, params, D.TrainConfig(epochs=4, lr=0.0, seed=0))
+        trained, history = D.train(*dataset, params, D.TrainConfig(epochs=4, lr=0.0, seed=0))
         for name, arr in trained.named_arrays():
             assert np.array_equal(arr, before[name])
         assert len(set(history)) == 1
@@ -299,13 +305,13 @@ class TestTrain:
         rng = np.random.default_rng(17)
         dataset = tiny_dataset(rng, n=8)
         params = D.init_params(small_config(), np.random.default_rng(2))
-        _, history = D.train(dataset, params, D.TrainConfig(epochs=400, batch_size=2, seed=3))
+        _, history = D.train(*dataset, params, D.TrainConfig(epochs=400, batch_size=2, seed=3))
         assert history[-1] < 0.5 * history[0]
 
     def test_empty_dataset_rejected(self):
         params = D.init_params(small_config(), np.random.default_rng(3))
         with pytest.raises(EmptyDataset):
-            D.train([], params, D.TrainConfig(epochs=1))
+            D.train(np.zeros((0, 5, 8)), np.zeros((0, 12)), params, D.TrainConfig(epochs=1))
 
 
 class TestCheckpoint:
@@ -361,13 +367,15 @@ def reference_adam(params, grads, state, cfg):
         params.set_named(name, arr - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps))
 
 
-def reference_train(dataset, params, cfg):
-    """Per-sample backward, gradients accumulated by name, per-name Adam."""
+def reference_train(embeddings, targets, params, cfg):
+    """Per-sample backward on one TokenSequence per row, gradients
+    accumulated by name, per-name Adam."""
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     state = {"step": 0, "m": {}, "v": {}}
     history = []
-    n = len(dataset)
+    n = len(embeddings)
+    kinds = sequence_kinds(embeddings.shape[1])
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         sample_losses = np.zeros(n)
@@ -375,8 +383,8 @@ def reference_train(dataset, params, cfg):
             batch = order[start : start + cfg.batch_size]
             sums = {}
             for idx in batch:
-                seq, target = dataset[idx]
-                sample_losses[idx], grads = D.backward(seq, params, target)
+                seq = D.TokenSequence(embeddings[idx], kinds)
+                sample_losses[idx], grads = D.backward(seq, params, D.vector_to_raw(targets[idx]))
                 for name, arr in grads.named_arrays():
                     sums[name] = sums[name] + arr if name in sums else arr.copy()
             reference_adam(params, {k: v * (1.0 / len(batch)) for k, v in sums.items()}, state, cfg)
@@ -411,8 +419,8 @@ class TestBatchedBackward:
         dataset = tiny_dataset(rng, n=40)
         params = D.init_params(small_config(), np.random.default_rng(4))
         cfg = D.TrainConfig(epochs=20, batch_size=16, lr=1e-2, seed=5)
-        trained, history = D.train(dataset, params, cfg)
-        expected, expected_history = reference_train(dataset, params, cfg)
+        trained, history = D.train(*dataset, params, cfg)
+        expected, expected_history = reference_train(*dataset, params, cfg)
         assert history == expected_history
         assert np.array_equal(trained.flat, expected.flat)
 
@@ -470,18 +478,28 @@ class TestFlatParameters:
 
 
 class TestStackedDataset:
-    def test_mixed_lengths_rejected(self):
-        rng = np.random.default_rng(37)
-        dataset = tiny_dataset(rng, n=4)
-        dataset[2] = (make_sequence(rng, n_tokens=6), make_target(rng))
-        params = D.init_params(small_config(), rng)
-        with pytest.raises(MalformedSequence, match="sample 2"):
-            D.train(dataset, params, D.TrainConfig(epochs=1))
+    """``train`` checks its (N, T, d) embeddings and (N, 12) targets."""
 
     def test_wrong_d_model_rejected(self):
         rng = np.random.default_rng(38)
-        dataset = tiny_dataset(rng, n=4)
-        dataset[3] = (make_sequence(rng, d_model=6), make_target(rng))
         params = D.init_params(small_config(), rng)
-        with pytest.raises(ShapeMismatch, match="sample 3"):
-            D.train(dataset, params, D.TrainConfig(epochs=1))
+        embeddings, targets = tiny_dataset(rng, n=4)
+        with pytest.raises(ShapeMismatch, match="embeddings"):
+            D.train(embeddings[:, :, :6], targets, params, D.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("shape", [(4, 11), (3, 12), (4,), (4, 12, 1)])
+    def test_targets_not_n_by_12_rejected(self, shape):
+        rng = np.random.default_rng(39)
+        params = D.init_params(small_config(), rng)
+        embeddings, _ = tiny_dataset(rng, n=4)
+        with pytest.raises(ShapeMismatch, match="targets"):
+            D.train(embeddings, np.zeros(shape), params, D.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, value):
+        rng = np.random.default_rng(40)
+        params = D.init_params(small_config(), rng)
+        embeddings, targets = tiny_dataset(rng, n=4)
+        embeddings[2, 1, 3] = value
+        with pytest.raises(MalformedSequence, match="non-finite"):
+            D.train(embeddings, targets, params, D.TrainConfig(epochs=1))

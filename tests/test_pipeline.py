@@ -12,6 +12,7 @@ from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import score_query, score_query_batch
 from mono3dg.pipeline import (
+    ToyEncoder,
     ToyTaskConfig,
     box_from_raw,
     box_from_raw_batch,
@@ -151,20 +152,21 @@ class TestToyDataset:
     def test_targets_match_scene_geometry(self):
         ranges = SynthRanges(objects_per_scene=(1, 1))
         scenes = synth_scenes(10, seed=8, ranges=ranges)
-        dataset, keys = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
-        assert len(dataset) == len(keys) == sum(len(r.objects) for r in scenes)
-        for (seq, target), (image_id, object_id), record in zip(dataset, keys, scenes):
+        embeddings, targets, keys = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
+        n = sum(len(r.objects) for r in scenes)
+        assert embeddings.shape == (n, 8, 32) and targets.shape == (n, 12) and len(keys) == n
+        for target, (image_id, object_id), record in zip(targets, keys, scenes):
             assert record.image_id == image_id
-            box = box_from_raw(target, record.intrinsics, INDOOR_PROFILE, record.objects[0].h2d)
+            raw = D.vector_to_raw(target)
+            box = box_from_raw(raw, record.intrinsics, INDOOR_PROFILE, record.objects[0].h2d)
             assert np.allclose(box.center, record.objects[0].box3d.center, atol=1e-9)
 
     def test_encoding_is_deterministic(self):
         ranges = SynthRanges(objects_per_scene=(1, 1))
         scenes = synth_scenes(5, seed=9, ranges=ranges)
-        a, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
-        b, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
-        for (seq_a, _), (seq_b, _) in zip(a, b):
-            assert np.array_equal(seq_a.embeddings, seq_b.embeddings)
+        a, _, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
+        b, _, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
+        assert np.array_equal(a, b)
 
 
 def _digest(values) -> str:
@@ -263,9 +265,9 @@ class TestToySameBitsAsPerQueryCode:
         params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
         targets_digest, embeddings_digest, predictions_digest = self.DIGESTS[(profile_name, sigma)]
 
-        samples, _ = build_toy_dataset(scenes, profile, ranges, config)
-        assert _digest([D.raw_to_vector(t) for _, t in samples]) == targets_digest
-        assert _digest([seq.embeddings for seq, _ in samples]) == embeddings_digest
+        embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges, config)
+        assert _digest(targets) == targets_digest
+        assert _digest(embeddings) == embeddings_digest
         preds = decoder_predictions(scenes, params, profile, ranges, config)
         assert _digest([D.raw_to_vector(p.raw) for p in preds]) == predictions_digest
         perfect = perfect_raw_predictions(scenes, profile)
@@ -273,7 +275,8 @@ class TestToySameBitsAsPerQueryCode:
 
         single = [raw_from_box(o.box3d, r.intrinsics, profile) for r in scenes for o in r.objects]
         assert _digest([D.raw_to_vector(t) for t in single]) == targets_digest
-        single_preds = [D.predict(seq, params) for seq, _ in samples]
+        kinds = ToyEncoder.create(config, ranges, profile).kinds
+        single_preds = [D.predict(D.TokenSequence(e, kinds), params) for e in embeddings]
         assert _digest([D.raw_to_vector(p) for p in single_preds]) == predictions_digest
 
     def test_train_toy_checkpoint_and_loss_csv_bits(self, tmp_path, capsys):
