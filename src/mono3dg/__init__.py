@@ -60,7 +60,9 @@ from .scenes import (
     OUTDOOR_PROFILE,
     DatasetProfile,
     PredictionRecord,
+    PredictionTable,
     SceneRecord,
+    SceneTable,
     SynthRanges,
     read_predictions,
     read_scenes,

@@ -12,10 +12,10 @@ estimator are independent cross-checks of the exact path.
 Both IoU kernels score N pairs at once, and their one-pair functions are
 the N = 1 case with the same bits. The exact kernel runs in two stages:
 stage 1 finds every pair's kept vertices on a fixed set of 160 candidates,
-and stage 2 builds the faces of the pairs with a solid intersection, in
-groups of equal vertex and face counts. Stacked products keep the shape
-they have for one pair, because the bits of a BLAS product depend on its
-shape.
+skipping the pairs whose bounding spheres lie apart, and stage 2 builds
+the faces of the pairs with a solid intersection, in groups of equal
+vertex and face counts. Stacked products keep the shape they have for
+one pair, because the bits of a BLAS product depend on its shape.
 
 Local box axes: length along x, width along y, height along z.
 """
@@ -56,6 +56,10 @@ _FACE_BOX = np.repeat([0, 1, 0], 6)
 _FACE_AXES = np.tile(_IN_PLANE, (3, 1))
 # Stage 1 of the exact kernel runs on at most this many pairs at once.
 _CHUNK = 64
+# Stage 1 skips a pair whose bounding spheres lie more than this far apart
+# (m): no point then lies within CLIP_EPSILON of both boxes, so the pair
+# keeps no vertex.
+_SPHERE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,11 @@ class BoxBatch:
             np.array([b.dims for b in boxes]).reshape(-1, 3),
             np.array([b.rot for b in boxes]).reshape(-1, 3, 3),
         )
+
+    @staticmethod
+    def from_rows(rows: np.ndarray) -> "BoxBatch":
+        """Boxes from (N, 15) rows of center, dims and row-major rot."""
+        return BoxBatch(rows[:, 0:3], rows[:, 3:6], rows[:, 6:15].reshape(-1, 3, 3))
 
     @staticmethod
     def of(box: OrientedBox3D) -> "BoxBatch":
@@ -224,16 +233,20 @@ def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
     an (N,) array; each is bitwise symmetric in its pair."""
     pairs = _canonical_pairs(a, b)
     volume = np.zeros(len(pairs))
+    gap = np.linalg.norm(pairs[:, 0, :3] - pairs[:, 1, :3], axis=1)
+    gap -= np.linalg.norm(pairs[:, :, 3:6], axis=2).sum(axis=1) / 2.0
+    near = (gap <= _SPHERE_GAP).nonzero()[0]
     # Stage 1 runs on a bounded number of pairs at a time, which bounds its
     # scratch memory. Fewer than 4 kept vertices make a flat intersection.
     found = []
-    for lo in range(0, len(pairs), _CHUNK):
-        pts, keep, on, normals = _polytope_vertices(pairs[lo:lo + _CHUNK])
+    for lo in range(0, len(near), _CHUNK):
+        rows = near[lo:lo + _CHUNK]
+        pts, keep, on, normals = _polytope_vertices(pairs[rows])
         count = keep.sum(axis=1)
         live = count >= 4
         if live.any():
             keep &= live[:, None]
-            found.append((lo + live.nonzero()[0], count[live], pts[keep], on[keep], normals[live]))
+            found.append((rows[live], count[live], pts[keep], on[keep], normals[live]))
     if not found:
         return volume
     # Stage 2 on the kept vertices of the pairs left, pair after pair, each

@@ -57,7 +57,9 @@ from .scenes import (
     ROTATION_ALLOCENTRIC,
     DatasetProfile,
     PredictionRecord,
+    PredictionTable,
     SceneRecord,
+    SceneTable,
     SynthRanges,
 )
 
@@ -91,29 +93,43 @@ def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProf
     return vector_to_raw(raw_from_box_batch(BoxBatch.stack([box]), [cam], profile)[0])
 
 
+def box_from_raw_columns(
+    raw: np.ndarray,
+    cams: np.ndarray,
+    profile: DatasetProfile,
+    h2d: np.ndarray | None = None,
+) -> BoxBatch:
+    """Geometry reasoning for N queries: head outputs (N, 12), in
+    :func:`raw_to_vector` order, -> oriented boxes in the camera frame, with
+    one camera (N, 6) (and 2D height) per query."""
+    u_norm, v_norm, d_v, _, _, height = raw[:, :6].T
+    cam = CameraIntrinsics(*cams.T)
+    center = reason_center_batch(
+        u_norm, v_norm, d_v, height, cam, profile.virtual_camera, profile.depth_mode, h2d
+    )
+    rot = rot6d_to_matrix_batch(raw[:, 6:9], raw[:, 9:12])
+    if profile.rotation_frame == ROTATION_ALLOCENTRIC:
+        rot = allocentric_to_egocentric_batch(rot, center)
+    return BoxBatch(center, raw[:, 3:6], rot)
+
+
 def box_from_raw_batch(
     raws: list[RawHeadOutput],
     cams: list[CameraIntrinsics],
     profile: DatasetProfile,
     h2d: list | None = None,
 ) -> BoxBatch:
-    """Geometry reasoning for N queries: head outputs -> oriented boxes in
-    the camera frame, one camera (and 2D height) per query."""
-    values = np.array([(r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H) for r in raws], dtype=float)
-    values = values.reshape(-1, 6)
-    u_norm, v_norm, d_v, _, _, height = values.T
-    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, 6).T)
-    h2d = None if h2d is None else np.asarray(h2d, dtype=float)
-    center = reason_center_batch(
-        u_norm, v_norm, d_v, height, cam, profile.virtual_camera, profile.depth_mode, h2d
+    """:func:`box_from_raw_columns` for N head output records, one camera
+    (and 2D height) per query."""
+    values = np.array(
+        [(r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H, *r.rot6d.a, *r.rot6d.b) for r in raws], dtype=float
     )
-    rot = rot6d_to_matrix_batch(
-        np.array([r.rot6d.a for r in raws], dtype=float).reshape(-1, 3),
-        np.array([r.rot6d.b for r in raws], dtype=float).reshape(-1, 3),
+    return box_from_raw_columns(
+        values.reshape(-1, 12),
+        np.array(cams, dtype=float).reshape(-1, 6),
+        profile,
+        None if h2d is None else np.asarray(h2d, dtype=float),
     )
-    if profile.rotation_frame == ROTATION_ALLOCENTRIC:
-        rot = allocentric_to_egocentric_batch(rot, center)
-    return BoxBatch(center, values[:, 3:], rot)
 
 
 def box_from_raw(
@@ -126,12 +142,11 @@ def box_from_raw(
     return box_from_raw_batch([raw], [cam], profile, None if h2d is None else [h2d]).box(0)
 
 
-def _queries(scenes: list[SceneRecord]):
+def _queries(scenes: SceneTable | list[SceneRecord]):
     """Every query of these scenes, in scene order: the ground-truth boxes,
     one camera per box, and the (image_id, object_id) keys."""
-    pairs = [(r, o) for r in scenes for o in r.objects]
-    boxes = BoxBatch.stack(o.box3d for _, o in pairs)
-    return boxes, [r.intrinsics for r, _ in pairs], [(r.image_id, o.object_id) for r, o in pairs]
+    table = SceneTable.of(scenes)
+    return BoxBatch.from_rows(table.boxes), table.cams[table.rows], table.keys
 
 
 def perfect_raw_predictions(scenes: list[SceneRecord], profile: DatasetProfile) -> list[PredictionRecord]:
@@ -162,70 +177,52 @@ def scale_virtual_depth(preds: list[PredictionRecord], factor: float) -> list[Pr
 
 
 def run_pipeline(
-    scenes: list[SceneRecord],
-    preds: list[PredictionRecord],
+    scenes: SceneTable | list[SceneRecord],
+    preds: PredictionTable | list[PredictionRecord],
     profile: DatasetProfile,
     depth_metric: str = "z",
 ) -> MetricReport:
     """Score predictions against ground truth and aggregate.
 
     Every prediction must match a ground-truth (image_id, object_id); the
-    reverse is not required. All predicted queries are reasoned and scored
-    in one batch.
+    reverse is not required, and of two predictions for one query the last
+    counts. All predicted queries are reasoned and scored in one batch.
     """
-    gt_index = {}
-    for record in scenes:
-        for obj in record.objects:
-            gt_index[(record.image_id, obj.object_id)] = (record, obj)
-    by_key = {}
-    for p in preds:
-        key = (p.image_id, p.object_id)
-        if key not in gt_index:
+    scenes, preds = SceneTable.of(scenes), PredictionTable.of(preds)
+    gt_keys = scenes.keys
+    known = set(gt_keys)
+    row_of = {}
+    for row, key in enumerate(preds.keys):
+        if key not in known:
             raise UnmatchedPrediction(f"prediction for unknown query {key}")
-        by_key[key] = p
-    results = []
-    scored = []  # (slot in results, query id, scene record, gt object, prediction)
-    for record in scenes:
-        for obj in record.objects:
-            query_id = f"{record.image_id}/{obj.object_id}"
-            pred = by_key.get((record.image_id, obj.object_id))
-            if pred is None:
-                results.append(missing_result(query_id))
-            else:
-                scored.append((len(results), query_id, record, obj, pred))
-                results.append(None)
-    if scored:
-        slots, query_ids, records, objs, picked = zip(*scored)
-        pred_boxes = _predicted_boxes(picked, records, objs, profile)
-        gt_boxes = BoxBatch.stack([obj.box3d for obj in objs])
-        batch = score_query_batch(pred_boxes, gt_boxes, list(query_ids), depth_metric)
-        for slot, result in zip(slots, batch):
-            results[slot] = result
+        row_of[key] = row
+    query_ids = [f"{image_id}/{object_id}" for image_id, object_id in gt_keys]
+    picked = np.array([row_of.get(key, -1) for key in gt_keys], dtype=int)
+    results = [missing_result(q) if row < 0 else None for q, row in zip(query_ids, picked.tolist())]
+    queries = (picked >= 0).nonzero()[0]
+    if len(queries):
+        rows = picked[queries]
+        values, raw = preds.values[rows], preds.is_raw[rows]
+        # The predicted boxes as (K, 15) rows: raw head outputs go through
+        # the geometry chain as one batch, direct boxes are taken as they are.
+        boxes = np.empty((len(rows), 15))
+        if not raw.all():
+            boxes[~raw] = values[~raw]
+        if raw.any():
+            q = queries[raw]
+            reasoned = box_from_raw_columns(
+                values[raw, :12], scenes.cams[scenes.rows[q]], profile, scenes.h2d[q]
+            )
+            boxes[raw] = np.hstack([reasoned.center, reasoned.dims, reasoned.rot.reshape(-1, 9)])
+        batch = score_query_batch(
+            BoxBatch.from_rows(boxes),
+            BoxBatch.from_rows(scenes.boxes[queries]),
+            [query_ids[k] for k in queries.tolist()],
+            depth_metric,
+        )
+        for k, result in zip(queries.tolist(), batch):
+            results[k] = result
     return aggregate(results)
-
-
-def _predicted_boxes(preds, records, objs, profile: DatasetProfile) -> BoxBatch:
-    """The predicted box of each query: raw head outputs go through the
-    geometry chain as one batch, direct boxes are taken as they are."""
-    raw = [k for k, p in enumerate(preds) if p.raw is not None]
-    direct = [k for k, p in enumerate(preds) if p.raw is None]
-    parts = []
-    if raw:
-        parts.append(box_from_raw_batch(
-            [preds[k].raw for k in raw],
-            [records[k].intrinsics for k in raw],
-            profile,
-            [objs[k].h2d for k in raw],
-        ))
-    if direct:
-        parts.append(BoxBatch.stack([preds[k].box3d for k in direct]))
-    if len(parts) == 1:
-        return parts[0]
-    order = np.argsort(raw + direct)
-    return BoxBatch(*(
-        np.concatenate([getattr(part, name) for part in parts])[order]
-        for name in ("center", "dims", "rot")
-    ))
 
 
 # -- toy token task --------------------------------------------------------------
@@ -305,7 +302,7 @@ class ToyEncoder:
 
 
 def build_toy_dataset(
-    scenes: list[SceneRecord],
+    scenes: SceneTable | list[SceneRecord],
     profile: DatasetProfile,
     ranges: SynthRanges,
     config: ToyTaskConfig | None = None,
@@ -321,15 +318,12 @@ def build_toy_dataset(
 
 
 def decoder_predictions(
-    scenes: list[SceneRecord],
+    scenes: SceneTable | list[SceneRecord],
     params: DecoderParams,
     profile: DatasetProfile,
     ranges: SynthRanges,
     config: ToyTaskConfig | None = None,
-) -> list[PredictionRecord]:
+) -> PredictionTable:
     """Run the trained decoder over the toy encodings of these scenes, as one batch."""
     embeddings, _, keys = build_toy_dataset(scenes, profile, ranges, config)
-    return [
-        PredictionRecord(image_id, object_id, raw=vector_to_raw(row))
-        for (image_id, object_id), row in zip(keys, predict_batch(embeddings, params))
-    ]
+    return PredictionTable(keys, predict_batch(embeddings, params), np.ones(len(keys), dtype=bool))

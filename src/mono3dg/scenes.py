@@ -12,7 +12,10 @@ pins down the focal-invariance property of virtual depth.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,6 +139,120 @@ class PredictionRecord:
     def __post_init__(self):
         if (self.raw is None) == (self.box3d is None):
             raise ValueError("prediction must carry exactly one of raw / box3d")
+
+
+# Scenes and predictions are scored as column tables. A table is also a
+# read-only sequence of the records above; each record is built when it is
+# read and not kept, so a table holds its columns only.
+
+
+@dataclass(frozen=True, eq=False)
+class SceneTable(Sequence):
+    """S scenes with M objects in all, as columns; objects are in scene order."""
+
+    image_ids: list  # S strings
+    cams: np.ndarray  # (S, 6): fx, fy, cx, cy, width, height
+    rows: np.ndarray  # (M,) the scene of each object
+    object_ids: list  # M strings
+    captions: list  # M strings
+    boxes: np.ndarray  # (M, 15): center, dims, row-major rot
+    box2d: np.ndarray  # (M, 4)
+    h2d: np.ndarray  # (M,)
+
+    @staticmethod
+    def of(scenes) -> "SceneTable":
+        """scenes as a table: a table as it is, scene records as columns."""
+        if isinstance(scenes, SceneTable):
+            return scenes
+        scenes = list(scenes)
+        objects = [(row, obj) for row, record in enumerate(scenes) for obj in record.objects]
+        boxes = [obj.box3d for _, obj in objects]
+        return SceneTable(
+            [record.image_id for record in scenes],
+            np.array([record.intrinsics for record in scenes], dtype=float).reshape(-1, 6),
+            np.array([row for row, _ in objects], dtype=int),
+            [obj.object_id for _, obj in objects],
+            [obj.caption for _, obj in objects],
+            np.hstack([
+                np.array([box.center for box in boxes], dtype=float).reshape(-1, 3),
+                np.array([box.dims for box in boxes], dtype=float).reshape(-1, 3),
+                np.array([box.rot for box in boxes], dtype=float).reshape(-1, 9),
+            ]),
+            np.array([obj.box2d for _, obj in objects], dtype=float).reshape(-1, 4),
+            np.array([obj.h2d for _, obj in objects], dtype=float),
+        )
+
+    @property
+    def keys(self) -> list:
+        """The (image_id, object_id) of every object."""
+        return [(self.image_ids[row], oid) for row, oid in zip(self.rows.tolist(), self.object_ids)]
+
+    @cached_property
+    def _starts(self) -> list:
+        return np.searchsorted(self.rows, np.arange(len(self.image_ids) + 1)).tolist()
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # negative from the end; IndexError past it
+        objects = [
+            SceneObject(
+                self.object_ids[m],
+                self.captions[m],
+                OrientedBox3D(self.boxes[m, 0:3], self.boxes[m, 3:6], self.boxes[m, 6:15]),
+                tuple(self.box2d[m].tolist()),
+                float(self.h2d[m]),
+            )
+            for m in range(self._starts[i], self._starts[i + 1])
+        ]
+        return SceneRecord(self.image_ids[i], CameraIntrinsics(*self.cams[i].tolist()), objects)
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable(Sequence):
+    """N predictions as columns. Row i holds raw head outputs, in
+    ``raw_to_vector`` order, in its first 12 values when is_raw[i], and
+    box columns (center, dims, row-major rot) otherwise; values is (N, 12)
+    when every row is raw and (N, 15) when any is a box."""
+
+    keys: list  # N (image_id, object_id)
+    values: np.ndarray
+    is_raw: np.ndarray  # (N,) bool
+
+    @staticmethod
+    def of(preds) -> "PredictionTable":
+        """preds as a table: a table as it is, prediction records as columns."""
+        if isinstance(preds, PredictionTable):
+            return preds
+        preds = list(preds)
+        is_raw = np.array([p.raw is not None for p in preds], dtype=bool)
+        width = 12 if is_raw.all() else 15
+        pad = [math.nan] * (width - 12)
+
+        def row(p):
+            if p.raw is None:
+                return [*p.box3d.center, *p.box3d.dims, *p.box3d.rot.ravel()]
+            r = p.raw
+            return [r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H, *r.rot6d.a, *r.rot6d.b, *pad]
+
+        values = np.array([row(p) for p in preds], dtype=float).reshape(-1, width)
+        return PredictionTable([(p.image_id, p.object_id) for p in preds], values, is_raw)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # negative from the end; IndexError past it
+        row = self.values[i]
+        if self.is_raw[i]:
+            raw = RawHeadOutput(*row[:6].tolist(), rot6d=Rot6D(row[6:9], row[9:12]))
+            return PredictionRecord(*self.keys[i], raw=raw)
+        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D(row[0:3], row[3:6], row[6:15]))
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -394,6 +511,72 @@ def _gather_box(obj, out: list, path: str) -> None:
         _gather_list(obj, name, length, out, path, step)
 
 
+# The walk reads a record that passes every structural check with plain
+# subscripts and type tests, gathering what the checking helpers above
+# would; any other record is walked again with those helpers, which raise
+# at the first failed check.
+_CAMERA_FIELDS = itemgetter(*_INTRINSICS)
+_OBJECT_FIELDS = itemgetter("object_id", "caption", "box3d", "box2d", "h2d")
+_BOX_FIELDS = itemgetter(*(name for name, _, _ in _BOX_LISTS))
+_RAW_VALUES = itemgetter(*_RAW_FIELDS, "rot6d")
+
+
+def _box_numbers(box):
+    """The 15 numbers of a well-formed box3d, unchecked; None if a list is
+    not a list of the right length. Raises KeyError or TypeError if a field
+    is missing or box is not a dict."""
+    center, dims, rot = _BOX_FIELDS(box)
+    if (type(center) is list and len(center) == 3 and type(dims) is list and len(dims) == 3
+            and type(rot) is list and len(rot) == 9):
+        return center + dims + rot
+    return None
+
+
+def _scene_fields(rec):
+    """(image_id, intrinsics, object ids, captions, numbers) of a well-formed
+    scene record, or None."""
+    try:
+        image_id, intrinsics, objects = rec["image_id"], rec["intrinsics"], rec["objects"]
+        cam = _CAMERA_FIELDS(intrinsics)
+        if type(image_id) is not str or type(objects) is not list:
+            return None
+        ids, captions, values = [], [], []
+        for entry in objects:
+            object_id, caption, box, box2d, h2d = _OBJECT_FIELDS(entry)
+            numbers = _box_numbers(box)
+            if (numbers is None or type(object_id) is not str or type(caption) is not str
+                    or type(box2d) is not list or len(box2d) != 4):
+                return None
+            ids.append(object_id)
+            captions.append(caption)
+            values += numbers
+            values += box2d
+            values.append(h2d)
+    except (KeyError, TypeError):
+        return None
+    if len(set(ids)) < len(ids):
+        return None
+    return image_id, cam, ids, captions, values
+
+
+def _prediction_fields(rec, mode: str):
+    """((image_id, object_id), numbers) of a well-formed prediction record, or None."""
+    try:
+        key = rec["image_id"], rec["object_id"]
+        if mode == "raw":
+            *numbers, rot6d = _RAW_VALUES(rec["raw"])
+            if type(rot6d) is not list or len(rot6d) != 6:
+                return None
+            numbers += rot6d
+        else:
+            numbers = _box_numbers(rec["box3d"])
+    except (KeyError, TypeError):
+        return None
+    if numbers is None or type(key[0]) is not str or type(key[1]) is not str:
+        return None
+    return key, numbers
+
+
 def _check_intrinsics(fail: _Failures, values: list, rows, objects, path: str) -> np.ndarray:
     cam = fail.numbers(
         values, 6, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"{path}.{_INTRINSICS[c]}"
@@ -436,8 +619,8 @@ def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
     )
 
 
-def _decode_scenes(numbered) -> list[SceneRecord]:
-    """Validate decoded scene records and build them. numbered yields
+def _decode_scenes(numbered) -> SceneTable:
+    """Validate decoded scene records as one table. numbered yields
     (line number or None, record) and may raise ParseError; each record is
     walked as it arrives, so only its numbers are kept."""
     fail = _Failures()
@@ -448,34 +631,45 @@ def _decode_scenes(numbered) -> list[SceneRecord]:
         for row, (line, rec) in enumerate(numbered):
             fail.lines.append(line)
             slot = -1
-            image_id = _required(rec, "image_id", "", 0)
-            if not isinstance(image_id, str):
-                raise _Structure(1, "image_id", "must be a string")
-            image_ids.append(image_id)
-            intrinsics = _required(rec, "intrinsics", "", 2)
-            _gather_fields(intrinsics, _INTRINSICS, cam_values, "intrinsics", 2)
-            objects = _required(rec, "objects", "", _OBJECTS_PRESENT)
-            if not isinstance(objects, list):
-                raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
-            ids = set()
-            for slot, entry in enumerate(objects):
-                path = f"objects[{slot}]"
-                obj_rows.append(row)
-                obj_slots.append(slot)
-                object_id = _required(entry, "object_id", path, 0)
-                if not isinstance(object_id, str):
-                    raise _Structure(1, f"{path}.object_id", "must be a string")
-                if object_id in ids:
-                    raise _Structure(2, f"{path}.object_id", f"duplicate id {object_id!r}")
-                ids.add(object_id)
-                obj_ids.append(object_id)
-                caption = _required(entry, "caption", path, 3)
-                if not isinstance(caption, str):
-                    raise _Structure(4, f"{path}.caption", "must be a string")
-                captions.append(caption)
-                _gather_box(_required(entry, "box3d", path, 5), obj_values, f"{path}.box3d")
-                _gather_list(entry, "box2d", 4, obj_values, path, _BOX2D_LIST)
-                obj_values.append(_required(entry, "h2d", path, _H2D_PRESENT))
+            fields = _scene_fields(rec)
+            if fields is not None:
+                image_id, cam, ids, caps, values = fields
+                image_ids.append(image_id)
+                cam_values += cam
+                obj_rows += [row] * len(ids)
+                obj_slots += range(len(ids))
+                obj_ids += ids
+                captions += caps
+                obj_values += values
+            else:
+                image_id = _required(rec, "image_id", "", 0)
+                if not isinstance(image_id, str):
+                    raise _Structure(1, "image_id", "must be a string")
+                image_ids.append(image_id)
+                intrinsics = _required(rec, "intrinsics", "", 2)
+                _gather_fields(intrinsics, _INTRINSICS, cam_values, "intrinsics", 2)
+                objects = _required(rec, "objects", "", _OBJECTS_PRESENT)
+                if not isinstance(objects, list):
+                    raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
+                ids = set()
+                for slot, entry in enumerate(objects):
+                    path = f"objects[{slot}]"
+                    obj_rows.append(row)
+                    obj_slots.append(slot)
+                    object_id = _required(entry, "object_id", path, 0)
+                    if not isinstance(object_id, str):
+                        raise _Structure(1, f"{path}.object_id", "must be a string")
+                    if object_id in ids:
+                        raise _Structure(2, f"{path}.object_id", f"duplicate id {object_id!r}")
+                    ids.add(object_id)
+                    obj_ids.append(object_id)
+                    caption = _required(entry, "caption", path, 3)
+                    if not isinstance(caption, str):
+                        raise _Structure(4, f"{path}.caption", "must be a string")
+                    captions.append(caption)
+                    _gather_box(_required(entry, "box3d", path, 5), obj_values, f"{path}.box3d")
+                    _gather_list(entry, "box2d", 4, obj_values, path, _BOX2D_LIST)
+                    obj_values.append(_required(entry, "h2d", path, _H2D_PRESENT))
             slot = _AFTER_OBJECTS
             if image_id in seen:
                 raise _Structure(0, "image_id", f"duplicate image_id {image_id!r}")
@@ -519,20 +713,13 @@ def _decode_scenes(numbered) -> list[SceneRecord]:
         lambda i: f"2D height {h2d[i]} px must exceed {HEIGHT2D_EPSILON} px",
     )
     fail.raise_first()
-
-    per_scene = [[] for _ in image_ids]
-    center, dims, rot = objs[:, 0:3], objs[:, 3:6], objs[:, 6:15].reshape(-1, 3, 3)
-    box2d, h2d_values = objs[:, _BOX2D_COLUMNS].tolist(), h2d.tolist()
-    for k, row in enumerate(obj_rows):
-        box = OrientedBox3D(center[k], dims[k], rot[k])
-        obj = SceneObject(obj_ids[k], captions[k], box, tuple(box2d[k]), h2d_values[k])
-        per_scene[row].append(obj)
-    cams = [CameraIntrinsics(*values) for values in cam.tolist()]
-    return [SceneRecord(*fields) for fields in zip(image_ids, cams, per_scene)]
+    return SceneTable(
+        image_ids, cam, rows, obj_ids, captions, objs[:, :_BOX_WIDTH], objs[:, _BOX2D_COLUMNS], h2d
+    )
 
 
-def _decode_predictions(numbered, mode: str) -> list[PredictionRecord]:
-    """Validate decoded prediction records and build them; see _decode_scenes."""
+def _decode_predictions(numbered, mode: str) -> PredictionTable:
+    """Validate decoded prediction records as one table; see _decode_scenes."""
     if mode not in ("raw", "box"):
         raise ValueError(f"unknown prediction mode {mode!r}")
     fail = _Failures()
@@ -543,17 +730,22 @@ def _decode_predictions(numbered, mode: str) -> list[PredictionRecord]:
         for row, (line, rec) in enumerate(numbered):
             fail.lines.append(line)
             slot = -1
-            image_id = _required(rec, "image_id", "", 0)
-            object_id = _required(rec, "object_id", "", 1)
-            if not isinstance(image_id, str) or not isinstance(object_id, str):
-                raise _Structure(2, "image_id", "ids must be strings")
-            keys.append((image_id, object_id))
-            if mode == "raw":
-                raw = _required(rec, "raw", "", 3)
-                _gather_fields(raw, _RAW_FIELDS, values, "raw", 4)
-                _gather_list(raw, "rot6d", 6, values, "raw", _ROT6D_LIST)
+            fields = _prediction_fields(rec, mode)
+            if fields is not None:
+                keys.append(fields[0])
+                values += fields[1]
             else:
-                _gather_box(_required(rec, "box3d", "", 3), values, "box3d")
+                image_id = _required(rec, "image_id", "", 0)
+                object_id = _required(rec, "object_id", "", 1)
+                if not isinstance(image_id, str) or not isinstance(object_id, str):
+                    raise _Structure(2, "image_id", "ids must be strings")
+                keys.append((image_id, object_id))
+                if mode == "raw":
+                    raw = _required(rec, "raw", "", 3)
+                    _gather_fields(raw, _RAW_FIELDS, values, "raw", 4)
+                    _gather_list(raw, "rot6d", 6, values, "raw", _ROT6D_LIST)
+                else:
+                    _gather_box(_required(rec, "box3d", "", 3), values, "box3d")
             slot = _AFTER_OBJECTS
             if keys[-1] in seen:
                 raise _Structure(0, "object_id", f"multiple predictions for {keys[-1]}")
@@ -571,11 +763,7 @@ def _decode_predictions(numbered, mode: str) -> list[PredictionRecord]:
         )
         _check_boxes(fail, cols, rows, objects, lambda i: "box3d")
         fail.raise_first()
-        center, dims, rot = cols[:, 0:3], cols[:, 3:6], cols[:, 6:15].reshape(-1, 3, 3)
-        return [
-            PredictionRecord(*key, box3d=OrientedBox3D(center[k], dims[k], rot[k]))
-            for k, key in enumerate(keys)
-        ]
+        return PredictionTable(keys, cols, np.zeros(len(keys), dtype=bool))
 
     cols = fail.numbers(values, width, rows, objects, _RAW_STEPS, lambda i, c: _RAW_NAMES[c])
     u, v, d_v, length, wide, height = cols[:, :6].T
@@ -607,10 +795,7 @@ def _decode_predictions(numbered, mode: str) -> list[PredictionRecord]:
         lambda i: "raw.rot6d", lambda i: "columns are parallel",
     )
     fail.raise_first()
-    return [
-        PredictionRecord(*key, raw=RawHeadOutput(*scalars, rot6d=Rot6D(a[k], b[k])))
-        for k, (key, scalars) in enumerate(zip(keys, cols[:, :6].tolist()))
-    ]
+    return PredictionTable(keys, cols, np.ones(len(keys), dtype=bool))
 
 
 def intrinsics_to_json(cam: CameraIntrinsics) -> dict:
@@ -702,9 +887,9 @@ def write_scenes(path, records: list[SceneRecord]) -> None:
     write_jsonl(path, (scene_to_json(r) for r in records))
 
 
-def read_scenes(path) -> list[SceneRecord]:
-    """Every scene of a JSONL file. The first bad line in file order is
-    reported, whether it fails to parse or to validate."""
+def read_scenes(path) -> SceneTable:
+    """Every scene of a JSONL file, as a table. The first bad line in file
+    order is reported, whether it fails to parse or to validate."""
     return _decode_scenes(read_jsonl(path))
 
 
@@ -712,6 +897,6 @@ def write_predictions(path, records: list[PredictionRecord]) -> None:
     write_jsonl(path, (prediction_to_json(r) for r in records))
 
 
-def read_predictions(path, mode: str) -> list[PredictionRecord]:
-    """Every prediction of a JSONL file; see read_scenes."""
+def read_predictions(path, mode: str) -> PredictionTable:
+    """Every prediction of a JSONL file, as a table; see read_scenes."""
     return _decode_predictions(read_jsonl(path), mode)

@@ -328,6 +328,62 @@ class TestBatchEqualsAlone:
                 assert value >= 0.99, name
 
 
+def _aligned(u, v):
+    """The rotation that turns unit vector u onto unit vector v."""
+    return turned(np.eye(3), np.cross(u, v), math.acos(float(np.clip(u @ v, -1.0, 1.0))))
+
+
+def _spread_pairs(rng):
+    """Second box in a random direction at 0.3-1.5 times the sum of the two
+    bounding-sphere radii: most pairs lie apart, some overlap."""
+    pairs = []
+    for _ in range(200):
+        a = random_box(rng)
+        dims = rng.uniform(0.3, 2.0, size=3)
+        reach = (np.linalg.norm(a.dims) + np.linalg.norm(dims)) / 2.0
+        direction = rng.standard_normal(3)
+        offset = rng.uniform(0.3, 1.5) * reach * direction / np.linalg.norm(direction)
+        pairs.append((a, OrientedBox3D(a.center + offset, dims, random_rotation(rng))))
+    return pairs
+
+
+def _margin_pairs(rng):
+    """Corner facing corner along the line of centers, whose distance is the
+    sum of the bounding-sphere radii plus 1e-6 m, give or take 1e-9 m."""
+    pairs = []
+    for _ in range(100):
+        a = random_box(rng)
+        dims = rng.uniform(0.3, 2.0, size=3)
+        ra, rb = np.linalg.norm(a.dims) / 2.0, np.linalg.norm(dims) / 2.0
+        toward = a.rot @ (a.dims / 2.0) / ra
+        rot = turned(_aligned(dims / 2.0 / rb, -toward), toward, rng.uniform(0.0, 2.0 * math.pi))
+        gap = 1e-6 + rng.uniform(-1e-9, 1e-9)
+        pairs.append((a, OrientedBox3D(a.center + (ra + rb + gap) * toward, dims, rot)))
+    return pairs
+
+
+class TestSphereGapPairs:
+    """SHA-256 of the exact IoUs of pairs far apart, near, and at the
+    bounding-sphere gap where stage 1 stops looking, as the kernel computed
+    them before it skipped pairs whose spheres lie apart: the skip keeps
+    every bit, in both argument orders and through the one-pair wrapper."""
+
+    DIGESTS = {
+        "spread": "581b7321511a984451adce3a716be9b88481813348590deb81f839494dcdfd69",
+        "margin": "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+    }
+
+    @pytest.mark.parametrize("kind", ["spread", "margin"])
+    def test_batch_and_single_pair_bits(self, kind):
+        rng = np.random.default_rng(31 if kind == "spread" else 32)
+        pairs = _spread_pairs(rng) if kind == "spread" else _margin_pairs(rng)
+        a, b = BoxBatch.stack(a for a, _ in pairs), BoxBatch.stack(b for _, b in pairs)
+        assert _digest(iou3d_batch(a, b)) == self.DIGESTS[kind]
+        assert _digest(iou3d_batch(b, a)) == self.DIGESTS[kind]
+        assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
+        assert np.count_nonzero(iou3d_batch(a, b)) == (73 if kind == "spread" else 0)
+
+
 class TestBEVFastPath:
     def test_identical(self):
         box = yaw_box([1, 2, 3], [2, 1, 1], 0.7)

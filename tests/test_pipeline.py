@@ -32,7 +32,10 @@ from mono3dg.scenes import (
     SynthRanges,
     profile_by_name,
     ranges_for_profile,
+    read_predictions,
+    read_scenes,
     synth_scenes,
+    write_predictions,
     write_scenes,
 )
 
@@ -328,3 +331,55 @@ class TestRawFromBoxBatchErrors:
         with pytest.raises(error) as batch:
             raw_from_box_batch(BoxBatch.stack(boxes), cams, profile)
         assert str(batch.value) == str(single.value)
+
+
+class TestTablesMatchRecords:
+    """run_pipeline scores the readers' column tables with the same report
+    as the records those tables hold."""
+
+    @staticmethod
+    def _files(tmp_path, profile_name, mode, drop):
+        profile = profile_by_name(profile_name)
+        scenes = synth_scenes(30, seed=25, profile_name=profile_name)
+        if mode == "raw":
+            preds = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
+        else:
+            preds = [replace(p, box3d=OrientedBox3D(p.box3d.center + 0.1, p.box3d.dims, p.box3d.rot))
+                     for p in box_predictions_from_gt(scenes)]
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        write_scenes(gt, scenes)
+        write_predictions(pred, [p for k, p in enumerate(preds) if k % 7 not in drop])
+        return gt, pred
+
+    @pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
+    @pytest.mark.parametrize("mode", ["raw", "box"])
+    @pytest.mark.parametrize("drop", [(), (2, 5)], ids=["all", "missing"])
+    def test_same_report(self, tmp_path, profile_name, mode, drop):
+        profile = profile_by_name(profile_name)
+        gt, pred = self._files(tmp_path, profile_name, mode, drop)
+        scenes, preds = read_scenes(gt), read_predictions(pred, mode)
+        report = run_pipeline(scenes, preds, profile)
+        assert report == run_pipeline(list(scenes), list(preds), profile)
+        assert report.count == sum(len(r.objects) for r in scenes)
+
+    @pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
+    def test_mixed_raw_and_box_list(self, profile_name):
+        # Every other raw prediction replaced by the box it reasons to, one
+        # query at a time: the report keeps every bit.
+        profile = profile_by_name(profile_name)
+        scenes = synth_scenes(30, seed=26, profile_name=profile_name)
+        raw = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
+        queries = [(r, o) for r in scenes for o in r.objects]
+        mixed = [
+            p if k % 2 else PredictionRecord(
+                p.image_id, p.object_id, box3d=box_from_raw(p.raw, r.intrinsics, profile, o.h2d)
+            )
+            for k, ((r, o), p) in enumerate(zip(queries, raw))
+        ]
+        assert run_pipeline(scenes, mixed, profile) == run_pipeline(scenes, raw, profile)
+
+    def test_table_records_write_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_scenes(first, synth_scenes(40, seed=27, profile_name="indoor"))
+        write_scenes(second, list(read_scenes(first)))
+        assert first.read_bytes() == second.read_bytes()

@@ -354,3 +354,206 @@ class TestEarliestBadLineWins:
             read_predictions(_write_lines(tmp_path / "f.jsonl", lines), "raw")
         assert info.value.field == "object_id"
         assert "line 2" in str(info.value)
+
+
+_DELETE = object()
+
+
+def _set(record, path, value):
+    """record with the entry at path (keys and indices) replaced by value,
+    or removed when value is _DELETE; an empty path replaces the record."""
+    if not path:
+        return value
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return record
+
+
+# (kind, path, value) of each malformed second line; the value "line 1"
+# stands for a copy of the first record (a duplicate key).
+_MALFORMED = {
+    # scenes: a missing key at each level
+    "scene missing image_id": ("scenes", ("image_id",), _DELETE),
+    "scene missing intrinsics": ("scenes", ("intrinsics",), _DELETE),
+    "scene missing fx": ("scenes", ("intrinsics", "fx"), _DELETE),
+    "scene missing height": ("scenes", ("intrinsics", "height"), _DELETE),
+    "scene missing objects": ("scenes", ("objects",), _DELETE),
+    "scene missing object_id": ("scenes", ("objects", 1, "object_id"), _DELETE),
+    "scene missing caption": ("scenes", ("objects", 1, "caption"), _DELETE),
+    "scene missing box3d": ("scenes", ("objects", 1, "box3d"), _DELETE),
+    "scene missing center": ("scenes", ("objects", 1, "box3d", "center"), _DELETE),
+    "scene missing dims": ("scenes", ("objects", 1, "box3d", "dims"), _DELETE),
+    "scene missing rot": ("scenes", ("objects", 1, "box3d", "rot"), _DELETE),
+    "scene missing box2d": ("scenes", ("objects", 1, "box2d"), _DELETE),
+    "scene missing h2d": ("scenes", ("objects", 1, "h2d"), _DELETE),
+    # scenes: a record or object that is not a dict
+    "scene record list": ("scenes", (), [1, 2]),
+    "scene record string": ("scenes", (), "abc"),
+    "scene record number": ("scenes", (), 5),
+    "scene record null": ("scenes", (), None),
+    "scene object list": ("scenes", ("objects", 1), []),
+    "scene object string": ("scenes", ("objects", 1), "obj"),
+    "scene object number": ("scenes", ("objects", 0), 3),
+    # scenes: a list where a dict is expected, and a dict where a list is
+    "scene intrinsics list": ("scenes", ("intrinsics",), [1000.0, 1000.0, 500.0, 400.0, 1000.0, 800.0]),
+    "scene box3d list": ("scenes", ("objects", 1, "box3d"), [[0.0, 0.0, 5.0], [1.0, 1.0, 1.0]]),
+    "scene objects dict": ("scenes", ("objects",), {"0": {}}),
+    "scene center dict": ("scenes", ("objects", 1, "box3d", "center"), {"x": 0.0, "y": 0.0, "z": 5.0}),
+    "scene box2d dict": ("scenes", ("objects", 0, "box2d"), {"a": 1, "b": 2, "c": 3, "d": 4}),
+    "scene rot dict": ("scenes", ("objects", 1, "box3d", "rot"), {str(k): 0.0 for k in range(9)}),
+    # scenes: strings where number lists are expected, and wrong lengths
+    "scene center abc": ("scenes", ("objects", 1, "box3d", "center"), "abc"),
+    "scene box2d abcd": ("scenes", ("objects", 1, "box2d"), "abcd"),
+    "scene rot string": ("scenes", ("objects", 0, "box3d", "rot"), "abcdefghi"),
+    "scene dims short": ("scenes", ("objects", 1, "box3d", "dims"), [1.0, 1.0]),
+    # scenes: true, null or a string in place of a number
+    "scene fx true": ("scenes", ("intrinsics", "fx"), True),
+    "scene cy null": ("scenes", ("intrinsics", "cy"), None),
+    "scene center null": ("scenes", ("objects", 1, "box3d", "center", 2), None),
+    "scene dims string": ("scenes", ("objects", 1, "box3d", "dims", 0), "1"),
+    "scene rot true": ("scenes", ("objects", 0, "box3d", "rot", 4), True),
+    "scene box2d null": ("scenes", ("objects", 1, "box2d", 3), None),
+    "scene h2d true": ("scenes", ("objects", 1, "h2d"), True),
+    # scenes: ids that are not strings, and duplicates
+    "scene image_id number": ("scenes", ("image_id",), 5),
+    "scene object_id null": ("scenes", ("objects", 1, "object_id"), None),
+    "scene caption number": ("scenes", ("objects", 0, "caption"), 7),
+    "scene duplicate object_id": ("scenes", ("objects", 1, "object_id"), "obj_000001_0"),
+    "scene duplicate image_id": ("scenes", ("image_id",), "scene_000000"),
+    # raw predictions
+    "raw missing image_id": ("raw", ("image_id",), _DELETE),
+    "raw missing object_id": ("raw", ("object_id",), _DELETE),
+    "raw missing raw": ("raw", ("raw",), _DELETE),
+    "raw missing u_norm": ("raw", ("raw", "u_norm"), _DELETE),
+    "raw missing H": ("raw", ("raw", "H"), _DELETE),
+    "raw missing rot6d": ("raw", ("raw", "rot6d"), _DELETE),
+    "raw record list": ("raw", (), []),
+    "raw record string": ("raw", (), "abc"),
+    "raw payload list": ("raw", ("raw",), [0.5, 0.5, 3.0, 1.0, 1.0, 1.0]),
+    "raw rot6d dict": ("raw", ("raw", "rot6d"), {str(k): 1.0 for k in range(6)}),
+    "raw rot6d string": ("raw", ("raw", "rot6d"), "abcdef"),
+    "raw rot6d short": ("raw", ("raw", "rot6d"), [1.0, 0.0, 0.0, 0.0, 1.0]),
+    "raw u_norm true": ("raw", ("raw", "u_norm"), True),
+    "raw d_v null": ("raw", ("raw", "d_v"), None),
+    "raw L string": ("raw", ("raw", "L"), "2"),
+    "raw rot6d null": ("raw", ("raw", "rot6d", 5), None),
+    "raw image_id number": ("raw", ("image_id",), 3),
+    "raw duplicate key": ("raw", (), "line 1"),
+    # box predictions
+    "box missing box3d": ("box", ("box3d",), _DELETE),
+    "box missing center": ("box", ("box3d", "center"), _DELETE),
+    "box record null": ("box", (), None),
+    "box payload list": ("box", ("box3d",), [0.0, 0.0, 5.0]),
+    "box center abc": ("box", ("box3d", "center"), "abc"),
+    "box rot dict": ("box", ("box3d", "rot"), {"r": 1.0}),
+    "box dims true": ("box", ("box3d", "dims", 1), True),
+    "box rot null": ("box", ("box3d", "rot", 0), None),
+    "box object_id number": ("box", ("object_id",), 4.0),
+    "box duplicate key": ("box", (), "line 1"),
+}
+
+
+class TestStructuralErrorsPinned:
+    """The error of each malformed second line of a three-line file, as the
+    reader reported it when it checked every field through one helper call:
+    the field and the message after 'line 2:'. A faster walk must raise the
+    same error at the same place."""
+
+    EXPECTED = {
+        'scene missing image_id': ('image_id', 'missing'),
+        'scene missing intrinsics': ('intrinsics', 'missing'),
+        'scene missing fx': ('intrinsics.fx', 'missing'),
+        'scene missing height': ('intrinsics.height', 'missing'),
+        'scene missing objects': ('objects', 'missing'),
+        'scene missing object_id': ('objects[1].object_id', 'missing'),
+        'scene missing caption': ('objects[1].caption', 'missing'),
+        'scene missing box3d': ('objects[1].box3d', 'missing'),
+        'scene missing center': ('objects[1].box3d.center', 'missing'),
+        'scene missing dims': ('objects[1].box3d.dims', 'missing'),
+        'scene missing rot': ('objects[1].box3d.rot', 'missing'),
+        'scene missing box2d': ('objects[1].box2d', 'missing'),
+        'scene missing h2d': ('objects[1].h2d', 'missing'),
+        'scene record list': ('image_id', 'missing'),
+        'scene record string': ('image_id', 'missing'),
+        'scene record number': ('image_id', 'missing'),
+        'scene record null': ('image_id', 'missing'),
+        'scene object list': ('objects[1].object_id', 'missing'),
+        'scene object string': ('objects[1].object_id', 'missing'),
+        'scene object number': ('objects[0].object_id', 'missing'),
+        'scene intrinsics list': ('intrinsics.fx', 'missing'),
+        'scene box3d list': ('objects[1].box3d.center', 'missing'),
+        'scene objects dict': ('objects', 'must be a list'),
+        'scene center dict': ('objects[1].box3d.center', 'expected a list of 3 numbers'),
+        'scene box2d dict': ('objects[0].box2d', 'expected a list of 4 numbers'),
+        'scene rot dict': ('objects[1].box3d.rot', 'expected a list of 9 numbers'),
+        'scene center abc': ('objects[1].box3d.center', 'expected a list of 3 numbers'),
+        'scene box2d abcd': ('objects[1].box2d', 'expected a list of 4 numbers'),
+        'scene rot string': ('objects[0].box3d.rot', 'expected a list of 9 numbers'),
+        'scene dims short': ('objects[1].box3d.dims', 'expected a list of 3 numbers'),
+        'scene fx true': ('intrinsics.fx', 'expected a number, got bool'),
+        'scene cy null': ('intrinsics.cy', 'expected a number, got NoneType'),
+        'scene center null': ('objects[1].box3d.center[2]', 'expected a number, got NoneType'),
+        'scene dims string': ('objects[1].box3d.dims[0]', 'expected a number, got str'),
+        'scene rot true': ('objects[0].box3d.rot[4]', 'expected a number, got bool'),
+        'scene box2d null': ('objects[1].box2d[3]', 'expected a number, got NoneType'),
+        'scene h2d true': ('objects[1].h2d', 'expected a number, got bool'),
+        'scene image_id number': ('image_id', 'must be a string'),
+        'scene object_id null': ('objects[1].object_id', 'must be a string'),
+        'scene caption number': ('objects[0].caption', 'must be a string'),
+        'scene duplicate object_id': ('objects[1].object_id', "duplicate id 'obj_000001_0'"),
+        'scene duplicate image_id': ('image_id', "duplicate image_id 'scene_000000'"),
+        'raw missing image_id': ('image_id', 'missing'),
+        'raw missing object_id': ('object_id', 'missing'),
+        'raw missing raw': ('raw', 'missing'),
+        'raw missing u_norm': ('raw.u_norm', 'missing'),
+        'raw missing H': ('raw.H', 'missing'),
+        'raw missing rot6d': ('raw.rot6d', 'missing'),
+        'raw record list': ('image_id', 'missing'),
+        'raw record string': ('image_id', 'missing'),
+        'raw payload list': ('raw.u_norm', 'missing'),
+        'raw rot6d dict': ('raw.rot6d', 'expected a list of 6 numbers'),
+        'raw rot6d string': ('raw.rot6d', 'expected a list of 6 numbers'),
+        'raw rot6d short': ('raw.rot6d', 'expected a list of 6 numbers'),
+        'raw u_norm true': ('raw.u_norm', 'expected a number, got bool'),
+        'raw d_v null': ('raw.d_v', 'expected a number, got NoneType'),
+        'raw L string': ('raw.L', 'expected a number, got str'),
+        'raw rot6d null': ('raw.rot6d[5]', 'expected a number, got NoneType'),
+        'raw image_id number': ('image_id', 'ids must be strings'),
+        'raw duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
+        'box missing box3d': ('box3d', 'missing'),
+        'box missing center': ('box3d.center', 'missing'),
+        'box record null': ('image_id', 'missing'),
+        'box payload list': ('box3d.center', 'missing'),
+        'box center abc': ('box3d.center', 'expected a list of 3 numbers'),
+        'box rot dict': ('box3d.rot', 'expected a list of 9 numbers'),
+        'box dims true': ('box3d.dims[1]', 'expected a number, got bool'),
+        'box rot null': ('box3d.rot[0]', 'expected a number, got NoneType'),
+        'box object_id number': ('image_id', 'ids must be strings'),
+        'box duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED))
+    def test_error_is_pinned(self, tmp_path, name):
+        kind, path, value = _MALFORMED[name]
+        scenes = synth_scenes(3, seed=24, ranges=SynthRanges(objects_per_scene=(2, 2)))
+        if kind == "scenes":
+            records = [scene_to_json(r) for r in scenes]
+        elif kind == "raw":
+            records = [prediction_to_json(p) for p in perfect_raw_predictions(scenes, INDOOR_PROFILE)[:3]]
+        else:
+            records = [prediction_to_json(PredictionRecord(r.image_id, r.objects[0].object_id,
+                                                           box3d=r.objects[0].box3d)) for r in scenes]
+        if value == "line 1":
+            value = dict(records[0])
+        records[1] = _set(records[1], path, value)
+        file = _write_lines(tmp_path / "f.jsonl", [dumps_canonical(r) for r in records])
+        with pytest.raises(SchemaError) as info:
+            read_scenes(file) if kind == "scenes" else read_predictions(file, kind)
+        field, message = self.EXPECTED[name]
+        assert info.value.field == field
+        assert str(info.value) == f"field '{field}': line 2: field '{field}': {message}"
