@@ -10,12 +10,13 @@ the fast kernel for pairs of yaw-only boxes; it and a Monte-Carlo
 estimator are independent cross-checks of the exact path.
 
 Both IoU kernels score N pairs at once, and their one-pair functions are
-the N = 1 case with the same bits. The exact kernel runs in two stages:
-stage 1 finds every pair's kept vertices on a fixed set of 160 candidates,
-skipping the pairs whose bounding spheres lie apart, and stage 2 builds
-the faces of the pairs with a solid intersection, in groups of equal
-vertex and face counts. Stacked products keep the shape they have for
-one pair, because the bits of a BLAS product depend on its shape.
+the N = 1 case with the same bits. The exact kernel runs on chunks of pairs
+in two stages: stage 1 finds every pair's kept vertices on a fixed set of
+160 candidates, skipping the pairs whose bounding spheres lie apart, and
+stage 2 builds the faces of the pairs with a solid intersection, their
+vertices padded to the chunk's largest count. Products are elementwise and
+sums run in index order with padding that adds -0.0, so each pair's bits
+depend on that pair alone.
 
 Local box axes: length along x, width along y, height along z.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotYawOnly, reject_first
-from .rotation import _cross, validate_rotation
+from .rotation import _cross, _matmul3, row_dots, validate_rotation
 
 # Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
 CLIP_EPSILON = 1e-9
@@ -43,18 +44,23 @@ _CORNER_SIGNS = np.array(
 
 # Box edges: corner-index pairs that differ in one sign bit.
 _EDGES = np.array([(i, i | bit) for bit in (1, 2, 4) for i in range(8) if not i & bit])
-# Face f lies across local axis f // 2, on its + side for even f; _IN_PLANE[f]
-# are the two local axes that span it.
+# Face f lies across local axis f // 2, on its + side for even f.
 _FACE_SIGNS = np.array([[1.0], [-1.0]] * 3)
-_IN_PLANE = np.array([[(f // 2 + 1) % 3, (f // 2 + 2) % 3] for f in range(6)])
+# A pair's 144 cut candidates: an edge of one box, from corner _CUTS[:, 0] to
+# corner _CUTS[:, 1] of the pair's 16, crossing face plane _CUTS[:, 2] of the
+# pair's 12, of the other box. The first box's edges come first.
+_CUTS = np.array(
+    [(8 * box + p, 8 * box + q, 6 * (1 - box) + j) for box in (0, 1) for p, q in _EDGES for j in range(6)]
+)
 # The exact kernel's 18 faces per pair: the 6 of its first box, the 6 of its
 # second, then the 6 polygons that the first box's faces share with their
-# partner faces, subtracted. Face c lies on box _FACE_BOX[c], spanned by its
-# local axes _FACE_AXES[c].
+# partner faces, subtracted. Face c is spanned by the + normals _FACE_SPAN[c]
+# of its box, among the pair's 12.
 _FACE_SIGN = np.repeat([1.0, -1.0], [12, 6])
-_FACE_BOX = np.repeat([0, 1, 0], 6)
-_FACE_AXES = np.tile(_IN_PLANE, (3, 1))
-# Stage 1 of the exact kernel runs on at most this many pairs at once.
+_FACE_SPAN = np.array(
+    [[6 * box + 2 * ((f // 2 + 1) % 3), 6 * box + 2 * ((f // 2 + 2) % 3)] for box in (0, 1, 0) for f in range(6)]
+)
+# The exact kernel runs on at most this many pairs at once.
 _CHUNK = 64
 # Stage 1 skips a pair whose bounding spheres lie more than this far apart
 # (m): no point then lies within CLIP_EPSILON of both boxes, so the pair
@@ -134,25 +140,12 @@ class BoxBatch:
 
 def _corners(center: np.ndarray, dims: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """The 8 corners of N boxes as (N, 8, 3), in the documented sign order."""
-    return center[:, None] + (_CORNER_SIGNS * (dims[:, None] / 2.0)) @ rot.transpose(0, 2, 1)
+    return center[:, None] + _matmul3(_CORNER_SIGNS * (dims[:, None] / 2.0), rot.transpose(0, 2, 1))
 
 
 def corners(box: OrientedBox3D) -> np.ndarray:
     """The 8 corners as an (8, 3) array, in the documented sign order."""
     return _corners(box.center[None], box.dims[None], box.rot[None])[0]
-
-
-def _edge_cuts(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
-    """Where the 12 edges between the corners pts (N, 8, 3) of each box cross
-    the 6 planes given for it: (N, 12, 6, 3) points and a mask of the
-    (edge, plane) pairs that do cross."""
-    dist = pts @ normals.transpose(0, 2, 1) - offsets[:, None]
-    dp, dq = dist[:, _EDGES[:, 0]], dist[:, _EDGES[:, 1]]
-    cross = dp * dq < 0.0
-    # Only a crossing pair divides; the others take the finite t = 0.
-    t = np.where(cross, dp, 0.0) / np.where(cross, dp - dq, 1.0)
-    p = pts[:, _EDGES[:, 0], None]
-    return p + t[..., None] * (pts[:, _EDGES[:, 1], None] - p), cross
 
 
 def _canonical_pairs(a: BoxBatch, b: BoxBatch) -> np.ndarray:
@@ -169,63 +162,88 @@ def _canonical_pairs(a: BoxBatch, b: BoxBatch) -> np.ndarray:
     return np.where(swap[:, None, None], keys[:, ::-1], keys)
 
 
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along one axis strictly in index order. ``ndarray.sum`` may add
+    pairwise, in an order that depends on the padded length."""
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
+
+
 def _polytope_vertices(pairs: np.ndarray):
     """Stage 1 of the exact kernel, for (N, 2, 15) canonical pairs.
 
-    Each pair has a fixed set of 160 candidate vertices: the 8 corners of
+    Each pair has a fixed list of 160 candidate vertices: the 8 corners of
     each box, then the 72 points where the first box's edges cross the
     second box's face planes, then the 72 the other way. A candidate is
     kept when it exists and lies inside all 12 half-spaces within
-    CLIP_EPSILON. Returns the candidates (N, 160, 3), the keep mask
-    (N, 160), the on-plane mask (N, 160, 12) over the first box's faces then
-    the second's, and the face normals (N, 12, 3).
+    CLIP_EPSILON. Returns each pair's kept vertices in candidate order,
+    padded to the largest count K, as (N, K, 3); their on-plane mask
+    (N, K, 12) over the first box's faces then the second's, false past a
+    pair's count; the counts (N,); and the face normals (N, 12, 3).
     """
+    n = len(pairs)
     boxes = pairs.reshape(-1, 15)
     center, dims, rot = boxes[:, :3], boxes[:, 3:6], boxes[:, 6:].reshape(-1, 3, 3)
-    pts = _corners(center, dims, rot)
+    box_corners = _corners(center, dims, rot).reshape(n, 16, 3)
     # Outward unit normals ordered +x, -x, +y, -y, +z, -z, and plane offsets.
     normals = np.repeat(rot.transpose(0, 2, 1), 2, axis=1) * _FACE_SIGNS
-    offsets = (normals @ center[..., None])[..., 0] + np.repeat(dims / 2.0, 2, axis=1)
-    # Box 2i is the first box of pair i and box 2i + 1 its second: each
-    # box's edges meet the planes of the other box of its pair.
-    other = np.arange(len(boxes)) ^ 1
-    cuts, cross = _edge_cuts(pts, normals[other], offsets[other])
-    n = len(pairs)
-    pts = np.concatenate([pts.reshape(n, 16, 3), cuts.reshape(n, 144, 3)], axis=1)
-    normals = normals.reshape(n, 12, 3)
-    dist = pts @ normals.transpose(0, 2, 1) - offsets.reshape(n, 1, 12)
-    keep = np.concatenate([np.ones((n, 16), bool), cross.reshape(n, 144)], axis=1)
-    keep &= (dist <= CLIP_EPSILON).all(axis=2)
-    return pts, keep, np.abs(dist) <= CLIP_EPSILON, normals
+    offsets = row_dots(normals, center[:, None]) + np.repeat(dims / 2.0, 2, axis=1)
+    normals, offsets = normals.reshape(n, 12, 3), offsets.reshape(n, 12)
+    dist = row_dots(box_corners[:, :, None], normals[:, None]) - offsets[:, None]
+    dp, dq = dist[:, _CUTS[:, 0], _CUTS[:, 2]], dist[:, _CUTS[:, 1], _CUTS[:, 2]]
+    # The candidates that exist: the corners, and the cuts of the edges whose
+    # ends lie on either side of the plane.
+    rows, cut = (dp * dq < 0.0).nonzero()
+    t = dp[rows, cut] / (dp[rows, cut] - dq[rows, cut])
+    p, q = box_corners[rows, _CUTS[cut, 0]], box_corners[rows, _CUTS[cut, 1]]
+    cuts = p + t[:, None] * (q - p)
+    # Pair by pair, each in candidate order.
+    pair = np.concatenate([np.repeat(np.arange(n), 16), rows])
+    order = np.argsort(pair, kind="stable")
+    dist = np.concatenate([dist.reshape(-1, 12), row_dots(cuts[:, None], normals[rows]) - offsets[rows]])[order]
+    inside = (dist <= CLIP_EPSILON).all(axis=1)
+    kept, dist = order[inside], dist[inside]
+    pair = pair[kept]
+    count = np.bincount(pair, minlength=n)
+    slot = np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+    pts = np.zeros((n, count.max(initial=0), 3))
+    pts[pair, slot] = np.concatenate([box_corners.reshape(-1, 3), cuts])[kept]
+    on = np.zeros(pts.shape[:2] + (12,), bool)
+    on[pair, slot] = np.abs(dist) <= CLIP_EPSILON
+    return pts, on, count, normals
 
 
-def _face_cones(pts: np.ndarray, on: np.ndarray, axes: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Stage 2 of the exact kernel, for G pairs that share their kept vertex
-    count K and face count F: the signed volume of the cone from the vertex
-    centroid over each face polygon, as (G, F).
+def _polytope_volumes(pts: np.ndarray, on: np.ndarray, count: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Stage 2 of the exact kernel: the volumes (P,) of P solid
+    intersections, from stage 1's padded vertices, on-plane masks, counts
+    and face normals.
 
-    pts (G, K, 3) are the kept vertices, on (G, F, K) says which lie on each
-    face, axes (G, F, 2, 3) are the face's two in-plane axes and count
-    (G, F) its vertex count. Every product has the shape it has for one
-    pair, because the bits of a BLAS product depend on its shape.
+    Each face polygon with at least 3 vertices is ordered by angle about
+    its vertex mean, and the volume is the sum of the signed cones from the
+    vertex centroid, which lies inside the polytope, over those polygons.
     """
-    g, f, k = on.shape
-    count = count[..., None]
-    # Each face polygon: its vertices relative to their mean, ordered by
-    # angle. The mask goes in as a C-contiguous float array, the copy numpy
-    # makes when it casts a bool operand: another layout takes another BLAS
-    # path, with other bits.
-    mean = (np.ascontiguousarray(on, dtype=float) @ pts) / count
-    rel = (pts[:, None] - mean[:, :, None]).reshape(g * f, k, 3)
-    uv = rel @ axes.reshape(g * f, 2, 3).transpose(0, 2, 1)
-    angle = np.where(on.reshape(g * f, k), np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
-    ring = rel[np.arange(g * f)[:, None], angle.argsort(axis=1)]
-    # Pad each ring with its first vertex, which closes it and adds nothing.
-    ring = np.where((np.arange(k) < count.reshape(-1, 1))[..., None], ring, ring[:, :1])
-    following = np.concatenate([ring[:, 1:], ring[:, :1]], axis=1)
-    area = _cross(ring, following).sum(axis=1).reshape(g, f, 3) / 2.0
-    # Cone from the vertex centroid (inside the polytope) over each face.
-    return (area * (mean - (pts.sum(axis=1) / k)[:, None])).sum(axis=2)
+    # Two face planes that (nearly) coincide both collect the shared face, so
+    # each face of the first box also yields the polygon of its vertices in
+    # common with the most parallel face of the second, counted negatively
+    # (inclusion-exclusion). Planes that cross instead share a segment,
+    # which has no area.
+    partner = 6 + row_dots(normals[:, :6, None], normals[:, None, 6:]).argmax(axis=2)
+    on = np.concatenate([on, on[:, :, :6] & np.take_along_axis(on, partner[:, None], axis=2)], axis=2)
+    face_count = on.sum(axis=1)
+    pair, face = (face_count >= 3).nonzero()
+    n_on, face_on, vertices = face_count[pair, face, None], on[pair, :, face], pts[pair]
+    mean = _ordered_sum(np.where(face_on[..., None], vertices, -0.0), axis=1) / n_on
+    rel = vertices - mean[:, None]
+    span = normals[pair[:, None], _FACE_SPAN[face]]
+    uv = row_dots(rel[:, :, None], span[:, None])
+    angle = np.where(face_on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    ring = np.take_along_axis(rel, angle.argsort(axis=1, kind="stable")[..., None], axis=1)
+    slot = np.arange(ring.shape[1])
+    following = np.take_along_axis(ring, ((slot + 1) % n_on)[..., None], axis=1)
+    area = _ordered_sum(np.where((slot < n_on)[..., None], _cross(ring, following), -0.0), axis=1) / 2.0
+    centroid = _ordered_sum(np.where((slot < count[:, None])[..., None], pts, -0.0), axis=1) / count[:, None]
+    cones = np.full(face_count.shape, -0.0)
+    cones[pair, face] = _FACE_SIGN[face] * np.abs(row_dots(area, mean - centroid[pair]))
+    return _ordered_sum(cones, axis=1) / 3.0
 
 
 def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
@@ -236,52 +254,15 @@ def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
     gap = np.linalg.norm(pairs[:, 0, :3] - pairs[:, 1, :3], axis=1)
     gap -= np.linalg.norm(pairs[:, :, 3:6], axis=2).sum(axis=1) / 2.0
     near = (gap <= _SPHERE_GAP).nonzero()[0]
-    # Stage 1 runs on a bounded number of pairs at a time, which bounds its
-    # scratch memory. Fewer than 4 kept vertices make a flat intersection.
-    found = []
+    # Both stages run on a bounded number of pairs at a time, which bounds
+    # their scratch memory. Fewer than 4 kept vertices, or all of them on
+    # one face plane, make a flat intersection.
     for lo in range(0, len(near), _CHUNK):
         rows = near[lo:lo + _CHUNK]
-        pts, keep, on, normals = _polytope_vertices(pairs[rows])
-        count = keep.sum(axis=1)
-        live = count >= 4
-        if live.any():
-            keep &= live[:, None]
-            found.append((rows[live], count[live], pts[keep], on[keep], normals[live]))
-    if not found:
-        return volume
-    # Stage 2 on the kept vertices of the pairs left, pair after pair, each
-    # in candidate order.
-    rows, count, pts, on, normals = map(np.concatenate, zip(*found))
-    # Two face planes that (nearly) coincide both collect the shared face, so
-    # each face of the first box also yields the polygon of its vertices in
-    # common with the most parallel face of the second, counted negatively
-    # (inclusion-exclusion). Planes that cross instead share a segment,
-    # which has no area.
-    partner = 6 + (normals[:, :6] @ normals[:, 6:].transpose(0, 2, 1)).argmax(axis=2)
-    pair_of = np.repeat(np.arange(len(rows)), count)
-    shared = on[:, :6] & on[np.arange(len(on))[:, None], partner[pair_of]]
-    on = np.concatenate([on, shared], axis=1)
-    start = np.cumsum(count) - count
-    face_count = np.add.reduceat(on, start, axis=0, dtype=np.intp)
-    faces = face_count >= 3
-    rot_t = pairs[rows, :, 6:].reshape(-1, 2, 3, 3).transpose(0, 1, 3, 2)
-    # Pairs with equal vertex and face counts go through stage 2 together.
-    # Key 0 marks a pair whose kept vertices all lie on one plane: its
-    # intersection is flat.
-    flat = (face_count[:, :12] == count[:, None]).any(axis=1)
-    group = np.where(flat, 0, count * 32 + faces.sum(axis=1))
-    for key in sorted(set(group.tolist()) - {0}):
-        members = (group == key).nonzero()[0]
-        k, f = divmod(key, 32)
-        cols = faces[members].nonzero()[1].reshape(-1, f)
-        vertex = start[members, None] + np.arange(k)
-        cones = _face_cones(
-            pts[vertex],
-            on[vertex[:, None], cols[..., None]],
-            rot_t[members[:, None, None], _FACE_BOX[cols][..., None], _FACE_AXES[cols]],
-            face_count[members[:, None], cols],
-        )
-        volume[rows[members]] = (_FACE_SIGN[cols][:, None] @ np.abs(cones)[..., None])[:, 0, 0] / 3.0
+        pts, on, count, normals = _polytope_vertices(pairs[rows])
+        solid = (count >= 4) & (on.sum(axis=1) < count[:, None]).all(axis=1)
+        if solid.any():
+            volume[rows[solid]] = _polytope_volumes(pts[solid], on[solid], count[solid], normals[solid])
     return volume
 
 
@@ -424,9 +405,12 @@ def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
 
 
 def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:
-    local = np.abs((points - box.center) @ box.rot)
-    hl, hw, hh = box.dims / 2.0
-    return (local[:, 0] <= hl) & (local[:, 1] <= hw) & (local[:, 2] <= hh)
+    # Offsets from the center as three contiguous columns, each projected on
+    # the box's local axes.
+    x, y, z = np.subtract(points.T, box.center[:, None], order="C")
+    R = box.rot
+    inside = [np.abs(x * R[0, k] + y * R[1, k] + z * R[2, k]) <= box.dims[k] / 2.0 for k in range(3)]
+    return inside[0] & inside[1] & inside[2]
 
 
 def iou3d_monte_carlo(a: OrientedBox3D, b: OrientedBox3D, samples: int, seed: int) -> float:

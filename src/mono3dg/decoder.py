@@ -386,11 +386,13 @@ def _batch_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sample_sum(np.swapaxes(a, 1, 2) @ b)
 
 
-def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
+def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, grads: DecoderParams):
     """Per-sample L1 losses and batch-summed gradients for a stacked minibatch.
 
     ``x`` is (B, T, d) with the query in the last position; ``targets`` is
     (B, 12). Each gradient equals the running sum of per-sample ``backward``.
+    Every slot of ``grads`` is overwritten, so it needs no zeroing between
+    calls.
     """
     x_final, caches = _stack_forward(x, params)
     # (B, 1, d): the heads see a one-token sequence per sample
@@ -412,7 +414,6 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
         "rot": d_pred[..., 6:12],
     }
 
-    grads = DecoderParams(params.config)
     g_f3d = np.zeros_like(f3d)
     for name in _HEAD_DIMS:
         mlp = params.heads[name]
@@ -446,7 +447,7 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray):
 
     # the query fills the last slot of every sample
     grads.query[...] = _sample_sum(g_x[:, -1])
-    return losses, grads
+    return losses
 
 
 def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
@@ -456,7 +457,8 @@ def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
     on the query slot's input embedding is the query gradient.
     """
     sub = substitute_query(seq, params.query)
-    losses, grads = _batch_backward(sub.embeddings[None], params, raw_to_vector(target)[None])
+    grads = DecoderParams(params.config)
+    losses = _batch_backward(sub.embeddings[None], params, raw_to_vector(target)[None], grads)
     return float(losses[0]), grads
 
 
@@ -506,6 +508,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    grads = DecoderParams(params.config)
     step = 0
     history = []
     for _ in range(cfg.epochs):
@@ -515,7 +518,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
             batch = order[start : start + cfg.batch_size]
             x = embeddings[batch]
             x[:, -1] = params.query
-            losses, grads = _batch_backward(x, params, targets[batch])
+            losses = _batch_backward(x, params, targets[batch], grads)
             sample_losses[batch] = losses
             grads.flat *= 1.0 / len(batch)
             step += 1

@@ -73,11 +73,14 @@ def validate_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     return R
 
 
+# Geometry multiplies 3-vectors and 3x3 matrices with the helpers below, not
+# with BLAS: each entry is summed in index order, so its bits depend neither
+# on the BLAS kernel the CPU selects nor on the rest of the batch.
+
+
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, 3) arrays. A stacked matmul gives the
-    same bits as ``x[i] @ y[i]`` and ``np.linalg.norm`` row by row, which an
-    elementwise sum does not."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    """Dot products of broadcast 3-vector rows, ``[..., 3]`` -> ``[...]``."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,6 +89,15 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for broadcast stacks whose inner dimension is 3."""
+    return (
+        a[..., :, 0, None] * b[..., None, 0, :]
+        + a[..., :, 1, None] * b[..., None, 1, :]
+        + a[..., :, 2, None] * b[..., None, 2, :]
+    )
 
 
 def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,7 +151,7 @@ def euler_to_matrix(e: EulerAngles) -> np.ndarray:
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    return rz @ ry @ rx
+    return _matmul3(_matmul3(rz, ry), rx)
 
 
 def matrix_to_euler(R: np.ndarray) -> EulerAngles:
@@ -157,15 +169,14 @@ def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> float:
     """Rotation angle of R1^T R2, in [0, pi]."""
     R1 = validate_rotation(R1)
     R2 = validate_rotation(R2)
-    cos_theta = (np.trace(R1.T @ R2) - 1.0) / 2.0
+    cos_theta = (np.trace(_matmul3(R1.T, R2)) - 1.0) / 2.0
     return math.acos(max(-1.0, min(1.0, cos_theta)))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation via a normalized quaternion."""
     q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
+    w, x, y, z = q / math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -202,7 +213,7 @@ def view_rotation_batch(centers: np.ndarray) -> np.ndarray:
     vx[:, _SKEW_SLOTS] = np.concatenate([v, -v], axis=1)
     vx = vx.reshape(-1, 3, 3)
     scale = np.divide(1.0 - cos_a, s2, out=np.zeros_like(s2), where=~on_axis)
-    out = np.eye(3) + vx + np.matmul(vx, vx) * scale[:, None, None]
+    out = np.eye(3) + vx + _matmul3(vx, vx) * scale[:, None, None]
     if on_axis.any():
         out[on_axis] = np.eye(3)
     return out
@@ -215,7 +226,7 @@ def view_rotation(center) -> np.ndarray:
 
 def allocentric_to_egocentric_batch(R_alloc: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Camera-frame rotations (N, 3, 3) from viewing-ray-relative ones and their centers (N, 3)."""
-    return np.matmul(view_rotation_batch(centers), R_alloc)
+    return _matmul3(view_rotation_batch(centers), R_alloc)
 
 
 def allocentric_to_egocentric(R_alloc: np.ndarray, center) -> np.ndarray:
@@ -227,7 +238,7 @@ def allocentric_to_egocentric(R_alloc: np.ndarray, center) -> np.ndarray:
 
 def egocentric_to_allocentric_batch(R_ego: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Viewing-ray-relative rotations (N, 3, 3) from camera-frame ones and their centers (N, 3)."""
-    return np.matmul(np.swapaxes(view_rotation_batch(centers), 1, 2), R_ego)
+    return _matmul3(np.swapaxes(view_rotation_batch(centers), 1, 2), R_ego)
 
 
 def egocentric_to_allocentric(R_ego: np.ndarray, center) -> np.ndarray:

@@ -1,7 +1,18 @@
-"""Shared generators for randomized geometry tests."""
+"""Shared generators for randomized geometry tests, and a runner for code
+under another OpenBLAS kernel."""
+
+import ctypes
+import glob
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import mono3dg
 from mono3dg.box3d import OrientedBox3D
 from mono3dg.camera import CameraIntrinsics
 from mono3dg.rotation import random_rotation
@@ -45,3 +56,45 @@ def overlapping_box_pair(rng: np.random.Generator, yaw_only: bool = False):
     else:
         rot = random_rotation(rng)
     return a, OrientedBox3D(b_center, dims, rot)
+
+
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS selected, e.g. ``SkylakeX``."""
+    (lib,) = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return "avx2" in fh.read().split()
+    except OSError:
+        return False
+
+
+# Decoder, fusion and toy-embedding bits depend on the OpenBLAS kernel, so
+# their digests are pinned under the Haswell kernel, which needs AVX2.
+haswell_pinned = pytest.mark.skipif(
+    not _has_avx2(), reason="digest pinned under OpenBLAS's Haswell kernel, which needs AVX2"
+)
+
+
+def under_blas_kernel(coretype: str, module: str, function: str, *args):
+    """Call ``module.function(*args)`` from the tests directory in a fresh
+    interpreter whose OpenBLAS runs its ``coretype`` kernel. Arguments and
+    result go through JSON. Returns the kernel the child reports and the
+    result."""
+    code = (
+        "import importlib, json, sys\n"
+        "from conftest import blas_kernel\n"
+        f"result = getattr(importlib.import_module({module!r}), {function!r})(*json.loads(sys.argv[1]))\n"
+        "print(json.dumps([blas_kernel(), result]))\n"
+    )
+    path = os.pathsep.join([str(Path(mono3dg.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(args)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])

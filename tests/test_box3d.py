@@ -219,11 +219,11 @@ def _apart_pairs(rng):
 
 class TestSameBitsAsPerPairCode:
     """SHA-256 of the exact IoUs of seeded general-rotation pairs, as the
-    per-pair kernel computed them before exact IoU was batched. Both the
-    batch and its one-pair wrapper must still produce those exact bits."""
+    BLAS-free kernel computes them under every BLAS kernel. Both the batch
+    and its one-pair wrapper must produce those exact bits."""
 
     DIGESTS = {
-        "overlapping": "fc1289a1ecb2f5413c78b2128fe44ee99767f9e7229ef7df589c54b5d4388bac",
+        "overlapping": "b548b7fbadbdd202ec71b0eb851d290ade068c0d07443becf3abdb304c1a8acf",
         "apart": "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
     }
 
@@ -252,8 +252,8 @@ def _rot(*turns):
 
 
 class TestBatchEqualsAlone:
-    """One batch of fixed hard pairs, more than a stage-1 chunk and across
-    many (vertex count, face count) groups: each row has the bits of that
+    """One batch of fixed hard pairs, more than two chunks, whose vertices
+    are padded across many kept-vertex counts: each row has the bits of that
     pair scored alone, in either order."""
 
     ROTATIONS = (
@@ -304,18 +304,19 @@ class TestBatchEqualsAlone:
         cases = self._cases()
         a = BoxBatch.stack(a for _, a, _, _ in cases)
         b = BoxBatch.stack(b for _, _, b, _ in cases)
-        groups = set()
-        face_cones = box3d._face_cones
+        chunks = []
+        volumes = box3d._polytope_volumes
 
-        def recording(pts, on, axes, count):
-            groups.add(on.shape[1:])
-            return face_cones(pts, on, axes, count)
+        def recording(pts, on, count, normals):
+            chunks.append(set(count.tolist()))
+            return volumes(pts, on, count, normals)
 
-        monkeypatch.setattr(box3d, "_face_cones", recording)
+        monkeypatch.setattr(box3d, "_polytope_volumes", recording)
         batch, swapped = iou3d_batch(a, b), iou3d_batch(b, a)
         monkeypatch.undo()
         assert len(cases) > 2 * box3d._CHUNK
-        assert len(groups) >= 10
+        # One chunk pads the vertices of pairs of many kept-vertex counts.
+        assert max(map(len, chunks)) >= 10
         alone = np.array([iou3d(a, b) for _, a, b, _ in cases])
         bits = zip(batch.view(np.int64), swapped.view(np.int64), alone.view(np.int64))
         assert [name for (name, *_), (x, y, z) in zip(cases, bits) if not x == y == z] == []
@@ -340,9 +341,9 @@ def _spread_pairs(rng):
     for _ in range(200):
         a = random_box(rng)
         dims = rng.uniform(0.3, 2.0, size=3)
-        reach = (np.linalg.norm(a.dims) + np.linalg.norm(dims)) / 2.0
+        reach = (math.hypot(*a.dims) + math.hypot(*dims)) / 2.0
         direction = rng.standard_normal(3)
-        offset = rng.uniform(0.3, 1.5) * reach * direction / np.linalg.norm(direction)
+        offset = rng.uniform(0.3, 1.5) * reach * direction / math.hypot(*direction)
         pairs.append((a, OrientedBox3D(a.center + offset, dims, random_rotation(rng))))
     return pairs
 
@@ -364,12 +365,12 @@ def _margin_pairs(rng):
 
 class TestSphereGapPairs:
     """SHA-256 of the exact IoUs of pairs far apart, near, and at the
-    bounding-sphere gap where stage 1 stops looking, as the kernel computed
-    them before it skipped pairs whose spheres lie apart: the skip keeps
-    every bit, in both argument orders and through the one-pair wrapper."""
+    bounding-sphere gap where stage 1 stops looking: pairs whose spheres
+    lie apart are skipped, and every pair keeps its bits in both argument
+    orders and through the one-pair wrapper."""
 
     DIGESTS = {
-        "spread": "581b7321511a984451adce3a716be9b88481813348590deb81f839494dcdfd69",
+        "spread": "986fd00c8c3f079537d0cc405ffddf39deab59913cd703346dc9632683d0025b",
         "margin": "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
     }
 

@@ -400,7 +400,9 @@ class TestBatchedBackward:
         samples = [(make_sequence(rng, config.d_model, 6), make_target(rng)) for _ in range(5)]
         x = np.stack([D.substitute_query(seq, params.query).embeddings for seq, _ in samples])
         targets = np.stack([D.raw_to_vector(target) for _, target in samples])
-        losses, batch_grads = D._batch_backward(x, params, targets)
+        # A buffer full of NaN: every gradient slot must be overwritten.
+        batch_grads = D.DecoderParams(config, np.full_like(params.flat, np.nan))
+        losses = D._batch_backward(x, params, targets, batch_grads)
         singles = [D.backward(seq, params, target) for seq, target in samples]
         assert list(losses) == [value for value, _ in singles]
         summed = {name: sum(dict(g.named_arrays())[name] for _, g in singles)

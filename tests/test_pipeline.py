@@ -1,10 +1,12 @@
 import hashlib
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import haswell_pinned, under_blas_kernel
 from mono3dg import cli
 from mono3dg import decoder as D
 from mono3dg.box3d import BoxBatch, OrientedBox3D, iou3d, iou3d_monte_carlo
@@ -178,18 +180,18 @@ def _digest(values) -> str:
 
 class TestSameBitsAsPerQueryCode:
     """SHA-256 of the predicted boxes (center, dims, rot) and of the IoUs of
-    every query of two small files, as the per-query code computed them
-    before scoring was batched. Both the batch and its single-query
-    wrappers must still produce those exact bits."""
+    every query of two small files, which are the same under every BLAS
+    kernel. Both the batch and its single-query wrappers must produce those
+    exact bits."""
 
     DIGESTS = {
         "outdoor": (
-            "dabe51af018e5edaf30752faa6fa44e92c3b08eb63468003fca7003430211fc6",
+            "8f94197c58a33b89a5b42fbae025a8569b18925564bcd9b204ef2c62bd5e6249",
             "666b160b7dda335e908f852302d53ff1cd49490494e4348943890cedc2c98ea0",
         ),
         "indoor": (
-            "a74817bb1d3cae23b34c4a629467eb39e51d590587ab91d30ddb5fa948883eb9",
-            "8ce6f92327c10abe480449c92c245487417fe6f71059117f81e5d4a23aa37c81",
+            "287e76919b1af71f5b3a91e47588be7de1314715479f6b3f5e0d66092283029e",
+            "b5e623e3d42689226d6e3f77395f02f011753ac3366fdd5b7827b9cb93abd069",
         ),
     }
 
@@ -225,70 +227,98 @@ def test_indoor_scoring_emits_no_warnings():
     assert report.count == sum(len(r.objects) for r in scenes)
 
 
+def _toy_target_digests(profile_name):
+    """SHA-256 of the toy targets, and of the same vectors from
+    ``perfect_raw_predictions`` and from ``raw_from_box`` query by query."""
+    profile, ranges = profile_by_name(profile_name), ranges_for_profile(profile_name)
+    scenes = synth_scenes(24, seed=13, profile_name=profile_name)
+    _, targets, _ = build_toy_dataset(scenes, profile, ranges)
+    perfect = perfect_raw_predictions(scenes, profile)
+    single = [raw_from_box(o.box3d, r.intrinsics, profile) for r in scenes for o in r.objects]
+    return [_digest(targets), _digest([D.raw_to_vector(p.raw) for p in perfect]),
+            _digest([D.raw_to_vector(t) for t in single])]
+
+
+def _toy_model_digests(profile_name, sigma):
+    """SHA-256 of the toy embeddings, of the decoder's predictions for them
+    from fixed initial parameters, and of ``predict`` query by query."""
+    profile, ranges = profile_by_name(profile_name), ranges_for_profile(profile_name)
+    scenes = synth_scenes(24, seed=13, profile_name=profile_name)
+    config = ToyTaskConfig(noise_sigma=sigma)
+    params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
+    embeddings, _, _ = build_toy_dataset(scenes, profile, ranges, config)
+    preds = decoder_predictions(scenes, params, profile, ranges, config)
+    kinds = ToyEncoder.create(config, ranges, profile).kinds
+    single = [D.predict(D.TokenSequence(e, kinds), params) for e in embeddings]
+    return [_digest(embeddings), _digest([D.raw_to_vector(p.raw) for p in preds]),
+            _digest([D.raw_to_vector(p) for p in single])]
+
+
+def _train_toy_digests(directory):
+    """SHA-256 of the checkpoint and loss CSV of a small ``train-toy`` run."""
+    data, ckpt, loss_csv = (Path(directory) / name for name in ("toy.jsonl", "ckpt.json", "loss.csv"))
+    write_scenes(data, synth_scenes(16, seed=5, profile_name="indoor"))
+    code = cli.main(["train-toy", "--data", str(data), "--epochs", "3", "--seed", "2",
+                     "--batch-size", "8", "--out", str(ckpt), "--loss-csv", str(loss_csv)])
+    assert code == 0
+    return [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, loss_csv)]
+
+
 class TestToySameBitsAsPerQueryCode:
     """SHA-256 of the toy targets, the toy embeddings and the decoder's
     predictions from fixed initial parameters, and of the checkpoint and
-    loss CSV of a small ``train-toy`` run, as the per-query code computed
-    them before the toy task was batched. Both the batch and the
-    single-query wrappers (``raw_from_box``, ``predict``) must still produce
-    those exact bits."""
+    loss CSV of a small ``train-toy`` run. Both the batch and the
+    single-query wrappers (``raw_from_box``, ``predict``) must produce those
+    exact bits.
 
+    Targets are geometry, whose bits are the same under every BLAS kernel,
+    and are checked in process. The rest goes through the decoder's BLAS
+    products, so it runs in a child process under OpenBLAS's Haswell
+    kernel, where it was pinned."""
+
+    TARGETS = {
+        "indoor": "3398cd10c613e99ac9cadf02cf52f0359df9cdec7eb90ddff918c7650e5aa485",
+        "outdoor": "317b566bb6fac2e451849a327a235e7a4f4fe97eaff860fe9cc6a42bb05b0b28",
+    }
+    # Embeddings and predictions, under the Haswell kernel.
     DIGESTS = {
         ("indoor", 0.0): (
-            "b86fd1bece62adae349db523e3d5e0460b9e6097a93d95955b6bc74d447767ef",
-            "2ae766a03b525fe4ba3c41a8ed24668377bd74125bdc336b98a8576ac756982a",
-            "d82cc593a8a04a4eaf96367d7cf22c2dcbd9cac98a320496bda13be210495769",
+            "9dde4d1796a142f4b254a645683e044c99e1988bd9be6b0b2a9af1ebefbbb22f",
+            "a3d2c842ab049495ce885040f6f4de2f6a1251b701d99fac3a17f767c0211dbc",
         ),
         ("indoor", 0.1): (
-            "b86fd1bece62adae349db523e3d5e0460b9e6097a93d95955b6bc74d447767ef",
-            "6a8bdcd8fc72ae4eeb20be738f39ba7eaea0195b381b2ee31b161580e1763ec8",
-            "fe45a8089351f6e417ee937a8aeb4a4b8f57ca31786a497f4fc84052567cda35",
+            "b28be32560a3822e2d37c2a6a73f59b381205ca20da118bed75ff641c634f365",
+            "2184db9b710867b4371507d898b258592f63ab93c22d4030e3386912023a1c5d",
         ),
         ("outdoor", 0.0): (
-            "317b566bb6fac2e451849a327a235e7a4f4fe97eaff860fe9cc6a42bb05b0b28",
             "fc06b25c9c76b378b86892e63185060562e831e490dad8a4f1b78d14128df490",
-            "23e165a0013b163be08f20b18bde17895dfd017ac74c60a8fb62b69d70d77abc",
+            "509dc23fad30e7f7048028cbb79265203437b3d078de680bfbed5aaffe90978d",
         ),
         ("outdoor", 0.1): (
-            "317b566bb6fac2e451849a327a235e7a4f4fe97eaff860fe9cc6a42bb05b0b28",
             "6651b653eb09e1b526d1f136ea76fcb48c5ebeaaf9c34c40d246df00f6d63e5a",
-            "4784b3e3f6a3aa5b85d017b3287fe2f30d53949bfaa350f0166a6e467b8341c4",
+            "69a818bcbabb433ada1b179fe27bd9d850faf18d76f83ad1fbe5296f107dd293",
         ),
     }
-    TRAIN_DIGESTS = (
-        "d79530505802ddc11c74759144462c617c15cf153bb71eec88612c8cd07aba0e",
+    # Checkpoint and loss CSV, under the Haswell kernel.
+    TRAIN_DIGESTS = [
+        "2b3369a26ec7af13934a9b5f16f4cb3cdca25b601a3f6ea06265c9e0c3f1d209",
         "043953cdb0069c550ced94faedb15b370e6017225f348591490dd514dd4de1d5",
-    )
+    ]
 
+    @pytest.mark.parametrize("profile_name", sorted(TARGETS))
+    def test_batch_and_single_query_target_bits(self, profile_name):
+        assert _toy_target_digests(profile_name) == [self.TARGETS[profile_name]] * 3
+
+    @haswell_pinned
     @pytest.mark.parametrize("profile_name, sigma", sorted(DIGESTS))
     def test_batch_and_single_query_bits(self, profile_name, sigma):
-        profile, ranges = profile_by_name(profile_name), ranges_for_profile(profile_name)
-        scenes = synth_scenes(24, seed=13, profile_name=profile_name)
-        config = ToyTaskConfig(noise_sigma=sigma)
-        params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
-        targets_digest, embeddings_digest, predictions_digest = self.DIGESTS[(profile_name, sigma)]
+        embeddings, predictions = self.DIGESTS[(profile_name, sigma)]
+        _, digests = under_blas_kernel("Haswell", "test_pipeline", "_toy_model_digests", profile_name, sigma)
+        assert digests == [embeddings, predictions, predictions]
 
-        embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges, config)
-        assert _digest(targets) == targets_digest
-        assert _digest(embeddings) == embeddings_digest
-        preds = decoder_predictions(scenes, params, profile, ranges, config)
-        assert _digest([D.raw_to_vector(p.raw) for p in preds]) == predictions_digest
-        perfect = perfect_raw_predictions(scenes, profile)
-        assert _digest([D.raw_to_vector(p.raw) for p in perfect]) == targets_digest
-
-        single = [raw_from_box(o.box3d, r.intrinsics, profile) for r in scenes for o in r.objects]
-        assert _digest([D.raw_to_vector(t) for t in single]) == targets_digest
-        kinds = ToyEncoder.create(config, ranges, profile).kinds
-        single_preds = [D.predict(D.TokenSequence(e, kinds), params) for e in embeddings]
-        assert _digest([D.raw_to_vector(p) for p in single_preds]) == predictions_digest
-
-    def test_train_toy_checkpoint_and_loss_csv_bits(self, tmp_path, capsys):
-        data, ckpt, loss_csv = tmp_path / "toy.jsonl", tmp_path / "ckpt.json", tmp_path / "loss.csv"
-        write_scenes(data, synth_scenes(16, seed=5, profile_name="indoor"))
-        code = cli.main(["train-toy", "--data", str(data), "--epochs", "3", "--seed", "2",
-                         "--batch-size", "8", "--out", str(ckpt), "--loss-csv", str(loss_csv)])
-        assert code == 0, capsys.readouterr().err
-        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, loss_csv))
+    @haswell_pinned
+    def test_train_toy_checkpoint_and_loss_csv_bits(self, tmp_path):
+        _, digests = under_blas_kernel("Haswell", "test_pipeline", "_train_toy_digests", str(tmp_path))
         assert digests == self.TRAIN_DIGESTS
 
 
