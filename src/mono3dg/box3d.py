@@ -105,7 +105,8 @@ class BoxBatch:
         reject_first(
             ~(self.dims > 0).all(axis=1),
             self.dims,
-            lambda dims: ValueError(f"box dims must be positive, got {dims}"),
+            ValueError,
+            "box dims must be positive, got {}",
         )
 
     @staticmethod
@@ -304,12 +305,13 @@ def is_yaw_only(box: OrientedBox3D) -> bool:
 def _require_yaw_only(boxes) -> None:
     """Raise NotYawOnly for the first box that is not yaw-only; boxes is one
     OrientedBox3D or a BoxBatch."""
-    def error(R):
-        terms = ", ".join(f"{float(e):.3e}" for e in (R[2, 0], R[2, 1], R[0, 2], R[1, 2]))
-        return NotYawOnly(f"rotation has out-of-plane terms ({terms})")
-
     rot = boxes.rot.reshape(-1, 3, 3)
-    reject_first(~yaw_only(rot), rot, error)
+    reject_first(
+        ~yaw_only(rot),
+        rot[:, [2, 2, 0, 1], [0, 1, 2, 2]],
+        NotYawOnly,
+        "rotation has out-of-plane terms ({0[0]:.3e}, {0[1]:.3e}, {0[2]:.3e}, {0[3]:.3e})",
+    )
 
 
 # The BEV kernel clips N footprint pairs at once. Polygons are (N, K) x and

@@ -76,34 +76,31 @@ def project(p: Point3D, cam: CameraIntrinsics) -> Point2D:
 
     Raises NonPositiveDepth if the point is on or behind the camera plane.
     """
-    reject_first(p.Z <= 0.0, p.Z, lambda z: NonPositiveDepth(f"cannot project point with Z={z}"))
+    reject_first(p.Z <= 0.0, p.Z, NonPositiveDepth, "cannot project point with Z={}")
     return Point2D(cam.fx * p.X / p.Z + cam.cx, cam.fy * p.Y / p.Z + cam.cy)
 
 
 def real_to_virtual_depth(z, cam: CameraIntrinsics, vc: VirtualCamera):
     """Depth the point would have under the virtual camera at the same
     normalized pixel position and the same X."""
-    reject_first(z <= 0.0, z, lambda v: NonPositiveDepth(f"real depth must be positive, got {v}"))
+    reject_first(z <= 0.0, z, NonPositiveDepth, "real depth must be positive, got {}")
     return (vc.fx_v / cam.fx) * (cam.width / vc.width_v) * z
 
 
 def virtual_to_real_depth(d_v, cam: CameraIntrinsics, vc: VirtualCamera):
     """Exact inverse of :func:`real_to_virtual_depth`."""
-    reject_first(
-        d_v <= 0.0, d_v, lambda v: NonPositiveDepth(f"virtual depth must be positive, got {v}")
-    )
+    reject_first(d_v <= 0.0, d_v, NonPositiveDepth, "virtual depth must be positive, got {}")
     return d_v * (cam.fx / vc.fx_v) * (vc.width_v / cam.width)
 
 
 def height_depth(h3d, h2d, cam: CameraIntrinsics):
     """Second depth estimate from the 3D object height and its 2D pixel height."""
-    reject_first(
-        h3d <= 0.0, h3d, lambda v: DegenerateHeight(f"3D height must be positive, got {v}")
-    )
+    reject_first(h3d <= 0.0, h3d, DegenerateHeight, "3D height must be positive, got {}")
     reject_first(
         h2d <= HEIGHT2D_EPSILON,
         h2d,
-        lambda v: DegenerateHeight(f"2D height {v} px is at or below {HEIGHT2D_EPSILON} px"),
+        DegenerateHeight,
+        f"2D height {{}} px is at or below {HEIGHT2D_EPSILON} px",
     )
     return (h3d / h2d) * cam.fy
 
@@ -116,20 +113,18 @@ def fuse_depth(z1, z2, mode: DepthMode):
     """
     if z1 is None:
         raise NonPositiveDepth("z1 must be positive, got None")
-    reject_first(z1 <= 0.0, z1, lambda v: NonPositiveDepth(f"z1 must be positive, got {v}"))
+    reject_first(z1 <= 0.0, z1, NonPositiveDepth, "z1 must be positive, got {}")
     if mode is DepthMode.VIRTUAL_ONLY:
         return z1
     if z2 is None:
         raise NonPositiveDepth("z2 must be positive for fused mode, got None")
-    reject_first(
-        z2 <= 0.0, z2, lambda v: NonPositiveDepth(f"z2 must be positive for fused mode, got {v}")
-    )
+    reject_first(z2 <= 0.0, z2, NonPositiveDepth, "z2 must be positive for fused mode, got {}")
     return 0.5 * (z1 + z2)
 
 
 def backproject_center(p: Point2D, z, cam: CameraIntrinsics) -> Point3D:
     """Recover the camera-frame point from a pixel location and a depth."""
-    reject_first(z <= 0.0, z, lambda v: NonPositiveDepth(f"depth must be positive, got {v}"))
+    reject_first(z <= 0.0, z, NonPositiveDepth, "depth must be positive, got {}")
     return Point3D((z / cam.fx) * (p.u - cam.cx), (z / cam.fy) * (p.v - cam.cy), z)
 
 

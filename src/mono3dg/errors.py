@@ -2,17 +2,18 @@
 them for the first failing entry of a batch."""
 
 
-def reject_first(bad, values, make_error) -> None:
-    """Raise make_error(v) for the first value v whose entry of bad holds.
+def reject_first(bad, values, error: type, message: str) -> None:
+    """Raise error(message.format(v)) for the first value v whose entry of
+    bad holds; the message is built only then.
 
     bad and values are both scalars, or both arrays of the same length, so
     one check serves a single query and a batch of them alike.
     """
     if getattr(bad, "ndim", 0):
         if bad.any():
-            raise make_error(values[int(bad.argmax())])
+            raise error(message.format(values[int(bad.argmax())]))
     elif bad:
-        raise make_error(values)
+        raise error(message.format(values))
 
 
 class Mono3DGError(Exception):

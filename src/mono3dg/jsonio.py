@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -23,7 +24,36 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def _emit(obj: Any, parts: list[str]) -> None:
-    if obj is None:
+    # Exact types first: these are nearly every value a record holds.
+    kind = type(obj)
+    if kind is float:
+        parts.append(_float_text(obj))
+    elif kind is str:
+        parts.append(encode_basestring(obj))
+    elif kind is dict or isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                parts.append(",")
+            parts.append(encode_basestring(str(key)))
+            parts.append(":")
+            _emit(value, parts)
+        parts.append("}")
+    elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        if all(type(value) is float for value in obj):
+            text = ",".join([format(value, ".17g") for value in obj])
+            if "n" in text:  # only "nan" and "inf" hold an n: raise for the first
+                for value in obj:
+                    _float_text(value)
+            parts.append(f"[{text}]")
+        else:
+            parts.append("[")
+            for i, value in enumerate(obj):
+                if i:
+                    parts.append(",")
+                _emit(value, parts)
+            parts.append("]")
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
@@ -32,29 +62,17 @@ def _emit(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite number {obj} cannot be serialized")
-        parts.append(format(obj, ".17g"))
+        parts.append(_float_text(obj))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key), ensure_ascii=False))
-            parts.append(":")
-            _emit(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(value, parts)
-        parts.append("]")
+        parts.append(encode_basestring(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value} cannot be serialized")
+    return format(value, ".17g")
 
 
 def _reject_constant(name: str) -> float:

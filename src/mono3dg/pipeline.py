@@ -13,7 +13,7 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,10 +169,11 @@ def scale_virtual_depth(preds: list[PredictionRecord], factor: float) -> list[Pr
     """Multiply every raw prediction's d_v by a factor (ablation probe)."""
     out = []
     for p in preds:
-        if p.raw is None:
-            out.append(p)
-        else:
-            out.append(replace(p, raw=replace(p.raw, d_v=p.raw.d_v * factor)))
+        r = p.raw
+        if r is not None:
+            r = RawHeadOutput(r.u_norm, r.v_norm, r.d_v * factor, r.L, r.W, r.H, r.rot6d)
+            p = PredictionRecord(p.image_id, p.object_id, raw=r)
+        out.append(p)
     return out
 
 

@@ -107,7 +107,8 @@ def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reject_first(
         na < SIXD_EPSILON,
         na,
-        lambda v: DegenerateSixD(f"first column norm {v} below {SIXD_EPSILON}"),
+        DegenerateSixD,
+        f"first column norm {{}} below {SIXD_EPSILON}",
     )
     c1 = a / na[:, None]
     b_perp = b - row_dots(c1, b)[:, None] * c1
@@ -115,7 +116,8 @@ def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reject_first(
         nb < SIXD_EPSILON,
         nb,
-        lambda v: DegenerateSixD(f"second column parallel to first (residual norm {v})"),
+        DegenerateSixD,
+        "second column parallel to first (residual norm {})",
     )
     c2 = b_perp / nb[:, None]
     return np.stack([c1, c2, _cross(c1, c2)], axis=2)
@@ -202,7 +204,8 @@ def view_rotation_batch(centers: np.ndarray) -> np.ndarray:
     reject_first(
         (n == 0.0) | (centers[:, 2] <= 0.0),
         centers,
-        lambda c: BehindCamera("view ray requires a center with positive Z"),
+        BehindCamera,
+        "view ray requires a center with positive Z",
     )
     r = centers / n[:, None]
     v = _cross(_CAMERA_Z, r)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
-from .box3d import OrientedBox3D, corners
+from .box3d import OrientedBox3D, _corners
 from .camera import (
     HEIGHT2D_EPSILON,
     CameraIntrinsics,
@@ -268,9 +268,8 @@ def _sample_camera(rng: np.random.Generator, ranges: SynthRanges) -> CameraIntri
     return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
 
 
-def _sample_object(
-    rng: np.random.Generator, cam: CameraIntrinsics, ranges: SynthRanges, object_id: str
-) -> SceneObject:
+def _sample_object(rng: np.random.Generator, cam: CameraIntrinsics, ranges: SynthRanges) -> tuple:
+    """One object's center, dims (L, W, H) and rotation."""
     # Back-project a pixel drawn inside a 2-98% margin so the projected
     # center is in bounds by construction.
     u = cam.width * rng.uniform(0.02, 0.98)
@@ -285,49 +284,10 @@ def _sample_object(
     if ranges.yaw_only:
         yaw = rng.uniform(-math.pi, math.pi)
         c, s = math.cos(yaw), math.sin(yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rot = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
     else:
         rot = random_rotation(rng)
-    box = OrientedBox3D(np.array(center), np.array(dims), rot)
-    return SceneObject(
-        object_id=object_id,
-        caption=f"object {object_id}",
-        box3d=box,
-        box2d=_project_box2d(box, cam),
-        h2d=cam.fy * dims[2] / z,
-    )
-
-
-def _project_box2d(box: OrientedBox3D, cam: CameraIntrinsics) -> tuple:
-    pts = corners(box)
-    us = cam.fx * pts[:, 0] / pts[:, 2] + cam.cx
-    vs = cam.fy * pts[:, 1] / pts[:, 2] + cam.cy
-    return (
-        float(np.clip(us.min(), 0.0, cam.width)),
-        float(np.clip(vs.min(), 0.0, cam.height)),
-        float(np.clip(us.max(), 0.0, cam.width)),
-        float(np.clip(vs.max(), 0.0, cam.height)),
-    )
-
-
-def _focal_pair(base: SceneRecord) -> SceneRecord:
-    # Double fx and every object depth; Y doubles so the pixel projection is
-    # unchanged, and the virtual depth of each object is preserved exactly.
-    cam = base.intrinsics._replace(fx=2.0 * base.intrinsics.fx)
-    objects = []
-    for obj in base.objects:
-        c = obj.box3d.center
-        new_center = np.array([c[0], 2.0 * c[1], 2.0 * c[2]])
-        box = OrientedBox3D(new_center, obj.box3d.dims.copy(), obj.box3d.rot.copy())
-        objects.append(
-            replace(
-                obj,
-                box3d=box,
-                box2d=_project_box2d(box, cam),
-                h2d=cam.fy * obj.box3d.dims[2] / new_center[2],
-            )
-        )
-    return SceneRecord(base.image_id + FOCAL_PAIR_SUFFIX, cam, objects)
+    return center, dims, rot
 
 
 def synth_scenes(
@@ -343,17 +303,60 @@ def synth_scenes(
     ranges = (ranges or ranges_for_profile(profile_name)).validate()
     rng = np.random.default_rng(seed)
     n_pairs = n // FOCAL_PAIR_FRACTION
-    records = []
+    image_ids, cams, counts, object_ids, sampled = [], [], [], [], []
     for i in range(n - n_pairs):
         cam = _sample_camera(rng, ranges)
         count = int(rng.integers(ranges.objects_per_scene[0], ranges.objects_per_scene[1] + 1))
-        objects = [
-            _sample_object(rng, cam, ranges, f"obj_{i:06d}_{j}") for j in range(count)
-        ]
-        records.append(SceneRecord(f"scene_{i:06d}", cam, objects))
-    for i in range(n_pairs):
-        records.append(_focal_pair(records[i]))
-    return records
+        image_ids.append(f"scene_{i:06d}")
+        cams.append(cam)
+        counts.append(count)
+        object_ids += [f"obj_{i:06d}_{j}" for j in range(count)]
+        sampled += [_sample_object(rng, cam, ranges) for _ in range(count)]
+    center, dims, rot = map(np.array, zip(*sampled))
+    # A focal pair doubles fx and every object depth; Y doubles so the pixel
+    # projection is unchanged, and the virtual depth of each object is
+    # preserved exactly.
+    paired = sum(counts[:n_pairs])
+    image_ids += [image_id + FOCAL_PAIR_SUFFIX for image_id in image_ids[:n_pairs]]
+    cams += [cam._replace(fx=2.0 * cam.fx) for cam in cams[:n_pairs]]
+    counts += counts[:n_pairs]
+    object_ids += object_ids[:paired]
+    center = np.concatenate([center, center[:paired] * [1.0, 2.0, 2.0]])
+    dims = np.concatenate([dims, dims[:paired]])
+    rot = np.concatenate([rot, rot[:paired]])
+
+    # Every 2D box is the image extent of its box's projected corners,
+    # clipped to the image.
+    fx, fy, cx, cy, width, height = np.repeat(np.array(cams), counts, axis=0).T
+    pts = _corners(center, dims, rot)
+    us = fx[:, None] * pts[:, :, 0] / pts[:, :, 2] + cx[:, None]
+    vs = fy[:, None] * pts[:, :, 1] / pts[:, :, 2] + cy[:, None]
+    box2d = np.stack(
+        [
+            np.clip(us.min(axis=1), 0.0, width),
+            np.clip(vs.min(axis=1), 0.0, height),
+            np.clip(us.max(axis=1), 0.0, width),
+            np.clip(vs.max(axis=1), 0.0, height),
+        ],
+        axis=1,
+    ).tolist()
+    h2d = (fy * dims[:, 2] / center[:, 2]).tolist()
+
+    objects = [
+        SceneObject(
+            object_id,
+            f"object {object_id}",
+            OrientedBox3D(center[m], dims[m], rot[m]),
+            tuple(box2d[m]),
+            h2d[m],
+        )
+        for m, object_id in enumerate(object_ids)
+    ]
+    starts = np.cumsum([0] + counts).tolist()
+    return [
+        SceneRecord(image_id, cam, objects[starts[i]:starts[i + 1]])
+        for i, (image_id, cam) in enumerate(zip(image_ids, cams))
+    ]
 
 
 # -- JSON schemas --------------------------------------------------------------
@@ -826,9 +829,9 @@ def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
 
 def box_to_json(box: OrientedBox3D) -> dict:
     return {
-        "center": [float(x) for x in box.center],
-        "dims": [float(x) for x in box.dims],
-        "rot": [float(x) for x in box.rot.ravel()],
+        "center": box.center.tolist(),
+        "dims": box.dims.tolist(),
+        "rot": box.rot.ravel().tolist(),
     }
 
 
@@ -840,7 +843,7 @@ def raw_to_json(raw: RawHeadOutput) -> dict:
         "L": float(raw.L),
         "W": float(raw.W),
         "H": float(raw.H),
-        "rot6d": [float(x) for x in raw.rot6d.as_array()],
+        "rot6d": raw.rot6d.as_array().tolist(),
     }
 
 

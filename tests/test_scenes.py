@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mono3dg.camera import VirtualCamera, real_to_virtual_depth
+from mono3dg.cli import main
 from mono3dg.errors import InvalidRanges, ParseError, SchemaError
 from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.scenes import (
@@ -88,6 +91,40 @@ class TestSynth:
         assert profile_by_name("outdoor") is OUTDOOR_PROFILE
         with pytest.raises(ValueError):
             profile_by_name("underwater")
+
+
+class TestSynthBytesPinned:
+    """SHA-256 of the files ``mono3dg synth --perfect-preds`` writes for 200
+    scenes. Generation and its geometry use no BLAS, so these are the same
+    bytes on any host."""
+
+    DIGESTS = {
+        ("indoor", 3): (
+            "aa718401fec4aa0cc7e64e3dcf57771ba1cc88e9611a8add7d043e6607c615ca",
+            "8c42f7afd2c6d6533b75556c4e550dba714947664578f0c952145cb8becd9b47",
+        ),
+        ("indoor", 4): (
+            "969056023e4ab80a1d7ae5a3998dbf242dfc6dfa9f0d2d9e3fb5671ad614f931",
+            "89ed296507d0f0115375c88ec4b184ef8050b62a42f6e522b7101a2f64a9513b",
+        ),
+        ("outdoor", 3): (
+            "dc39fc96f77c8c9b3d905c366886e504c3462cc66c1969090a2adca965b14254",
+            "0ccf47ff7ab2445ff493f249cf44e62311005a945c2c57c6078554beddacce75",
+        ),
+        ("outdoor", 4): (
+            "8049b257d37422364e98c21279acbbcc7c54339d9217f375600a23f6ce435ee5",
+            "980b18e5bbb4334f548293edcb9f3d9876332af1767ae3756067462a808c12fd",
+        ),
+    }
+
+    @pytest.mark.parametrize("profile, seed", sorted(DIGESTS))
+    def test_synth_files(self, tmp_path, capsys, profile, seed):
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        code = main(["synth", "--scenes", "200", "--seed", str(seed), "--profile", profile,
+                     "--out", str(gt), "--perfect-preds", str(preds)])
+        assert code == 0
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (gt, preds))
+        assert digests == self.DIGESTS[profile, seed]
 
 
 class TestSceneJsonl:
