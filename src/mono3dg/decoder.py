@@ -495,6 +495,9 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
     mean over its samples. Deterministic given cfg.seed. Returns the trained
     parameters and the per-epoch mean training loss.
     """
+    for name, value in (("epochs", cfg.epochs), ("batch_size", cfg.batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     embeddings, targets = np.asarray(embeddings, dtype=float), np.asarray(targets, dtype=float)
     n = len(embeddings)
     if n == 0:

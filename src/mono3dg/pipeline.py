@@ -35,6 +35,7 @@ from .decoder import (
     RawHeadOutput,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
     predict_batch,
+    raw_to_vector,
     vector_to_raw,
 )
 from .errors import UnmatchedPrediction
@@ -113,33 +114,19 @@ def box_from_raw_columns(
     return BoxBatch(center, raw[:, 3:6], rot)
 
 
-def box_from_raw_batch(
-    raws: list[RawHeadOutput],
-    cams: list[CameraIntrinsics],
-    profile: DatasetProfile,
-    h2d: list | None = None,
-) -> BoxBatch:
-    """:func:`box_from_raw_columns` for N head output records, one camera
-    (and 2D height) per query."""
-    values = np.array(
-        [(r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H, *r.rot6d.a, *r.rot6d.b) for r in raws], dtype=float
-    )
-    return box_from_raw_columns(
-        values.reshape(-1, 12),
-        np.array(cams, dtype=float).reshape(-1, 6),
-        profile,
-        None if h2d is None else np.asarray(h2d, dtype=float),
-    )
-
-
 def box_from_raw(
     raw: RawHeadOutput,
     cam: CameraIntrinsics,
     profile: DatasetProfile,
     h2d: float | None = None,
 ) -> OrientedBox3D:
-    """:func:`box_from_raw_batch` for one query."""
-    return box_from_raw_batch([raw], [cam], profile, None if h2d is None else [h2d]).box(0)
+    """:func:`box_from_raw_columns` for one query."""
+    return box_from_raw_columns(
+        raw_to_vector(raw)[None],
+        np.array([cam], dtype=float),
+        profile,
+        None if h2d is None else np.array([h2d], dtype=float),
+    ).box(0)
 
 
 def _queries(scenes: SceneTable | list[SceneRecord]):
@@ -149,12 +136,11 @@ def _queries(scenes: SceneTable | list[SceneRecord]):
     return BoxBatch.from_rows(table.boxes), table.cams[table.rows], table.keys
 
 
-def perfect_raw_predictions(scenes: list[SceneRecord], profile: DatasetProfile) -> list[PredictionRecord]:
+def perfect_raw_predictions(
+    scenes: SceneTable | list[SceneRecord], profile: DatasetProfile
+) -> PredictionTable:
     boxes, cams, keys = _queries(scenes)
-    return [
-        PredictionRecord(image_id, object_id, raw=vector_to_raw(row))
-        for (image_id, object_id), row in zip(keys, raw_from_box_batch(boxes, cams, profile))
-    ]
+    return PredictionTable(keys, raw_from_box_batch(boxes, cams, profile), np.ones(len(keys), dtype=bool))
 
 
 def box_predictions_from_gt(scenes: list[SceneRecord]) -> list[PredictionRecord]:
@@ -165,16 +151,14 @@ def box_predictions_from_gt(scenes: list[SceneRecord]) -> list[PredictionRecord]
     ]
 
 
-def scale_virtual_depth(preds: list[PredictionRecord], factor: float) -> list[PredictionRecord]:
+def scale_virtual_depth(
+    preds: PredictionTable | list[PredictionRecord], factor: float
+) -> PredictionTable:
     """Multiply every raw prediction's d_v by a factor (ablation probe)."""
-    out = []
-    for p in preds:
-        r = p.raw
-        if r is not None:
-            r = RawHeadOutput(r.u_norm, r.v_norm, r.d_v * factor, r.L, r.W, r.H, r.rot6d)
-            p = PredictionRecord(p.image_id, p.object_id, raw=r)
-        out.append(p)
-    return out
+    preds = PredictionTable.of(preds)
+    values = preds.values.copy()
+    values[preds.is_raw, 2] *= factor
+    return PredictionTable(preds.keys, values, preds.is_raw)
 
 
 def run_pipeline(

@@ -66,11 +66,15 @@ INDOOR_PROFILE = DatasetProfile(DepthMode.VIRTUAL_ONLY, ROTATION_ALLOCENTRIC)
 _PROFILES = {"outdoor": OUTDOOR_PROFILE, "indoor": INDOOR_PROFILE}
 
 
-def profile_by_name(name: str) -> DatasetProfile:
+def _by_profile(options: dict, name: str):
     try:
-        return _PROFILES[name]
+        return options[name]
     except KeyError:
-        raise ValueError(f"unknown profile {name!r}; expected one of {sorted(_PROFILES)}")
+        raise ValueError(f"unknown profile {name!r}; expected one of {sorted(options)}")
+
+
+def profile_by_name(name: str) -> DatasetProfile:
+    return _by_profile(_PROFILES, name)
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,11 @@ OUTDOOR_RANGES = SynthRanges(
 )
 
 
+_RANGES = {"outdoor": OUTDOOR_RANGES, "indoor": INDOOR_RANGES}
+
+
 def ranges_for_profile(name: str) -> SynthRanges:
-    return OUTDOOR_RANGES if name == "outdoor" else INDOOR_RANGES
+    return _by_profile(_RANGES, name)
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,10 @@ class PredictionRecord:
             raise ValueError("prediction must carry exactly one of raw / box3d")
 
 
-# Scenes and predictions are scored as column tables. A table is also a
-# read-only sequence of the records above; each record is built when it is
-# read and not kept, so a table holds its columns only.
+# Scenes and predictions are generated, scored and written as column
+# tables. A table is also a read-only sequence of the records above; each
+# record is built when it is read and not kept, so a table holds its
+# columns only.
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +303,8 @@ def synth_scenes(
     seed: int,
     ranges: SynthRanges | None = None,
     profile_name: str = "indoor",
-) -> list[SceneRecord]:
-    """Generate n deterministic scene records; the last n//10 are focal
+) -> SceneTable:
+    """Generate n deterministic scenes as a table; the last n//10 are focal
     pairs of the first n//10 base scenes."""
     if n < 1:
         raise InvalidRanges(f"need at least one scene, got n={n}")
@@ -318,8 +326,8 @@ def synth_scenes(
     # preserved exactly.
     paired = sum(counts[:n_pairs])
     image_ids += [image_id + FOCAL_PAIR_SUFFIX for image_id in image_ids[:n_pairs]]
-    cams += [cam._replace(fx=2.0 * cam.fx) for cam in cams[:n_pairs]]
-    counts += counts[:n_pairs]
+    cams = np.array(cams + [cam._replace(fx=2.0 * cam.fx) for cam in cams[:n_pairs]])
+    rows = np.repeat(np.arange(n), counts + counts[:n_pairs])
     object_ids += object_ids[:paired]
     center = np.concatenate([center, center[:paired] * [1.0, 2.0, 2.0]])
     dims = np.concatenate([dims, dims[:paired]])
@@ -327,7 +335,7 @@ def synth_scenes(
 
     # Every 2D box is the image extent of its box's projected corners,
     # clipped to the image.
-    fx, fy, cx, cy, width, height = np.repeat(np.array(cams), counts, axis=0).T
+    fx, fy, cx, cy, width, height = cams[rows].T
     pts = _corners(center, dims, rot)
     us = fx[:, None] * pts[:, :, 0] / pts[:, :, 2] + cx[:, None]
     vs = fy[:, None] * pts[:, :, 1] / pts[:, :, 2] + cy[:, None]
@@ -339,24 +347,17 @@ def synth_scenes(
             np.clip(vs.max(axis=1), 0.0, height),
         ],
         axis=1,
-    ).tolist()
-    h2d = (fy * dims[:, 2] / center[:, 2]).tolist()
-
-    objects = [
-        SceneObject(
-            object_id,
-            f"object {object_id}",
-            OrientedBox3D(center[m], dims[m], rot[m]),
-            tuple(box2d[m]),
-            h2d[m],
-        )
-        for m, object_id in enumerate(object_ids)
-    ]
-    starts = np.cumsum([0] + counts).tolist()
-    return [
-        SceneRecord(image_id, cam, objects[starts[i]:starts[i + 1]])
-        for i, (image_id, cam) in enumerate(zip(image_ids, cams))
-    ]
+    )
+    return SceneTable(
+        image_ids,
+        cams,
+        rows,
+        object_ids,
+        [f"object {object_id}" for object_id in object_ids],
+        np.hstack([center, dims, rot.reshape(-1, 9)]),
+        box2d,
+        fy * dims[:, 2] / center[:, 2],
+    )
 
 
 # -- JSON schemas --------------------------------------------------------------
@@ -801,17 +802,6 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
     return PredictionTable(keys, cols, np.ones(len(keys), dtype=bool))
 
 
-def intrinsics_to_json(cam: CameraIntrinsics) -> dict:
-    return {
-        "fx": float(cam.fx),
-        "fy": float(cam.fy),
-        "cx": float(cam.cx),
-        "cy": float(cam.cy),
-        "width": float(cam.width),
-        "height": float(cam.height),
-    }
-
-
 def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
     """Camera intrinsics, checked by the scene records' intrinsics rules."""
     fail = _Failures()
@@ -827,41 +817,40 @@ def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
     return CameraIntrinsics(*cam[0].tolist())
 
 
-def box_to_json(box: OrientedBox3D) -> dict:
-    return {
-        "center": box.center.tolist(),
-        "dims": box.dims.tolist(),
-        "rot": box.rot.ravel().tolist(),
-    }
+def _scenes_json(table: SceneTable):
+    """The JSON object of each scene of a table, in order."""
+    cams, boxes, box2d, h2d = (a.tolist() for a in (table.cams, table.boxes, table.box2d, table.h2d))
+    starts = table._starts
+    for i, image_id in enumerate(table.image_ids):
+        yield {
+            "image_id": image_id,
+            "intrinsics": dict(zip(_INTRINSICS, cams[i])),
+            "objects": [
+                {
+                    "object_id": table.object_ids[m],
+                    "caption": table.captions[m],
+                    "box3d": {"center": boxes[m][0:3], "dims": boxes[m][3:6], "rot": boxes[m][6:15]},
+                    "box2d": box2d[m],
+                    "h2d": h2d[m],
+                }
+                for m in range(starts[i], starts[i + 1])
+            ],
+        }
 
 
-def raw_to_json(raw: RawHeadOutput) -> dict:
-    return {
-        "u_norm": float(raw.u_norm),
-        "v_norm": float(raw.v_norm),
-        "d_v": float(raw.d_v),
-        "L": float(raw.L),
-        "W": float(raw.W),
-        "H": float(raw.H),
-        "rot6d": raw.rot6d.as_array().tolist(),
-    }
+def _predictions_json(table: PredictionTable):
+    """The JSON object of each prediction of a table, in order."""
+    for (image_id, object_id), row, raw in zip(table.keys, table.values.tolist(), table.is_raw.tolist()):
+        out: dict = {"image_id": image_id, "object_id": object_id}
+        if raw:
+            out["raw"] = dict(zip(_RAW_FIELDS, row), rot6d=row[6:12])
+        else:
+            out["box3d"] = {"center": row[0:3], "dims": row[3:6], "rot": row[6:15]}
+        yield out
 
 
 def scene_to_json(record: SceneRecord) -> dict:
-    return {
-        "image_id": record.image_id,
-        "intrinsics": intrinsics_to_json(record.intrinsics),
-        "objects": [
-            {
-                "object_id": o.object_id,
-                "caption": o.caption,
-                "box3d": box_to_json(o.box3d),
-                "box2d": [float(x) for x in o.box2d],
-                "h2d": float(o.h2d),
-            }
-            for o in record.objects
-        ],
-    }
+    return next(_scenes_json(SceneTable.of([record])))
 
 
 def scene_from_json(obj) -> SceneRecord:
@@ -870,12 +859,7 @@ def scene_from_json(obj) -> SceneRecord:
 
 
 def prediction_to_json(pred: PredictionRecord) -> dict:
-    out: dict = {"image_id": pred.image_id, "object_id": pred.object_id}
-    if pred.raw is not None:
-        out["raw"] = raw_to_json(pred.raw)
-    else:
-        out["box3d"] = box_to_json(pred.box3d)
-    return out
+    return next(_predictions_json(PredictionTable.of([pred])))
 
 
 def prediction_from_json(obj, mode: str) -> PredictionRecord:
@@ -886,8 +870,8 @@ def prediction_from_json(obj, mode: str) -> PredictionRecord:
 # -- JSONL I/O -----------------------------------------------------------------
 
 
-def write_scenes(path, records: list[SceneRecord]) -> None:
-    write_jsonl(path, (scene_to_json(r) for r in records))
+def write_scenes(path, scenes: SceneTable | list[SceneRecord]) -> None:
+    write_jsonl(path, _scenes_json(SceneTable.of(scenes)))
 
 
 def read_scenes(path) -> SceneTable:
@@ -896,8 +880,8 @@ def read_scenes(path) -> SceneTable:
     return _decode_scenes(read_jsonl(path))
 
 
-def write_predictions(path, records: list[PredictionRecord]) -> None:
-    write_jsonl(path, (prediction_to_json(r) for r in records))
+def write_predictions(path, preds: PredictionTable | list[PredictionRecord]) -> None:
+    write_jsonl(path, _predictions_json(PredictionTable.of(preds)))
 
 
 def read_predictions(path, mode: str) -> PredictionTable:

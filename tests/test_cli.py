@@ -158,6 +158,16 @@ class TestTrainToy:
             outputs.append((ckpt.read_bytes(), (tmp_path / f"{name}.json.loss.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--batch-size", "0"), ("--batch-size", "-1")])
+    def test_meaningless_sizes_are_validation_errors(self, tmp_path, capsys, flag, value):
+        scenes = tmp_path / "scenes.jsonl"
+        run_cli(capsys, "synth", "--scenes", "3", "--seed", "4", "--out", str(scenes))
+        ckpt = tmp_path / "ckpt.json"
+        code, _, err = run_cli(capsys, "train-toy", "--data", str(scenes), "--out", str(ckpt), flag, value)
+        assert code == 1
+        assert flag[2:].replace("-", "_") in err
+        assert not ckpt.exists()
+
 
 class TestGoldenReports:
     """`evaluate` report bytes on small synthesized files, pinned literally.

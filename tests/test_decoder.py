@@ -313,6 +313,13 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             D.train(np.zeros((0, 5, 8)), np.zeros((0, 12)), params, D.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("batch_size", 0), ("batch_size", -1)])
+    def test_meaningless_sizes_rejected(self, field, value):
+        dataset = tiny_dataset(np.random.default_rng(18))
+        params = D.init_params(small_config(), np.random.default_rng(4))
+        with pytest.raises(ValueError, match=field):
+            D.train(*dataset, params, D.TrainConfig(**{"epochs": 1, field: value}))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -17,7 +17,7 @@ from mono3dg.pipeline import (
     ToyEncoder,
     ToyTaskConfig,
     box_from_raw,
-    box_from_raw_batch,
+    box_from_raw_columns,
     box_predictions_from_gt,
     build_toy_dataset,
     decoder_predictions,
@@ -202,10 +202,7 @@ class TestSameBitsAsPerQueryCode:
         preds = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
         queries = [(r, o) for r in scenes for o in r.objects]
         single = [box_from_raw(p.raw, r.intrinsics, profile, o.h2d) for (r, o), p in zip(queries, preds)]
-        batch = box_from_raw_batch(
-            [p.raw for p in preds], [r.intrinsics for r, _ in queries], profile,
-            [o.h2d for _, o in queries],
-        )
+        batch = box_from_raw_columns(preds.values, scenes.cams[scenes.rows], profile, scenes.h2d)
         gt = BoxBatch.stack(o.box3d for _, o in queries)
         boxes_digest, iou_digest = self.DIGESTS[profile_name]
         assert _digest([np.concatenate([b.center, b.dims, b.rot.ravel()]) for b in single]) == boxes_digest

@@ -10,12 +10,16 @@ from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.scenes import (
     FOCAL_PAIR_SUFFIX,
     INDOOR_PROFILE,
+    INDOOR_RANGES,
     OUTDOOR_PROFILE,
+    OUTDOOR_RANGES,
     PredictionRecord,
+    PredictionTable,
     SynthRanges,
     prediction_from_json,
     prediction_to_json,
     profile_by_name,
+    ranges_for_profile,
     read_predictions,
     read_scenes,
     scene_from_json,
@@ -24,7 +28,7 @@ from mono3dg.scenes import (
     write_predictions,
     write_scenes,
 )
-from mono3dg.pipeline import perfect_raw_predictions
+from mono3dg.pipeline import box_predictions_from_gt, perfect_raw_predictions
 
 
 class TestSynth:
@@ -91,6 +95,12 @@ class TestSynth:
         assert profile_by_name("outdoor") is OUTDOOR_PROFILE
         with pytest.raises(ValueError):
             profile_by_name("underwater")
+
+    def test_ranges_lookup(self):
+        assert ranges_for_profile("indoor") is INDOOR_RANGES
+        assert ranges_for_profile("outdoor") is OUTDOOR_RANGES
+        with pytest.raises(ValueError, match="outdor"):
+            ranges_for_profile("outdor")
 
 
 class TestSynthBytesPinned:
@@ -186,7 +196,7 @@ class TestSceneJsonl:
     def test_repeated_image_id_rejected_with_line(self, tmp_path):
         records = synth_scenes(3, seed=15, profile_name="outdoor")
         path = tmp_path / "repeated.jsonl"
-        write_scenes(path, records + records[:1])
+        write_scenes(path, [*records, records[0]])
         with pytest.raises(SchemaError) as info:
             read_scenes(path)
         assert info.value.field == "image_id"
@@ -228,6 +238,36 @@ class TestSceneJsonl:
             scene_from_json(record)
 
 
+class TestWritersTakeTablesOrRecords:
+    """A writer emits the same bytes from a table and from its records, and
+    the one-record serializers give each record's line of the file."""
+
+    def test_scenes(self, tmp_path):
+        table = synth_scenes(12, seed=30, profile_name="outdoor")
+        from_table, from_records = tmp_path / "table.jsonl", tmp_path / "records.jsonl"
+        write_scenes(from_table, table)
+        write_scenes(from_records, list(table))
+        assert from_table.read_bytes() == from_records.read_bytes()
+        lines = from_table.read_text().splitlines()
+        assert lines == [dumps_canonical(scene_to_json(r)) for r in table]
+
+    def test_mixed_raw_and_box_predictions(self, tmp_path):
+        scenes = synth_scenes(6, seed=31)
+        raw = perfect_raw_predictions(scenes, INDOOR_PROFILE)
+        boxes = box_predictions_from_gt(scenes)
+        mixed = [raw[k] if k % 3 else boxes[k] for k in range(len(raw))]
+        table = PredictionTable.of(mixed)
+        assert table.values.shape[1] == 15 and np.isnan(table.values[table.is_raw, 12:]).all()
+        assert table.is_raw.any() and not table.is_raw.all()
+        from_table, from_records = tmp_path / "table.jsonl", tmp_path / "records.jsonl"
+        write_predictions(from_table, table)
+        write_predictions(from_records, list(table))
+        assert from_table.read_bytes() == from_records.read_bytes()
+        lines = from_table.read_text().splitlines()
+        assert lines == [dumps_canonical(prediction_to_json(p)) for p in mixed]
+        assert ["raw" in loads_strict(line) for line in lines] == table.is_raw.tolist()
+
+
 class TestPredictionJsonl:
     def test_raw_round_trip(self, tmp_path):
         scenes = synth_scenes(10, seed=12, profile_name="outdoor")
@@ -263,7 +303,7 @@ class TestPredictionJsonl:
         scenes = synth_scenes(3, seed=15)
         preds = perfect_raw_predictions(scenes, INDOOR_PROFILE)
         path = tmp_path / "dup.jsonl"
-        write_predictions(path, preds + [preds[0]])
+        write_predictions(path, [*preds, preds[0]])
         with pytest.raises(SchemaError):
             read_predictions(path, "raw")
 
