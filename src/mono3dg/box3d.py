@@ -68,6 +68,14 @@ _CHUNK = 64
 _SPHERE_GAP = 1e-6
 
 
+# A batch of N boxes is an (N, 15) array of rows, the layout of files and
+# tables: center, dims (L, W, H) and the row-major rotation, at these slots.
+CENTER, DIMS, ROT = slice(0, 3), slice(3, 6), slice(6, 15)
+# The rot slots of R[2, 0], R[2, 1], R[0, 2] and R[1, 2], which vanish for a
+# rotation about z alone.
+_OUT_OF_PLANE = [12, 13, 8, 11]
+
+
 @dataclass(frozen=True)
 class OrientedBox3D:
     """3D box given by center (m), dims (L, W, H in m), and rotation matrix."""
@@ -84,6 +92,16 @@ class OrientedBox3D:
         if not (length > 0 and width > 0 and height > 0):
             raise ValueError(f"box dims must be positive, got {self.dims}")
 
+    @staticmethod
+    def from_row(row: np.ndarray) -> "OrientedBox3D":
+        """The box of one (15,) row."""
+        return OrientedBox3D(row[CENTER], row[DIMS], row[ROT])
+
+    @property
+    def row(self) -> np.ndarray:
+        """The box as one (15,) row."""
+        return np.concatenate([self.center, self.dims, self.rot.ravel()])
+
     def validate(self) -> "OrientedBox3D":
         validate_rotation(self.rot)
         return self
@@ -93,50 +111,12 @@ class OrientedBox3D:
         return float(self.dims[0] * self.dims[1] * self.dims[2])
 
 
-@dataclass(frozen=True)
-class BoxBatch:
-    """N oriented boxes as columns: centers (N, 3), dims (N, 3), rotations (N, 3, 3)."""
-
-    center: np.ndarray
-    dims: np.ndarray
-    rot: np.ndarray
-
-    def __post_init__(self):
-        reject_first(
-            ~(self.dims > 0).all(axis=1),
-            self.dims,
-            ValueError,
-            "box dims must be positive, got {}",
-        )
-
-    @staticmethod
-    def stack(boxes) -> "BoxBatch":
-        boxes = list(boxes)
-        return BoxBatch(
-            np.array([b.center for b in boxes]).reshape(-1, 3),
-            np.array([b.dims for b in boxes]).reshape(-1, 3),
-            np.array([b.rot for b in boxes]).reshape(-1, 3, 3),
-        )
-
-    @staticmethod
-    def from_rows(rows: np.ndarray) -> "BoxBatch":
-        """Boxes from (N, 15) rows of center, dims and row-major rot."""
-        return BoxBatch(rows[:, 0:3], rows[:, 3:6], rows[:, 6:15].reshape(-1, 3, 3))
-
-    @staticmethod
-    def of(box: OrientedBox3D) -> "BoxBatch":
-        """The one box as a batch of one."""
-        return BoxBatch(box.center[None], box.dims[None], box.rot[None])
-
-    def box(self, i: int) -> OrientedBox3D:
-        return OrientedBox3D(self.center[i], self.dims[i], self.rot[i])
-
-    def take(self, rows) -> "BoxBatch":
-        return BoxBatch(self.center[rows], self.dims[rows], self.rot[rows])
-
-    @property
-    def volume(self) -> np.ndarray:
-        return self.dims.prod(axis=1)
+def check_dims(rows: np.ndarray) -> np.ndarray:
+    """rows, once no row has a dim that is not positive; raises ValueError
+    for the first that has."""
+    dims = rows[:, DIMS]
+    reject_first(~(dims > 0).all(axis=1), dims, ValueError, "box dims must be positive, got {}")
+    return rows
 
 
 def _corners(center: np.ndarray, dims: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -149,15 +129,12 @@ def corners(box: OrientedBox3D) -> np.ndarray:
     return _corners(box.center[None], box.dims[None], box.rot[None])[0]
 
 
-def _canonical_pairs(a: BoxBatch, b: BoxBatch) -> np.ndarray:
-    """Each pair as (N, 2, 15) rows of (center, dims, row-major rot), the box
-    whose row compares lower as a tuple first, so that results are bitwise
-    symmetric in (a, b). Inputs hold no NaN, and -0.0 == 0.0 as in tuples."""
-    n = len(a.center)
-    keys = np.concatenate(
-        [a.center, a.dims, a.rot.reshape(n, 9), b.center, b.dims, b.rot.reshape(n, 9)], axis=1
-    ).reshape(n, 2, 15)
-    rows = np.arange(n)
+def _canonical_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each pair of rows as (N, 2, 15), the row that compares lower as a
+    tuple first, so that results are bitwise symmetric in (a, b). Inputs
+    hold no NaN, and -0.0 == 0.0 as in tuples."""
+    keys = np.stack([a, b], axis=1)
+    rows = np.arange(len(keys))
     first = (keys[:, 0] != keys[:, 1]).argmax(axis=1)
     swap = keys[rows, 1, first] < keys[rows, 0, first]
     return np.where(swap[:, None, None], keys[:, ::-1], keys)
@@ -183,7 +160,7 @@ def _polytope_vertices(pairs: np.ndarray):
     """
     n = len(pairs)
     boxes = pairs.reshape(-1, 15)
-    center, dims, rot = boxes[:, :3], boxes[:, 3:6], boxes[:, 6:].reshape(-1, 3, 3)
+    center, dims, rot = boxes[:, CENTER], boxes[:, DIMS], boxes[:, ROT].reshape(-1, 3, 3)
     box_corners = _corners(center, dims, rot).reshape(n, 16, 3)
     # Outward unit normals ordered +x, -x, +y, -y, +z, -z, and plane offsets.
     normals = np.repeat(rot.transpose(0, 2, 1), 2, axis=1) * _FACE_SIGNS
@@ -247,13 +224,14 @@ def _polytope_volumes(pts: np.ndarray, on: np.ndarray, count: np.ndarray, normal
     return _ordered_sum(cones, axis=1) / 3.0
 
 
-def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
-    """Volumes of the convex intersections of N pairs of oriented boxes, as
-    an (N,) array; each is bitwise symmetric in its pair."""
-    pairs = _canonical_pairs(a, b)
+def intersection_volume_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Volumes of the convex intersections of N pairs of oriented boxes,
+    given as (N, 15) rows, as an (N,) array; each is bitwise symmetric in
+    its pair."""
+    pairs = _canonical_pairs(check_dims(a), check_dims(b))
     volume = np.zeros(len(pairs))
-    gap = np.linalg.norm(pairs[:, 0, :3] - pairs[:, 1, :3], axis=1)
-    gap -= np.linalg.norm(pairs[:, :, 3:6], axis=2).sum(axis=1) / 2.0
+    gap = np.linalg.norm(pairs[:, 0, CENTER] - pairs[:, 1, CENTER], axis=1)
+    gap -= np.linalg.norm(pairs[:, :, DIMS], axis=2).sum(axis=1) / 2.0
     near = (gap <= _SPHERE_GAP).nonzero()[0]
     # Both stages run on a bounded number of pairs at a time, which bounds
     # their scratch memory. Fewer than 4 kept vertices, or all of them on
@@ -270,45 +248,44 @@ def intersection_volume_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
 def intersection_volume(a: OrientedBox3D, b: OrientedBox3D) -> float:
     """Volume of the convex intersection of two oriented boxes:
     :func:`intersection_volume_batch` for one pair."""
-    return float(intersection_volume_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
+    return float(intersection_volume_batch(a.row[None], b.row[None])[0])
 
 
-def _iou(inter: np.ndarray, a: BoxBatch, b: BoxBatch) -> np.ndarray:
+def _iou(inter: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU from N intersection volumes, clamped to [0, 1]; 0 for an empty union."""
-    union = a.volume + b.volume - inter
+    union = a[:, DIMS].prod(axis=1) + b[:, DIMS].prod(axis=1) - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.minimum(np.maximum(inter / union, 0.0), 1.0)
     return np.where(union <= 0.0, 0.0, iou)
 
 
-def iou3d_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
-    """Exact IoU of N pairs of oriented boxes, as an (N,) array."""
+def iou3d_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact IoU of N pairs of oriented boxes, given as (N, 15) rows, as an
+    (N,) array."""
     return _iou(intersection_volume_batch(a, b), a, b)
 
 
 def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
     """:func:`iou3d_batch` for one pair."""
-    return float(iou3d_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
+    return float(iou3d_batch(a.row[None], b.row[None])[0])
 
 
-def yaw_only(rot: np.ndarray) -> np.ndarray:
-    """Which rotations of an (N, 3, 3) stack have no pitch/roll terms (within
-    YAW_ONLY_TOL), so that their box's footprint and height extent separate."""
-    return (np.abs(rot[:, [2, 2, 0, 1], [0, 1, 2, 2]]) <= YAW_ONLY_TOL).all(axis=1)
+def yaw_only(rows: np.ndarray) -> np.ndarray:
+    """Which of N boxes, given as (N, 15) rows, have no pitch/roll terms
+    (within YAW_ONLY_TOL), so that their footprint and height extent separate."""
+    return (np.abs(rows[:, _OUT_OF_PLANE]) <= YAW_ONLY_TOL).all(axis=1)
 
 
 def is_yaw_only(box: OrientedBox3D) -> bool:
     """:func:`yaw_only` for one box."""
-    return bool(yaw_only(box.rot[None])[0])
+    return bool(yaw_only(box.row[None])[0])
 
 
-def _require_yaw_only(boxes) -> None:
-    """Raise NotYawOnly for the first box that is not yaw-only; boxes is one
-    OrientedBox3D or a BoxBatch."""
-    rot = boxes.rot.reshape(-1, 3, 3)
+def _require_yaw_only(rows: np.ndarray) -> None:
+    """Raise NotYawOnly for the first of (N, 15) rows that is not yaw-only."""
     reject_first(
-        ~yaw_only(rot),
-        rot[:, [2, 2, 0, 1], [0, 1, 2, 2]],
+        ~yaw_only(rows),
+        rows[:, _OUT_OF_PLANE],
         NotYawOnly,
         "rotation has out-of-plane terms ({0[0]:.3e}, {0[1]:.3e}, {0[2]:.3e}, {0[3]:.3e})",
     )
@@ -320,17 +297,18 @@ def _require_yaw_only(boxes) -> None:
 # one pair at a time, so each row's result has the same bits.
 
 
-def _footprints(boxes: BoxBatch):
-    """Counter-clockwise footprint corners of yaw-only boxes, as (N, 4) x and y."""
-    R = boxes.rot
+def _footprints(rows: np.ndarray):
+    """Counter-clockwise footprint corners of yaw-only boxes, given as
+    (N, 15) rows, as (N, 4) x and y."""
+    center, dims, R = rows[:, CENTER], rows[:, DIMS], rows[:, ROT].reshape(-1, 3, 3)
     yaw = [math.atan2(s, c) for s, c in zip(R[:, 1, 0].tolist(), R[:, 0, 0].tolist())]
     c = np.array([math.cos(t) for t in yaw])[:, None]
     s = np.array([math.sin(t) for t in yaw])[:, None]
-    hl, hw = boxes.dims[:, 0] / 2.0, boxes.dims[:, 1] / 2.0
+    hl, hw = dims[:, 0] / 2.0, dims[:, 1] / 2.0
     x = np.stack([hl, -hl, -hl, hl], axis=1)
     y = np.stack([hw, hw, -hw, -hw], axis=1)
-    px = boxes.center[:, 0, None] + c * x - s * y
-    py = boxes.center[:, 1, None] + s * x + c * y
+    px = center[:, 0, None] + c * x - s * y
+    py = center[:, 1, None] + s * x + c * y
     clockwise = (_signed_areas(px, py, np.full(len(px), 4)) < 0)[:, None]
     return np.where(clockwise, px[:, ::-1], px), np.where(clockwise, py[:, ::-1], py)
 
@@ -381,21 +359,23 @@ def _clip_convex_2d(px, py, count, clip_x, clip_y):
     return px, py, count
 
 
-def iou3d_bev_yaw_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
-    """Fast IoU for N pairs of yaw-only boxes: footprint polygon overlap x
-    height overlap, as an (N,) array.
+def iou3d_bev_yaw_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fast IoU for N pairs of yaw-only boxes, given as (N, 15) rows:
+    footprint polygon overlap x height overlap, as an (N,) array.
 
     Raises NotYawOnly for the first box whose rotation is not a pure
     rotation about z.
     """
+    check_dims(a)
+    check_dims(b)
     _require_yaw_only(a)
     _require_yaw_only(b)
     ax, ay = _footprints(a)
     bx, by = _footprints(b)
     px, py, count = _clip_convex_2d(ax, ay, np.full(len(ax), 4), bx, by)
     area = np.where(count >= 3, np.abs(_signed_areas(px, py, count)), 0.0)
-    za, ha = a.center[:, 2], a.dims[:, 2]
-    zb, hb = b.center[:, 2], b.dims[:, 2]
+    za, ha = a[:, CENTER][:, 2], a[:, DIMS][:, 2]
+    zb, hb = b[:, CENTER][:, 2], b[:, DIMS][:, 2]
     top = np.minimum(za + ha / 2.0, zb + hb / 2.0)
     dz = np.maximum(0.0, top - np.maximum(za - ha / 2.0, zb - hb / 2.0))
     return _iou(area * dz, a, b)
@@ -403,7 +383,7 @@ def iou3d_bev_yaw_batch(a: BoxBatch, b: BoxBatch) -> np.ndarray:
 
 def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
     """:func:`iou3d_bev_yaw_batch` for one pair."""
-    return float(iou3d_bev_yaw_batch(BoxBatch.of(a), BoxBatch.of(b))[0])
+    return float(iou3d_bev_yaw_batch(a.row[None], b.row[None])[0])
 
 
 def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:

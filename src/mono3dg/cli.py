@@ -123,6 +123,8 @@ def _cmd_project(args) -> int:
     coords = [float(part) for part in args.point.split(",")]
     if len(coords) != 3:
         raise ValueError("--point expects X,Y,Z")
+    if not np.isfinite(coords).all():
+        raise ValueError(f"--point coordinates must be finite, got {args.point}")
     pix = project(Point3D(*coords), cam)
     print(dumps_canonical({"u": pix.u, "v": pix.v}))
     return 0

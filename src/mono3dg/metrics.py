@@ -14,7 +14,7 @@ import numpy as np
 
 from . import box3d
 # iou3d stays importable here, where the benchmark's tracer wraps it.
-from .box3d import BoxBatch, OrientedBox3D, iou3d  # noqa: F401
+from .box3d import CENTER, DIMS, OrientedBox3D, iou3d  # noqa: F401
 
 REPORT_COLUMNS = (
     "Acc@0.25",
@@ -56,34 +56,39 @@ class MetricReport:
 
 
 def score_query_batch(
-    pred: BoxBatch,
-    gt: BoxBatch,
+    pred: np.ndarray,
+    gt: np.ndarray,
     query_ids: list,
     depth_metric: str = "z",
 ) -> list[QueryResult]:
-    """Score N predictions against their ground truths. depth_metric='z'
-    uses |dZ| along the optical axis; 'euclidean' uses the full center
-    distance (comparison mode only).
+    """Score N predicted boxes against their ground truths, both given as
+    (N, 15) rows. depth_metric='z' uses |dZ| along the optical axis;
+    'euclidean' uses the full center distance (comparison mode only).
 
     Pairs whose two boxes are both yaw-only are scored together by the BEV
     kernel, which agrees with the exact kernel to rounding and costs a
     fraction of it; every other pair is scored together by the exact
     kernel."""
+    # Each kernel checks only its share of the pairs; checking both whole
+    # batches first reports the first bad row of pred, then of gt.
+    box3d.check_dims(pred)
+    box3d.check_dims(gt)
+    pred_center, gt_center = pred[:, CENTER], gt[:, CENTER]
     if depth_metric == "z":
-        depth_errors = np.abs(pred.center[:, 2] - gt.center[:, 2]).tolist()
+        depth_errors = np.abs(pred_center[:, 2] - gt_center[:, 2]).tolist()
     elif depth_metric == "euclidean":
-        depth_errors = [math.dist(p, g) for p, g in zip(pred.center.tolist(), gt.center.tolist())]
+        depth_errors = [math.dist(p, g) for p, g in zip(pred_center.tolist(), gt_center.tolist())]
     else:
         raise ValueError(f"unknown depth_metric {depth_metric!r}")
-    bev = box3d.yaw_only(pred.rot) & box3d.yaw_only(gt.rot)
+    bev = box3d.yaw_only(pred) & box3d.yaw_only(gt)
     iou = np.empty(len(query_ids))
     # Both kernels are resolved on box3d at call time, so a wrapper
     # installed there (a tracer, a test) sees the calls.
     if bev.any():
-        iou[bev] = box3d.iou3d_bev_yaw_batch(pred.take(bev), gt.take(bev))
+        iou[bev] = box3d.iou3d_bev_yaw_batch(pred[bev], gt[bev])
     if not bev.all():
-        iou[~bev] = box3d.iou3d_batch(pred.take(~bev), gt.take(~bev))
-    size_errors = np.abs(pred.dims - gt.dims).tolist()
+        iou[~bev] = box3d.iou3d_batch(pred[~bev], gt[~bev])
+    size_errors = np.abs(pred[:, DIMS] - gt[:, DIMS]).tolist()
     return [
         QueryResult(query_id, value, depth, *sizes)
         for query_id, value, depth, sizes in zip(query_ids, iou.tolist(), depth_errors, size_errors)
@@ -97,8 +102,7 @@ def score_query(
     depth_metric: str = "z",
 ) -> QueryResult:
     """:func:`score_query_batch` for one query."""
-    batch = score_query_batch(BoxBatch.of(pred), BoxBatch.of(gt), [query_id], depth_metric)
-    return batch[0]
+    return score_query_batch(pred.row[None], gt.row[None], [query_id], depth_metric)[0]
 
 
 def missing_result(query_id: str) -> QueryResult:

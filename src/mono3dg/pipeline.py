@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box3d import BoxBatch, OrientedBox3D
+from .box3d import CENTER, DIMS, ROT, OrientedBox3D, check_dims
 from .camera import (
     CameraIntrinsics,
     Point3D,
@@ -66,32 +66,35 @@ from .scenes import (
 
 
 def raw_from_box_batch(
-    boxes: BoxBatch,
+    boxes: np.ndarray,
     cams: list[CameraIntrinsics],
     profile: DatasetProfile,
 ) -> np.ndarray:
-    """The head outputs a perfect network would emit for N boxes, one camera
-    per box, as (N, 12) rows in :func:`raw_to_vector` order.
+    """The head outputs a perfect network would emit for N boxes, given as
+    (N, 15) rows, one camera per box, as (N, 12) rows in
+    :func:`raw_to_vector` order.
 
     Queries are checked as if one at a time, depth before rotation: the
     first query behind the camera or with a non-rotation raises.
     """
+    check_dims(boxes)
     cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, 6).T)
-    behind = boxes.center[:, 2] <= 0.0
+    centers = boxes[:, CENTER]
+    behind = centers[:, 2] <= 0.0
     ahead = int(behind.argmax()) if behind.any() else len(behind)
-    rot = boxes.rot[:ahead]
+    rot = boxes[:ahead, ROT].reshape(-1, 3, 3)
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
-        rot = egocentric_to_allocentric_batch(rot, boxes.center[:ahead])
+        rot = egocentric_to_allocentric_batch(rot, centers[:ahead])
     rot6d = matrix_to_rot6d_batch(rot)
-    center = Point3D(*boxes.center.T)
+    center = Point3D(*centers.T)
     pix = project(center, cam)
     d_v = real_to_virtual_depth(center.Z, cam, profile.virtual_camera)
-    return np.column_stack([pix.u / cam.width, pix.v / cam.height, d_v, boxes.dims, rot6d])
+    return np.column_stack([pix.u / cam.width, pix.v / cam.height, d_v, boxes[:, DIMS], rot6d])
 
 
 def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> RawHeadOutput:
     """:func:`raw_from_box_batch` for one box."""
-    return vector_to_raw(raw_from_box_batch(BoxBatch.stack([box]), [cam], profile)[0])
+    return vector_to_raw(raw_from_box_batch(box.row[None], [cam], profile)[0])
 
 
 def box_from_raw_columns(
@@ -99,10 +102,10 @@ def box_from_raw_columns(
     cams: np.ndarray,
     profile: DatasetProfile,
     h2d: np.ndarray | None = None,
-) -> BoxBatch:
+) -> np.ndarray:
     """Geometry reasoning for N queries: head outputs (N, 12), in
-    :func:`raw_to_vector` order, -> oriented boxes in the camera frame, with
-    one camera (N, 6) (and 2D height) per query."""
+    :func:`raw_to_vector` order, -> oriented boxes in the camera frame as
+    (N, 15) rows, with one camera (N, 6) (and 2D height) per query."""
     u_norm, v_norm, d_v, _, _, height = raw[:, :6].T
     cam = CameraIntrinsics(*cams.T)
     center = reason_center_batch(
@@ -111,7 +114,7 @@ def box_from_raw_columns(
     rot = rot6d_to_matrix_batch(raw[:, 6:9], raw[:, 9:12])
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
         rot = allocentric_to_egocentric_batch(rot, center)
-    return BoxBatch(center, raw[:, 3:6], rot)
+    return check_dims(np.hstack([center, raw[:, 3:6], rot.reshape(-1, 9)]))
 
 
 def box_from_raw(
@@ -121,19 +124,19 @@ def box_from_raw(
     h2d: float | None = None,
 ) -> OrientedBox3D:
     """:func:`box_from_raw_columns` for one query."""
-    return box_from_raw_columns(
+    return OrientedBox3D.from_row(box_from_raw_columns(
         raw_to_vector(raw)[None],
         np.array([cam], dtype=float),
         profile,
         None if h2d is None else np.array([h2d], dtype=float),
-    ).box(0)
+    )[0])
 
 
 def _queries(scenes: SceneTable | list[SceneRecord]):
-    """Every query of these scenes, in scene order: the ground-truth boxes,
-    one camera per box, and the (image_id, object_id) keys."""
+    """Every query of these scenes, in scene order: the ground-truth boxes
+    as (M, 15) rows, one camera per box, and the (image_id, object_id) keys."""
     table = SceneTable.of(scenes)
-    return BoxBatch.from_rows(table.boxes), table.cams[table.rows], table.keys
+    return table.boxes, table.cams[table.rows], table.keys
 
 
 def perfect_raw_predictions(
@@ -185,28 +188,23 @@ def run_pipeline(
     picked = np.array([row_of.get(key, -1) for key in gt_keys], dtype=int)
     results = [missing_result(q) if row < 0 else None for q, row in zip(query_ids, picked.tolist())]
     queries = (picked >= 0).nonzero()[0]
-    if len(queries):
-        rows = picked[queries]
-        values, raw = preds.values[rows], preds.is_raw[rows]
-        # The predicted boxes as (K, 15) rows: raw head outputs go through
-        # the geometry chain as one batch, direct boxes are taken as they are.
-        boxes = np.empty((len(rows), 15))
-        if not raw.all():
-            boxes[~raw] = values[~raw]
-        if raw.any():
-            q = queries[raw]
-            reasoned = box_from_raw_columns(
-                values[raw, :12], scenes.cams[scenes.rows[q]], profile, scenes.h2d[q]
-            )
-            boxes[raw] = np.hstack([reasoned.center, reasoned.dims, reasoned.rot.reshape(-1, 9)])
-        batch = score_query_batch(
-            BoxBatch.from_rows(boxes),
-            BoxBatch.from_rows(scenes.boxes[queries]),
-            [query_ids[k] for k in queries.tolist()],
-            depth_metric,
+    rows = picked[queries]
+    values, raw = preds.values[rows], preds.is_raw[rows]
+    # The predicted boxes as (K, 15) rows: raw head outputs go through the
+    # geometry chain as one batch, direct boxes are taken as they are.
+    boxes = np.empty((len(rows), 15))
+    if not raw.all():
+        boxes[~raw] = values[~raw]
+    if raw.any():
+        q = queries[raw]
+        boxes[raw] = box_from_raw_columns(
+            values[raw, :12], scenes.cams[scenes.rows[q]], profile, scenes.h2d[q]
         )
-        for k, result in zip(queries.tolist(), batch):
-            results[k] = result
+    batch = score_query_batch(
+        boxes, scenes.boxes[queries], [query_ids[k] for k in queries.tolist()], depth_metric
+    )
+    for k, result in zip(queries.tolist(), batch):
+        results[k] = result
     return aggregate(results)
 
 

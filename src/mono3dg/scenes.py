@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .box3d import OrientedBox3D, _corners
+from .box3d import CENTER, DIMS, ROT, OrientedBox3D, _corners
 from .camera import (
     HEIGHT2D_EPSILON,
     CameraIntrinsics,
@@ -174,18 +174,13 @@ class SceneTable(Sequence):
             return scenes
         scenes = list(scenes)
         objects = [(row, obj) for row, record in enumerate(scenes) for obj in record.objects]
-        boxes = [obj.box3d for _, obj in objects]
         return SceneTable(
             [record.image_id for record in scenes],
             np.array([record.intrinsics for record in scenes], dtype=float).reshape(-1, 6),
             np.array([row for row, _ in objects], dtype=int),
             [obj.object_id for _, obj in objects],
             [obj.caption for _, obj in objects],
-            np.hstack([
-                np.array([box.center for box in boxes], dtype=float).reshape(-1, 3),
-                np.array([box.dims for box in boxes], dtype=float).reshape(-1, 3),
-                np.array([box.rot for box in boxes], dtype=float).reshape(-1, 9),
-            ]),
+            np.array([obj.box3d.row for _, obj in objects], dtype=float).reshape(-1, 15),
             np.array([obj.box2d for _, obj in objects], dtype=float).reshape(-1, 4),
             np.array([obj.h2d for _, obj in objects], dtype=float),
         )
@@ -210,7 +205,7 @@ class SceneTable(Sequence):
             SceneObject(
                 self.object_ids[m],
                 self.captions[m],
-                OrientedBox3D(self.boxes[m, 0:3], self.boxes[m, 3:6], self.boxes[m, 6:15]),
+                OrientedBox3D.from_row(self.boxes[m]),
                 tuple(self.box2d[m].tolist()),
                 float(self.h2d[m]),
             )
@@ -242,7 +237,7 @@ class PredictionTable(Sequence):
 
         def row(p):
             if p.raw is None:
-                return [*p.box3d.center, *p.box3d.dims, *p.box3d.rot.ravel()]
+                return p.box3d.row.tolist()
             r = p.raw
             return [r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H, *r.rot6d.a, *r.rot6d.b, *pad]
 
@@ -260,7 +255,7 @@ class PredictionTable(Sequence):
         if self.is_raw[i]:
             raw = RawHeadOutput(*row[:6].tolist(), rot6d=Rot6D(row[6:9], row[9:12]))
             return PredictionRecord(*self.keys[i], raw=raw)
-        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D(row[0:3], row[3:6], row[6:15]))
+        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D.from_row(row))
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -600,7 +595,7 @@ def _check_intrinsics(fail: _Failures, values: list, rows, objects, path: str) -
 def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
     """Rules on (M, 15) box columns (center, dims, row-major rot); path(i)
     is entry i's box field."""
-    dims = box[:, 3:6]
+    dims = box[:, DIMS]
     fail.column(
         (dims <= 0).any(axis=1), rows, objects, _DIMS_POSITIVE,
         lambda i: f"{path(i)}.dims", lambda i: "dimensions must be positive",
@@ -612,7 +607,7 @@ def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
         lambda i: f"{path(i)}.dims", lambda i: f"volume L*W*H = {volume[i]} is not finite",
     )
     with np.errstate(invalid="ignore"):
-        err, det = rotation_defects(box[:, 6:].reshape(-1, 3, 3))
+        err, det = rotation_defects(box[:, ROT].reshape(-1, 3, 3))
     fail.column(
         err > _JSON_ROTATION_TOL, rows, objects, _ORTHONORMAL,
         lambda i: f"{path(i)}.rot", lambda i: f"R^T R deviates from identity by {err[i]:.3e}",
@@ -829,7 +824,7 @@ def _scenes_json(table: SceneTable):
                 {
                     "object_id": table.object_ids[m],
                     "caption": table.captions[m],
-                    "box3d": {"center": boxes[m][0:3], "dims": boxes[m][3:6], "rot": boxes[m][6:15]},
+                    "box3d": {"center": boxes[m][CENTER], "dims": boxes[m][DIMS], "rot": boxes[m][ROT]},
                     "box2d": box2d[m],
                     "h2d": h2d[m],
                 }
@@ -845,7 +840,7 @@ def _predictions_json(table: PredictionTable):
         if raw:
             out["raw"] = dict(zip(_RAW_FIELDS, row), rot6d=row[6:12])
         else:
-            out["box3d"] = {"center": row[0:3], "dims": row[3:6], "rot": row[6:15]}
+            out["box3d"] = {"center": row[CENTER], "dims": row[DIMS], "rot": row[ROT]}
         yield out
 
 

@@ -10,13 +10,9 @@ import pytest
 
 import test_box3d
 from conftest import blas_kernel, overlapping_box_pair, under_blas_kernel
-from mono3dg.box3d import BoxBatch, iou3d_batch, iou3d_bev_yaw_batch, iou3d_monte_carlo
+from mono3dg.box3d import OrientedBox3D, iou3d_batch, iou3d_bev_yaw_batch, iou3d_monte_carlo
 from mono3dg.pipeline import box_from_raw_columns, raw_from_box_batch
 from mono3dg.scenes import SceneTable, profile_by_name, synth_scenes
-
-
-def _rows(batch: BoxBatch) -> np.ndarray:
-    return np.hstack([batch.center, batch.dims, batch.rot.reshape(-1, 9)])
 
 
 def _inputs() -> dict:
@@ -27,17 +23,17 @@ def _inputs() -> dict:
     for name in ("outdoor", "indoor"):
         table = SceneTable.of(synth_scenes(30, seed=4, profile_name=name))
         cams = table.cams[table.rows]
-        raw = raw_from_box_batch(BoxBatch.from_rows(table.boxes), cams, profile_by_name(name))
+        raw = raw_from_box_batch(table.boxes, cams, profile_by_name(name))
         raw[:, 2] *= 1.1
         inputs.update({f"{name}_raw": raw, f"{name}_cams": cams, f"{name}_h2d": table.h2d})
     cases = test_box3d.TestBatchEqualsAlone._cases()
-    inputs["a"] = _rows(BoxBatch.stack(a for _, a, _, _ in cases))
-    inputs["b"] = _rows(BoxBatch.stack(b for _, _, b, _ in cases))
+    inputs["a"] = np.array([a.row for _, a, _, _ in cases])
+    inputs["b"] = np.array([b.row for _, _, b, _ in cases])
     rng = np.random.default_rng(40)
     yaw_pairs = [overlapping_box_pair(rng, yaw_only=True) for _ in range(50)]
-    inputs["yaw_a"] = _rows(BoxBatch.stack(a for a, _ in yaw_pairs))
-    inputs["yaw_b"] = _rows(BoxBatch.stack(b for _, b in yaw_pairs))
-    inputs["monte_carlo"] = _rows(BoxBatch.stack(overlapping_box_pair(rng)))
+    inputs["yaw_a"] = np.array([a.row for a, _ in yaw_pairs])
+    inputs["yaw_b"] = np.array([b.row for _, b in yaw_pairs])
+    inputs["monte_carlo"] = np.array([box.row for box in overlapping_box_pair(rng)])
     return inputs
 
 
@@ -48,14 +44,12 @@ def geometry_digest(path: str) -> str:
     for name in ("outdoor", "indoor"):
         profile, cams = profile_by_name(name), inputs[f"{name}_cams"]
         boxes = box_from_raw_columns(inputs[f"{name}_raw"], cams, profile, inputs[f"{name}_h2d"])
-        digest.update(_rows(boxes).tobytes())
+        digest.update(boxes.tobytes())
         digest.update(raw_from_box_batch(boxes, cams, profile).tobytes())
-    a, b = BoxBatch.from_rows(inputs["a"]), BoxBatch.from_rows(inputs["b"])
-    digest.update(iou3d_batch(a, b).tobytes())
-    yaw_a, yaw_b = BoxBatch.from_rows(inputs["yaw_a"]), BoxBatch.from_rows(inputs["yaw_b"])
-    digest.update(iou3d_bev_yaw_batch(yaw_a, yaw_b).tobytes())
-    pair = BoxBatch.from_rows(inputs["monte_carlo"])
-    digest.update(np.float64(iou3d_monte_carlo(pair.box(0), pair.box(1), 200_000, seed=3)).tobytes())
+    digest.update(iou3d_batch(inputs["a"], inputs["b"]).tobytes())
+    digest.update(iou3d_bev_yaw_batch(inputs["yaw_a"], inputs["yaw_b"]).tobytes())
+    a, b = map(OrientedBox3D.from_row, inputs["monte_carlo"])
+    digest.update(np.float64(iou3d_monte_carlo(a, b, 200_000, seed=3)).tobytes())
     return digest.hexdigest()
 
 

@@ -14,7 +14,6 @@ import mono3dg
 from conftest import overlapping_box_pair, random_box
 from mono3dg import box3d
 from mono3dg.box3d import (
-    BoxBatch,
     OrientedBox3D,
     corners,
     intersection_volume,
@@ -237,7 +236,7 @@ class TestSameBitsAsPerPairCode:
     @pytest.mark.parametrize("kind", ["overlapping", "apart"])
     def test_batch_and_single_pair_bits(self, kind):
         pairs = self._pairs(kind)
-        batch = iou3d_batch(BoxBatch.stack(a for a, _ in pairs), BoxBatch.stack(b for _, b in pairs))
+        batch = iou3d_batch(np.array([a.row for a, _ in pairs]), np.array([b.row for _, b in pairs]))
         assert _digest(batch) == self.DIGESTS[kind]
         assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
         assert np.count_nonzero(batch) == (280 if kind == "overlapping" else 0)
@@ -302,8 +301,8 @@ class TestBatchEqualsAlone:
 
     def test_rows_match_single_pairs(self, monkeypatch):
         cases = self._cases()
-        a = BoxBatch.stack(a for _, a, _, _ in cases)
-        b = BoxBatch.stack(b for _, _, b, _ in cases)
+        a = np.array([a.row for _, a, _, _ in cases])
+        b = np.array([b.row for _, _, b, _ in cases])
         chunks = []
         volumes = box3d._polytope_volumes
 
@@ -378,7 +377,7 @@ class TestSphereGapPairs:
     def test_batch_and_single_pair_bits(self, kind):
         rng = np.random.default_rng(31 if kind == "spread" else 32)
         pairs = _spread_pairs(rng) if kind == "spread" else _margin_pairs(rng)
-        a, b = BoxBatch.stack(a for a, _ in pairs), BoxBatch.stack(b for _, b in pairs)
+        a, b = np.array([a.row for a, _ in pairs]), np.array([b.row for _, b in pairs])
         assert _digest(iou3d_batch(a, b)) == self.DIGESTS[kind]
         assert _digest(iou3d_batch(b, a)) == self.DIGESTS[kind]
         assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
@@ -424,7 +423,7 @@ class TestBEVFastPath:
         for rot in rots:
             box = OrientedBox3D(np.zeros(3), np.ones(3), rot)
             try:
-                _require_yaw_only(box)
+                _require_yaw_only(box.row[None])
                 accepted = True
             except NotYawOnly:
                 accepted = False
@@ -444,6 +443,30 @@ class TestBEVFastPath:
         ]
         for a, b in pairs:
             assert iou3d_bev_yaw(a, b) == pytest.approx(iou3d(a, b), abs=1e-9)
+
+
+class TestRows:
+    """A batch of boxes is (N, 15) rows of center, dims and row-major rot."""
+
+    def test_row_round_trip(self):
+        box = random_box(np.random.default_rng(11))
+        row = box.row
+        assert row.tolist() == [*box.center, *box.dims, *box.rot.ravel()]
+        again = OrientedBox3D.from_row(row)
+        assert np.array_equal(again.center, box.center)
+        assert np.array_equal(again.dims, box.dims)
+        assert np.array_equal(again.rot, box.rot)
+
+    @pytest.mark.parametrize(
+        "kernel", [box3d.iou3d_batch, box3d.iou3d_bev_yaw_batch, box3d.intersection_volume_batch]
+    )
+    def test_kernels_reject_a_zero_dim(self, kernel):
+        good = np.array([UNIT_CUBE.row, UNIT_CUBE.row])
+        bad = good.copy()
+        bad[1, box3d.DIMS] = [1.0, 0.0, 1.0]
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match=r"^box dims must be positive, got \[1\. 0\. 1\.\]$"):
+                kernel(a, b)
 
 
 class TestMonteCarlo:

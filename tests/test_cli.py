@@ -117,6 +117,14 @@ class TestProject:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("point", ["1,0,inf", "1,0,1e400", "1,0,nan"])
+    def test_non_finite_point_is_validation_error(self, capsys, point):
+        intrinsics = '{"fx":1000,"fy":1000,"cx":960,"cy":540,"width":1920,"height":1080}'
+        code, out, err = run_cli(capsys, "project", "--intrinsics", intrinsics, "--point", point)
+        assert code == 1
+        assert out == ""
+        assert f"--point coordinates must be finite, got {point}" in err
+
 
 class TestGradcheck:
     def test_passes(self, capsys):

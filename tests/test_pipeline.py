@@ -9,7 +9,7 @@ import pytest
 from conftest import haswell_pinned, under_blas_kernel
 from mono3dg import cli
 from mono3dg import decoder as D
-from mono3dg.box3d import BoxBatch, OrientedBox3D, iou3d, iou3d_monte_carlo
+from mono3dg.box3d import OrientedBox3D, iou3d, iou3d_monte_carlo
 from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import score_query, score_query_batch
@@ -117,6 +117,13 @@ class TestScoring:
         assert report.acc_50 == 0.75
         assert report.mean_depth_error == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_unknown_depth_metric_raises(self, matched):
+        scenes = synth_scenes(2, seed=5)
+        preds = box_predictions_from_gt(scenes) if matched else []
+        with pytest.raises(ValueError, match="unknown depth_metric 'bogus'"):
+            run_pipeline(scenes, preds, INDOOR_PROFILE, depth_metric="bogus")
+
     def test_unmatched_prediction_raises(self):
         scenes = synth_scenes(2, seed=5)
         preds = box_predictions_from_gt(scenes)
@@ -203,10 +210,10 @@ class TestSameBitsAsPerQueryCode:
         queries = [(r, o) for r in scenes for o in r.objects]
         single = [box_from_raw(p.raw, r.intrinsics, profile, o.h2d) for (r, o), p in zip(queries, preds)]
         batch = box_from_raw_columns(preds.values, scenes.cams[scenes.rows], profile, scenes.h2d)
-        gt = BoxBatch.stack(o.box3d for _, o in queries)
+        gt = np.array([o.box3d.row for _, o in queries])
         boxes_digest, iou_digest = self.DIGESTS[profile_name]
         assert _digest([np.concatenate([b.center, b.dims, b.rot.ravel()]) for b in single]) == boxes_digest
-        assert _digest(np.hstack([batch.center, batch.dims, batch.rot.reshape(-1, 9)])) == boxes_digest
+        assert _digest(batch) == boxes_digest
         single_ious = [score_query(b, o.box3d, "q").iou for b, (_, o) in zip(single, queries)]
         batch_ious = [r.iou for r in score_query_batch(batch, gt, ["q"] * len(queries))]
         assert _digest(single_ious) == iou_digest
@@ -356,8 +363,36 @@ class TestRawFromBoxBatchErrors:
         with pytest.raises(error) as single:
             raw_from_box(boxes[2], cams[2], profile)
         with pytest.raises(error) as batch:
-            raw_from_box_batch(BoxBatch.stack(boxes), cams, profile)
+            raw_from_box_batch(np.array([box.row for box in boxes]), cams, profile)
         assert str(batch.value) == str(single.value)
+
+
+class TestNonPositiveDims:
+    """A box with a dim at or below zero is rejected with one message
+    wherever a batch of boxes enters reasoning or scoring."""
+
+    def test_raw_record_in_run_pipeline(self):
+        # Virtual-only depth reasons without L, so nothing else catches it.
+        scenes = synth_scenes(4, seed=3)
+        preds = list(perfect_raw_predictions(scenes, INDOOR_PROFILE))
+        preds[1] = replace(preds[1], raw=replace(preds[1].raw, L=-1.0))
+        with pytest.raises(ValueError, match=r"^box dims must be positive, got \[-1\. "):
+            run_pipeline(scenes, preds, INDOOR_PROFILE)
+
+    def test_box_from_raw_columns(self):
+        scenes = synth_scenes(4, seed=3)
+        raw = perfect_raw_predictions(scenes, INDOOR_PROFILE).values.copy()
+        raw[2, 4] = 0.0  # W
+        with pytest.raises(ValueError, match=r"^box dims must be positive, got \[\S+ 0\. "):
+            box_from_raw_columns(raw, scenes.cams[scenes.rows], INDOOR_PROFILE, scenes.h2d)
+
+    @pytest.mark.parametrize("profile_name", ["indoor", "outdoor"])
+    def test_raw_from_box_batch(self, profile_name):
+        scenes = synth_scenes(4, seed=3, profile_name=profile_name)
+        boxes = scenes.boxes.copy()
+        boxes[2, 3] = 0.0  # L
+        with pytest.raises(ValueError, match=r"^box dims must be positive, got \[0\. "):
+            raw_from_box_batch(boxes, scenes.cams[scenes.rows], profile_by_name(profile_name))
 
 
 class TestTablesMatchRecords:
