@@ -45,7 +45,10 @@ GRADCHECK_FLOOR = 1e-3
 
 def _default_seed() -> int:
     value = os.environ.get("MONO3DG_SEED")
-    return int(value) if value else 0
+    try:
+        return int(value) if value else 0
+    except ValueError:
+        raise ValueError(f"MONO3DG_SEED must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,10 +122,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    cam = intrinsics_from_json(loads_strict(args.intrinsics))
-    coords = [float(part) for part in args.point.split(",")]
+    try:
+        cam = intrinsics_from_json(loads_strict(args.intrinsics))
+    except ValueError as exc:  # from the JSON decoder; a bad field raises SchemaError
+        raise ValueError(f"--intrinsics is not JSON: {exc}") from None
+    try:
+        coords = [float(part) for part in args.point.split(",")]
+    except ValueError:
+        coords = []
     if len(coords) != 3:
-        raise ValueError("--point expects X,Y,Z")
+        raise ValueError(f"--point expects three numbers X,Y,Z, got {args.point}")
     if not np.isfinite(coords).all():
         raise ValueError(f"--point coordinates must be finite, got {args.point}")
     pix = project(Point3D(*coords), cam)

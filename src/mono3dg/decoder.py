@@ -80,26 +80,22 @@ class RawHeadOutput:
     rot6d: Rot6D
 
 
+# A raw row holds one query's head outputs, the RAW_FIELDS and then the
+# rot6d columns a and b, at these slots; N queries are (N, RAW_WIDTH) rows.
+RAW_FIELDS = ("u_norm", "v_norm", "d_v", "L", "W", "H")
+RAW_WIDTH = 12
+UV, D_V, SIZE, ROT6D = slice(0, 2), 2, slice(3, 6), slice(6, 12)
+ROT6D_A, ROT6D_B = slice(6, 9), slice(9, 12)
+
+
 def raw_to_vector(raw: RawHeadOutput) -> np.ndarray:
-    return np.concatenate(
-        [
-            np.array([raw.u_norm, raw.v_norm, raw.d_v, raw.L, raw.W, raw.H]),
-            raw.rot6d.as_array(),
-        ]
-    )
+    scalars = [raw.u_norm, raw.v_norm, raw.d_v, raw.L, raw.W, raw.H]
+    return np.concatenate((scalars, raw.rot6d.a, raw.rot6d.b), dtype=float)
 
 
 def vector_to_raw(vec: np.ndarray) -> RawHeadOutput:
-    vec = np.asarray(vec, dtype=float).reshape(12)
-    return RawHeadOutput(
-        u_norm=float(vec[0]),
-        v_norm=float(vec[1]),
-        d_v=float(vec[2]),
-        L=float(vec[3]),
-        W=float(vec[4]),
-        H=float(vec[5]),
-        rot6d=Rot6D.from_array(vec[6:]),
-    )
+    """The head output of one raw row; its rot6d columns are views of vec."""
+    return RawHeadOutput(*vec[: len(RAW_FIELDS)].tolist(), rot6d=Rot6D(vec[ROT6D_A], vec[ROT6D_B]))
 
 
 # -- parameters ---------------------------------------------------------------
@@ -347,7 +343,7 @@ def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
     stacked sequences (N, T, d) whose last position is the query slot."""
     if embeddings.shape[-1] != params.config.d_model:
         raise ShapeMismatch(f"sequence d_model {embeddings.shape[-1]} vs config {params.config.d_model}")
-    out = np.empty((len(embeddings), 12))
+    out = np.empty((len(embeddings), RAW_WIDTH))
     for start in range(0, len(embeddings), _PREDICT_CHUNK):
         x = embeddings[start : start + _PREDICT_CHUNK].copy()
         x[:, -1] = params.query
@@ -406,12 +402,12 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     d_pred = np.sign(diff)
 
     # squash derivatives back to head pre-activations
-    uv = pred[..., 0:2]
+    uv = pred[..., UV]
     dz = {
-        "uv": d_pred[..., 0:2] * uv * (1.0 - uv),
-        "d": d_pred[..., 2:3] * sigmoid(zs["d"]),
-        "lwh": d_pred[..., 3:6] * sigmoid(zs["lwh"]),
-        "rot": d_pred[..., 6:12],
+        "uv": d_pred[..., UV] * uv * (1.0 - uv),
+        "d": d_pred[..., D_V, None] * sigmoid(zs["d"]),
+        "lwh": d_pred[..., SIZE] * sigmoid(zs["lwh"]),
+        "rot": d_pred[..., ROT6D],
     }
 
     g_f3d = np.zeros_like(f3d)

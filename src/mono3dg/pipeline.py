@@ -31,6 +31,11 @@ from .decoder import (
     KIND_IMAGE,
     KIND_POS,
     KIND_QUERY,
+    D_V,
+    ROT6D_A,
+    ROT6D_B,
+    SIZE,
+    UV,
     DecoderParams,
     RawHeadOutput,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
@@ -106,15 +111,15 @@ def box_from_raw_columns(
     """Geometry reasoning for N queries: head outputs (N, 12), in
     :func:`raw_to_vector` order, -> oriented boxes in the camera frame as
     (N, 15) rows, with one camera (N, 6) (and 2D height) per query."""
-    u_norm, v_norm, d_v, _, _, height = raw[:, :6].T
+    (u_norm, v_norm), d_v, size = raw[:, UV].T, raw[:, D_V], raw[:, SIZE]
     cam = CameraIntrinsics(*cams.T)
     center = reason_center_batch(
-        u_norm, v_norm, d_v, height, cam, profile.virtual_camera, profile.depth_mode, h2d
+        u_norm, v_norm, d_v, size[:, 2], cam, profile.virtual_camera, profile.depth_mode, h2d
     )
-    rot = rot6d_to_matrix_batch(raw[:, 6:9], raw[:, 9:12])
+    rot = rot6d_to_matrix_batch(raw[:, ROT6D_A], raw[:, ROT6D_B])
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
         rot = allocentric_to_egocentric_batch(rot, center)
-    return check_dims(np.hstack([center, raw[:, 3:6], rot.reshape(-1, 9)]))
+    return check_dims(np.hstack([center, size, rot.reshape(-1, 9)]))
 
 
 def box_from_raw(
@@ -143,7 +148,7 @@ def perfect_raw_predictions(
     scenes: SceneTable | list[SceneRecord], profile: DatasetProfile
 ) -> PredictionTable:
     boxes, cams, keys = _queries(scenes)
-    return PredictionTable(keys, raw_from_box_batch(boxes, cams, profile), np.ones(len(keys), dtype=bool))
+    return PredictionTable(keys, raw_from_box_batch(boxes, cams, profile))
 
 
 def box_predictions_from_gt(scenes: list[SceneRecord]) -> list[PredictionRecord]:
@@ -157,11 +162,12 @@ def box_predictions_from_gt(scenes: list[SceneRecord]) -> list[PredictionRecord]
 def scale_virtual_depth(
     preds: PredictionTable | list[PredictionRecord], factor: float
 ) -> PredictionTable:
-    """Multiply every raw prediction's d_v by a factor (ablation probe)."""
+    """Multiply a raw table's d_v column by a factor (ablation probe); a box table is copied."""
     preds = PredictionTable.of(preds)
     values = preds.values.copy()
-    values[preds.is_raw, 2] *= factor
-    return PredictionTable(preds.keys, values, preds.is_raw)
+    if preds.mode == "raw":
+        values[:, D_V] *= factor
+    return PredictionTable(preds.keys, values)
 
 
 def run_pipeline(
@@ -188,18 +194,12 @@ def run_pipeline(
     picked = np.array([row_of.get(key, -1) for key in gt_keys], dtype=int)
     results = [missing_result(q) if row < 0 else None for q, row in zip(query_ids, picked.tolist())]
     queries = (picked >= 0).nonzero()[0]
-    rows = picked[queries]
-    values, raw = preds.values[rows], preds.is_raw[rows]
     # The predicted boxes as (K, 15) rows: raw head outputs go through the
     # geometry chain as one batch, direct boxes are taken as they are.
-    boxes = np.empty((len(rows), 15))
-    if not raw.all():
-        boxes[~raw] = values[~raw]
-    if raw.any():
-        q = queries[raw]
-        boxes[raw] = box_from_raw_columns(
-            values[raw, :12], scenes.cams[scenes.rows[q]], profile, scenes.h2d[q]
-        )
+    boxes = preds.values[picked[queries]]
+    if preds.mode == "raw":
+        cams = scenes.cams[scenes.rows[queries]]
+        boxes = box_from_raw_columns(boxes, cams, profile, scenes.h2d[queries])
     batch = score_query_batch(
         boxes, scenes.boxes[queries], [query_ids[k] for k in queries.tolist()], depth_metric
     )
@@ -309,4 +309,4 @@ def decoder_predictions(
 ) -> PredictionTable:
     """Run the trained decoder over the toy encodings of these scenes, as one batch."""
     embeddings, _, keys = build_toy_dataset(scenes, profile, ranges, config)
-    return PredictionTable(keys, predict_batch(embeddings, params), np.ones(len(keys), dtype=bool))
+    return PredictionTable(keys, predict_batch(embeddings, params))

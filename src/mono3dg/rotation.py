@@ -31,11 +31,6 @@ class Rot6D:
     def as_array(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.a, float), np.asarray(self.b, float)])
 
-    @staticmethod
-    def from_array(values) -> "Rot6D":
-        arr = np.asarray(values, dtype=float).reshape(6)
-        return Rot6D(arr[:3].copy(), arr[3:].copy())
-
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -100,19 +95,27 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def sixd_gram_schmidt(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Gram-Schmidt on N pairs of raw columns a and b (N, 3): c1 = a/|a|, b's
+    residual off c1, and |a| and |residual|; a pair is degenerate where either
+    norm is below SIXD_EPSILON. A zero |a| leaves NaN or inf, with no warning."""
+    na = np.sqrt(row_dots(a, a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = a / na[:, None]
+        b_perp = b - row_dots(c1, b)[:, None] * c1
+        return c1, b_perp, na, np.sqrt(row_dots(b_perp, b_perp))
+
+
 def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram-Schmidt N pairs of raw columns, a and b (N, 3), into (N, 3, 3)
     rotation matrices; a degenerate pair raises for its first row."""
-    na = np.sqrt(row_dots(a, a))
+    c1, b_perp, na, nb = sixd_gram_schmidt(a, b)
     reject_first(
         na < SIXD_EPSILON,
         na,
         DegenerateSixD,
         f"first column norm {{}} below {SIXD_EPSILON}",
     )
-    c1 = a / na[:, None]
-    b_perp = b - row_dots(c1, b)[:, None] * c1
-    nb = np.sqrt(row_dots(b_perp, b_perp))
     reject_first(
         nb < SIXD_EPSILON,
         nb,

@@ -20,6 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .box3d import CENTER, DIMS, ROT, OrientedBox3D, _corners
+from . import decoder
 from .camera import (
     HEIGHT2D_EPSILON,
     CameraIntrinsics,
@@ -28,14 +29,13 @@ from .camera import (
     VirtualCamera,
     backproject_center,
 )
-from .decoder import RawHeadOutput
 from .errors import InvalidRanges, ParseError, SchemaError
 from .jsonio import (
     dumps_canonical,  # noqa: F401  perfbench/tracing.py wraps scenes.dumps_canonical
     read_jsonl,
     write_jsonl,
 )
-from .rotation import SIXD_EPSILON, Rot6D, random_rotation, rotation_defects, row_dots
+from .rotation import SIXD_EPSILON, random_rotation, rotation_defects, sixd_gram_schmidt
 
 FOCAL_PAIR_SUFFIX = "_fp"
 FOCAL_PAIR_FRACTION = 10  # one pair scene per this many scenes
@@ -140,7 +140,7 @@ class PredictionRecord:
 
     image_id: str
     object_id: str
-    raw: RawHeadOutput | None = None
+    raw: decoder.RawHeadOutput | None = None
     box3d: OrientedBox3D | None = None
 
     def __post_init__(self):
@@ -216,33 +216,30 @@ class SceneTable(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable(Sequence):
-    """N predictions as columns. Row i holds raw head outputs, in
-    ``raw_to_vector`` order, in its first 12 values when is_raw[i], and
-    box columns (center, dims, row-major rot) otherwise; values is (N, 12)
-    when every row is raw and (N, 15) when any is a box."""
+    """N predictions as rows of one kind, which the width of values tells:
+    raw head outputs (N, decoder.RAW_WIDTH) in :func:`decoder.raw_to_vector`
+    order, or boxes (N, 15) as center, dims and row-major rot."""
 
     keys: list  # N (image_id, object_id)
     values: np.ndarray
-    is_raw: np.ndarray  # (N,) bool
 
     @staticmethod
     def of(preds) -> "PredictionTable":
-        """preds as a table: a table as it is, prediction records as columns."""
+        """preds as a table: a table as it is, records of one kind as rows (raw if none)."""
         if isinstance(preds, PredictionTable):
             return preds
         preds = list(preds)
-        is_raw = np.array([p.raw is not None for p in preds], dtype=bool)
-        width = 12 if is_raw.all() else 15
-        pad = [math.nan] * (width - 12)
+        box = bool(preds) and preds[0].raw is None
+        if any((p.raw is None) != box for p in preds):
+            raise ValueError("a prediction table holds raw predictions or boxes, not both")
+        rows = [p.box3d.row if box else decoder.raw_to_vector(p.raw) for p in preds]
+        values = np.array(rows, dtype=float).reshape(-1, _BOX_WIDTH if box else decoder.RAW_WIDTH)
+        return PredictionTable([(p.image_id, p.object_id) for p in preds], values)
 
-        def row(p):
-            if p.raw is None:
-                return p.box3d.row.tolist()
-            r = p.raw
-            return [r.u_norm, r.v_norm, r.d_v, r.L, r.W, r.H, *r.rot6d.a, *r.rot6d.b, *pad]
-
-        values = np.array([row(p) for p in preds], dtype=float).reshape(-1, width)
-        return PredictionTable([(p.image_id, p.object_id) for p in preds], values, is_raw)
+    @cached_property
+    def mode(self) -> str:
+        """The kind of every row, "raw" or "box", by the width of values."""
+        return "raw" if self.values.shape[1] == decoder.RAW_WIDTH else "box"
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -251,11 +248,9 @@ class PredictionTable(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # negative from the end; IndexError past it
-        row = self.values[i]
-        if self.is_raw[i]:
-            raw = RawHeadOutput(*row[:6].tolist(), rot6d=Rot6D(row[6:9], row[9:12]))
-            return PredictionRecord(*self.keys[i], raw=raw)
-        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D.from_row(row))
+        if self.mode == "raw":
+            return PredictionRecord(*self.keys[i], raw=decoder.vector_to_raw(self.values[i]))
+        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D.from_row(self.values[i]))
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -399,12 +394,11 @@ _BOX2D_COLUMNS, _H2D_COLUMN = slice(_BOX_WIDTH, _BOX_WIDTH + 4), _BOX_WIDTH + 4
 # Prediction steps: image_id and object_id present 0-1, both strings 2, the
 # payload present 3. Raw field k is present at 4 + 2k and a number at
 # 5 + 2k, then its rules and rot6d; a box payload takes the box steps above.
-_RAW_FIELDS = ("u_norm", "v_norm", "d_v", "L", "W", "H")
 _UV_RANGE, _RAW_POSITIVE, _RAW_VOLUME, _ROT6D_LIST, _ROT6D_ZERO, _ROT6D_PARALLEL = (
     16, 17, 18, 19, 26, 27
 )
 _RAW_STEPS = tuple(range(5, 17, 2)) + tuple(range(_ROT6D_LIST + 1, _ROT6D_LIST + 7))
-_RAW_NAMES = tuple(f"raw.{k}" for k in _RAW_FIELDS) + tuple(f"raw.rot6d[{k}]" for k in range(6))
+_RAW_NAMES = tuple(f"raw.{k}" for k in decoder.RAW_FIELDS) + tuple(f"raw.rot6d[{k}]" for k in range(6))
 
 
 class _Structure(Exception):
@@ -517,7 +511,7 @@ def _gather_box(obj, out: list, path: str) -> None:
 _CAMERA_FIELDS = itemgetter(*_INTRINSICS)
 _OBJECT_FIELDS = itemgetter("object_id", "caption", "box3d", "box2d", "h2d")
 _BOX_FIELDS = itemgetter(*(name for name, _, _ in _BOX_LISTS))
-_RAW_VALUES = itemgetter(*_RAW_FIELDS, "rot6d")
+_RAW_VALUES = itemgetter(*decoder.RAW_FIELDS, "rot6d")
 
 
 def _box_numbers(box):
@@ -741,7 +735,7 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
                 keys.append((image_id, object_id))
                 if mode == "raw":
                     raw = _required(rec, "raw", "", 3)
-                    _gather_fields(raw, _RAW_FIELDS, values, "raw", 4)
+                    _gather_fields(raw, decoder.RAW_FIELDS, values, "raw", 4)
                     _gather_list(raw, "rot6d", 6, values, "raw", _ROT6D_LIST)
                 else:
                     _gather_box(_required(rec, "box3d", "", 3), values, "box3d")
@@ -762,10 +756,10 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
         )
         _check_boxes(fail, cols, rows, objects, lambda i: "box3d")
         fail.raise_first()
-        return PredictionTable(keys, cols, np.zeros(len(keys), dtype=bool))
+        return PredictionTable(keys, cols)
 
     cols = fail.numbers(values, width, rows, objects, _RAW_STEPS, lambda i, c: _RAW_NAMES[c])
-    u, v, d_v, length, wide, height = cols[:, :6].T
+    u, v, d_v, length, wide, height = cols[:, : len(decoder.RAW_FIELDS)].T
     fail.column(
         ~((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)), rows, objects, _UV_RANGE,
         lambda i: "raw.u_norm", lambda i: "normalized projection must be in [0, 1]",
@@ -780,11 +774,8 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
         ~np.isfinite(volume), rows, objects, _RAW_VOLUME,
         lambda i: "raw.L", lambda i: f"volume L*W*H = {volume[i]} is not finite",
     )
-    a, b = cols[:, 6:9], cols[:, 9:12]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_norm = np.sqrt(row_dots(a, a))
-        residual = b - (row_dots(a, b) / (a_norm * a_norm))[:, None] * a
-        residual_norm = np.sqrt(row_dots(residual, residual))
+    # Reasoning rejects exactly the rot6d columns rejected here.
+    _, _, a_norm, residual_norm = sixd_gram_schmidt(cols[:, decoder.ROT6D_A], cols[:, decoder.ROT6D_B])
     fail.column(
         a_norm < SIXD_EPSILON, rows, objects, _ROT6D_ZERO,
         lambda i: "raw.rot6d", lambda i: "first column is numerically zero",
@@ -794,7 +785,7 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
         lambda i: "raw.rot6d", lambda i: "columns are parallel",
     )
     fail.raise_first()
-    return PredictionTable(keys, cols, np.ones(len(keys), dtype=bool))
+    return PredictionTable(keys, cols)
 
 
 def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
@@ -835,13 +826,12 @@ def _scenes_json(table: SceneTable):
 
 def _predictions_json(table: PredictionTable):
     """The JSON object of each prediction of a table, in order."""
-    for (image_id, object_id), row, raw in zip(table.keys, table.values.tolist(), table.is_raw.tolist()):
-        out: dict = {"image_id": image_id, "object_id": object_id}
-        if raw:
-            out["raw"] = dict(zip(_RAW_FIELDS, row), rot6d=row[6:12])
-        else:
-            out["box3d"] = {"center": row[CENTER], "dims": row[DIMS], "rot": row[ROT]}
-        yield out
+    if table.mode == "raw":
+        name, payload = "raw", lambda row: dict(zip(decoder.RAW_FIELDS, row), rot6d=row[decoder.ROT6D])
+    else:
+        name, payload = "box3d", lambda row: {"center": row[CENTER], "dims": row[DIMS], "rot": row[ROT]}
+    for (image_id, object_id), row in zip(table.keys, table.values.tolist()):
+        yield {"image_id": image_id, "object_id": object_id, name: payload(row)}
 
 
 def scene_to_json(record: SceneRecord) -> dict:

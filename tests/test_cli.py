@@ -102,6 +102,13 @@ class TestSeedEnvVar:
         assert env_out.read_bytes() == explicit_out.read_bytes()
         assert env_out.read_bytes() != flag_out.read_bytes()
 
+    def test_non_integer_env_seed_is_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONO3DG_SEED", "abc")
+        code, out, err = run_cli(capsys, "gradcheck")
+        assert code == 1
+        assert out == ""
+        assert err == "error: MONO3DG_SEED must be an integer, got 'abc'\n"
+
 
 class TestProject:
     def test_projects_point(self, capsys):
@@ -124,6 +131,20 @@ class TestProject:
         assert code == 1
         assert out == ""
         assert f"--point coordinates must be finite, got {point}" in err
+
+    @pytest.mark.parametrize("point", ["1,0,x", "1,0,5,"])
+    def test_non_numeric_point_is_validation_error(self, capsys, point):
+        intrinsics = '{"fx":1000,"fy":1000,"cx":960,"cy":540,"width":1920,"height":1080}'
+        code, out, err = run_cli(capsys, "project", "--intrinsics", intrinsics, "--point", point)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --point expects three numbers X,Y,Z, got {point}\n"
+
+    def test_intrinsics_that_are_not_json_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "project", "--intrinsics", "{fx:1}", "--point", "1,0,5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --intrinsics is not JSON: Expecting property name")
 
 
 class TestGradcheck:

@@ -426,19 +426,23 @@ class TestTablesMatchRecords:
 
     @pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
     def test_mixed_raw_and_box_list(self, profile_name):
-        # Every other raw prediction replaced by the box it reasons to, one
-        # query at a time: the report keeps every bit.
+        # Every raw prediction replaced by the box it reasons to, one query
+        # at a time: the box report keeps every bit of the raw one. A list
+        # of both kinds is no table, and run_pipeline says so.
         profile = profile_by_name(profile_name)
         scenes = synth_scenes(30, seed=26, profile_name=profile_name)
         raw = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
         queries = [(r, o) for r in scenes for o in r.objects]
-        mixed = [
-            p if k % 2 else PredictionRecord(
+        boxes = [
+            PredictionRecord(
                 p.image_id, p.object_id, box3d=box_from_raw(p.raw, r.intrinsics, profile, o.h2d)
             )
-            for k, ((r, o), p) in enumerate(zip(queries, raw))
+            for (r, o), p in zip(queries, raw)
         ]
-        assert run_pipeline(scenes, mixed, profile) == run_pipeline(scenes, raw, profile)
+        assert run_pipeline(scenes, boxes, profile) == run_pipeline(scenes, raw, profile)
+        mixed = [p if k % 2 else box for k, (p, box) in enumerate(zip(raw, boxes))]
+        with pytest.raises(ValueError, match="raw predictions or boxes, not both"):
+            run_pipeline(scenes, mixed, profile)
 
     def test_table_records_write_the_same_bytes(self, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

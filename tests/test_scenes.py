@@ -5,7 +5,7 @@ import pytest
 
 from mono3dg.camera import VirtualCamera, real_to_virtual_depth
 from mono3dg.cli import main
-from mono3dg.errors import InvalidRanges, ParseError, SchemaError
+from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError
 from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.scenes import (
     FOCAL_PAIR_SUFFIX,
@@ -29,6 +29,7 @@ from mono3dg.scenes import (
     write_scenes,
 )
 from mono3dg.pipeline import box_predictions_from_gt, perfect_raw_predictions
+from mono3dg.rotation import SIXD_EPSILON, rot6d_to_matrix_batch
 
 
 class TestSynth:
@@ -252,20 +253,24 @@ class TestWritersTakeTablesOrRecords:
         assert lines == [dumps_canonical(scene_to_json(r)) for r in table]
 
     def test_mixed_raw_and_box_predictions(self, tmp_path):
+        # A table is raw or box by its width; records of both kinds make none.
         scenes = synth_scenes(6, seed=31)
-        raw = perfect_raw_predictions(scenes, INDOOR_PROFILE)
+        raw = list(perfect_raw_predictions(scenes, INDOOR_PROFILE))
         boxes = box_predictions_from_gt(scenes)
+        for records, mode, width in ((raw, "raw", 12), (boxes, "box", 15)):
+            table = PredictionTable.of(records)
+            assert table.mode == mode and table.values.shape[1] == width
+            from_table, from_records = tmp_path / "table.jsonl", tmp_path / "records.jsonl"
+            write_predictions(from_table, table)
+            write_predictions(from_records, records)
+            assert from_table.read_bytes() == from_records.read_bytes()
+            lines = from_table.read_text().splitlines()
+            assert lines == [dumps_canonical(prediction_to_json(p)) for p in records]
+            assert all(("raw" in loads_strict(line)) == (mode == "raw") for line in lines)
         mixed = [raw[k] if k % 3 else boxes[k] for k in range(len(raw))]
-        table = PredictionTable.of(mixed)
-        assert table.values.shape[1] == 15 and np.isnan(table.values[table.is_raw, 12:]).all()
-        assert table.is_raw.any() and not table.is_raw.all()
-        from_table, from_records = tmp_path / "table.jsonl", tmp_path / "records.jsonl"
-        write_predictions(from_table, table)
-        write_predictions(from_records, list(table))
-        assert from_table.read_bytes() == from_records.read_bytes()
-        lines = from_table.read_text().splitlines()
-        assert lines == [dumps_canonical(prediction_to_json(p)) for p in mixed]
-        assert ["raw" in loads_strict(line) for line in lines] == table.is_raw.tolist()
+        with pytest.raises(ValueError, match="raw predictions or boxes, not both"):
+            PredictionTable.of(mixed)
+        assert PredictionTable.of([]).values.shape == (0, 12)
 
 
 class TestPredictionJsonl:
@@ -368,6 +373,53 @@ class TestParseTimeGaps:
         assert "line 2" in str(info.value)
         with pytest.raises(SchemaError):
             scene_from_json(records[1])
+
+    # Gram-Schmidt leaves a residual of norm 8.33e-09 < SIXD_EPSILON off these
+    # columns, so reasoning rejects them; b - (a.b/|a|^2) a reads above it.
+    NEAR_PARALLEL = [-0.4563801881395214, -0.7608776051984796, -0.46128342023224894,
+                     -17638401.102466322, -29406763.788510315, -17827903.57561833]
+
+    def test_near_parallel_rot6d_rejected_with_line(self, tmp_path, capsys):
+        scenes = synth_scenes(3, seed=22)
+        preds = [prediction_to_json(p) for p in perfect_raw_predictions(scenes, INDOOR_PROFILE)]
+        preds[1]["raw"]["rot6d"] = self.NEAR_PARALLEL
+        gt = tmp_path / "gt.jsonl"
+        write_scenes(gt, scenes)
+        path = _write_lines(tmp_path / "raw.jsonl", [dumps_canonical(p) for p in preds])
+        with pytest.raises(SchemaError) as info:
+            read_predictions(path, "raw")
+        assert str(info.value) == "field 'raw.rot6d': line 2: field 'raw.rot6d': columns are parallel"
+        code = main(["evaluate", "--gt", str(gt), "--pred", str(path), "--mode", "raw"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "line 2" in err and "raw.rot6d" in err
+
+    def test_parse_rejects_rot6d_exactly_when_reasoning_would(self):
+        # Near-parallel pairs: b along a at |b| from 1 to 1e9, plus a residual
+        # of 0.5-2 SIXD_EPSILON across a. Both verdicts must occur.
+        rng = np.random.default_rng(15)
+        n = 4000
+        a = rng.standard_normal((n, 3))
+        across = np.cross(a, rng.standard_normal((n, 3)))
+        across *= (rng.uniform(0.5, 2.0, n) * SIXD_EPSILON / np.linalg.norm(across, axis=1))[:, None]
+        b = a * (10.0 ** rng.uniform(0.0, 9.0, n) / np.linalg.norm(a, axis=1))[:, None] + across
+        record = prediction_to_json(perfect_raw_predictions(synth_scenes(1, seed=23), INDOOR_PROFILE)[0])
+        parsed, reasoned = [], []
+        for ak, bk in zip(a, b):
+            record["raw"]["rot6d"] = ak.tolist() + bk.tolist()
+            try:
+                prediction_from_json(record, "raw")
+                parsed.append(True)
+            except SchemaError as error:
+                assert error.field == "raw.rot6d" and "columns are parallel" in str(error)
+                parsed.append(False)
+            try:
+                rot6d_to_matrix_batch(ak[None], bk[None])
+                reasoned.append(True)
+            except DegenerateSixD:
+                reasoned.append(False)
+        assert parsed == reasoned
+        assert 0 < sum(parsed) < n
 
 
 class TestEarliestBadLineWins:
@@ -519,6 +571,8 @@ _MALFORMED = {
     "raw d_v null": ("raw", ("raw", "d_v"), None),
     "raw L string": ("raw", ("raw", "L"), "2"),
     "raw rot6d null": ("raw", ("raw", "rot6d", 5), None),
+    "raw rot6d zero a": ("raw", ("raw", "rot6d"), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+    "raw rot6d parallel": ("raw", ("raw", "rot6d"), [1.0, 2.0, -0.5, -2.0, -4.0, 1.0]),
     "raw image_id number": ("raw", ("image_id",), 3),
     "raw duplicate key": ("raw", (), "line 1"),
     # box predictions
@@ -600,6 +654,8 @@ class TestStructuralErrorsPinned:
         'raw d_v null': ('raw.d_v', 'expected a number, got NoneType'),
         'raw L string': ('raw.L', 'expected a number, got str'),
         'raw rot6d null': ('raw.rot6d[5]', 'expected a number, got NoneType'),
+        'raw rot6d zero a': ('raw.rot6d', 'first column is numerically zero'),
+        'raw rot6d parallel': ('raw.rot6d', 'columns are parallel'),
         'raw image_id number': ('image_id', 'ids must be strings'),
         'raw duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
         'box missing box3d': ('box3d', 'missing'),
