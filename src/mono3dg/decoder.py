@@ -9,6 +9,8 @@ self-attention + feed-forward, both with residual connections and no
 normalization, so gradients stay exactly checkable against finite
 differences. Training runs one forward/backward per minibatch over the
 stacked (B, T, d) sequences, and every parameter lives in one flat vector.
+scipy is the decoder's alone (gelu's ``erf``); :func:`_gelu` imports it on the
+first forward pass, so ``project``, ``synth`` and ``evaluate`` never load it.
 :func:`attention` and :func:`attention_backward` are the one softmax
 attention of the package; the fusion block's cross-branch attention uses
 them too.
@@ -22,7 +24,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import EmptyDataset, MalformedSequence, ShapeMismatch
 from .jsonio import dumps_canonical, loads_strict
@@ -222,6 +223,8 @@ def init_params(config: DecoderConfig, rng: np.random.Generator) -> DecoderParam
 
 def _gelu(x: np.ndarray):
     """gelu(x) and its term 1 + erf(x/sqrt(2)), which :func:`gelu_grad` reuses."""
+    from scipy.special import erf
+
     term = 1.0 + erf(x / math.sqrt(2.0))
     return 0.5 * x * term, term
 

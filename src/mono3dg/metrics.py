@@ -110,6 +110,16 @@ def missing_result(query_id: str) -> QueryResult:
     return QueryResult(query_id, 0.0, None, None, None, None)
 
 
+def _mean_in_order(values: list[float]) -> float:
+    """Mean with the sum taken left to right. The builtin ``sum`` compensates
+    float rounding since Python 3.12, which would tie report bytes to the
+    interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def aggregate(results: list[QueryResult]) -> MetricReport:
     count = len(results)
     if count == 0:
@@ -118,12 +128,11 @@ def aggregate(results: list[QueryResult]) -> MetricReport:
     acc_50 = sum(1 for r in results if r.iou > 0.5) / count
     scored = [r for r in results if not r.missing]
     if scored:
-        n = len(scored)
         means = (
-            sum(r.depth_error for r in scored) / n,
-            sum(r.length_error for r in scored) / n,
-            sum(r.width_error for r in scored) / n,
-            sum(r.height_error for r in scored) / n,
+            _mean_in_order([r.depth_error for r in scored]),
+            _mean_in_order([r.length_error for r in scored]),
+            _mean_in_order([r.width_error for r in scored]),
+            _mean_in_order([r.height_error for r in scored]),
         )
     else:
         means = (None, None, None, None)

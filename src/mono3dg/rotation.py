@@ -98,9 +98,10 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sixd_gram_schmidt(a: np.ndarray, b: np.ndarray) -> tuple:
     """Gram-Schmidt on N pairs of raw columns a and b (N, 3): c1 = a/|a|, b's
     residual off c1, and |a| and |residual|; a pair is degenerate where either
-    norm is below SIXD_EPSILON. A zero |a| leaves NaN or inf, with no warning."""
-    na = np.sqrt(row_dots(a, a))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    norm is below SIXD_EPSILON or not finite (a squared norm that overflows
+    reads inf). A zero |a| or an overflow leaves NaN or inf, with no warning."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        na = np.sqrt(row_dots(a, a))
         c1 = a / na[:, None]
         b_perp = b - row_dots(c1, b)[:, None] * c1
         return c1, b_perp, na, np.sqrt(row_dots(b_perp, b_perp))
@@ -116,12 +117,14 @@ def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         DegenerateSixD,
         f"first column norm {{}} below {SIXD_EPSILON}",
     )
+    reject_first(~np.isfinite(na), na, DegenerateSixD, "first column norm {} is not finite")
     reject_first(
         nb < SIXD_EPSILON,
         nb,
         DegenerateSixD,
         "second column parallel to first (residual norm {})",
     )
+    reject_first(~np.isfinite(nb), nb, DegenerateSixD, "second column residual norm {} is not finite")
     c2 = b_perp / nb[:, None]
     return np.stack([c1, c2, _cross(c1, c2)], axis=2)
 

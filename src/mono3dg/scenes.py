@@ -777,12 +777,14 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
     # Reasoning rejects exactly the rot6d columns rejected here.
     _, _, a_norm, residual_norm = sixd_gram_schmidt(cols[:, decoder.ROT6D_A], cols[:, decoder.ROT6D_B])
     fail.column(
-        a_norm < SIXD_EPSILON, rows, objects, _ROT6D_ZERO,
-        lambda i: "raw.rot6d", lambda i: "first column is numerically zero",
+        (a_norm < SIXD_EPSILON) | ~np.isfinite(a_norm), rows, objects, _ROT6D_ZERO, lambda i: "raw.rot6d",
+        lambda i: "first column is numerically zero" if a_norm[i] < SIXD_EPSILON else "first column norm overflows",
     )
     fail.column(
-        residual_norm < SIXD_EPSILON, rows, objects, _ROT6D_PARALLEL,
-        lambda i: "raw.rot6d", lambda i: "columns are parallel",
+        (residual_norm < SIXD_EPSILON) | ~np.isfinite(residual_norm), rows, objects, _ROT6D_PARALLEL,
+        lambda i: "raw.rot6d",
+        lambda i: ("columns are parallel" if residual_norm[i] < SIXD_EPSILON
+                   else "second column residual norm overflows"),
     )
     fail.raise_first()
     return PredictionTable(keys, cols)

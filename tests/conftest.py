@@ -82,6 +82,17 @@ haswell_pinned = pytest.mark.skipif(
 )
 
 
+def fresh_python(code: str, *args: str, env: dict | None = None) -> str:
+    """Run ``python -c code *args`` in a fresh interpreter that imports
+    mono3dg from this checkout and the test modules from the tests
+    directory, with ``env`` added to the environment. Returns its stdout."""
+    path = os.pathsep.join([str(Path(mono3dg.__file__).parents[1]), str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, **(env or {}), "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def under_blas_kernel(coretype: str, module: str, function: str, *args):
     """Call ``module.function(*args)`` from the tests directory in a fresh
     interpreter whose OpenBLAS runs its ``coretype`` kernel. Arguments and
@@ -93,8 +104,5 @@ def under_blas_kernel(coretype: str, module: str, function: str, *args):
         f"result = getattr(importlib.import_module({module!r}), {function!r})(*json.loads(sys.argv[1]))\n"
         "print(json.dumps([blas_kernel(), result]))\n"
     )
-    path = os.pathsep.join([str(Path(mono3dg.__file__).parents[1]), str(Path(__file__).parent)])
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
-    run = subprocess.run([sys.executable, "-c", code, json.dumps(args)], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
+    out = fresh_python(code, json.dumps(args), env={"OPENBLAS_CORETYPE": coretype})
+    return json.loads(out.splitlines()[-1])

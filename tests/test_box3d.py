@@ -1,17 +1,11 @@
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mono3dg
-
-from conftest import overlapping_box_pair, random_box
+from conftest import fresh_python, overlapping_box_pair, random_box
 from mono3dg import box3d
 from mono3dg.box3d import (
     OrientedBox3D,
@@ -169,9 +163,7 @@ class TestIoU3D:
             "assert mono3dg.iou3d(a, b) > 0.0\n"
             "print('scipy.spatial' in sys.modules)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(mono3dg.__file__).parents[1])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert run.stdout.strip() == "False"
+        assert fresh_python(code).strip() == "False"
 
     def test_range_and_symmetry(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
+import test_pipeline
+from conftest import fresh_python, haswell_pinned
 from mono3dg.box3d import OrientedBox3D
 from mono3dg.cli import main
 from mono3dg.jsonio import loads_strict
@@ -196,6 +199,51 @@ class TestTrainToy:
         assert code == 1
         assert flag[2:].replace("-", "_") in err
         assert not ckpt.exists()
+
+
+class TestColdStart:
+    """Only the decoder needs scipy (gelu's ``erf``). A fresh ``python -m
+    mono3dg.cli`` process loads it when training runs the decoder, and
+    never for ``synth``, ``evaluate`` or ``project``."""
+
+    CODE = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('mono3dg.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, *sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+
+    @classmethod
+    def _run(cls, *argv, env=None):
+        """Exit code and loaded ``scipy*`` modules of ``python -m mono3dg.cli *argv``."""
+        code, *modules = fresh_python(cls.CODE, *argv, env=env).splitlines()[-1].split()
+        return int(code), modules
+
+    def test_synth_evaluate_project_leave_scipy_unloaded(self, tmp_path):
+        scenes, preds = tmp_path / "scenes.jsonl", tmp_path / "preds.jsonl"
+        runs = [
+            ["synth", "--scenes", "5", "--seed", "1", "--profile", "indoor", "--out", str(scenes),
+             "--perfect-preds", str(preds)],
+            ["evaluate", "--gt", str(scenes), "--pred", str(preds), "--mode", "raw", "--profile", "indoor"],
+            ["project", "--point", "0.5,-0.2,4", "--intrinsics",
+             '{"fx": 700, "fy": 700, "cx": 320, "cy": 240, "width": 640, "height": 480}'],
+        ]
+        for argv in runs:
+            assert self._run(*argv) == (0, []), argv[0]
+
+    @haswell_pinned
+    def test_train_toy_loads_scipy_special_and_keeps_its_bits(self, tmp_path):
+        data, ckpt, loss_csv = (tmp_path / name for name in ("toy.jsonl", "ckpt.json", "loss.csv"))
+        write_scenes(data, synth_scenes(16, seed=5, profile_name="indoor"))
+        code, modules = self._run("train-toy", "--data", str(data), "--epochs", "3", "--seed", "2",
+                                  "--batch-size", "8", "--out", str(ckpt), "--loss-csv", str(loss_csv),
+                                  env={"OPENBLAS_CORETYPE": "Haswell"})
+        assert code == 0
+        assert "scipy.special" in modules
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, loss_csv)]
+        assert digests == test_pipeline.TestToySameBitsAsPerQueryCode.TRAIN_DIGESTS
 
 
 class TestGoldenReports:

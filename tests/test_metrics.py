@@ -189,6 +189,12 @@ class TestAggregate:
         assert report.acc_25 == 0.5
         assert report.mean_depth_error == pytest.approx(2.0)
 
+    def test_means_sum_left_to_right(self):
+        # Compensated summation (the builtin sum since Python 3.12) totals
+        # 1.0000000000000002e16 here; adding in index order rounds both ones away.
+        results = [QueryResult(f"q{i}", 1.0, e, 0.0, 0.0, 0.0) for i, e in enumerate([1e16, 1.0, 1.0])]
+        assert aggregate(results).mean_depth_error == 1e16 / 3
+
     def test_monotone_in_single_iou(self):
         base = [result_with_iou(v) for v in (0.6, 0.3, 0.2, 0.0)]
         improved = list(base)

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,31 @@ class TestParseTimeGaps:
         assert code == 1 and out == ""
         assert "line 2" in err and "raw.rot6d" in err
 
+    @pytest.mark.parametrize("rot6d, message", [
+        ([1e200, 0.0, 0.0, 0.0, 1.0, 0.0], "first column norm overflows"),
+        ([1.0, 0.0, 0.0, 0.0, 1e200, 0.0], "second column residual norm overflows"),
+    ])
+    def test_overflowing_rot6d_rejected_with_line(self, tmp_path, capsys, rot6d, message):
+        # |a|^2 or |b_perp|^2 overflows to inf, which once left a matrix
+        # with two zero columns that scored without complaint.
+        scenes = synth_scenes(3, seed=22)
+        preds = [prediction_to_json(p) for p in perfect_raw_predictions(scenes, INDOOR_PROFILE)]
+        preds[1]["raw"]["rot6d"] = rot6d
+        gt = tmp_path / "gt.jsonl"
+        write_scenes(gt, scenes)
+        path = _write_lines(tmp_path / "raw.jsonl", [dumps_canonical(p) for p in preds])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as info:
+                read_predictions(path, "raw")
+            with pytest.raises(DegenerateSixD, match="is not finite"):
+                rot6d_to_matrix_batch(np.array([rot6d[:3]]), np.array([rot6d[3:]]))
+        assert str(info.value) == f"field 'raw.rot6d': line 2: field 'raw.rot6d': {message}"
+        code = main(["evaluate", "--gt", str(gt), "--pred", str(path), "--mode", "raw"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "line 2" in err and "raw.rot6d" in err
+
     def test_parse_rejects_rot6d_exactly_when_reasoning_would(self):
         # Near-parallel pairs: b along a at |b| from 1 to 1e9, plus a residual
         # of 0.5-2 SIXD_EPSILON across a. Both verdicts must occur.
@@ -573,6 +599,8 @@ _MALFORMED = {
     "raw rot6d null": ("raw", ("raw", "rot6d", 5), None),
     "raw rot6d zero a": ("raw", ("raw", "rot6d"), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
     "raw rot6d parallel": ("raw", ("raw", "rot6d"), [1.0, 2.0, -0.5, -2.0, -4.0, 1.0]),
+    "raw rot6d overflowing a": ("raw", ("raw", "rot6d"), [1e200, 0.0, 0.0, 0.0, 1.0, 0.0]),
+    "raw rot6d overflowing b": ("raw", ("raw", "rot6d"), [1.0, 0.0, 0.0, 0.0, 1e200, 0.0]),
     "raw image_id number": ("raw", ("image_id",), 3),
     "raw duplicate key": ("raw", (), "line 1"),
     # box predictions
@@ -656,6 +684,8 @@ class TestStructuralErrorsPinned:
         'raw rot6d null': ('raw.rot6d[5]', 'expected a number, got NoneType'),
         'raw rot6d zero a': ('raw.rot6d', 'first column is numerically zero'),
         'raw rot6d parallel': ('raw.rot6d', 'columns are parallel'),
+        'raw rot6d overflowing a': ('raw.rot6d', 'first column norm overflows'),
+        'raw rot6d overflowing b': ('raw.rot6d', 'second column residual norm overflows'),
         'raw image_id number': ('image_id', 'ids must be strings'),
         'raw duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
         'box missing box3d': ('box3d', 'missing'),
