@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDataset, MalformedSequence, ShapeMismatch
-from .jsonio import dumps_canonical, loads_strict
+from .jsonio import array_template, check_finite, dumps_canonical, loads_strict, object_template
 from .rotation import Rot6D
 
 KIND_CAPTION = "caption"
@@ -534,12 +534,14 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
 
 
 def save_checkpoint(path: str | Path, params: DecoderParams, seed: int) -> None:
-    payload = {
-        "config": params.config.to_json(),
-        "seed": seed,
-        "params": {name: arr.tolist() for name, arr in params.named_arrays()},
-    }
-    Path(path).write_text(dumps_canonical(payload) + "\n", encoding="utf-8")
+    """Write the config, the seed and every parameter as one JSON line: the
+    bytes dumps_canonical gives for them, with the parameters, which are
+    flat in named order, formatted in one % pass."""
+    check_finite(params.flat)
+    head = dumps_canonical({"config": params.config.to_json(), "seed": seed})
+    body = object_template((name, array_template(arr.shape)) for name, arr in params.named_arrays())
+    text = f'{head[:-1]},"params":{body % tuple(params.flat.tolist())}}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> DecoderParams:

@@ -4,6 +4,15 @@ Floats are emitted with 17 significant digits (lossless for float64), so
 write -> read -> write is byte-identical and equal seeds give equal files.
 NaN and infinities are rejected in both directions. Schema checks of the
 decoded records live with the record types, in ``scenes``.
+
+:func:`dumps_canonical` writes any JSON value. Files of many records of one
+shape are written through ``%`` templates instead: :func:`object_template`
+and :func:`array_template` spell a record's text with ``%.17g`` for each
+float and ``%s`` for each string, a chunk of records is one template, and
+:func:`write_templated` fills it with one ``%`` pass over the chunk's
+values. ``'%.17g' % v`` is ``format(v, '.17g')``, and strings are passed
+through ``encode_basestring`` as ``dumps_canonical`` does, so both give the
+same bytes. Check the floats with :func:`check_finite` before writing.
 """
 
 from __future__ import annotations
@@ -14,7 +23,12 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from .errors import ParseError
+
+FLOAT = "%.17g"  # the template of one float; '%.17g' % v == format(v, '.17g')
+STRING = "%s"  # the template of one string, passed through encode_basestring
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -40,19 +54,12 @@ def _emit(obj: Any, parts: list[str]) -> None:
             _emit(value, parts)
         parts.append("}")
     elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
-        if all(type(value) is float for value in obj):
-            text = ",".join([format(value, ".17g") for value in obj])
-            if "n" in text:  # only "nan" and "inf" hold an n: raise for the first
-                for value in obj:
-                    _float_text(value)
-            parts.append(f"[{text}]")
-        else:
-            parts.append("[")
-            for i, value in enumerate(obj):
-                if i:
-                    parts.append(",")
-                _emit(value, parts)
-            parts.append("]")
+        parts.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                parts.append(",")
+            _emit(value, parts)
+        parts.append("]")
     elif obj is None:
         parts.append("null")
     elif obj is True:
@@ -87,11 +94,32 @@ def loads_strict(text: str) -> Any:
     return _STRICT_DECODER.decode(text)
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+def check_finite(*arrays: np.ndarray) -> None:
+    """Raise the ValueError dumps_canonical would for the first non-finite
+    value, taking the arrays in order."""
+    for array in arrays:
+        finite = np.isfinite(array)
+        if not finite.all():
+            _float_text(float(array[~finite][0]))
+
+
+def array_template(shape: tuple) -> str:
+    """The template of a float array of this shape, as nested JSON lists."""
+    if not shape:
+        return FLOAT
+    return "[" + ",".join([array_template(shape[1:])] * shape[0]) + "]"
+
+
+def object_template(fields: Iterable[tuple[str, str]]) -> str:
+    """The template of a JSON object of (key, value template) fields."""
+    return "{" + ",".join(f"{encode_basestring(key)}:{value}" for key, value in fields) + "}"
+
+
+def write_templated(path: str | Path, chunks: Iterable[tuple[str, Iterable]]) -> None:
+    """Write each (template, values) chunk as template % tuple(values)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dumps_canonical(record))
-            fh.write("\n")
+        for template, values in chunks:
+            fh.write(template % tuple(values))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:

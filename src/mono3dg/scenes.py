@@ -15,6 +15,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring
 from operator import itemgetter
 
 import numpy as np
@@ -31,9 +33,14 @@ from .camera import (
 )
 from .errors import InvalidRanges, ParseError, SchemaError
 from .jsonio import (
+    FLOAT,
+    STRING,
+    array_template,
+    check_finite,
     dumps_canonical,  # noqa: F401  perfbench/tracing.py wraps scenes.dumps_canonical
+    object_template,
     read_jsonl,
-    write_jsonl,
+    write_templated,
 )
 from .rotation import SIXD_EPSILON, random_rotation, rotation_defects, sixd_gram_schmidt
 
@@ -149,9 +156,10 @@ class PredictionRecord:
 
 
 # Scenes and predictions are generated, scored and written as column
-# tables. A table is also a read-only sequence of the records above; each
-# record is built when it is read and not kept, so a table holds its
-# columns only.
+# tables: synth_scenes draws every column at once, and the writers format
+# a table's columns a chunk of rows at a time. A table is also a read-only
+# sequence of the records above; each record is built when it is read and
+# not kept, so a table holds its columns only.
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,36 +264,26 @@ class PredictionTable(Sequence):
 # -- synthetic generation ------------------------------------------------------
 
 
-def _sample_camera(rng: np.random.Generator, ranges: SynthRanges) -> CameraIntrinsics:
-    width = rng.uniform(*ranges.image_width)
-    height = width * rng.uniform(0.5, 0.8)
-    fx = rng.uniform(*ranges.fx)
-    fy = fx * rng.uniform(0.95, 1.05)
-    cx = width * rng.uniform(0.45, 0.55)
-    cy = height * rng.uniform(0.45, 0.55)
-    return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+# The uniform draws of one camera, in order: image width, height / width,
+# fx, fy / fx, cx / width and cy / height.
+def _camera_bounds(ranges: SynthRanges) -> list:
+    return [ranges.image_width, (0.5, 0.8), ranges.fx, (0.95, 1.05), (0.45, 0.55), (0.45, 0.55)]
 
 
-def _sample_object(rng: np.random.Generator, cam: CameraIntrinsics, ranges: SynthRanges) -> tuple:
-    """One object's center, dims (L, W, H) and rotation."""
-    # Back-project a pixel drawn inside a 2-98% margin so the projected
-    # center is in bounds by construction.
-    u = cam.width * rng.uniform(0.02, 0.98)
-    v = cam.height * rng.uniform(0.02, 0.98)
-    z = rng.uniform(*ranges.depth)
-    center = backproject_center(Point2D(u, v), z, cam)
-    dims = (
-        rng.uniform(*ranges.length),
-        rng.uniform(*ranges.width),
-        rng.uniform(*ranges.height),
-    )
-    if ranges.yaw_only:
-        yaw = rng.uniform(-math.pi, math.pi)
-        c, s = math.cos(yaw), math.sin(yaw)
-        rot = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
-    else:
-        rot = random_rotation(rng)
-    return center, dims, rot
+# The uniform draws of one object, in order: the projected center as
+# fractions of the image width and height, inside a 2-98% margin so it is
+# in bounds by construction; depth; L, W, H; and the yaw of a yaw-only box.
+def _object_bounds(ranges: SynthRanges) -> list:
+    bounds = [(0.02, 0.98), (0.02, 0.98), ranges.depth, ranges.length, ranges.width, ranges.height]
+    return bounds + [(-math.pi, math.pi)] if ranges.yaw_only else bounds
+
+
+def _uniform(draws: np.ndarray, bounds: list) -> np.ndarray:
+    """Each column of Generator.random draws mapped onto its (lo, hi) as
+    lo + (hi - lo) * d, the arithmetic of Generator.uniform: the values are
+    the uniform calls' own, draw for draw."""
+    lo, hi = np.array(bounds, dtype=float).T
+    return lo + (hi - lo) * draws
 
 
 def synth_scenes(
@@ -301,24 +299,50 @@ def synth_scenes(
     ranges = (ranges or ranges_for_profile(profile_name)).validate()
     rng = np.random.default_rng(seed)
     n_pairs = n // FOCAL_PAIR_FRACTION
-    image_ids, cams, counts, object_ids, sampled = [], [], [], [], []
-    for i in range(n - n_pairs):
-        cam = _sample_camera(rng, ranges)
+    object_bounds = _object_bounds(ranges)
+    # Each base scene draws its camera, its object count and then its
+    # objects, in one call where the stream allows: an object that is not
+    # yaw-only draws its random rotation right after its uniforms.
+    cam_draws, counts, object_draws, rots = [], [], [], []
+    for _ in range(n - n_pairs):
+        cam_draws.append(rng.random(6))
         count = int(rng.integers(ranges.objects_per_scene[0], ranges.objects_per_scene[1] + 1))
-        image_ids.append(f"scene_{i:06d}")
-        cams.append(cam)
         counts.append(count)
-        object_ids += [f"obj_{i:06d}_{j}" for j in range(count)]
-        sampled += [_sample_object(rng, cam, ranges) for _ in range(count)]
-    center, dims, rot = map(np.array, zip(*sampled))
+        if ranges.yaw_only:
+            object_draws.append(rng.random(len(object_bounds) * count))
+        else:
+            for _ in range(count):
+                object_draws.append(rng.random(len(object_bounds)))
+                rots.append(random_rotation(rng))
+    width, aspect, fx, fy_scale, cx_frac, cy_frac = _uniform(np.array(cam_draws), _camera_bounds(ranges)).T
+    height = width * aspect
+    cams = np.stack([fx, fx * fy_scale, width * cx_frac, height * cy_frac, width, height], axis=1)
+    draws = _uniform(np.concatenate(object_draws).reshape(-1, len(object_bounds)), object_bounds)
+    cam = CameraIntrinsics(*cams[np.repeat(np.arange(len(cams)), counts)].T)
+    center = np.stack(
+        backproject_center(Point2D(cam.width * draws[:, 0], cam.height * draws[:, 1]), draws[:, 2], cam),
+        axis=1,
+    )
+    dims = draws[:, 3:6]
+    if ranges.yaw_only:
+        # math's cos and sin, one yaw at a time: numpy's vectorized ones may
+        # round differently, and the synthesized files are pinned bytes.
+        yaw = draws[:, 6].tolist()
+        c, s = np.array(list(map(math.cos, yaw))), np.array(list(map(math.sin, yaw)))
+        zero, one = np.zeros_like(c), np.ones_like(c)
+        rot = np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
+    else:
+        rot = np.array(rots)
     # A focal pair doubles fx and every object depth; Y doubles so the pixel
     # projection is unchanged, and the virtual depth of each object is
     # preserved exactly.
     paired = sum(counts[:n_pairs])
+    image_ids = [f"scene_{i:06d}" for i in range(n - n_pairs)]
     image_ids += [image_id + FOCAL_PAIR_SUFFIX for image_id in image_ids[:n_pairs]]
-    cams = np.array(cams + [cam._replace(fx=2.0 * cam.fx) for cam in cams[:n_pairs]])
-    rows = np.repeat(np.arange(n), counts + counts[:n_pairs])
+    object_ids = [f"obj_{i:06d}_{j}" for i, count in enumerate(counts) for j in range(count)]
     object_ids += object_ids[:paired]
+    cams = np.concatenate([cams, cams[:n_pairs] * [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    rows = np.repeat(np.arange(n), counts + counts[:n_pairs])
     center = np.concatenate([center, center[:paired] * [1.0, 2.0, 2.0]])
     dims = np.concatenate([dims, dims[:paired]])
     rot = np.concatenate([rot, rot[:paired]])
@@ -857,8 +881,65 @@ def prediction_from_json(obj, mode: str) -> PredictionRecord:
 # -- JSONL I/O -----------------------------------------------------------------
 
 
+# The writers give the bytes dumps_canonical gives for _scenes_json and
+# _predictions_json, one template of a chunk of records at a time; the
+# chunk bounds the text and values held at once.
+WRITE_CHUNK = 512  # records per % pass
+
+_BOX3D_TEMPLATE = object_template((name, array_template((width,))) for name, width, _ in _BOX_LISTS)
+_SCENE_HEAD = object_template(
+    [("image_id", STRING), ("intrinsics", object_template((k, FLOAT) for k in _INTRINSICS)),
+     ("objects", "[")]
+)[:-1]  # left open: the objects and _SCENE_TAIL follow
+_SCENE_TAIL = "]}\n"
+_OBJECT_TEMPLATE = object_template(
+    [("object_id", STRING), ("caption", STRING), ("box3d", _BOX3D_TEMPLATE),
+     ("box2d", array_template((4,))), ("h2d", FLOAT)]
+)
+_RAW_TEMPLATE = object_template(
+    [*((name, FLOAT) for name in decoder.RAW_FIELDS), ("rot6d", array_template((6,)))]
+)
+_PREDICTION_TEMPLATES = {
+    mode: object_template([("image_id", STRING), ("object_id", STRING), (name, payload)]) + "\n"
+    for mode, name, payload in (("raw", "raw", _RAW_TEMPLATE), ("box", "box3d", _BOX3D_TEMPLATE))
+}
+
+
+def _columns(strings: list, numbers: np.ndarray) -> list:
+    """The values of each row, encoded strings then numbers, as columns for zip."""
+    return [*(map(encode_basestring, column) for column in strings), *numbers.T.tolist()]
+
+
+def _scene_chunks(table: SceneTable):
+    numbers = np.hstack([table.boxes, table.box2d, table.h2d[:, None]])
+    starts = table._starts
+    for first in range(0, len(table), WRITE_CHUNK):
+        last = min(first + WRITE_CHUNK, len(table))
+        m0, m1 = starts[first], starts[last]
+        objects = list(zip(*_columns([table.object_ids[m0:m1], table.captions[m0:m1]], numbers[m0:m1])))
+        heads = zip(*_columns([table.image_ids[first:last]], table.cams[first:last]))
+        template, values = [], []
+        for i, head in zip(range(first, last), heads):
+            count = starts[i + 1] - starts[i]
+            template.append(_SCENE_HEAD + ",".join([_OBJECT_TEMPLATE] * count) + _SCENE_TAIL)
+            values.append(head)
+            values += objects[starts[i] - m0 : starts[i + 1] - m0]
+        yield "".join(template), chain.from_iterable(values)
+
+
+def _prediction_chunks(table: PredictionTable):
+    template = _PREDICTION_TEMPLATES[table.mode]
+    for first in range(0, len(table), WRITE_CHUNK):
+        keys = table.keys[first : first + WRITE_CHUNK]
+        rows = zip(*_columns(list(zip(*keys)), table.values[first : first + WRITE_CHUNK]))
+        yield template * len(keys), chain.from_iterable(rows)
+
+
 def write_scenes(path, scenes: SceneTable | list[SceneRecord]) -> None:
-    write_jsonl(path, _scenes_json(SceneTable.of(scenes)))
+    """Write scenes as JSONL; a non-finite number raises before the file is opened."""
+    table = SceneTable.of(scenes)
+    check_finite(table.cams, table.boxes, table.box2d, table.h2d)
+    write_templated(path, _scene_chunks(table))
 
 
 def read_scenes(path) -> SceneTable:
@@ -868,7 +949,10 @@ def read_scenes(path) -> SceneTable:
 
 
 def write_predictions(path, preds: PredictionTable | list[PredictionRecord]) -> None:
-    write_jsonl(path, _predictions_json(PredictionTable.of(preds)))
+    """Write predictions as JSONL; see write_scenes."""
+    table = PredictionTable.of(preds)
+    check_finite(table.values)
+    write_templated(path, _prediction_chunks(table))
 
 
 def read_predictions(path, mode: str) -> PredictionTable:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mono3dg import decoder as D
 from mono3dg.errors import EmptyDataset, MalformedSequence, ShapeMismatch
+from mono3dg.jsonio import dumps_canonical
 
 # Central FD at step 1e-6 has ~1e-9 absolute noise, so gradient entries
 # below this magnitude are held to an absolute bar of tol * floor instead.
@@ -331,6 +332,25 @@ class TestCheckpoint:
         for (n1, a1), (n2, a2) in zip(params.named_arrays(), loaded.named_arrays()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
+
+    def test_bytes_match_the_reference(self, tmp_path):
+        params = D.init_params(D.DecoderConfig(), np.random.default_rng(19))
+        path = tmp_path / "ckpt.json"
+        D.save_checkpoint(path, params, seed=8)
+        payload = {
+            "config": params.config.to_json(),
+            "seed": 8,
+            "params": {name: arr.tolist() for name, arr in params.named_arrays()},
+        }
+        assert path.read_text(encoding="utf-8") == dumps_canonical(payload) + "\n"
+
+    def test_non_finite_parameter_writes_no_file(self, tmp_path):
+        params = D.init_params(small_config(), np.random.default_rng(20))
+        params.flat[-1] = np.nan
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match="non-finite number nan"):
+            D.save_checkpoint(path, params, seed=8)
+        assert not path.exists()
 
     def test_loss_history_csv(self, tmp_path):
         path = tmp_path / "loss.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from mono3dg.camera import VirtualCamera, real_to_virtual_depth
 from mono3dg.cli import main
 from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError
+from mono3dg import scenes as scenes_module
 from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.scenes import (
     FOCAL_PAIR_SUFFIX,
@@ -16,6 +18,8 @@ from mono3dg.scenes import (
     OUTDOOR_RANGES,
     PredictionRecord,
     PredictionTable,
+    SceneRecord,
+    SceneTable,
     SynthRanges,
     prediction_from_json,
     prediction_to_json,
@@ -272,6 +276,82 @@ class TestWritersTakeTablesOrRecords:
         with pytest.raises(ValueError, match="raw predictions or boxes, not both"):
             PredictionTable.of(mixed)
         assert PredictionTable.of([]).values.shape == (0, 12)
+
+    # Text a JSON string must escape, and % signs a template must not read.
+    AWKWARD = 'say "hi" \\ back\nnaïve %s %.17g %% '
+
+    def _awkward_scenes(self):
+        table = synth_scenes(12, seed=32, profile_name="outdoor")
+        table = dataclasses.replace(
+            table,
+            image_ids=[f"{self.AWKWARD}{i}" for i in range(len(table))],
+            object_ids=[f"{oid}{self.AWKWARD}" for oid in table.object_ids],
+            captions=[f"{self.AWKWARD}{m}" for m in range(len(table.captions))],
+        )
+        # A scene with no objects writes an empty objects list.
+        return SceneTable.of([*table[:5], SceneRecord("no objects", table[0].intrinsics), *table[5:]])
+
+    def test_scenes_across_chunks_match_the_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenes_module, "WRITE_CHUNK", 2)
+        table = self._awkward_scenes()
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(path, table)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [dumps_canonical(scene_to_json(r)) for r in table] + [""]
+        back = read_scenes(path)
+        assert back.image_ids == table.image_ids and back.captions == table.captions
+        assert np.array_equal(back.boxes, table.boxes)
+
+    @pytest.mark.parametrize("mode", ["raw", "box"])
+    def test_predictions_across_chunks_match_the_reference(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(scenes_module, "WRITE_CHUNK", 2)
+        scenes = self._awkward_scenes()
+        preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
+        if mode == "box":
+            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+        assert len(preds) > 2 * 2  # several chunks
+        path = tmp_path / "preds.jsonl"
+        write_predictions(path, preds)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [dumps_canonical(prediction_to_json(p)) for p in preds] + [""]
+        back = read_predictions(path, mode)
+        assert back.keys == preds.keys and np.array_equal(back.values, preds.values)
+
+
+class TestRejectedWriteLeavesNoFile:
+    """A writer checks every number before it opens its file, so a table it
+    cannot write creates no file and leaves an existing one as it was."""
+
+    @staticmethod
+    def _with_nan_last(kind):
+        scenes = synth_scenes(50, seed=33, profile_name="outdoor")
+        if kind == "scenes":
+            h2d = scenes.h2d.copy()
+            h2d[-1] = np.nan
+            return write_scenes, dataclasses.replace(scenes, h2d=h2d)
+        preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
+        if kind == "box":
+            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+        values = preds.values.copy()
+        values[-1, -1] = np.inf
+        return write_predictions, PredictionTable(preds.keys, values)
+
+    @pytest.mark.parametrize("kind", ["scenes", "raw", "box"])
+    def test_path_is_not_created(self, tmp_path, kind):
+        write, table = self._with_nan_last(kind)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="non-finite number"):
+            write(path, table)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["scenes", "raw", "box"])
+    def test_existing_file_keeps_its_bytes(self, tmp_path, kind):
+        write, table = self._with_nan_last(kind)
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"kept": true}\n')
+        with pytest.raises(ValueError, match="non-finite number"):
+            write(path, table)
+        assert path.read_bytes() == b'{"kept": true}\n'
 
 
 class TestPredictionJsonl:
