@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDataset, MalformedSequence, ShapeMismatch
+from .errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch
 from .jsonio import array_template, check_finite, dumps_canonical, loads_strict, object_template
 from .rotation import Rot6D
 
@@ -267,7 +267,7 @@ def attention(x_q: np.ndarray, x_kv: np.ndarray, w_q, w_k, w_v, mask=None):
     q = x_q @ w_q
     k = x_kv @ w_k
     v = x_kv @ w_v
-    logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(w_q.shape[-1])
+    logits = q @ k.swapaxes(-1, -2) / math.sqrt(w_q.shape[-1])
     if mask is not None:
         logits = np.where(mask, _MASK_VALUE, logits)
     logits -= logits.max(axis=-1, keepdims=True)
@@ -279,11 +279,11 @@ def attention(x_q: np.ndarray, x_kv: np.ndarray, w_q, w_k, w_v, mask=None):
 def attention_backward(d_out: np.ndarray, cache):
     """Gradients of sum(out * d_out) with respect to Q, K and V."""
     q, k, v, attn = cache
-    d_attn = d_out @ np.swapaxes(v, -1, -2)
-    d_v = np.swapaxes(attn, -1, -2) @ d_out
+    d_attn = d_out @ v.swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ d_out
     d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
     d_logits /= math.sqrt(q.shape[-1])
-    return d_logits @ k, np.swapaxes(d_logits, -1, -2) @ q, d_v
+    return d_logits @ k, d_logits.swapaxes(-1, -2) @ q, d_v
 
 
 def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
@@ -372,17 +372,24 @@ def loss(raw: RawHeadOutput, target: RawHeadOutput) -> float:
 
 
 def _sample_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the leading sample axis strictly in sample order; ``ndarray.sum``
-    may add pairwise, and the batch gradient would drift from the per-sample sum."""
-    out = a[0].copy()
-    for row in a[1:]:
-        out += row
-    return out
+    """Sum over the leading sample axis strictly in sample order, so a batch
+    gradient equals the running sum of per-sample gradients bit for bit.
+
+    The sample axis must be the outermost in memory, as it is for every
+    gradient here. ``np.add.reduce`` then adds whole rows in sample order,
+    unless a row has one element: that leaves a 1-D reduce, which numpy adds
+    pairwise, and there ``np.add.accumulate`` is sequential by definition.
+    The reduce starts from -0.0, the exact additive identity, so a sum of
+    negative zeros stays negative as it does in a loop from ``a[0]``.
+    """
+    if a.size == len(a):
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0, initial=-0.0)
 
 
 def _batch_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum over samples of a[s].T @ b[s], added in sample order."""
-    return _sample_sum(np.swapaxes(a, 1, 2) @ b)
+    return _sample_sum(a.swapaxes(1, 2) @ b)
 
 
 def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, grads: DecoderParams):
@@ -475,15 +482,29 @@ class TrainConfig:
     seed: int = 0
 
 
-def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig) -> None:
-    """Adam step number t on the parameter vector; flat, m and v change in place."""
+def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig, scratch=None) -> None:
+    """Adam step number t on the parameter vector; flat, m and v change in place.
+
+    Each operation is that of ``m += (1 - beta1) * grad``, ``v += (1 - beta2)
+    * grad * grad`` and ``flat -= lr * m_hat / (sqrt(v_hat) + eps)``, in that
+    order, written into ``scratch``: two vectors shaped like flat, which a
+    loop of steps allocates once. grad is not modified.
+    """
+    s1, s2 = (np.empty_like(flat), np.empty_like(flat)) if scratch is None else scratch
     m *= cfg.beta1
-    m += (1 - cfg.beta1) * grad
+    np.multiply(1 - cfg.beta1, grad, out=s1)
+    m += s1
     v *= cfg.beta2
-    v += (1 - cfg.beta2) * grad * grad
-    m_hat = m / (1 - cfg.beta1**t)
-    v_hat = v / (1 - cfg.beta2**t)
-    flat -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    np.multiply(1 - cfg.beta2, grad, out=s1)
+    s1 *= grad
+    v += s1
+    np.divide(m, 1 - cfg.beta1**t, out=s1)
+    np.divide(v, 1 - cfg.beta2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += cfg.eps
+    s1 *= cfg.lr
+    s1 /= s2
+    flat -= s1
 
 
 def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cfg: TrainConfig):
@@ -510,6 +531,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    scratch = np.empty_like(params.flat), np.empty_like(params.flat)
     grads = DecoderParams(params.config)
     step = 0
     history = []
@@ -524,7 +546,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
             sample_losses[batch] = losses
             grads.flat *= 1.0 / len(batch)
             step += 1
-            _adam_step(params.flat, grads.flat, m, v, step, cfg)
+            _adam_step(params.flat, grads.flat, m, v, step, cfg, scratch)
         # summed in sample order so the history is shuffle-independent
         history.append(float(sample_losses.sum()) / n)
     return params, history
@@ -545,10 +567,33 @@ def save_checkpoint(path: str | Path, params: DecoderParams, seed: int) -> None:
 
 
 def load_checkpoint(path: str | Path) -> DecoderParams:
+    """Read a checkpoint that :func:`save_checkpoint` wrote.
+
+    Raises SchemaError naming ``params.<name>`` when the checkpoint lacks a
+    parameter of the layout or holds one the layout does not name, when a
+    value's nested shape is not its layout shape, and when a value is not
+    finite.
+    """
     payload = loads_strict(Path(path).read_text(encoding="utf-8"))
     params = DecoderParams(DecoderConfig.from_json(payload["config"]))
-    for name, arr in params.named_arrays():
-        arr[...] = np.asarray(payload["params"][name], dtype=float).reshape(arr.shape)
+    views, values = dict(params.named_arrays()), payload["params"]
+    if values.keys() != views.keys():
+        for name in views:
+            if name not in values:
+                raise SchemaError(f"params.{name}", "missing from the checkpoint")
+        unknown = next(name for name in values if name not in views)
+        raise SchemaError(f"params.{unknown}", "not a parameter of the decoder")
+    for name, arr in views.items():
+        try:
+            value = np.asarray(values[name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"params.{name}", f"not a nested list of numbers: {exc}") from exc
+        if value.shape != arr.shape:
+            raise SchemaError(f"params.{name}", f"shape {value.shape}, layout {arr.shape}")
+        arr[...] = value
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, arr in views.items() if not np.isfinite(arr).all())
+        raise SchemaError(f"params.{name}", "holds a non-finite value")
     return params
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3dg import decoder as D
-from mono3dg.errors import EmptyDataset, MalformedSequence, ShapeMismatch
+from mono3dg.errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch
 from mono3dg.jsonio import dumps_canonical
 
 # Central FD at step 1e-6 has ~1e-9 absolute noise, so gradient entries
@@ -352,6 +353,24 @@ class TestCheckpoint:
             D.save_checkpoint(path, params, seed=8)
         assert not path.exists()
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: p.update({"layer0.ff_w1": np.asarray(p["layer0.ff_w1"]).T.tolist()}), "layer0.ff_w1"),
+        (lambda p: p["query"].__setitem__(0, "INF"), "query"),
+        (lambda p: p.update({"bogus": [1.0]}), "bogus"),
+        (lambda p: p.pop("head_d.b2"), "head_d.b2"),
+        (lambda p: p["query"].pop(), "query"),
+        (lambda p: p["layer1.w_o"][3].append(0.5), "layer1.w_o"),
+    ], ids=["transposed", "infinite", "unknown-key", "missing-key", "short", "ragged"])
+    def test_load_rejects_a_parameter_off_the_layout(self, tmp_path, edit, field):
+        path = tmp_path / "ckpt.json"
+        D.save_checkpoint(path, D.init_params(D.DecoderConfig(), np.random.default_rng(21)), seed=3)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload["params"])
+        # "INF" stands for a literal that json reads as inf
+        path.write_text(dumps_canonical(payload).replace('"INF"', "1e400"), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"'params.{field}'"):
+            D.load_checkpoint(path)
+
     def test_loss_history_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         D.write_loss_history(path, [1.5, 0.75, 0.25])
@@ -417,6 +436,42 @@ def reference_train(embeddings, targets, params, cfg):
             reference_adam(params, {k: v * (1.0 / len(batch)) for k, v in sums.items()}, state, cfg)
         history.append(float(sample_losses.sum()) / n)
     return params, history
+
+
+def in_order_sum(a):
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
+def spread_values(rng, shape):
+    """Values of both signs whose magnitudes spread over 1e-8..1e8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+class TestSampleSum:
+    """``_sample_sum`` adds samples in order, bit for bit like a loop."""
+
+    SHAPES = sorted({shape for config in (small_config(), D.DecoderConfig())
+                     for _, shape in D._layout(config)})
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 8, 9, 16, 17, 33])
+    def test_equals_in_order_loop_on_every_parameter_shape(self, batch):
+        # (1,) is head_d.b2: its (B, 1) reduce is 1-D, which numpy adds pairwise
+        assert (1,) in self.SHAPES
+        rng = np.random.default_rng(batch)
+        for shape in self.SHAPES:
+            a = spread_values(rng, (batch,) + shape)
+            assert D._sample_sum(a).tobytes() == in_order_sum(a).tobytes(), shape
+
+    def test_strided_rows_and_signed_zeros(self):
+        # the query gradient is the last token of every sample, a strided view
+        a = spread_values(np.random.default_rng(41), (17, 5, 32))[:, -1]
+        assert D._sample_sum(a).tobytes() == in_order_sum(a).tobytes()
+        zeros = np.full((16, 3), -0.0)
+        zeros[:, 1] = 0.0
+        assert D._sample_sum(zeros).tobytes() == in_order_sum(zeros).tobytes()
 
 
 class TestBatchedBackward:
@@ -493,15 +548,22 @@ class TestFlatParameters:
         assert not np.shares_memory(clone.flat, params.flat)
 
     def test_vector_adam_equals_per_name_update(self):
+        # The first steps allocate their own scratch; the rest reuse one pair.
         rng = np.random.default_rng(36)
         cfg = D.TrainConfig(lr=3e-3)
         vector = D.init_params(small_config(), rng)
         named = vector.copy()
         m, v = np.zeros_like(vector.flat), np.zeros_like(vector.flat)
+        scratch = np.empty_like(vector.flat), np.empty_like(vector.flat)
         state = {"step": 0, "m": {}, "v": {}}
-        for step in range(1, 4):
+        for step in range(1, 61):
             grad = D.DecoderParams(vector.config, rng.standard_normal(vector.flat.size))
-            D._adam_step(vector.flat, grad.flat, m, v, step, cfg)
+            before = grad.flat.copy()
+            if step <= 3:
+                D._adam_step(vector.flat, grad.flat, m, v, step, cfg)
+            else:
+                D._adam_step(vector.flat, grad.flat, m, v, step, cfg, scratch)
+            assert np.array_equal(grad.flat, before)
             reference_adam(named, dict(grad.named_arrays()), state, cfg)
             assert np.array_equal(vector.flat, named.flat)
 
