@@ -138,13 +138,17 @@ class DecoderConfig:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "DecoderConfig":
-        return DecoderConfig(
-            d_model=int(obj["d_model"]),
-            n_layers=int(obj["n_layers"]),
-            d_ff=int(obj["d_ff"]),
-            head_hidden=int(obj["head_hidden"]),
-        )
+    def from_json(obj) -> "DecoderConfig":
+        """The config :meth:`to_json` wrote. Raises SchemaError naming
+        ``config`` when obj is not an object with exactly these fields, and
+        ``config.<field>`` when a field is not a JSON integer >= 0."""
+        fields = DecoderConfig.__dataclass_fields__
+        if not isinstance(obj, dict) or obj.keys() != fields.keys():
+            raise SchemaError("config", f"not an object of the fields {', '.join(fields)}")
+        for name, value in obj.items():
+            if type(value) is not int or value < 0:
+                raise SchemaError(f"config.{name}", f"{value!r} is not a JSON integer >= 0")
+        return DecoderConfig(**obj)
 
 
 _HEAD_DIMS = {"uv": 2, "lwh": 3, "d": 1, "rot": 6}
@@ -569,14 +573,21 @@ def save_checkpoint(path: str | Path, params: DecoderParams, seed: int) -> None:
 def load_checkpoint(path: str | Path) -> DecoderParams:
     """Read a checkpoint that :func:`save_checkpoint` wrote.
 
-    Raises SchemaError naming ``params.<name>`` when the checkpoint lacks a
-    parameter of the layout or holds one the layout does not name, when a
-    value's nested shape is not its layout shape, and when a value is not
-    finite.
+    Raises SchemaError naming ``config`` or ``config.<field>`` as
+    :meth:`DecoderConfig.from_json` does, and ``params`` when the parameters
+    are not an object. Raises it naming ``params.<name>`` when the checkpoint
+    lacks a parameter of the layout or holds one the layout does not name,
+    when a value's nested shape is not its layout shape, when an element is
+    not a JSON number (a string or a bool, which float() would take) or is an
+    integer too large for a float, and when a value is not finite.
     """
     payload = loads_strict(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or "config" not in payload:
+        raise SchemaError("config", "missing from the checkpoint")
     params = DecoderParams(DecoderConfig.from_json(payload["config"]))
-    views, values = dict(params.named_arrays()), payload["params"]
+    views, values = dict(params.named_arrays()), payload.get("params")
+    if not isinstance(values, dict):
+        raise SchemaError("params", "not an object of named parameters")
     if values.keys() != views.keys():
         for name in views:
             if name not in values:
@@ -584,13 +595,18 @@ def load_checkpoint(path: str | Path) -> DecoderParams:
         unknown = next(name for name in values if name not in views)
         raise SchemaError(f"params.{unknown}", "not a parameter of the decoder")
     for name, arr in views.items():
-        try:
-            value = np.asarray(values[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"params.{name}", f"not a nested list of numbers: {exc}") from exc
+        # Objects keep each element's JSON type; a ragged list has the
+        # wrong shape or a list among its elements.
+        value = np.array(values[name], dtype=object)
         if value.shape != arr.shape:
             raise SchemaError(f"params.{name}", f"shape {value.shape}, layout {arr.shape}")
-        arr[...] = value
+        odd = sorted(kind.__name__ for kind in set(map(type, value.ravel().tolist())) - {float, int})
+        if odd:
+            raise SchemaError(f"params.{name}", f"holds elements of type {', '.join(odd)}, not numbers")
+        try:
+            arr[...] = value
+        except OverflowError as exc:
+            raise SchemaError(f"params.{name}", "holds an integer beyond the float range") from exc
     if not np.isfinite(params.flat).all():
         name = next(name for name, arr in views.items() if not np.isfinite(arr).all())
         raise SchemaError(f"params.{name}", "holds a non-finite value")

@@ -8,7 +8,7 @@ Acc@t only when its IoU exceeds t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class QueryResult:
     width_error: float | None
     height_error: float | None
 
-    @property
-    def missing(self) -> bool:
-        return self.depth_error is None
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -55,15 +51,11 @@ class MetricReport:
     count: int
 
 
-def score_query_batch(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    query_ids: list,
-    depth_metric: str = "z",
-) -> list[QueryResult]:
+def score_query_batch(pred: np.ndarray, gt: np.ndarray, depth_metric: str = "z") -> np.ndarray:
     """Score N predicted boxes against their ground truths, both given as
-    (N, 15) rows. depth_metric='z' uses |dZ| along the optical axis;
-    'euclidean' uses the full center distance (comparison mode only).
+    (N, 15) rows, as (N, 5) score rows: the IoU, then the depth, length,
+    width and height errors. depth_metric='z' uses |dZ| along the optical
+    axis; 'euclidean' uses the full center distance (comparison mode only).
 
     Pairs whose two boxes are both yaw-only are scored together by the BEV
     kernel, which agrees with the exact kernel to rounding and costs a
@@ -73,26 +65,23 @@ def score_query_batch(
     # batches first reports the first bad row of pred, then of gt.
     box3d.check_dims(pred)
     box3d.check_dims(gt)
+    scores = np.empty((len(pred), 5))
     pred_center, gt_center = pred[:, CENTER], gt[:, CENTER]
     if depth_metric == "z":
-        depth_errors = np.abs(pred_center[:, 2] - gt_center[:, 2]).tolist()
+        scores[:, 1] = np.abs(pred_center[:, 2] - gt_center[:, 2])
     elif depth_metric == "euclidean":
-        depth_errors = [math.dist(p, g) for p, g in zip(pred_center.tolist(), gt_center.tolist())]
+        scores[:, 1] = [math.dist(p, g) for p, g in zip(pred_center.tolist(), gt_center.tolist())]
     else:
         raise ValueError(f"unknown depth_metric {depth_metric!r}")
+    scores[:, 2:] = np.abs(pred[:, DIMS] - gt[:, DIMS])
     bev = box3d.yaw_only(pred) & box3d.yaw_only(gt)
-    iou = np.empty(len(query_ids))
     # Both kernels are resolved on box3d at call time, so a wrapper
     # installed there (a tracer, a test) sees the calls.
     if bev.any():
-        iou[bev] = box3d.iou3d_bev_yaw_batch(pred[bev], gt[bev])
+        scores[bev, 0] = box3d.iou3d_bev_yaw_batch(pred[bev], gt[bev])
     if not bev.all():
-        iou[~bev] = box3d.iou3d_batch(pred[~bev], gt[~bev])
-    size_errors = np.abs(pred[:, DIMS] - gt[:, DIMS]).tolist()
-    return [
-        QueryResult(query_id, value, depth, *sizes)
-        for query_id, value, depth, sizes in zip(query_ids, iou.tolist(), depth_errors, size_errors)
-    ]
+        scores[~bev, 0] = box3d.iou3d_batch(pred[~bev], gt[~bev])
+    return scores
 
 
 def score_query(
@@ -102,41 +91,29 @@ def score_query(
     depth_metric: str = "z",
 ) -> QueryResult:
     """:func:`score_query_batch` for one query."""
-    return score_query_batch(pred.row[None], gt.row[None], [query_id], depth_metric)[0]
+    scores = score_query_batch(pred.row[None], gt.row[None], depth_metric)
+    return QueryResult(query_id, *scores[0].tolist())
 
 
-def missing_result(query_id: str) -> QueryResult:
-    """Sentinel for a ground-truth object that received no prediction."""
-    return QueryResult(query_id, 0.0, None, None, None, None)
-
-
-def _mean_in_order(values: list[float]) -> float:
-    """Mean with the sum taken left to right. The builtin ``sum`` compensates
-    float rounding since Python 3.12, which would tie report bytes to the
-    interpreter."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values)
-
-
-def aggregate(results: list[QueryResult]) -> MetricReport:
-    count = len(results)
+def aggregate(scores: np.ndarray | list[QueryResult]) -> MetricReport:
+    """Acc@0.25, Acc@0.5 and the mean errors of (N, 5) score rows, as
+    :func:`score_query_batch` returns them, or of query results. A row with
+    NaN errors (a result with None) is a query that received no prediction:
+    it counts toward accuracy and stays out of the means."""
+    if not isinstance(scores, np.ndarray):
+        scores = np.array([astuple(r)[1:] for r in scores], dtype=float).reshape(-1, 5)
+    count = len(scores)
     if count == 0:
         return MetricReport(0.0, 0.0, None, None, None, None, 0)
-    acc_25 = sum(1 for r in results if r.iou > 0.25) / count
-    acc_50 = sum(1 for r in results if r.iou > 0.5) / count
-    scored = [r for r in results if not r.missing]
-    if scored:
-        means = (
-            _mean_in_order([r.depth_error for r in scored]),
-            _mean_in_order([r.length_error for r in scored]),
-            _mean_in_order([r.width_error for r in scored]),
-            _mean_in_order([r.height_error for r in scored]),
-        )
-    else:
-        means = (None, None, None, None)
-    return MetricReport(acc_25, acc_50, *means, count)
+    iou, errors = scores[:, 0], scores[~np.isnan(scores[:, 1]), 1:]
+    accuracies = [int(np.count_nonzero(iou > t)) / count for t in (0.25, 0.5)]
+    means = [None] * 4
+    if len(errors):
+        # Each column is summed in index order. The builtin sum compensates
+        # float rounding since Python 3.12, which would tie report bytes to
+        # the interpreter, and a 1-D ndarray.sum adds pairwise.
+        means = (np.add.accumulate(errors, axis=0)[-1] / len(errors)).tolist()
+    return MetricReport(*accuracies, *means, count)
 
 
 def format_report(report: MetricReport) -> str:

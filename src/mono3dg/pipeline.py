@@ -47,7 +47,6 @@ from .errors import UnmatchedPrediction
 from .metrics import (
     MetricReport,
     aggregate,
-    missing_result,
     score_query,  # noqa: F401  perfbench/tracing.py wraps pipeline.score_query
     score_query_batch,
 )
@@ -190,9 +189,7 @@ def run_pipeline(
         if key not in known:
             raise UnmatchedPrediction(f"prediction for unknown query {key}")
         row_of[key] = row
-    query_ids = [f"{image_id}/{object_id}" for image_id, object_id in gt_keys]
     picked = np.array([row_of.get(key, -1) for key in gt_keys], dtype=int)
-    results = [missing_result(q) if row < 0 else None for q, row in zip(query_ids, picked.tolist())]
     queries = (picked >= 0).nonzero()[0]
     # The predicted boxes as (K, 15) rows: raw head outputs go through the
     # geometry chain as one batch, direct boxes are taken as they are.
@@ -200,12 +197,11 @@ def run_pipeline(
     if preds.mode == "raw":
         cams = scenes.cams[scenes.rows[queries]]
         boxes = box_from_raw_columns(boxes, cams, profile, scenes.h2d[queries])
-    batch = score_query_batch(
-        boxes, scenes.boxes[queries], [query_ids[k] for k in queries.tolist()], depth_metric
-    )
-    for k, result in zip(queries.tolist(), batch):
-        results[k] = result
-    return aggregate(results)
+    # A query with no prediction keeps IoU 0 and NaN errors.
+    scores = np.full((len(gt_keys), 5), np.nan)
+    scores[:, 0] = 0.0
+    scores[queries] = score_query_batch(boxes, scenes.boxes[queries], depth_metric)
+    return aggregate(scores)
 
 
 # -- toy token task --------------------------------------------------------------

@@ -330,3 +330,9 @@ class TestGoldenReports:
             )
         for name, text in got.items():
             assert text == self.GOLDEN[name] + "\n", name
+
+    @pytest.mark.parametrize("mode", ["raw", "box"])
+    def test_no_predictions_at_all(self, tmp_path, capsys, mode):
+        gt, _, _ = self._inputs(tmp_path, "outdoor")
+        text = self._evaluate(capsys, tmp_path, gt, [], mode, "outdoor")
+        assert text == '{"acc_25":0,"acc_50":0,"count":77}\n'

@@ -371,6 +371,30 @@ class TestCheckpoint:
         with pytest.raises(SchemaError, match=f"'params.{field}'"):
             D.load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda c: c["params"]["query"].__setitem__(0, "1.5"), "params.query"),
+        (lambda c: c["params"]["query"].__setitem__(5, True), "params.query"),
+        (lambda c: c["params"]["head_d.b2"].__setitem__(0, 10**400), "params.head_d.b2"),
+        (lambda c: c["config"].update(n_layers=2.7), "config.n_layers"),
+        (lambda c: c["config"].update(n_layers="2"), "config.n_layers"),
+        (lambda c: c["config"].update(d_model=True), "config.d_model"),
+        (lambda c: c["config"].update(d_ff=-1), "config.d_ff"),
+        (lambda c: c["config"].update(n_heads=4), "config"),
+        (lambda c: c.update(params=list(c["params"].values())), "params"),
+        (lambda c: c.__delitem__("config"), "config"),
+        (lambda c: [c], "config"),
+    ], ids=["string-element", "bool-element", "huge-integer-element", "fractional-field", "string-field",
+            "bool-field", "negative-field", "unknown-field", "params-list", "missing-config", "top-level-list"])
+    def test_load_rejects_a_malformed_config_or_element(self, tmp_path, edit, field):
+        path = tmp_path / "ckpt.json"
+        D.save_checkpoint(path, D.init_params(D.DecoderConfig(), np.random.default_rng(22)), seed=3)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        # An edit changes the payload in place or returns the one to write.
+        payload = edit(payload) or payload
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"'{field}'"):
+            D.load_checkpoint(path)
+
     def test_loss_history_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         D.write_loss_history(path, [1.5, 0.75, 0.25])

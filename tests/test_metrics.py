@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from mono3dg.metrics import (
     QueryResult,
     aggregate,
     format_report,
-    missing_result,
     report_to_json,
     score_query,
 )
@@ -142,21 +142,20 @@ class TestYawOnlyRouting:
             return iou3d_batch(a, b)
 
         monkeypatch.setattr(box3d, "iou3d_batch", counting_iou3d_batch)
-        results = metrics.score_query_batch(
+        scores = metrics.score_query_batch(
             np.array([p.row for p, _ in rows]),
             np.array([g.row for _, g in rows]),
-            [f"q{k}" for k in range(len(rows))],
         )
         assert exact_rows == [(p.center.tolist(), g.center.tolist()) for p, g in tilted]
-        for (pred, gt), result in zip(pairs, results):
-            assert result.iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
-        for (pred, gt), result in zip(tilted, results[len(pairs):]):
+        for (pred, gt), score in zip(pairs, scores):
+            assert score[0] == pytest.approx(iou3d(pred, gt), abs=1e-9)
+        for (pred, gt), score in zip(tilted, scores[len(pairs):]):
             assert not (box3d.is_yaw_only(pred) and box3d.is_yaw_only(gt))
-            assert result.iou == iou3d(pred, gt)
+            assert score[0] == iou3d(pred, gt)
         # Each row of the batch is what scoring that pair alone gives.
         monkeypatch.undo()
-        for (pred, gt), result in zip(rows, results):
-            assert score_query(pred, gt, result.query_id) == result
+        for k, ((pred, gt), score) in enumerate(zip(rows, scores)):
+            assert score_query(pred, gt, f"q{k}") == QueryResult(f"q{k}", *score.tolist())
 
 
 class TestAggregate:
@@ -183,7 +182,7 @@ class TestAggregate:
         assert report == MetricReport(0.0, 0.0, None, None, None, None, 0)
 
     def test_missing_excluded_from_means_included_in_accuracy(self):
-        results = [QueryResult("a", 1.0, 2.0, 0.0, 0.0, 0.0), missing_result("b")]
+        results = [QueryResult("a", 1.0, 2.0, 0.0, 0.0, 0.0), QueryResult("b", 0.0, None, None, None, None)]
         report = aggregate(results)
         assert report.count == 2
         assert report.acc_25 == 0.5
@@ -194,6 +193,24 @@ class TestAggregate:
         # 1.0000000000000002e16 here; adding in index order rounds both ones away.
         results = [QueryResult(f"q{i}", 1.0, e, 0.0, 0.0, 0.0) for i, e in enumerate([1e16, 1.0, 1.0])]
         assert aggregate(results).mean_depth_error == 1e16 / 3
+
+    def test_means_sum_left_to_right_past_the_pairwise_block(self):
+        # numpy adds a 1-D sum pairwise once it is 8 or more long, which
+        # totals 1.0000000000000016e16 here; in index order every one is lost.
+        errors = [1e16] + [1.0] * 16
+        results = [QueryResult(f"q{i}", 1.0, e, 0.0, e, 0.0) for i, e in enumerate(errors)]
+        scores = np.array([[1.0, e, 0.0, e, 0.0] for e in errors])
+        for report in (aggregate(results), aggregate(scores)):
+            assert report.mean_depth_error == report.mean_width_error == 1e16 / 17
+        assert np.sum(errors) / 17 != 1e16 / 17
+
+    def test_score_rows_with_nan_errors_count_only_toward_accuracy(self):
+        scores = np.array([[0.6, 2.0, 0.5, 0.0, 0.25], [0.0, np.nan, np.nan, np.nan, np.nan]])
+        report = aggregate(scores)
+        assert report == aggregate(
+            [QueryResult("a", 0.6, 2.0, 0.5, 0.0, 0.25), QueryResult("b", 0.0, None, None, None, None)]
+        ) == MetricReport(0.5, 0.5, 2.0, 0.5, 0.0, 0.25, 2)
+        assert [type(v) for v in astuple(report)] == [float] * 6 + [int]
 
     def test_monotone_in_single_iou(self):
         base = [result_with_iou(v) for v in (0.6, 0.3, 0.2, 0.0)]

@@ -12,7 +12,7 @@ from mono3dg import decoder as D
 from mono3dg.box3d import OrientedBox3D, iou3d, iou3d_monte_carlo
 from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
-from mono3dg.metrics import score_query, score_query_batch
+from mono3dg.metrics import MetricReport, score_query, score_query_batch
 from mono3dg.pipeline import (
     ToyEncoder,
     ToyTaskConfig,
@@ -31,6 +31,7 @@ from mono3dg.scenes import (
     INDOOR_PROFILE,
     OUTDOOR_PROFILE,
     PredictionRecord,
+    PredictionTable,
     SynthRanges,
     profile_by_name,
     ranges_for_profile,
@@ -116,6 +117,13 @@ class TestScoring:
         assert report.count == 4
         assert report.acc_50 == 0.75
         assert report.mean_depth_error == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [None, 12, 15], ids=["records", "raw-table", "box-table"])
+    def test_no_predictions_at_all(self, width):
+        scenes = synth_scenes(3, seed=6)
+        preds = [] if width is None else PredictionTable([], np.zeros((0, width)))
+        report = run_pipeline(scenes, preds, INDOOR_PROFILE)
+        assert report == MetricReport(0.0, 0.0, None, None, None, None, sum(len(r.objects) for r in scenes))
 
     @pytest.mark.parametrize("matched", [False, True])
     def test_unknown_depth_metric_raises(self, matched):
@@ -215,7 +223,7 @@ class TestSameBitsAsPerQueryCode:
         assert _digest([np.concatenate([b.center, b.dims, b.rot.ravel()]) for b in single]) == boxes_digest
         assert _digest(batch) == boxes_digest
         single_ious = [score_query(b, o.box3d, "q").iou for b, (_, o) in zip(single, queries)]
-        batch_ious = [r.iou for r in score_query_batch(batch, gt, ["q"] * len(queries))]
+        batch_ious = score_query_batch(batch, gt)[:, 0]
         assert _digest(single_ious) == iou_digest
         assert _digest(batch_ious) == iou_digest
 
