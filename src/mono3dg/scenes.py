@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring
-from operator import itemgetter
 
 import numpy as np
 
@@ -376,14 +375,19 @@ def synth_scenes(
 
 # -- JSON schemas --------------------------------------------------------------
 #
-# Records are validated as columns. One pass over a file's records checks
-# their structure (fields present, strings, list lengths, ids) and gathers
-# every number, unchecked, into a column; each remaining rule is then one
-# predicate over whole columns. Every check has a position (record, object,
-# step): object -1 is the scene level before any object, _AFTER_OBJECTS
-# follows the last one, and steps follow the order in which one record is
-# read. The failure at the earliest position is raised, so a file reports
-# the error that reading it one record at a time would.
+# Records are validated as columns. One walk per record kind (_walk_scene,
+# _walk_prediction) visits each record once, in step order: it checks the
+# record's structure (fields present, strings, list lengths, ids) with plain
+# subscripts, whose KeyError or TypeError marks a missing field, and type
+# tests, and gathers every number, unchecked, into a column. At the
+# record's first structural fault it raises _Structure; the numbers read
+# before the fault stay gathered and the rest of the record reads as NaN.
+# Each remaining rule is then one predicate over whole columns. Every check
+# has a position (record, object, step): object -1 is the scene level
+# before any object, _AFTER_OBJECTS follows the last one, and steps follow
+# the order in which one record is read. The failure at the earliest
+# position is raised, so a file reports the error that reading it one
+# record at a time would.
 
 _AFTER_OBJECTS = 1 << 30
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is a subclass of int but not one
@@ -426,11 +430,12 @@ _RAW_NAMES = tuple(f"raw.{k}" for k in decoder.RAW_FIELDS) + tuple(f"raw.rot6d[{
 
 
 class _Structure(Exception):
-    """A structural failure met while walking records; it ends the walk."""
+    """A structural failure met while walking records; it ends the walk. slot
+    is the object it was met in, -1 before the record's objects."""
 
-    def __init__(self, step: int, field: str, message: str):
+    def __init__(self, step: int, field: str, message: str, slot: int = -1):
         super().__init__(message)
-        self.step, self.field, self.message = step, field, message
+        self.step, self.field, self.message, self.slot = step, field, message, slot
 
 
 class _Failures:
@@ -504,108 +509,147 @@ def _to_float(value) -> float:
         return math.inf
 
 
-def _required(obj, key: str, path: str, step: int):
-    if isinstance(obj, dict) and key in obj:
-        return obj[key]
-    raise _Structure(step, f"{path}.{key}" if path else key, "missing")
-
-
-def _gather_fields(obj, keys: tuple, out: list, path: str, first_step: int) -> None:
+def _missing(obj, keys: tuple, path: str, first_step: int, out: list) -> _Structure:
+    """The fault of a group of number fields once a subscript of it failed:
+    the first of keys that obj lacks, present at first_step + 2k, with path
+    prefixed to its name. The fields before it are gathered into out."""
     for k, key in enumerate(keys):
-        out.append(_required(obj, key, path, first_step + 2 * k))
+        if not isinstance(obj, dict) or key not in obj:
+            return _Structure(first_step + 2 * k, path + key, "missing")
+        out.append(obj[key])
 
 
-def _gather_list(obj, key: str, length: int, out: list, path: str, step: int) -> None:
-    value = _required(obj, key, path, step)
+def _number_list(obj, path: str, key: str, length: int, step: int, out: list) -> None:
+    """Gather obj[key], a list of length numbers, into out; path is the
+    prefix of the field's name."""
+    try:
+        value = obj[key]
+    except (KeyError, TypeError):
+        raise _Structure(step, path + key, "missing")
     if not isinstance(value, list) or len(value) != length:
-        field = f"{path}.{key}" if path else key
-        raise _Structure(step, field, f"expected a list of {length} numbers")
-    out.extend(value)
+        raise _Structure(step, path + key, f"expected a list of {length} numbers")
+    out += value
 
 
-def _gather_box(obj, out: list, path: str) -> None:
+def _walk_intrinsics(obj, out: list) -> None:
+    """Gather the six numbers of an intrinsics object into out, in _INTRINSICS order."""
+    try:
+        out += obj["fx"], obj["fy"], obj["cx"], obj["cy"], obj["width"], obj["height"]
+    except (KeyError, TypeError):
+        raise _missing(obj, _INTRINSICS, "intrinsics.", 2, out)
+
+
+def _walk_box(box, out: list) -> None:
+    """Gather the 15 numbers of a box3d object into out: center, dims, rot."""
     for name, length, step in _BOX_LISTS:
-        _gather_list(obj, name, length, out, path, step)
+        _number_list(box, "box3d.", name, length, step, out)
 
 
-# The walk reads a record that passes every structural check with plain
-# subscripts and type tests, gathering what the checking helpers above
-# would; any other record is walked again with those helpers, which raise
-# at the first failed check.
-_CAMERA_FIELDS = itemgetter(*_INTRINSICS)
-_OBJECT_FIELDS = itemgetter("object_id", "caption", "box3d", "box2d", "h2d")
-_BOX_FIELDS = itemgetter(*(name for name, _, _ in _BOX_LISTS))
-_RAW_VALUES = itemgetter(*decoder.RAW_FIELDS, "rot6d")
-
-
-def _box_numbers(box):
-    """The 15 numbers of a well-formed box3d, unchecked; None if a list is
-    not a list of the right length. Raises KeyError or TypeError if a field
-    is missing or box is not a dict."""
-    center, dims, rot = _BOX_FIELDS(box)
-    if (type(center) is list and len(center) == 3 and type(dims) is list and len(dims) == 3
-            and type(rot) is list and len(rot) == 9):
-        return center + dims + rot
-    return None
-
-
-def _scene_fields(rec):
-    """(image_id, intrinsics, object ids, captions, numbers) of a well-formed
-    scene record, or None."""
+def _walk_scene(rec, image_ids, cams, counts, object_ids, captions, values) -> None:
+    """Walk one scene record, appending its image_id, its six intrinsics, its
+    number of objects and each object's id, caption and numbers."""
     try:
-        image_id, intrinsics, objects = rec["image_id"], rec["intrinsics"], rec["objects"]
-        cam = _CAMERA_FIELDS(intrinsics)
-        if type(image_id) is not str or type(objects) is not list:
-            return None
-        ids, captions, values = [], [], []
-        for entry in objects:
-            object_id, caption, box, box2d, h2d = _OBJECT_FIELDS(entry)
-            numbers = _box_numbers(box)
-            if (numbers is None or type(object_id) is not str or type(caption) is not str
-                    or type(box2d) is not list or len(box2d) != 4):
-                return None
-            ids.append(object_id)
+        image_id = rec["image_id"]
+    except (KeyError, TypeError):
+        raise _Structure(0, "image_id", "missing")
+    if not isinstance(image_id, str):
+        raise _Structure(1, "image_id", "must be a string")
+    image_ids.append(image_id)
+    try:
+        intrinsics = rec["intrinsics"]
+    except KeyError:
+        raise _Structure(2, "intrinsics", "missing")
+    _walk_intrinsics(intrinsics, cams)
+    try:
+        objects = rec["objects"]
+    except KeyError:
+        raise _Structure(_OBJECTS_PRESENT, "objects", "missing")
+    if not isinstance(objects, list):
+        raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
+    ids = set()
+    try:
+        for slot, entry in enumerate(objects):
+            try:
+                object_id = entry["object_id"]
+            except (KeyError, TypeError):
+                raise _Structure(0, "object_id", "missing")
+            if not isinstance(object_id, str):
+                raise _Structure(1, "object_id", "must be a string")
+            if object_id in ids:
+                raise _Structure(2, "object_id", f"duplicate id {object_id!r}")
+            ids.add(object_id)
+            object_ids.append(object_id)
+            try:
+                caption = entry["caption"]
+            except KeyError:
+                raise _Structure(3, "caption", "missing")
+            if not isinstance(caption, str):
+                raise _Structure(4, "caption", "must be a string")
             captions.append(caption)
-            values += numbers
-            values += box2d
-            values.append(h2d)
-    except (KeyError, TypeError):
-        return None
-    if len(set(ids)) < len(ids):
-        return None
-    return image_id, cam, ids, captions, values
+            try:
+                box = entry["box3d"]
+            except KeyError:
+                raise _Structure(5, "box3d", "missing")
+            _walk_box(box, values)
+            _number_list(entry, "", "box2d", 4, _BOX2D_LIST, values)
+            try:
+                values.append(entry["h2d"])
+            except KeyError:
+                raise _Structure(_H2D_PRESENT, "h2d", "missing")
+    except _Structure as failure:
+        counts.append(slot + 1)  # the objects begun, the failing one last
+        # The object's path is built only here, once the walk has failed.
+        failure.slot, failure.field = slot, f"objects[{slot}].{failure.field}"
+        raise
+    counts.append(len(objects))
 
 
-def _prediction_fields(rec, mode: str):
-    """((image_id, object_id), numbers) of a well-formed prediction record, or None."""
+def _walk_raw(raw, out: list) -> None:
+    """Gather the 12 numbers of a raw object into out, in decoder.raw_to_vector order."""
     try:
-        key = rec["image_id"], rec["object_id"]
-        if mode == "raw":
-            *numbers, rot6d = _RAW_VALUES(rec["raw"])
-            if type(rot6d) is not list or len(rot6d) != 6:
-                return None
-            numbers += rot6d
-        else:
-            numbers = _box_numbers(rec["box3d"])
+        out += raw["u_norm"], raw["v_norm"], raw["d_v"], raw["L"], raw["W"], raw["H"]
     except (KeyError, TypeError):
-        return None
-    if numbers is None or type(key[0]) is not str or type(key[1]) is not str:
-        return None
-    return key, numbers
+        raise _missing(raw, decoder.RAW_FIELDS, "raw.", 4, out)
+    _number_list(raw, "raw.", "rot6d", 6, _ROT6D_LIST, out)
 
 
-def _check_intrinsics(fail: _Failures, values: list, rows, objects, path: str) -> np.ndarray:
+# The payload field and its walk, by prediction mode.
+_PAYLOADS = {"raw": ("raw", _walk_raw), "box": ("box3d", _walk_box)}
+
+
+def _walk_prediction(rec, mode: str, keys: list, values: list) -> None:
+    """Walk one prediction record, appending its key and its numbers."""
+    try:
+        image_id = rec["image_id"]
+    except (KeyError, TypeError):
+        raise _Structure(0, "image_id", "missing")
+    try:
+        object_id = rec["object_id"]
+    except KeyError:
+        raise _Structure(1, "object_id", "missing")
+    if not isinstance(image_id, str) or not isinstance(object_id, str):
+        raise _Structure(2, "image_id", "ids must be strings")
+    keys.append((image_id, object_id))
+    name, walk = _PAYLOADS[mode]
+    try:
+        payload = rec[name]
+    except KeyError:
+        raise _Structure(3, name, "missing")
+    walk(payload, values)
+
+
+def _check_intrinsics(fail: _Failures, values: list, rows, objects) -> np.ndarray:
     cam = fail.numbers(
-        values, 6, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"{path}.{_INTRINSICS[c]}"
+        values, 6, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"intrinsics.{_INTRINSICS[c]}"
     )
     fx, fy, cx, cy, width, height = cam.T
     fail.column(
         (fx <= 0) | (fy <= 0) | (width <= 0) | (height <= 0), rows, objects, _INTRINSICS_POSITIVE,
-        lambda i: path, lambda i: "fx, fy, width, height must be positive",
+        lambda i: "intrinsics", lambda i: "fx, fy, width, height must be positive",
     )
     fail.column(
         ~((0 <= cx) & (cx <= width) & (0 <= cy) & (cy <= height)), rows, objects, _PRINCIPAL_POINT,
-        lambda i: path, lambda i: "principal point must lie inside the image",
+        lambda i: "intrinsics", lambda i: "principal point must lie inside the image",
     )
     return cam
 
@@ -641,68 +685,29 @@ def _decode_scenes(numbered) -> SceneTable:
     (line number or None, record) and may raise ParseError; each record is
     walked as it arrives, so only its numbers are kept."""
     fail = _Failures()
-    image_ids, cam_values, seen = [], [], set()
-    obj_rows, obj_slots, obj_ids, captions, obj_values = [], [], [], [], []
-    row = slot = -1
+    image_ids, cam_values, counts, obj_ids, captions, obj_values = [], [], [], [], [], []
+    seen = set()
+    row = -1
     try:
         for row, (line, rec) in enumerate(numbered):
             fail.lines.append(line)
-            slot = -1
-            fields = _scene_fields(rec)
-            if fields is not None:
-                image_id, cam, ids, caps, values = fields
-                image_ids.append(image_id)
-                cam_values += cam
-                obj_rows += [row] * len(ids)
-                obj_slots += range(len(ids))
-                obj_ids += ids
-                captions += caps
-                obj_values += values
-            else:
-                image_id = _required(rec, "image_id", "", 0)
-                if not isinstance(image_id, str):
-                    raise _Structure(1, "image_id", "must be a string")
-                image_ids.append(image_id)
-                intrinsics = _required(rec, "intrinsics", "", 2)
-                _gather_fields(intrinsics, _INTRINSICS, cam_values, "intrinsics", 2)
-                objects = _required(rec, "objects", "", _OBJECTS_PRESENT)
-                if not isinstance(objects, list):
-                    raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
-                ids = set()
-                for slot, entry in enumerate(objects):
-                    path = f"objects[{slot}]"
-                    obj_rows.append(row)
-                    obj_slots.append(slot)
-                    object_id = _required(entry, "object_id", path, 0)
-                    if not isinstance(object_id, str):
-                        raise _Structure(1, f"{path}.object_id", "must be a string")
-                    if object_id in ids:
-                        raise _Structure(2, f"{path}.object_id", f"duplicate id {object_id!r}")
-                    ids.add(object_id)
-                    obj_ids.append(object_id)
-                    caption = _required(entry, "caption", path, 3)
-                    if not isinstance(caption, str):
-                        raise _Structure(4, f"{path}.caption", "must be a string")
-                    captions.append(caption)
-                    _gather_box(_required(entry, "box3d", path, 5), obj_values, f"{path}.box3d")
-                    _gather_list(entry, "box2d", 4, obj_values, path, _BOX2D_LIST)
-                    obj_values.append(_required(entry, "h2d", path, _H2D_PRESENT))
-            slot = _AFTER_OBJECTS
-            if image_id in seen:
-                raise _Structure(0, "image_id", f"duplicate image_id {image_id!r}")
-            seen.add(image_id)
+            _walk_scene(rec, image_ids, cam_values, counts, obj_ids, captions, obj_values)
+            if image_ids[-1] in seen:
+                raise _Structure(0, "image_id", f"duplicate image_id {image_ids[-1]!r}", _AFTER_OBJECTS)
+            seen.add(image_ids[-1])
     except ParseError as error:
         fail.add_error((len(fail.lines), -1, -1), error)
     except _Structure as failure:
-        fail.add((row, slot, failure.step), failure.field, failure.message)
+        fail.add((row, failure.slot, failure.step), failure.field, failure.message)
         # The numbers of a record cut short read as NaN; every check on them
         # sits after the structural failure.
         cam_values += [math.nan] * (6 * len(image_ids) - len(cam_values))
-        obj_values += [math.nan] * (len(_OBJECT_STEPS) * len(obj_rows) - len(obj_values))
+        obj_values += [math.nan] * (len(_OBJECT_STEPS) * sum(counts) - len(obj_values))
 
     scene_rows = np.arange(len(image_ids))
-    cam = _check_intrinsics(fail, cam_values, scene_rows, np.full(len(image_ids), -1), "intrinsics")
-    rows, slots = np.array(obj_rows, dtype=int), np.array(obj_slots, dtype=int)
+    cam = _check_intrinsics(fail, cam_values, scene_rows, np.full(len(image_ids), -1))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
 
     def field(name):
         return lambda i: f"objects[{slots[i]}].{name}"
@@ -737,40 +742,23 @@ def _decode_scenes(numbered) -> SceneTable:
 
 def _decode_predictions(numbered, mode: str) -> PredictionTable:
     """Validate decoded prediction records as one table; see _decode_scenes."""
-    if mode not in ("raw", "box"):
+    if mode not in _PAYLOADS:
         raise ValueError(f"unknown prediction mode {mode!r}")
     fail = _Failures()
     width = len(_RAW_STEPS) if mode == "raw" else _BOX_WIDTH
     keys, values, seen = [], [], set()
-    row = slot = -1
+    row = -1
     try:
         for row, (line, rec) in enumerate(numbered):
             fail.lines.append(line)
-            slot = -1
-            fields = _prediction_fields(rec, mode)
-            if fields is not None:
-                keys.append(fields[0])
-                values += fields[1]
-            else:
-                image_id = _required(rec, "image_id", "", 0)
-                object_id = _required(rec, "object_id", "", 1)
-                if not isinstance(image_id, str) or not isinstance(object_id, str):
-                    raise _Structure(2, "image_id", "ids must be strings")
-                keys.append((image_id, object_id))
-                if mode == "raw":
-                    raw = _required(rec, "raw", "", 3)
-                    _gather_fields(raw, decoder.RAW_FIELDS, values, "raw", 4)
-                    _gather_list(raw, "rot6d", 6, values, "raw", _ROT6D_LIST)
-                else:
-                    _gather_box(_required(rec, "box3d", "", 3), values, "box3d")
-            slot = _AFTER_OBJECTS
+            _walk_prediction(rec, mode, keys, values)
             if keys[-1] in seen:
-                raise _Structure(0, "object_id", f"multiple predictions for {keys[-1]}")
+                raise _Structure(0, "object_id", f"multiple predictions for {keys[-1]}", _AFTER_OBJECTS)
             seen.add(keys[-1])
     except ParseError as error:
         fail.add_error((len(fail.lines), -1, -1), error)
     except _Structure as failure:
-        fail.add((row, slot, failure.step), failure.field, failure.message)
+        fail.add((row, failure.slot, failure.step), failure.field, failure.message)
         values += [math.nan] * (width * len(keys) - len(values))
 
     rows, objects = np.arange(len(keys)), np.full(len(keys), -1)
@@ -783,15 +771,19 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
         return PredictionTable(keys, cols)
 
     cols = fail.numbers(values, width, rows, objects, _RAW_STEPS, lambda i, c: _RAW_NAMES[c])
-    u, v, d_v, length, wide, height = cols[:, : len(decoder.RAW_FIELDS)].T
+    # Each rule names the first of its columns that fails.
+    outside = ~((0.0 <= cols[:, decoder.UV]) & (cols[:, decoder.UV] <= 1.0))
     fail.column(
-        ~((0.0 <= u) & (u <= 1.0) & (0.0 <= v) & (v <= 1.0)), rows, objects, _UV_RANGE,
-        lambda i: "raw.u_norm", lambda i: "normalized projection must be in [0, 1]",
+        outside.any(axis=1), rows, objects, _UV_RANGE,
+        lambda i: _RAW_NAMES[outside[i].argmax()], lambda i: "normalized projection must be in [0, 1]",
     )
+    not_positive = cols[:, decoder.D_V : decoder.SIZE.stop] <= 0
     fail.column(
-        (d_v <= 0) | (length <= 0) | (wide <= 0) | (height <= 0), rows, objects, _RAW_POSITIVE,
-        lambda i: "raw.d_v", lambda i: "depth and sizes must be positive",
+        not_positive.any(axis=1), rows, objects, _RAW_POSITIVE,
+        lambda i: _RAW_NAMES[decoder.D_V + not_positive[i].argmax()],
+        lambda i: "depth and sizes must be positive",
     )
+    length, wide, height = cols[:, decoder.SIZE].T
     with np.errstate(over="ignore"):
         volume = length * wide * height
     fail.column(
@@ -814,17 +806,17 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
     return PredictionTable(keys, cols)
 
 
-def intrinsics_from_json(obj, path: str = "intrinsics") -> CameraIntrinsics:
-    """Camera intrinsics, checked by the scene records' intrinsics rules."""
+def intrinsics_from_json(obj) -> CameraIntrinsics:
+    """Camera intrinsics, walked and checked as a scene record's are."""
     fail = _Failures()
     fail.lines.append(None)
     values: list = []
     try:
-        _gather_fields(obj, _INTRINSICS, values, path, 2)
+        _walk_intrinsics(obj, values)
     except _Structure as failure:
         fail.add((0, -1, failure.step), failure.field, failure.message)
         values += [math.nan] * (6 - len(values))
-    cam = _check_intrinsics(fail, values, [0], [-1], path)
+    cam = _check_intrinsics(fail, values, [0], [-1])
     fail.raise_first()
     return CameraIntrinsics(*cam[0].tolist())
 

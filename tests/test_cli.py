@@ -149,6 +149,17 @@ class TestProject:
         assert out == ""
         assert err.startswith("error: --intrinsics is not JSON: Expecting property name")
 
+    @pytest.mark.parametrize("intrinsics, field, message", [
+        ("[1,2,3]", "fx", "missing"),
+        ('{"fx":1000,"fy":1000,"cx":960,"width":1920,"height":1080}', "cy", "missing"),
+        ('{"fx":true,"fy":1000,"cx":960,"cy":540,"width":1920,"height":1080}', "fx", "expected a number, got bool"),
+    ])
+    def test_malformed_intrinsics_name_the_field(self, capsys, intrinsics, field, message):
+        code, out, err = run_cli(capsys, "project", "--intrinsics", intrinsics, "--point", "1,0,5")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: field 'intrinsics.{field}': {message}\n"
+
 
 class TestGradcheck:
     def test_passes(self, capsys):

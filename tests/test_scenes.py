@@ -660,6 +660,12 @@ _MALFORMED = {
     "scene caption number": ("scenes", ("objects", 0, "caption"), 7),
     "scene duplicate object_id": ("scenes", ("objects", 1, "object_id"), "obj_000001_0"),
     "scene duplicate image_id": ("scenes", ("image_id",), "scene_000000"),
+    # scenes: numbers that break a rule over the columns
+    "scene fx zero": ("scenes", ("intrinsics", "fx"), 0),
+    "scene cx negative": ("scenes", ("intrinsics", "cx"), -1),
+    "scene center behind": ("scenes", ("objects", 1, "box3d", "center", 2), -1),
+    "scene rot skewed": ("scenes", ("objects", 1, "box3d", "rot", 0), 2),
+    "scene rot reflection": ("scenes", ("objects", 1, "box3d", "rot"), [1, 0, 0, 0, 1, 0, 0, 0, -1]),
     # raw predictions
     "raw missing image_id": ("raw", ("image_id",), _DELETE),
     "raw missing object_id": ("raw", ("object_id",), _DELETE),
@@ -682,6 +688,11 @@ _MALFORMED = {
     "raw rot6d overflowing a": ("raw", ("raw", "rot6d"), [1e200, 0.0, 0.0, 0.0, 1.0, 0.0]),
     "raw rot6d overflowing b": ("raw", ("raw", "rot6d"), [1.0, 0.0, 0.0, 0.0, 1e200, 0.0]),
     "raw image_id number": ("raw", ("image_id",), 3),
+    "raw v_norm above one": ("raw", ("raw", "v_norm"), 1.5),
+    "raw d_v zero": ("raw", ("raw", "d_v"), 0),
+    "raw L negative": ("raw", ("raw", "L"), -1.0),
+    "raw W negative": ("raw", ("raw", "W"), -1.0),
+    "raw H zero": ("raw", ("raw", "H"), 0.0),
     "raw duplicate key": ("raw", (), "line 1"),
     # box predictions
     "box missing box3d": ("box", ("box3d",), _DELETE),
@@ -694,14 +705,37 @@ _MALFORMED = {
     "box rot null": ("box", ("box3d", "rot", 0), None),
     "box object_id number": ("box", ("object_id",), 4.0),
     "box duplicate key": ("box", (), "line 1"),
+    "box dims zero": ("box", ("box3d", "dims", 1), 0),
+    "box rot reflection": ("box", ("box3d", "rot"), [1, 0, 0, 0, 1, 0, 0, 0, -1]),
 }
+
+# (kind, [(path, value), ...]) of each second line with two faults; the
+# first in reading order is reported.
+_MALFORMED_TWICE = {
+    "scene object_id number, caption missing": (
+        "scenes", [(("objects", 1, "object_id"), 5), (("objects", 1, "caption"), _DELETE)]
+    ),
+    "scene center abc, dims missing": (
+        "scenes", [(("objects", 1, "box3d", "center"), "abc"), (("objects", 1, "box3d", "dims"), _DELETE)]
+    ),
+    "scene h2d null, next object_id missing": (
+        "scenes", [(("objects", 0, "h2d"), None), (("objects", 1, "object_id"), _DELETE)]
+    ),
+    "raw u_norm true, rot6d short": (
+        "raw", [(("raw", "u_norm"), True), (("raw", "rot6d"), [1.0, 0.0, 0.0, 0.0, 1.0])]
+    ),
+    "raw u_norm above one, H missing": ("raw", [(("raw", "u_norm"), 2.0), (("raw", "H"), _DELETE)]),
+    "raw image_id number, raw missing": ("raw", [(("image_id",), 3), (("raw",), _DELETE)]),
+}
+_EDITS = {name: (kind, [(path, value)]) for name, (kind, path, value) in _MALFORMED.items()}
+_EDITS.update(_MALFORMED_TWICE)
 
 
 class TestStructuralErrorsPinned:
     """The error of each malformed second line of a three-line file, as the
     reader reported it when it checked every field through one helper call:
     the field and the message after 'line 2:'. A faster walk must raise the
-    same error at the same place."""
+    same error at the same place, and of two faults in a line the first."""
 
     EXPECTED = {
         'scene missing image_id': ('image_id', 'missing'),
@@ -746,6 +780,14 @@ class TestStructuralErrorsPinned:
         'scene caption number': ('objects[0].caption', 'must be a string'),
         'scene duplicate object_id': ('objects[1].object_id', "duplicate id 'obj_000001_0'"),
         'scene duplicate image_id': ('image_id', "duplicate image_id 'scene_000000'"),
+        'scene fx zero': ('intrinsics', 'fx, fy, width, height must be positive'),
+        'scene cx negative': ('intrinsics', 'principal point must lie inside the image'),
+        'scene center behind': ('objects[1].box3d.center', 'box center must have Z > 0'),
+        'scene rot skewed': ('objects[1].box3d.rot', 'R^T R deviates from identity by 3.891e+00'),
+        'scene rot reflection': ('objects[1].box3d.rot', 'determinant -1.0 is not 1'),
+        'scene object_id number, caption missing': ('objects[1].object_id', 'must be a string'),
+        'scene center abc, dims missing': ('objects[1].box3d.center', 'expected a list of 3 numbers'),
+        'scene h2d null, next object_id missing': ('objects[0].h2d', 'expected a number, got NoneType'),
         'raw missing image_id': ('image_id', 'missing'),
         'raw missing object_id': ('object_id', 'missing'),
         'raw missing raw': ('raw', 'missing'),
@@ -767,6 +809,14 @@ class TestStructuralErrorsPinned:
         'raw rot6d overflowing a': ('raw.rot6d', 'first column norm overflows'),
         'raw rot6d overflowing b': ('raw.rot6d', 'second column residual norm overflows'),
         'raw image_id number': ('image_id', 'ids must be strings'),
+        'raw v_norm above one': ('raw.v_norm', 'normalized projection must be in [0, 1]'),
+        'raw d_v zero': ('raw.d_v', 'depth and sizes must be positive'),
+        'raw L negative': ('raw.L', 'depth and sizes must be positive'),
+        'raw W negative': ('raw.W', 'depth and sizes must be positive'),
+        'raw H zero': ('raw.H', 'depth and sizes must be positive'),
+        'raw u_norm true, rot6d short': ('raw.u_norm', 'expected a number, got bool'),
+        'raw u_norm above one, H missing': ('raw.H', 'missing'),
+        'raw image_id number, raw missing': ('image_id', 'ids must be strings'),
         'raw duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
         'box missing box3d': ('box3d', 'missing'),
         'box missing center': ('box3d.center', 'missing'),
@@ -778,11 +828,13 @@ class TestStructuralErrorsPinned:
         'box rot null': ('box3d.rot[0]', 'expected a number, got NoneType'),
         'box object_id number': ('image_id', 'ids must be strings'),
         'box duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
+        'box dims zero': ('box3d.dims', 'dimensions must be positive'),
+        'box rot reflection': ('box3d.rot', 'determinant -1.0 is not 1'),
     }
 
-    @pytest.mark.parametrize("name", sorted(_MALFORMED))
+    @pytest.mark.parametrize("name", sorted(_EDITS))
     def test_error_is_pinned(self, tmp_path, name):
-        kind, path, value = _MALFORMED[name]
+        kind, edits = _EDITS[name]
         scenes = synth_scenes(3, seed=24, ranges=SynthRanges(objects_per_scene=(2, 2)))
         if kind == "scenes":
             records = [scene_to_json(r) for r in scenes]
@@ -791,9 +843,10 @@ class TestStructuralErrorsPinned:
         else:
             records = [prediction_to_json(PredictionRecord(r.image_id, r.objects[0].object_id,
                                                            box3d=r.objects[0].box3d)) for r in scenes]
-        if value == "line 1":
-            value = dict(records[0])
-        records[1] = _set(records[1], path, value)
+        for path, value in edits:
+            if value == "line 1":
+                value = dict(records[0])
+            records[1] = _set(records[1], path, value)
         file = _write_lines(tmp_path / "f.jsonl", [dumps_canonical(r) for r in records])
         with pytest.raises(SchemaError) as info:
             read_scenes(file) if kind == "scenes" else read_predictions(file, kind)
