@@ -395,6 +395,12 @@ def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:
     return inside[0] & inside[1] & inside[2]
 
 
+# Points per draw in iou3d_monte_carlo. A Generator's uniform stream does
+# not depend on how its draws are sized, so the chunks see the points one
+# (samples, 3) draw would, without holding them all at once.
+_MC_CHUNK = 65536
+
+
 def iou3d_monte_carlo(a: OrientedBox3D, b: OrientedBox3D, samples: int, seed: int) -> float:
     """Rejection-sampling IoU estimate over the pair's bounding hull.
 
@@ -407,10 +413,13 @@ def iou3d_monte_carlo(a: OrientedBox3D, b: OrientedBox3D, samples: int, seed: in
     all_corners = np.vstack([corners(a), corners(b)])
     lo = all_corners.min(axis=0)
     hi = all_corners.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(samples, 3))
-    in_a = _points_inside(a, pts)
-    in_b = _points_inside(b, pts)
-    n_union = int(np.count_nonzero(in_a | in_b))
+    n_inter = n_union = 0
+    for start in range(0, samples, _MC_CHUNK):
+        pts = rng.uniform(lo, hi, size=(min(_MC_CHUNK, samples - start), 3))
+        in_a = _points_inside(a, pts)
+        in_b = _points_inside(b, pts)
+        n_inter += int(np.count_nonzero(in_a & in_b))
+        n_union += int(np.count_nonzero(in_a | in_b))
     if n_union == 0:
         return 0.0
-    return float(np.count_nonzero(in_a & in_b)) / n_union
+    return float(n_inter) / n_union

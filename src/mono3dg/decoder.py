@@ -3,17 +3,20 @@ regression heads, L1 loss, hand-written backprop, and Adam training.
 
 The sequence carries caption/image tokens followed by a pos marker and a
 query slot; the slot's embedding is replaced by a learnable query vector
-whose final hidden state feeds four small MLP heads (center projection,
-sizes, virtual depth, 6D rotation). Layers are causal single-head
-self-attention + feed-forward, both with residual connections and no
-normalization, so gradients stay exactly checkable against finite
-differences. Training runs one forward/backward per minibatch over the
-stacked (B, T, d) sequences, and every parameter lives in one flat vector.
-scipy is the decoder's alone (gelu's ``erf``); :func:`_gelu` imports it on the
-first forward pass, so ``project``, ``synth`` and ``evaluate`` never load it.
-:func:`attention` and :func:`attention_backward` are the one softmax
-attention of the package; the fusion block's cross-branch attention uses
-them too.
+whose final hidden state f3d feeds four small MLP heads (center
+projection, sizes, virtual depth, 6D rotation). Layers are causal
+single-head self-attention + feed-forward, both with residual connections
+and no normalization, so gradients stay exactly checkable against finite
+differences. Heads and feed-forward blocks share one MLP form
+(:func:`_mlp`/:func:`_mlp_backward`) and prediction and training one head
+forward (:func:`_heads`). A training step over a stacked (B, T, d)
+minibatch runs the stack forward, the head step :func:`_l1_head_step`
+(losses and the gradient on f3d), then the stack backward. Every parameter
+lives in one flat vector. scipy is the decoder's alone (gelu's ``erf``);
+:func:`_gelu` imports it on the first forward pass, so ``project``,
+``synth`` and ``evaluate`` never load it. :func:`attention` and
+:func:`attention_backward` are the one softmax attention of the package;
+the fusion block's cross-branch attention uses them too.
 """
 
 from __future__ import annotations
@@ -121,6 +124,11 @@ class LayerParams:
     ff_w2: np.ndarray
     ff_b2: np.ndarray
 
+    @property
+    def ff(self) -> MLPParams:
+        """The feed-forward block's weights, as views of the ``ff_*`` arrays."""
+        return MLPParams(self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2)
+
 
 @dataclass
 class DecoderConfig:
@@ -226,7 +234,7 @@ def init_params(config: DecoderConfig, rng: np.random.Generator) -> DecoderParam
 
 
 def _gelu(x: np.ndarray):
-    """gelu(x) and its term 1 + erf(x/sqrt(2)), which :func:`gelu_grad` reuses."""
+    """gelu(x) and its term 1 + erf(x/sqrt(2)), which :func:`_mlp_backward` reuses."""
     from scipy.special import erf
 
     term = 1.0 + erf(x / math.sqrt(2.0))
@@ -235,11 +243,6 @@ def _gelu(x: np.ndarray):
 
 def gelu(x: np.ndarray) -> np.ndarray:
     return _gelu(x)[0]
-
-
-def gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Derivative of gelu at x, given the term that :func:`_gelu` returned for x."""
-    return 0.5 * term + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -290,14 +293,19 @@ def attention_backward(d_out: np.ndarray, cache):
     return d_logits @ k, d_logits.swapaxes(-1, -2) @ q, d_v
 
 
+def _mlp(x: np.ndarray, mlp: MLPParams):
+    """gelu(x w1 + b1) w2 and the cache :func:`_mlp_backward` needs. The
+    caller adds b2, so a residual block keeps its order of addition."""
+    pre = x @ mlp.w1 + mlp.b1
+    hidden, term = _gelu(pre)
+    return hidden @ mlp.w2, (x, pre, term, hidden)
+
+
 def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
     summary, attn_cache = attention(x, x, layer.w_q, layer.w_k, layer.w_v, mask)
     attended = x + summary @ layer.w_o
-    pre_act = attended @ layer.ff_w1 + layer.ff_b1
-    hidden, term = _gelu(pre_act)
-    out = attended + hidden @ layer.ff_w2 + layer.ff_b2
-    cache = (x, attn_cache, summary, attended, pre_act, term, hidden)
-    return out, cache
+    ff_out, ff_cache = _mlp(attended, layer.ff)
+    return attended + ff_out + layer.ff_b2, (x, attn_cache, summary, ff_cache)
 
 
 def _stack_forward(x: np.ndarray, params: DecoderParams):
@@ -318,24 +326,20 @@ def forward(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     return x[seq.query_position].copy()
 
 
-def _head_forward(f3d: np.ndarray, mlp: MLPParams):
-    pre = f3d @ mlp.w1 + mlp.b1
-    hidden, term = _gelu(pre)
-    z = hidden @ mlp.w2 + mlp.b2
-    return z, (pre, term, hidden)
-
-
-def _squash(zs: dict) -> np.ndarray:
-    """Head pre-activations -> the 12 regressed components, in raw_to_vector order."""
-    parts = [sigmoid(zs["uv"]), softplus(zs["d"]), softplus(zs["lwh"]), zs["rot"]]
-    return np.concatenate(parts, axis=-1)
+def _heads(f3d: np.ndarray, params: DecoderParams):
+    """The raw rows (..., RAW_WIDTH) the four head MLPs regress from f3d
+    (..., d), with their pre-activations and caches for :func:`_l1_head_step`."""
+    zs, caches = {}, {}
+    for name, mlp in params.heads.items():
+        out, caches[name] = _mlp(f3d, mlp)
+        zs[name] = out + mlp.b2
+    raw = np.concatenate([sigmoid(zs["uv"]), softplus(zs["d"]), softplus(zs["lwh"]), zs["rot"]], axis=-1)
+    return raw, zs, caches
 
 
 def heads(f3d: np.ndarray, params: DecoderParams) -> RawHeadOutput:
     """Regress all geometric quantities from the single 3D feature vector."""
-    f3d = np.asarray(f3d, dtype=float)
-    zs = {name: _head_forward(f3d, params.heads[name])[0] for name in _HEAD_DIMS}
-    return vector_to_raw(_squash(zs))
+    return vector_to_raw(_heads(np.asarray(f3d, dtype=float), params)[0])
 
 
 # Queries per forward pass in predict_batch. A pass keeps every layer's
@@ -355,10 +359,8 @@ def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
         x = embeddings[start : start + _PREDICT_CHUNK].copy()
         x[:, -1] = params.query
         x_final, _ = _stack_forward(x, params)
-        # (n, 1, d): the heads see a one-token sequence per query
-        f3d = x_final[:, -1:]
-        zs = {name: _head_forward(f3d, params.heads[name])[0] for name in _HEAD_DIMS}
-        out[start : start + len(x)] = _squash(zs)[:, 0]
+        # (n, 1, d): the heads see a one-token sequence per query, as in training
+        out[start : start + len(x)] = _heads(x_final[:, -1:], params)[0][:, 0]
     return out
 
 
@@ -396,6 +398,39 @@ def _batch_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sample_sum(a.swapaxes(1, 2) @ b)
 
 
+def _mlp_backward(d_out: np.ndarray, mlp: MLPParams, cache, grads: MLPParams) -> np.ndarray:
+    """Write the batch-summed gradients of :func:`_mlp` plus b2 on (B, T, .)
+    rows, given d_out on its output, into grads; return the gradient on x."""
+    x, pre, term, hidden = cache
+    grads.b2[...] = _sample_sum(d_out.sum(axis=1))
+    grads.w2[...] = _batch_sum_outer(hidden, d_out)
+    d_pre = (d_out @ mlp.w2.T) * (0.5 * term + pre * np.exp(-0.5 * pre * pre) / math.sqrt(2.0 * math.pi))
+    grads.b1[...] = _sample_sum(d_pre.sum(axis=1))
+    grads.w1[...] = _batch_sum_outer(x, d_pre)
+    return d_pre @ mlp.w1.T
+
+
+def _l1_head_step(f3d: np.ndarray, params: DecoderParams, targets: np.ndarray, grads: DecoderParams):
+    """The head step of training: the per-sample unit-weight L1 losses (B,)
+    of the heads on f3d (B, 1, d) against targets (B, RAW_WIDTH), and the
+    gradient of their sum on f3d. Writes every head gradient into grads."""
+    pred, zs, caches = _heads(f3d, params)
+    diff = pred - targets[:, None]
+    losses = np.abs(diff).sum(axis=2)[:, 0]
+    d_pred = np.sign(diff)
+    # squash derivatives back to head pre-activations
+    dz = {
+        "uv": d_pred[..., UV] * pred[..., UV] * (1.0 - pred[..., UV]),
+        "d": d_pred[..., D_V, None] * sigmoid(zs["d"]),
+        "lwh": d_pred[..., SIZE] * sigmoid(zs["lwh"]),
+        "rot": d_pred[..., ROT6D],
+    }
+    g_f3d = np.zeros_like(f3d)
+    for name, mlp in params.heads.items():
+        g_f3d += _mlp_backward(dz[name], mlp, caches[name], grads.heads[name])
+    return losses, g_f3d
+
+
 def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, grads: DecoderParams):
     """Per-sample L1 losses and batch-summed gradients for a stacked minibatch.
 
@@ -406,48 +441,13 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     """
     x_final, caches = _stack_forward(x, params)
     # (B, 1, d): the heads see a one-token sequence per sample
-    f3d = x_final[:, -1:]
-
-    head_outs = {name: _head_forward(f3d, params.heads[name]) for name in _HEAD_DIMS}
-    zs = {name: z for name, (z, _) in head_outs.items()}
-    pred = _squash(zs)
-    diff = pred - targets[:, None]
-    losses = np.abs(diff).sum(axis=2)[:, 0]
-    d_pred = np.sign(diff)
-
-    # squash derivatives back to head pre-activations
-    uv = pred[..., UV]
-    dz = {
-        "uv": d_pred[..., UV] * uv * (1.0 - uv),
-        "d": d_pred[..., D_V, None] * sigmoid(zs["d"]),
-        "lwh": d_pred[..., SIZE] * sigmoid(zs["lwh"]),
-        "rot": d_pred[..., ROT6D],
-    }
-
-    g_f3d = np.zeros_like(f3d)
-    for name in _HEAD_DIMS:
-        mlp = params.heads[name]
-        g = grads.heads[name]
-        pre, term, hidden = head_outs[name][1]
-        g.b2[...] = _sample_sum(dz[name].sum(axis=1))
-        g.w2[...] = _batch_sum_outer(hidden, dz[name])
-        d_pre = (dz[name] @ mlp.w2.T) * gelu_grad(pre, term)
-        g.b1[...] = _sample_sum(d_pre.sum(axis=1))
-        g.w1[...] = _batch_sum_outer(f3d, d_pre)
-        g_f3d += d_pre @ mlp.w1.T
+    losses, g_f3d = _l1_head_step(x_final[:, -1:], params, targets, grads)
 
     g_x = np.zeros_like(x_final)
     g_x[:, -1:] = g_f3d
     for layer, g_layer, cache in zip(params.layers[::-1], grads.layers[::-1], caches[::-1]):
-        x, attn_cache, summary, attended, pre_act, term, hidden = cache
-        # feed-forward branch
-        g_layer.ff_b2[...] = _sample_sum(g_x.sum(axis=1))
-        g_layer.ff_w2[...] = _batch_sum_outer(hidden, g_x)
-        d_pre = (g_x @ layer.ff_w2.T) * gelu_grad(pre_act, term)
-        g_layer.ff_b1[...] = _sample_sum(d_pre.sum(axis=1))
-        g_layer.ff_w1[...] = _batch_sum_outer(attended, d_pre)
-        g_attended = g_x + d_pre @ layer.ff_w1.T
-        # attention branch
+        x, attn_cache, summary, ff_cache = cache
+        g_attended = g_x + _mlp_backward(g_x, layer.ff, ff_cache, g_layer.ff)
         g_layer.w_o[...] = _batch_sum_outer(summary, g_attended)
         d_q, d_k, d_v = attention_backward(g_attended @ layer.w_o.T, attn_cache)
         g_layer.w_q[...] = _batch_sum_outer(x, d_q)
@@ -528,8 +528,8 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
         raise EmptyDataset("training requires at least one sample")
     if embeddings.ndim != 3 or embeddings.shape[2] != params.config.d_model:
         raise ShapeMismatch(f"embeddings {embeddings.shape} vs (N, T, {params.config.d_model})")
-    if targets.shape != (n, 12):
-        raise ShapeMismatch(f"targets {targets.shape} vs ({n}, 12)")
+    if targets.shape != (n, RAW_WIDTH):
+        raise ShapeMismatch(f"targets {targets.shape} vs ({n}, {RAW_WIDTH})")
     if not np.all(np.isfinite(embeddings)):
         raise MalformedSequence("embeddings contain non-finite values")
     params = params.copy()

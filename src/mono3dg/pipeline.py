@@ -32,6 +32,7 @@ from .decoder import (
     KIND_POS,
     KIND_QUERY,
     D_V,
+    RAW_WIDTH,
     ROT6D_A,
     ROT6D_B,
     SIZE,
@@ -252,7 +253,7 @@ class ToyEncoder:
             config=config,
             caption_tokens=0.5 * rng.standard_normal((config.n_caption, d)),
             pos_token=0.5 * rng.standard_normal(d),
-            image_maps=[rng.standard_normal((d, 12)) / np.sqrt(12.0) for _ in range(config.n_image)],
+            image_maps=[rng.standard_normal((d, RAW_WIDTH)) / np.sqrt(RAW_WIDTH) for _ in range(config.n_image)],
             image_biases=[0.1 * rng.standard_normal(d) for _ in range(config.n_image)],
             mid=mid,
             half=half,

@@ -489,3 +489,22 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             iou3d_monte_carlo(UNIT_CUBE, UNIT_CUBE, 0, 0)
 
+    @staticmethod
+    def one_draw_estimate(a, b, samples, seed):
+        """The estimator with all its points drawn as one (samples, 3) array."""
+        rng = np.random.default_rng(seed)
+        all_corners = np.vstack([box3d.corners(a), box3d.corners(b)])
+        pts = rng.uniform(all_corners.min(axis=0), all_corners.max(axis=0), size=(samples, 3))
+        in_a, in_b = box3d._points_inside(a, pts), box3d._points_inside(b, pts)
+        n_union = int(np.count_nonzero(in_a | in_b))
+        return 0.0 if n_union == 0 else float(np.count_nonzero(in_a & in_b)) / n_union
+
+    def test_chunked_draw_equals_one_array_draw(self):
+        # two whole chunks and a partial one of 7 points
+        samples = 2 * box3d._MC_CHUNK + 7
+        rng = np.random.default_rng(11)
+        for seed in range(4):
+            a, b = overlapping_box_pair(rng)
+            # estimates lie in [0, 1], so equal floats have equal bits
+            assert iou3d_monte_carlo(a, b, samples, seed) == self.one_draw_estimate(a, b, samples, seed)
+

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,8 +18,8 @@ FD_FLOOR = 1e-3
 FD_TOL = 1e-5
 
 
-def small_config():
-    return D.DecoderConfig(d_model=8, n_layers=1, d_ff=12, head_hidden=6)
+def small_config(n_layers=1):
+    return D.DecoderConfig(d_model=8, n_layers=n_layers, d_ff=12, head_hidden=6)
 
 
 def sequence_kinds(n_tokens):
@@ -223,10 +224,11 @@ class TestLoss:
 
 class TestBackward:
     def test_gradcheck_many_instances(self):
-        # >= 20 random instances; sampled coordinates from every group.
-        for seed in range(20):
+        # >= 20 random instances; sampled coordinates from every group. Two
+        # layers check the gradient that one layer hands the one below.
+        for seed, n_layers in itertools.product(range(20), (1, 2)):
             rng = np.random.default_rng(100 + seed)
-            params = D.init_params(small_config(), rng)
+            params = D.init_params(small_config(n_layers), rng)
             seq = make_sequence(rng)
             target = make_target(rng)
             _, grads = D.backward(seq, params, target)
@@ -246,6 +248,26 @@ class TestBackward:
                     assert abs(a - fd) <= FD_TOL * max(abs(a), abs(fd), FD_FLOOR), (
                         f"{name}[{idx}] analytic {a} vs fd {fd}"
                     )
+
+    def test_head_step_gradient_on_f3d(self):
+        # The head step's contract: g_f3d is the gradient of the summed
+        # per-sample losses on f3d, which the stack backward starts from.
+        rng = np.random.default_rng(15)
+        params = D.init_params(small_config(), rng)
+        f3d = rng.standard_normal((3, 1, 8))
+        targets = np.stack([D.raw_to_vector(make_target(rng)) for _ in range(3)])
+        grads = D.DecoderParams(params.config)
+        _, g_f3d = D._l1_head_step(f3d, params, targets, grads)
+        assert g_f3d.shape == f3d.shape and np.abs(g_f3d).max() > 0.0
+        for idx in np.ndindex(f3d.shape):
+            orig = f3d[idx]
+            f3d[idx] = orig + FD_STEP
+            up = D._l1_head_step(f3d, params, targets, grads)[0].sum()
+            f3d[idx] = orig - FD_STEP
+            down = D._l1_head_step(f3d, params, targets, grads)[0].sum()
+            f3d[idx] = orig
+            fd, a = (up - down) / (2 * FD_STEP), g_f3d[idx]
+            assert abs(a - fd) <= FD_TOL * max(abs(a), abs(fd), FD_FLOOR), f"f3d{idx} analytic {a} vs fd {fd}"
 
     def test_query_gradient_nonzero(self):
         rng = np.random.default_rng(12)
@@ -543,13 +565,16 @@ class TestFlatParameters:
 
     def test_in_place_edit_shows_in_vector(self):
         params = D.init_params(small_config(), np.random.default_rng(33))
-        params.layers[0].w_o[2, 3] = 17.5
-        offset = 0
-        for name, arr in params.named_arrays():
-            if name == "layer0.w_o":
-                break
-            offset += arr.size
-        assert params.flat[offset + 2 * 8 + 3] == 17.5
+        # both views are 8 wide; the feed-forward block reaches its ff_*
+        # arrays through an MLPParams of views
+        for view, target in ((params.layers[0].w_o, "layer0.w_o"), (params.layers[0].ff.w2, "layer0.ff_w2")):
+            view[2, 3] = 17.5
+            offset = 0
+            for name, arr in params.named_arrays():
+                if name == target:
+                    break
+                offset += arr.size
+            assert params.flat[offset + 2 * 8 + 3] == 17.5
 
     def test_set_named_writes_through(self):
         params = D.init_params(small_config(), np.random.default_rng(34))
