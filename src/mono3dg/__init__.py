@@ -26,7 +26,6 @@ from .camera import (
 from .decoder import (
     DecoderConfig,
     DecoderParams,
-    RawHeadOutput,
     TokenSequence,
     TrainConfig,
     backward,

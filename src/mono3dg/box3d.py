@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotYawOnly, reject_first
-from .rotation import _cross, _matmul3, row_dots, validate_rotation
+from .rotation import _cross, _matmul3, row_dots
 
 # Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
 CLIP_EPSILON = 1e-9
@@ -70,7 +70,8 @@ _SPHERE_GAP = 1e-6
 
 # A batch of N boxes is an (N, 15) array of rows, the layout of files and
 # tables: center, dims (L, W, H) and the row-major rotation, at these slots.
-CENTER, DIMS, ROT = slice(0, 3), slice(3, 6), slice(6, 15)
+BOX_WIDTH = 15
+CENTER, DIMS, ROT = slice(0, 3), slice(3, 6), slice(6, BOX_WIDTH)
 # The rot slots of R[2, 0], R[2, 1], R[0, 2] and R[1, 2], which vanish for a
 # rotation about z alone.
 _OUT_OF_PLANE = [12, 13, 8, 11]
@@ -101,14 +102,6 @@ class OrientedBox3D:
     def row(self) -> np.ndarray:
         """The box as one (15,) row."""
         return np.concatenate([self.center, self.dims, self.rot.ravel()])
-
-    def validate(self) -> "OrientedBox3D":
-        validate_rotation(self.rot)
-        return self
-
-    @property
-    def volume(self) -> float:
-        return float(self.dims[0] * self.dims[1] * self.dims[2])
 
 
 def check_dims(rows: np.ndarray) -> np.ndarray:
@@ -159,7 +152,7 @@ def _polytope_vertices(pairs: np.ndarray):
     pair's count; the counts (N,); and the face normals (N, 12, 3).
     """
     n = len(pairs)
-    boxes = pairs.reshape(-1, 15)
+    boxes = pairs.reshape(-1, BOX_WIDTH)
     center, dims, rot = boxes[:, CENTER], boxes[:, DIMS], boxes[:, ROT].reshape(-1, 3, 3)
     box_corners = _corners(center, dims, rot).reshape(n, 16, 3)
     # Outward unit normals ordered +x, -x, +y, -y, +z, -z, and plane offsets.
@@ -321,10 +314,8 @@ def _following(values: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def _signed_areas(px, py, count) -> np.ndarray:
     terms = px * _following(py, count) - _following(px, count) * py
-    area = np.zeros(len(px))
-    for k in range(px.shape[1]):
-        area = np.where(k < count, area + terms[:, k], area)
-    return area / 2.0
+    valid = np.arange(px.shape[1]) < count[:, None]
+    return _ordered_sum(np.where(valid, terms, -0.0), axis=1) / 2.0
 
 
 def _clip_convex_2d(px, py, count, clip_x, clip_y):

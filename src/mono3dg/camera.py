@@ -15,14 +15,12 @@ same code.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .decoder import D_V, SIZE, UV, raw_row
 from .errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth, reject_first
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .decoder import RawHeadOutput
 
 # 2D heights below this many pixels are treated as degenerate.
 HEIGHT2D_EPSILON = 1e-6
@@ -160,21 +158,21 @@ def reason_center_batch(
 
 
 def reason_center(
-    raw: "RawHeadOutput",
+    raw: np.ndarray,
     cam: CameraIntrinsics,
     vc: VirtualCamera,
     mode: DepthMode,
     h2d: float | None = None,
 ) -> Point3D:
-    """:func:`reason_center_batch` for one query."""
+    """:func:`reason_center_batch` for one query's raw row."""
     def column(value):
         return np.array([value], dtype=float)
 
+    raw = raw_row(raw)
     center = reason_center_batch(
-        column(raw.u_norm),
-        column(raw.v_norm),
-        column(raw.d_v),
-        column(raw.H),
+        *map(column, raw[UV]),
+        column(raw[D_V]),
+        column(raw[SIZE][2]),
         CameraIntrinsics(*map(column, cam)),
         vc,
         mode,

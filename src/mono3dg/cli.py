@@ -185,9 +185,7 @@ def _run_gradchecks(seed: int) -> float:
     kinds = (decoder.KIND_CAPTION, decoder.KIND_IMAGE, decoder.KIND_IMAGE,
              decoder.KIND_POS, decoder.KIND_QUERY)
     seq = decoder.TokenSequence(rng.standard_normal((5, 8)), kinds)
-    target = decoder.vector_to_raw(
-        np.concatenate([[0.4, 0.6, 1.5, 0.8, 0.6, 1.1], rng.standard_normal(6)])
-    )
+    target = np.concatenate([[0.4, 0.6, 1.5, 0.8, 0.6, 1.1], rng.standard_normal(6)])
     _, grads = decoder.backward(seq, params, target)
 
     def decoder_loss():

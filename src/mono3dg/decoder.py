@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch
 from .jsonio import array_template, check_finite, dumps_canonical, loads_strict, object_template
-from .rotation import Rot6D
 
 KIND_CAPTION = "caption"
 KIND_IMAGE = "image"
@@ -71,19 +70,6 @@ class TokenSequence:
         return len(self.kinds) - 1
 
 
-@dataclass(frozen=True)
-class RawHeadOutput:
-    """The regression quantities the geometry stage consumes."""
-
-    u_norm: float
-    v_norm: float
-    d_v: float
-    L: float
-    W: float
-    H: float
-    rot6d: Rot6D
-
-
 # A raw row holds one query's head outputs, the RAW_FIELDS and then the
 # rot6d columns a and b, at these slots; N queries are (N, RAW_WIDTH) rows.
 RAW_FIELDS = ("u_norm", "v_norm", "d_v", "L", "W", "H")
@@ -92,14 +78,13 @@ UV, D_V, SIZE, ROT6D = slice(0, 2), 2, slice(3, 6), slice(6, 12)
 ROT6D_A, ROT6D_B = slice(6, 9), slice(9, 12)
 
 
-def raw_to_vector(raw: RawHeadOutput) -> np.ndarray:
-    scalars = [raw.u_norm, raw.v_norm, raw.d_v, raw.L, raw.W, raw.H]
-    return np.concatenate((scalars, raw.rot6d.a, raw.rot6d.b), dtype=float)
-
-
-def vector_to_raw(vec: np.ndarray) -> RawHeadOutput:
-    """The head output of one raw row; its rot6d columns are views of vec."""
-    return RawHeadOutput(*vec[: len(RAW_FIELDS)].tolist(), rot6d=Rot6D(vec[ROT6D_A], vec[ROT6D_B]))
+def raw_row(raw) -> np.ndarray:
+    """One query's raw head outputs as a float64 (RAW_WIDTH,) row; raises
+    ShapeMismatch for any other shape."""
+    row = np.asarray(raw, dtype=float)
+    if row.shape != (RAW_WIDTH,):
+        raise ShapeMismatch(f"raw head outputs {row.shape} vs ({RAW_WIDTH},)")
+    return row
 
 
 # -- parameters ---------------------------------------------------------------
@@ -337,9 +322,10 @@ def _heads(f3d: np.ndarray, params: DecoderParams):
     return raw, zs, caches
 
 
-def heads(f3d: np.ndarray, params: DecoderParams) -> RawHeadOutput:
-    """Regress all geometric quantities from the single 3D feature vector."""
-    return vector_to_raw(_heads(np.asarray(f3d, dtype=float), params)[0])
+def heads(f3d: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Regress all geometric quantities, as a raw row, from the single 3D
+    feature vector."""
+    return _heads(np.asarray(f3d, dtype=float), params)[0]
 
 
 # Queries per forward pass in predict_batch. A pass keeps every layer's
@@ -350,8 +336,8 @@ _PREDICT_CHUNK = 32
 
 
 def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Predicted head outputs (N, 12), in :func:`raw_to_vector` order, of N
-    stacked sequences (N, T, d) whose last position is the query slot."""
+    """Predicted head outputs as (N, RAW_WIDTH) raw rows, of N stacked
+    sequences (N, T, d) whose last position is the query slot."""
     if embeddings.shape[-1] != params.config.d_model:
         raise ShapeMismatch(f"sequence d_model {embeddings.shape[-1]} vs config {params.config.d_model}")
     out = np.empty((len(embeddings), RAW_WIDTH))
@@ -364,14 +350,14 @@ def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
     return out
 
 
-def predict(seq: TokenSequence, params: DecoderParams) -> RawHeadOutput:
+def predict(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     """:func:`predict_batch` for one sequence."""
-    return vector_to_raw(predict_batch(seq.embeddings[None], params)[0])
+    return predict_batch(seq.embeddings[None], params)[0]
 
 
-def loss(raw: RawHeadOutput, target: RawHeadOutput) -> float:
-    """Unit-weight L1 over all twelve regressed components."""
-    return float(np.abs(raw_to_vector(raw) - raw_to_vector(target)).sum())
+def loss(raw: np.ndarray, target: np.ndarray) -> float:
+    """Unit-weight L1 over all twelve regressed components of two raw rows."""
+    return float(np.abs(raw_row(raw) - raw_row(target)).sum())
 
 
 # -- backward ------------------------------------------------------------------
@@ -460,7 +446,7 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     return losses
 
 
-def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
+def backward(seq: TokenSequence, params: DecoderParams, target: np.ndarray):
     """Loss and analytic gradients for every parameter, query included.
 
     The query substitution is applied internally, so the gradient that lands
@@ -468,7 +454,7 @@ def backward(seq: TokenSequence, params: DecoderParams, target: RawHeadOutput):
     """
     sub = substitute_query(seq, params.query)
     grads = DecoderParams(params.config)
-    losses = _batch_backward(sub.embeddings[None], params, raw_to_vector(target)[None], grads)
+    losses = _batch_backward(sub.embeddings[None], params, raw_row(target)[None], grads)
     return float(losses[0]), grads
 
 
@@ -513,7 +499,7 @@ def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig, scratch=None) -> None
 
 def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cfg: TrainConfig):
     """Adam-train on N stacked sequences (N, T, d), query slot last, and
-    their targets (N, 12) in :func:`raw_to_vector` order.
+    their targets as (N, RAW_WIDTH) raw rows.
 
     Each minibatch runs one batched forward/backward; its gradient is the
     mean over its samples. Deterministic given cfg.seed. Returns the trained

@@ -38,11 +38,9 @@ from .decoder import (
     SIZE,
     UV,
     DecoderParams,
-    RawHeadOutput,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
     predict_batch,
-    raw_to_vector,
-    vector_to_raw,
+    raw_row,
 )
 from .errors import UnmatchedPrediction
 from .metrics import (
@@ -76,14 +74,13 @@ def raw_from_box_batch(
     profile: DatasetProfile,
 ) -> np.ndarray:
     """The head outputs a perfect network would emit for N boxes, given as
-    (N, 15) rows, one camera per box, as (N, 12) rows in
-    :func:`raw_to_vector` order.
+    (N, 15) rows, one camera per box, as (N, RAW_WIDTH) raw rows.
 
     Queries are checked as if one at a time, depth before rotation: the
     first query behind the camera or with a non-rotation raises.
     """
     check_dims(boxes)
-    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, 6).T)
+    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, len(CameraIntrinsics._fields)).T)
     centers = boxes[:, CENTER]
     behind = centers[:, 2] <= 0.0
     ahead = int(behind.argmax()) if behind.any() else len(behind)
@@ -97,9 +94,9 @@ def raw_from_box_batch(
     return np.column_stack([pix.u / cam.width, pix.v / cam.height, d_v, boxes[:, DIMS], rot6d])
 
 
-def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> RawHeadOutput:
-    """:func:`raw_from_box_batch` for one box."""
-    return vector_to_raw(raw_from_box_batch(box.row[None], [cam], profile)[0])
+def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> np.ndarray:
+    """:func:`raw_from_box_batch` for one box: its raw row."""
+    return raw_from_box_batch(box.row[None], [cam], profile)[0]
 
 
 def box_from_raw_columns(
@@ -108,9 +105,9 @@ def box_from_raw_columns(
     profile: DatasetProfile,
     h2d: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Geometry reasoning for N queries: head outputs (N, 12), in
-    :func:`raw_to_vector` order, -> oriented boxes in the camera frame as
-    (N, 15) rows, with one camera (N, 6) (and 2D height) per query."""
+    """Geometry reasoning for N queries: head outputs as (N, RAW_WIDTH) raw
+    rows -> oriented boxes in the camera frame as (N, 15) rows, with one
+    camera (N, 6) (and 2D height) per query."""
     (u_norm, v_norm), d_v, size = raw[:, UV].T, raw[:, D_V], raw[:, SIZE]
     cam = CameraIntrinsics(*cams.T)
     center = reason_center_batch(
@@ -123,14 +120,14 @@ def box_from_raw_columns(
 
 
 def box_from_raw(
-    raw: RawHeadOutput,
+    raw: np.ndarray,
     cam: CameraIntrinsics,
     profile: DatasetProfile,
     h2d: float | None = None,
 ) -> OrientedBox3D:
-    """:func:`box_from_raw_columns` for one query."""
+    """:func:`box_from_raw_columns` for one query's raw row."""
     return OrientedBox3D.from_row(box_from_raw_columns(
-        raw_to_vector(raw)[None],
+        raw_row(raw)[None],
         np.array([cam], dtype=float),
         profile,
         None if h2d is None else np.array([h2d], dtype=float),

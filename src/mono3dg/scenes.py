@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .box3d import CENTER, DIMS, ROT, OrientedBox3D, _corners
+from .box3d import BOX_WIDTH, CENTER, DIMS, ROT, OrientedBox3D, _corners
 from . import decoder
 from .camera import (
     HEIGHT2D_EPSILON,
@@ -30,7 +30,7 @@ from .camera import (
     VirtualCamera,
     backproject_center,
 )
-from .errors import InvalidRanges, ParseError, SchemaError
+from .errors import InvalidRanges, ParseError, SchemaError, ShapeMismatch
 from .jsonio import (
     FLOAT,
     STRING,
@@ -42,6 +42,9 @@ from .jsonio import (
     write_templated,
 )
 from .rotation import SIXD_EPSILON, random_rotation, rotation_defects, sixd_gram_schmidt
+
+# A camera table row holds the CameraIntrinsics fields, in order.
+_CAM_WIDTH = len(CameraIntrinsics._fields)
 
 FOCAL_PAIR_SUFFIX = "_fp"
 FOCAL_PAIR_FRACTION = 10  # one pair scene per this many scenes
@@ -146,7 +149,7 @@ class PredictionRecord:
 
     image_id: str
     object_id: str
-    raw: decoder.RawHeadOutput | None = None
+    raw: np.ndarray | None = None  # (decoder.RAW_WIDTH,) raw row
     box3d: OrientedBox3D | None = None
 
     def __post_init__(self):
@@ -166,7 +169,7 @@ class SceneTable(Sequence):
     """S scenes with M objects in all, as columns; objects are in scene order."""
 
     image_ids: list  # S strings
-    cams: np.ndarray  # (S, 6): fx, fy, cx, cy, width, height
+    cams: np.ndarray  # (S, _CAM_WIDTH): fx, fy, cx, cy, width, height
     rows: np.ndarray  # (M,) the scene of each object
     object_ids: list  # M strings
     captions: list  # M strings
@@ -183,11 +186,11 @@ class SceneTable(Sequence):
         objects = [(row, obj) for row, record in enumerate(scenes) for obj in record.objects]
         return SceneTable(
             [record.image_id for record in scenes],
-            np.array([record.intrinsics for record in scenes], dtype=float).reshape(-1, 6),
+            np.array([record.intrinsics for record in scenes], dtype=float).reshape(-1, _CAM_WIDTH),
             np.array([row for row, _ in objects], dtype=int),
             [obj.object_id for _, obj in objects],
             [obj.caption for _, obj in objects],
-            np.array([obj.box3d.row for _, obj in objects], dtype=float).reshape(-1, 15),
+            np.array([obj.box3d.row for _, obj in objects], dtype=float).reshape(-1, BOX_WIDTH),
             np.array([obj.box2d for _, obj in objects], dtype=float).reshape(-1, 4),
             np.array([obj.h2d for _, obj in objects], dtype=float),
         )
@@ -224,11 +227,18 @@ class SceneTable(Sequence):
 @dataclass(frozen=True, eq=False)
 class PredictionTable(Sequence):
     """N predictions as rows of one kind, which the width of values tells:
-    raw head outputs (N, decoder.RAW_WIDTH) in :func:`decoder.raw_to_vector`
-    order, or boxes (N, 15) as center, dims and row-major rot."""
+    raw rows (N, decoder.RAW_WIDTH) of head outputs, or boxes (N, BOX_WIDTH)
+    as center, dims and row-major rot."""
 
     keys: list  # N (image_id, object_id)
     values: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[1] not in (decoder.RAW_WIDTH, BOX_WIDTH) or shape[0] != len(self.keys):
+            raise ShapeMismatch(
+                f"prediction values {shape} vs ({len(self.keys)}, {decoder.RAW_WIDTH} or {BOX_WIDTH})"
+            )
 
     @staticmethod
     def of(preds) -> "PredictionTable":
@@ -239,8 +249,8 @@ class PredictionTable(Sequence):
         box = bool(preds) and preds[0].raw is None
         if any((p.raw is None) != box for p in preds):
             raise ValueError("a prediction table holds raw predictions or boxes, not both")
-        rows = [p.box3d.row if box else decoder.raw_to_vector(p.raw) for p in preds]
-        values = np.array(rows, dtype=float).reshape(-1, _BOX_WIDTH if box else decoder.RAW_WIDTH)
+        rows = [p.box3d.row if box else decoder.raw_row(p.raw) for p in preds]
+        values = np.array(rows) if rows else np.empty((0, decoder.RAW_WIDTH))
         return PredictionTable([(p.image_id, p.object_id) for p in preds], values)
 
     @cached_property
@@ -256,7 +266,7 @@ class PredictionTable(Sequence):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # negative from the end; IndexError past it
         if self.mode == "raw":
-            return PredictionRecord(*self.keys[i], raw=decoder.vector_to_raw(self.values[i]))
+            return PredictionRecord(*self.keys[i], raw=self.values[i])
         return PredictionRecord(*self.keys[i], box3d=OrientedBox3D.from_row(self.values[i]))
 
 
@@ -393,7 +403,6 @@ _AFTER_OBJECTS = 1 << 30
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is a subclass of int but not one
 _JSON_ROTATION_TOL = 1e-6  # loose: serialized at 17 digits
 
-_INTRINSICS = ("fx", "fy", "cx", "cy", "width", "height")
 # Scene-level steps: image_id 0-1, intrinsics field k present at 2 + 2k and a
 # number at 3 + 2k, then the intrinsics rules, then the objects list.
 _INTRINSICS_STEPS = tuple(range(3, 15, 2))
@@ -416,8 +425,7 @@ _OBJECT_NAMES = tuple(
     + [f"box2d[{k}]" for k in range(4)]
     + ["h2d"]
 )
-_BOX_WIDTH = 15
-_BOX2D_COLUMNS, _H2D_COLUMN = slice(_BOX_WIDTH, _BOX_WIDTH + 4), _BOX_WIDTH + 4
+_BOX2D_COLUMNS, _H2D_COLUMN = slice(BOX_WIDTH, BOX_WIDTH + 4), BOX_WIDTH + 4
 
 # Prediction steps: image_id and object_id present 0-1, both strings 2, the
 # payload present 3. Raw field k is present at 4 + 2k and a number at
@@ -532,11 +540,11 @@ def _number_list(obj, path: str, key: str, length: int, step: int, out: list) ->
 
 
 def _walk_intrinsics(obj, out: list) -> None:
-    """Gather the six numbers of an intrinsics object into out, in _INTRINSICS order."""
+    """Gather the six numbers of an intrinsics object into out, in CameraIntrinsics order."""
     try:
         out += obj["fx"], obj["fy"], obj["cx"], obj["cy"], obj["width"], obj["height"]
     except (KeyError, TypeError):
-        raise _missing(obj, _INTRINSICS, "intrinsics.", 2, out)
+        raise _missing(obj, CameraIntrinsics._fields, "intrinsics.", 2, out)
 
 
 def _walk_box(box, out: list) -> None:
@@ -605,7 +613,7 @@ def _walk_scene(rec, image_ids, cams, counts, object_ids, captions, values) -> N
 
 
 def _walk_raw(raw, out: list) -> None:
-    """Gather the 12 numbers of a raw object into out, in decoder.raw_to_vector order."""
+    """Gather the 12 numbers of a raw object into out, in raw row order."""
     try:
         out += raw["u_norm"], raw["v_norm"], raw["d_v"], raw["L"], raw["W"], raw["H"]
     except (KeyError, TypeError):
@@ -640,7 +648,7 @@ def _walk_prediction(rec, mode: str, keys: list, values: list) -> None:
 
 def _check_intrinsics(fail: _Failures, values: list, rows, objects) -> np.ndarray:
     cam = fail.numbers(
-        values, 6, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"intrinsics.{_INTRINSICS[c]}"
+        values, _CAM_WIDTH, rows, objects, _INTRINSICS_STEPS, lambda i, c: f"intrinsics.{CameraIntrinsics._fields[c]}"
     )
     fx, fy, cx, cy, width, height = cam.T
     fail.column(
@@ -701,7 +709,7 @@ def _decode_scenes(numbered) -> SceneTable:
         fail.add((row, failure.slot, failure.step), failure.field, failure.message)
         # The numbers of a record cut short read as NaN; every check on them
         # sits after the structural failure.
-        cam_values += [math.nan] * (6 * len(image_ids) - len(cam_values))
+        cam_values += [math.nan] * (_CAM_WIDTH * len(image_ids) - len(cam_values))
         obj_values += [math.nan] * (len(_OBJECT_STEPS) * sum(counts) - len(obj_values))
 
     scene_rows = np.arange(len(image_ids))
@@ -716,13 +724,14 @@ def _decode_scenes(numbered) -> SceneTable:
         obj_values, len(_OBJECT_STEPS), rows, slots, _OBJECT_STEPS,
         lambda i, c: f"objects[{slots[i]}].{_OBJECT_NAMES[c]}",
     )
-    _check_boxes(fail, objs[:, :_BOX_WIDTH], rows, slots, field("box3d"))
+    _check_boxes(fail, objs[:, :BOX_WIDTH], rows, slots, field("box3d"))
     fail.column(
         objs[:, 2] <= 0, rows, slots, _CENTER_Z,
         field("box3d.center"), lambda i: "box center must have Z > 0",
     )
     x1, y1, x2, y2 = objs[:, _BOX2D_COLUMNS].T
-    width, height = cam[rows, 4], cam[rows, 5]
+    camera = CameraIntrinsics(*cam[rows].T)
+    width, height = camera.width, camera.height
     fail.column(
         ~((0.0 <= x1) & (x1 <= x2) & (x2 <= width) & (0.0 <= y1) & (y1 <= y2) & (y2 <= height)),
         rows, slots, _BOX2D_BOUNDS, field("box2d"),
@@ -736,7 +745,7 @@ def _decode_scenes(numbered) -> SceneTable:
     )
     fail.raise_first()
     return SceneTable(
-        image_ids, cam, rows, obj_ids, captions, objs[:, :_BOX_WIDTH], objs[:, _BOX2D_COLUMNS], h2d
+        image_ids, cam, rows, obj_ids, captions, objs[:, :BOX_WIDTH], objs[:, _BOX2D_COLUMNS], h2d
     )
 
 
@@ -745,7 +754,7 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
     if mode not in _PAYLOADS:
         raise ValueError(f"unknown prediction mode {mode!r}")
     fail = _Failures()
-    width = len(_RAW_STEPS) if mode == "raw" else _BOX_WIDTH
+    width = len(_RAW_STEPS) if mode == "raw" else BOX_WIDTH
     keys, values, seen = [], [], set()
     row = -1
     try:
@@ -815,7 +824,7 @@ def intrinsics_from_json(obj) -> CameraIntrinsics:
         _walk_intrinsics(obj, values)
     except _Structure as failure:
         fail.add((0, -1, failure.step), failure.field, failure.message)
-        values += [math.nan] * (6 - len(values))
+        values += [math.nan] * (_CAM_WIDTH - len(values))
     cam = _check_intrinsics(fail, values, [0], [-1])
     fail.raise_first()
     return CameraIntrinsics(*cam[0].tolist())
@@ -828,7 +837,7 @@ def _scenes_json(table: SceneTable):
     for i, image_id in enumerate(table.image_ids):
         yield {
             "image_id": image_id,
-            "intrinsics": dict(zip(_INTRINSICS, cams[i])),
+            "intrinsics": dict(zip(CameraIntrinsics._fields, cams[i])),
             "objects": [
                 {
                     "object_id": table.object_ids[m],
@@ -880,7 +889,7 @@ WRITE_CHUNK = 512  # records per % pass
 
 _BOX3D_TEMPLATE = object_template((name, array_template((width,))) for name, width, _ in _BOX_LISTS)
 _SCENE_HEAD = object_template(
-    [("image_id", STRING), ("intrinsics", object_template((k, FLOAT) for k in _INTRINSICS)),
+    [("image_id", STRING), ("intrinsics", object_template((k, FLOAT) for k in CameraIntrinsics._fields)),
      ("objects", "[")]
 )[:-1]  # left open: the objects and _SCENE_TAIL follow
 _SCENE_TAIL = "]}\n"

@@ -437,6 +437,23 @@ class TestBEVFastPath:
             assert iou3d_bev_yaw(a, b) == pytest.approx(iou3d(a, b), abs=1e-9)
 
 
+    def test_signed_areas_add_in_vertex_order(self):
+        # Polygons of 0 to 9 vertices, with values past each count: every
+        # area is that of the loop over its vertices in order, from 0.0
+        # (== does not tell a zero area's sign, which may differ).
+        rng = np.random.default_rng(15)
+        px, py = rng.standard_normal((2, 60, 9)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 60, 1))
+        px[:5] = 0.0
+        count = rng.integers(0, 10, 60)
+        got = box3d._signed_areas(px, py, count)
+        for k, n in enumerate(count.tolist()):
+            area = 0.0
+            for j in range(n):
+                q = (j + 1) % n
+                area += px[k, j] * py[k, q] - px[k, q] * py[k, j]
+            assert got[k] == area / 2.0, k
+
+
 class TestRows:
     """A batch of boxes is (N, 15) rows of center, dims and row-major rot."""
 

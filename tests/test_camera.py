@@ -20,13 +20,18 @@ from mono3dg.camera import (
     reason_center,
     virtual_to_real_depth,
 )
-from mono3dg.decoder import RawHeadOutput
-from mono3dg.errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth
+from mono3dg.decoder import D_V, SIZE, UV
+from mono3dg.errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth, ShapeMismatch
 from mono3dg.pipeline import raw_from_box
-from mono3dg.rotation import Rot6D
 from mono3dg.scenes import INDOOR_PROFILE, OUTDOOR_PROFILE
 
 CAM = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920.0, height=1080.0)
+
+
+def make_raw(u_norm, v_norm, d_v, L, W, H):
+    """One query's raw row. Its rot6d columns are the identity's, which
+    center reasoning does not read."""
+    return np.array([u_norm, v_norm, d_v, L, W, H, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 class TestProject:
@@ -176,11 +181,12 @@ class TestBackproject:
 def closed_form_fused_center(raw, cam, vc, h2d):
     """The end-to-end algebraic expansion of the fused reasoning chain,
     written out independently as an oracle."""
-    u = raw.u_norm * cam.width
-    v = raw.v_norm * cam.height
-    x = (raw.d_v / vc.fx_v * vc.width_v / cam.width + raw.H / h2d * cam.fy / cam.fx) * (u - cam.cx) / 2
-    y = (cam.fx / cam.fy * raw.d_v / vc.fx_v * vc.width_v / cam.width + raw.H / h2d) * (v - cam.cy) / 2
-    z = (raw.d_v * cam.fx / vc.fx_v * vc.width_v / cam.width + raw.H / h2d * cam.fy) / 2
+    (u_norm, v_norm), d_v, H = raw[UV], raw[D_V], raw[SIZE][2]
+    u = u_norm * cam.width
+    v = v_norm * cam.height
+    x = (d_v / vc.fx_v * vc.width_v / cam.width + H / h2d * cam.fy / cam.fx) * (u - cam.cx) / 2
+    y = (cam.fx / cam.fy * d_v / vc.fx_v * vc.width_v / cam.width + H / h2d) * (v - cam.cy) / 2
+    z = (d_v * cam.fx / vc.fx_v * vc.width_v / cam.width + H / h2d * cam.fy) / 2
     return x, y, z
 
 
@@ -188,15 +194,8 @@ class TestReasonCenter:
     def _perfect_raw(self, box, cam, vc):
         center = Point3D(*box.center)
         pix = project(center, cam)
-        return RawHeadOutput(
-            u_norm=pix.u / cam.width,
-            v_norm=pix.v / cam.height,
-            d_v=real_to_virtual_depth(center.Z, cam, vc),
-            L=box.dims[0],
-            W=box.dims[1],
-            H=box.dims[2],
-            rot6d=Rot6D(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
-        )
+        d_v = real_to_virtual_depth(center.Z, cam, vc)
+        return make_raw(pix.u / cam.width, pix.v / cam.height, d_v, *box.dims)
 
     def test_virtual_only_recovers_center(self):
         rng = np.random.default_rng(3)
@@ -226,14 +225,13 @@ class TestReasonCenter:
         vc = VirtualCamera(731.0, 1300.0)
         for _ in range(100):
             cam = random_intrinsics(rng)
-            raw = RawHeadOutput(
+            raw = make_raw(
                 u_norm=rng.uniform(0.1, 0.9),
                 v_norm=rng.uniform(0.1, 0.9),
                 d_v=rng.uniform(0.5, 20.0),
                 L=1.0,
                 W=1.0,
                 H=rng.uniform(0.5, 3.0),
-                rot6d=Rot6D(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
             )
             h2d = rng.uniform(10.0, 300.0)
             got = reason_center(raw, cam, vc, DepthMode.FUSED_AVERAGE, h2d=h2d)
@@ -254,14 +252,19 @@ class TestReasonCenter:
             assert np.allclose(got_a, got_b, rtol=1e-12, atol=1e-14)
 
     def test_zero_virtual_depth_rejected(self):
-        raw = RawHeadOutput(0.5, 0.5, 0.0, 1, 1, 1, Rot6D(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])))
+        raw = make_raw(0.5, 0.5, 0.0, 1, 1, 1)
         with pytest.raises(NonPositiveDepth):
             reason_center(raw, CAM, VirtualCamera(), DepthMode.VIRTUAL_ONLY)
 
     def test_missing_h2d_rejected(self):
-        raw = RawHeadOutput(0.5, 0.5, 2.0, 1, 1, 1, Rot6D(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])))
+        raw = make_raw(0.5, 0.5, 2.0, 1, 1, 1)
         with pytest.raises(MissingHeight2D):
             reason_center(raw, CAM, VirtualCamera(), DepthMode.FUSED_AVERAGE)
+
+    @pytest.mark.parametrize("shape", [(6,), (11,), (1, 12)])
+    def test_raw_that_is_not_one_row_rejected(self, shape):
+        with pytest.raises(ShapeMismatch):
+            reason_center(np.ones(shape), CAM, VirtualCamera(), DepthMode.VIRTUAL_ONLY)
 
 
 def test_profile_virtual_cameras_share_defaults():
@@ -275,5 +278,5 @@ def test_raw_from_box_round_trip_uses_both_profiles():
         box = random_box(rng, yaw_only=True)
         box = type(box)(box.center + np.array([0, 0, 12.0]), box.dims, box.rot)
         raw = raw_from_box(box, cam, profile)
-        assert raw.d_v > 0 and 0 <= raw.u_norm <= 1 and 0 <= raw.v_norm <= 1
-        assert math.isclose(raw.H, box.dims[2])
+        assert raw[D_V] > 0 and np.all((0 <= raw[UV]) & (raw[UV] <= 1))
+        assert math.isclose(raw[SIZE][2], box.dims[2])

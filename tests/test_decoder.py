@@ -31,14 +31,12 @@ def make_sequence(rng, d_model=8, n_tokens=5):
 
 
 def make_target(rng):
-    return D.vector_to_raw(
-        np.concatenate(
-            [
-                [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.5, 4.0)],
-                rng.uniform(0.3, 2.0, 3),
-                rng.standard_normal(6),
-            ]
-        )
+    return np.concatenate(
+        [
+            [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.5, 4.0)],
+            rng.uniform(0.3, 2.0, 3),
+            rng.standard_normal(6),
+        ]
     )
 
 
@@ -172,9 +170,10 @@ class TestHeads:
             head.w2[:] = 0
             head.b2[:] = 0
         raw = D.heads(rng.standard_normal(8), params)
-        assert raw.u_norm == raw.v_norm == 0.5
-        assert raw.d_v == pytest.approx(math.log(2.0))  # softplus(0)
-        assert raw.L == raw.W == raw.H == pytest.approx(math.log(2.0))
+        assert raw.shape == (D.RAW_WIDTH,)
+        assert list(raw[D.UV]) == [0.5, 0.5]
+        assert raw[D.D_V] == pytest.approx(math.log(2.0))  # softplus(0)
+        assert list(raw[D.SIZE]) == pytest.approx([math.log(2.0)] * 3)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
@@ -182,8 +181,8 @@ class TestHeads:
         rng = np.random.default_rng(seed)
         params = D.init_params(small_config(), rng)
         raw = D.heads(50.0 * rng.standard_normal(8), params)
-        assert 0.0 <= raw.u_norm <= 1.0 and 0.0 <= raw.v_norm <= 1.0
-        assert raw.d_v > 0 and raw.L > 0 and raw.W > 0 and raw.H > 0
+        assert np.all((0.0 <= raw[D.UV]) & (raw[D.UV] <= 1.0))
+        assert raw[D.D_V] > 0 and np.all(raw[D.SIZE] > 0)
 
     def test_two_dim_hand_computation(self):
         # d_model 2, hidden 2: small enough to evaluate by hand.
@@ -199,7 +198,7 @@ class TestHeads:
         h2 = 0.5 * (-1.2) * (1 + math.erf(-1.2 / math.sqrt(2)))
         z = 2.0 * h1 + 1.0 * h2 + 0.25
         expected = math.log1p(math.exp(z))
-        assert D.heads(f, params).d_v == pytest.approx(expected, rel=1e-12)
+        assert D.heads(f, params)[D.D_V] == pytest.approx(expected, rel=1e-12)
 
 
 class TestLoss:
@@ -210,7 +209,7 @@ class TestLoss:
     def test_single_component(self):
         rng = np.random.default_rng(10)
         target = make_target(rng)
-        bumped = D.vector_to_raw(D.raw_to_vector(target) + np.eye(12)[2] * 0.3)
+        bumped = target + np.eye(12)[2] * 0.3
         assert D.loss(bumped, target) == pytest.approx(0.3)
 
     def test_two_components_sum(self):
@@ -218,8 +217,26 @@ class TestLoss:
         target = make_target(rng)
         delta = np.zeros(12)
         delta[0], delta[7] = 0.1, -0.2
-        bumped = D.vector_to_raw(D.raw_to_vector(target) + delta)
+        bumped = target + delta
         assert D.loss(bumped, target) == pytest.approx(0.3)
+
+
+class TestRawRow:
+    def test_returns_the_float64_row(self):
+        row = D.raw_row([1, 0, 2, 1, 1, 1, 1, 0, 0, 0, 1, 0])
+        assert row.dtype == np.float64 and row.shape == (D.RAW_WIDTH,)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (11,), (13,), (1, 12), (12, 1)])
+    def test_loss_and_backward_reject_any_other_shape(self, shape):
+        rng = np.random.default_rng(20)
+        params = D.init_params(small_config(), rng)
+        target = make_target(rng)
+        with pytest.raises(ShapeMismatch, match=r"raw head outputs .* vs \(12,\)"):
+            D.loss(np.ones(shape), target)
+        with pytest.raises(ShapeMismatch):
+            D.loss(target, np.ones(shape))
+        with pytest.raises(ShapeMismatch):
+            D.backward(make_sequence(rng), params, np.ones(shape))
 
 
 class TestBackward:
@@ -255,7 +272,7 @@ class TestBackward:
         rng = np.random.default_rng(15)
         params = D.init_params(small_config(), rng)
         f3d = rng.standard_normal((3, 1, 8))
-        targets = np.stack([D.raw_to_vector(make_target(rng)) for _ in range(3)])
+        targets = np.stack([make_target(rng) for _ in range(3)])
         grads = D.DecoderParams(params.config)
         _, g_f3d = D._l1_head_step(f3d, params, targets, grads)
         assert g_f3d.shape == f3d.shape and np.abs(g_f3d).max() > 0.0
@@ -299,7 +316,7 @@ class TestBackward:
 
 def tiny_dataset(rng, n=6):
     """(n, 5, 8) embeddings and their (n, 12) targets."""
-    rows = [(make_sequence(rng).embeddings, D.raw_to_vector(make_target(rng))) for _ in range(n)]
+    rows = [(make_sequence(rng).embeddings, make_target(rng)) for _ in range(n)]
     embeddings, targets = map(np.stack, zip(*rows))
     return embeddings, targets
 
@@ -435,7 +452,7 @@ def test_single_query_token_is_the_only_regression_source():
     f3d = D.forward(D.substitute_query(seq, params.query), params)
     raw_direct = D.heads(f3d, params)
     raw_pipeline = D.predict(seq, params)
-    assert D.raw_to_vector(raw_direct) == pytest.approx(D.raw_to_vector(raw_pipeline), abs=0)
+    assert raw_direct.tobytes() == raw_pipeline.tobytes()
     with pytest.raises(MalformedSequence):
         D.TokenSequence(
             np.zeros((5, 8)),
@@ -476,7 +493,7 @@ def reference_train(embeddings, targets, params, cfg):
             sums = {}
             for idx in batch:
                 seq = D.TokenSequence(embeddings[idx], kinds)
-                sample_losses[idx], grads = D.backward(seq, params, D.vector_to_raw(targets[idx]))
+                sample_losses[idx], grads = D.backward(seq, params, targets[idx])
                 for name, arr in grads.named_arrays():
                     sums[name] = sums[name] + arr if name in sums else arr.copy()
             reference_adam(params, {k: v * (1.0 / len(batch)) for k, v in sums.items()}, state, cfg)
@@ -527,7 +544,7 @@ class TestBatchedBackward:
         params = D.init_params(config, rng)
         samples = [(make_sequence(rng, config.d_model, 6), make_target(rng)) for _ in range(5)]
         x = np.stack([D.substitute_query(seq, params.query).embeddings for seq, _ in samples])
-        targets = np.stack([D.raw_to_vector(target) for _, target in samples])
+        targets = np.stack([target for _, target in samples])
         # A buffer full of NaN: every gradient slot must be overwritten.
         batch_grads = D.DecoderParams(config, np.full_like(params.flat, np.nan))
         losses = D._batch_backward(x, params, targets, batch_grads)

@@ -177,8 +177,7 @@ class TestToyDataset:
         assert embeddings.shape == (n, 8, 32) and targets.shape == (n, 12) and len(keys) == n
         for target, (image_id, object_id), record in zip(targets, keys, scenes):
             assert record.image_id == image_id
-            raw = D.vector_to_raw(target)
-            box = box_from_raw(raw, record.intrinsics, INDOOR_PROFILE, record.objects[0].h2d)
+            box = box_from_raw(target, record.intrinsics, INDOOR_PROFILE, record.objects[0].h2d)
             assert np.allclose(box.center, record.objects[0].box3d.center, atol=1e-9)
 
     def test_encoding_is_deterministic(self):
@@ -247,8 +246,7 @@ def _toy_target_digests(profile_name):
     _, targets, _ = build_toy_dataset(scenes, profile, ranges)
     perfect = perfect_raw_predictions(scenes, profile)
     single = [raw_from_box(o.box3d, r.intrinsics, profile) for r in scenes for o in r.objects]
-    return [_digest(targets), _digest([D.raw_to_vector(p.raw) for p in perfect]),
-            _digest([D.raw_to_vector(t) for t in single])]
+    return [_digest(targets), _digest([p.raw for p in perfect]), _digest(single)]
 
 
 def _toy_model_digests(profile_name, sigma):
@@ -262,8 +260,7 @@ def _toy_model_digests(profile_name, sigma):
     preds = decoder_predictions(scenes, params, profile, ranges, config)
     kinds = ToyEncoder.create(config, ranges, profile).kinds
     single = [D.predict(D.TokenSequence(e, kinds), params) for e in embeddings]
-    return [_digest(embeddings), _digest([D.raw_to_vector(p.raw) for p in preds]),
-            _digest([D.raw_to_vector(p) for p in single])]
+    return [_digest(embeddings), _digest([p.raw for p in preds]), _digest(single)]
 
 
 def _train_toy_digests(directory):
@@ -383,7 +380,9 @@ class TestNonPositiveDims:
         # Virtual-only depth reasons without L, so nothing else catches it.
         scenes = synth_scenes(4, seed=3)
         preds = list(perfect_raw_predictions(scenes, INDOOR_PROFILE))
-        preds[1] = replace(preds[1], raw=replace(preds[1].raw, L=-1.0))
+        raw = preds[1].raw.copy()
+        raw[D.SIZE.start] = -1.0  # L
+        preds[1] = replace(preds[1], raw=raw)
         with pytest.raises(ValueError, match=r"^box dims must be positive, got \[-1\. "):
             run_pipeline(scenes, preds, INDOOR_PROFILE)
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mono3dg.errors import DegenerateSixD, GimbalLockRegion, NotARotation
+from mono3dg.errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation
 from mono3dg.rotation import (
     EulerAngles,
     Rot6D,
     allocentric_to_egocentric,
+    allocentric_to_egocentric_batch,
     egocentric_to_allocentric,
     euler_to_matrix,
     geodesic_distance,
@@ -17,6 +18,7 @@ from mono3dg.rotation import (
     rot6d_to_matrix,
     validate_rotation,
     view_rotation,
+    view_rotation_batch,
 )
 
 
@@ -202,3 +204,17 @@ class TestViewFrame:
     def test_rejects_center_behind_camera(self):
         with pytest.raises(ValueError):
             view_rotation(np.array([1.0, 0.0, -2.0]))
+
+    @pytest.mark.parametrize(
+        "behind", [[1.0, 2.0, 0.0], [0.5, 0.0, -3.0], [0.0, 0.0, 1e-200]],
+        ids=["z-zero", "z-negative", "norm-underflows"],
+    )
+    def test_batches_reject_a_center_behind_the_camera(self, behind):
+        # The second row fails. (0, 0, 1e-200) has Z > 0, but its squared
+        # norm underflows to 0, so only the zero-norm clause catches it.
+        centers = np.array([[0.3, -0.2, 4.0], behind])
+        view_rotation_batch(centers[:1])
+        with pytest.raises(BehindCamera, match="positive Z"):
+            view_rotation_batch(centers)
+        with pytest.raises(BehindCamera, match="positive Z"):
+            allocentric_to_egocentric_batch(np.stack([np.eye(3), np.eye(3)]), centers)

@@ -7,7 +7,7 @@ import pytest
 
 from mono3dg.camera import VirtualCamera, real_to_virtual_depth
 from mono3dg.cli import main
-from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError
+from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError, ShapeMismatch
 from mono3dg import scenes as scenes_module
 from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.scenes import (
@@ -344,6 +344,16 @@ class TestRejectedWriteLeavesNoFile:
             write(path, table)
         assert not path.exists()
 
+    def test_raws_without_rot6d_create_no_file(self, tmp_path):
+        # Two 6-number raws hold twelve numbers in all, which must not
+        # regroup into one raw row.
+        raw = np.array([0.5, 0.5, 2.0, 1.0, 1.0, 1.0])
+        preds = [PredictionRecord("img", f"obj{k}", raw=raw) for k in range(2)]
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ShapeMismatch):
+            write_predictions(path, preds)
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind", ["scenes", "raw", "box"])
     def test_existing_file_keeps_its_bytes(self, tmp_path, kind):
         write, table = self._with_nan_last(kind)
@@ -352,6 +362,31 @@ class TestRejectedWriteLeavesNoFile:
         with pytest.raises(ValueError, match="non-finite number"):
             write(path, table)
         assert path.read_bytes() == b'{"kept": true}\n'
+
+
+class TestPredictionTableShape:
+    KEYS = [("img", "obj0"), ("img", "obj1")]
+
+    @pytest.mark.parametrize(
+        "shape", [(24,), (2, 13), (2, 6), (1, 12), (3, 15), (2, 12, 1)],
+        ids=["flat", "width-13", "width-6", "fewer-rows", "more-rows", "3-d"],
+    )
+    def test_rejects_values_that_are_not_one_row_per_key(self, shape):
+        with pytest.raises(ShapeMismatch, match="prediction values"):
+            PredictionTable(self.KEYS, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (1, 12)])
+    def test_of_rejects_a_raw_that_is_not_one_row(self, shape):
+        good = np.array([0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        preds = [PredictionRecord("img", "obj0", raw=good), PredictionRecord("img", "obj1", raw=np.ones(shape))]
+        with pytest.raises(ShapeMismatch, match="raw head outputs"):
+            PredictionTable.of(preds)
+
+    def test_raw_records_are_views_of_their_rows(self):
+        table = perfect_raw_predictions(synth_scenes(3, seed=1), INDOOR_PROFILE)
+        for record, row in zip(table, table.values):
+            assert record.raw.shape == row.shape and np.shares_memory(record.raw, row)
+        assert PredictionTable.of(list(table)).values.tobytes() == table.values.tobytes()
 
 
 class TestPredictionJsonl:
