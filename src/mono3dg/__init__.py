@@ -9,7 +9,6 @@ from .box3d import (
     iou3d_monte_carlo,
 )
 from .camera import (
-    DEFAULT_VIRTUAL_CAMERA,
     CameraIntrinsics,
     DepthMode,
     Point2D,

@@ -77,9 +77,11 @@ CENTER, DIMS, ROT = slice(0, 3), slice(3, 6), slice(6, BOX_WIDTH)
 _OUT_OF_PLANE = [12, 13, 8, 11]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedBox3D:
-    """3D box given by center (m), dims (L, W, H in m), and rotation matrix."""
+    """3D box given by center (m), dims (L, W, H in m), and rotation matrix.
+
+    It holds arrays, so == is identity; compare rows to compare boxes."""
 
     center: np.ndarray
     dims: np.ndarray
@@ -267,11 +269,6 @@ def yaw_only(rows: np.ndarray) -> np.ndarray:
     """Which of N boxes, given as (N, 15) rows, have no pitch/roll terms
     (within YAW_ONLY_TOL), so that their footprint and height extent separate."""
     return (np.abs(rows[:, _OUT_OF_PLANE]) <= YAW_ONLY_TOL).all(axis=1)
-
-
-def is_yaw_only(box: OrientedBox3D) -> bool:
-    """:func:`yaw_only` for one box."""
-    return bool(yaw_only(box.row[None])[0])
 
 
 def _require_yaw_only(rows: np.ndarray) -> None:

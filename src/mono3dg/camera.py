@@ -48,9 +48,6 @@ class VirtualCamera(NamedTuple):
     width_v: float = 1000.0
 
 
-DEFAULT_VIRTUAL_CAMERA = VirtualCamera()
-
-
 class Point2D(NamedTuple):
     u: float
     v: float

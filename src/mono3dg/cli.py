@@ -21,7 +21,6 @@ from .errors import Mono3DGError
 from .jsonio import dumps_canonical, loads_strict
 from .metrics import format_report, report_to_json
 from .pipeline import (
-    ToyTaskConfig,
     build_toy_dataset,
     perfect_raw_predictions,
     run_pipeline,
@@ -144,7 +143,7 @@ def _cmd_train_toy(args) -> int:
     scenes = read_scenes(args.data)
     profile = profile_by_name(args.profile)
     ranges = ranges_for_profile(args.profile)
-    embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges, ToyTaskConfig())
+    embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges)
     rng = np.random.default_rng(seed)
     params = decoder.init_params(decoder.DecoderConfig(), rng)
     cfg = decoder.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=seed)

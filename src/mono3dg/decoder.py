@@ -465,14 +465,15 @@ def backward(seq: TokenSequence, params: DecoderParams, target: np.ndarray):
 class TrainConfig:
     epochs: int = 500
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     seed: int = 0
 
 
-def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig, scratch=None) -> None:
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_step(flat, grad, m, v, t: int, lr: float, scratch) -> None:
     """Adam step number t on the parameter vector; flat, m and v change in place.
 
     Each operation is that of ``m += (1 - beta1) * grad``, ``v += (1 - beta2)
@@ -480,19 +481,19 @@ def _adam_step(flat, grad, m, v, t: int, cfg: TrainConfig, scratch=None) -> None
     order, written into ``scratch``: two vectors shaped like flat, which a
     loop of steps allocates once. grad is not modified.
     """
-    s1, s2 = (np.empty_like(flat), np.empty_like(flat)) if scratch is None else scratch
-    m *= cfg.beta1
-    np.multiply(1 - cfg.beta1, grad, out=s1)
+    s1, s2 = scratch
+    m *= ADAM_BETA1
+    np.multiply(1 - ADAM_BETA1, grad, out=s1)
     m += s1
-    v *= cfg.beta2
-    np.multiply(1 - cfg.beta2, grad, out=s1)
+    v *= ADAM_BETA2
+    np.multiply(1 - ADAM_BETA2, grad, out=s1)
     s1 *= grad
     v += s1
-    np.divide(m, 1 - cfg.beta1**t, out=s1)
-    np.divide(v, 1 - cfg.beta2**t, out=s2)
+    np.divide(m, 1 - ADAM_BETA1**t, out=s1)
+    np.divide(v, 1 - ADAM_BETA2**t, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += cfg.eps
-    s1 *= cfg.lr
+    s2 += ADAM_EPS
+    s1 *= lr
     s1 /= s2
     flat -= s1
 
@@ -536,7 +537,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
             sample_losses[batch] = losses
             grads.flat *= 1.0 / len(batch)
             step += 1
-            _adam_step(params.flat, grads.flat, m, v, step, cfg, scratch)
+            _adam_step(params.flat, grads.flat, m, v, step, cfg.lr, scratch)
         # summed in sample order so the history is shuffle-independent
         history.append(float(sample_losses.sum()) / n)
     return params, history

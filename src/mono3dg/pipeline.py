@@ -13,8 +13,6 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .box3d import CENTER, DIMS, ROT, OrientedBox3D, check_dims
@@ -37,12 +35,13 @@ from .decoder import (
     ROT6D_B,
     SIZE,
     UV,
+    DecoderConfig,
     DecoderParams,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
     predict_batch,
     raw_row,
 )
-from .errors import UnmatchedPrediction
+from .errors import UnmatchedPrediction, reject_first
 from .metrics import (
     MetricReport,
     aggregate,
@@ -177,7 +176,8 @@ def run_pipeline(
 
     Every prediction must match a ground-truth (image_id, object_id); the
     reverse is not required, and of two predictions for one query the last
-    counts. All predicted queries are reasoned and scored in one batch.
+    counts. A prediction row that is not finite raises ValueError naming its
+    key. All predicted queries are reasoned and scored in one batch.
     """
     scenes, preds = SceneTable.of(scenes), PredictionTable.of(preds)
     gt_keys = scenes.keys
@@ -187,6 +187,10 @@ def run_pipeline(
         if key not in known:
             raise UnmatchedPrediction(f"prediction for unknown query {key}")
         row_of[key] = row
+    reject_first(
+        ~np.isfinite(preds.values).all(axis=1), preds.keys, ValueError,
+        "prediction for {} is not finite",
+    )
     picked = np.array([row_of.get(key, -1) for key in gt_keys], dtype=int)
     queries = (picked >= 0).nonzero()[0]
     # The predicted boxes as (K, 15) rows: raw head outputs go through the
@@ -205,17 +209,6 @@ def run_pipeline(
 # -- toy token task --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToyTaskConfig:
-    """Deterministic token encoding of scenes for decoder training."""
-
-    d_model: int = 32
-    n_caption: int = 2
-    n_image: int = 4
-    encoding_seed: int = 7
-    noise_sigma: float = 0.0
-
-
 def target_standardization(ranges: SynthRanges, profile: DatasetProfile):
     """Per-component affine whitening for the 12-dim target vector, derived
     from the generation ranges (midpoint and half-range)."""
@@ -229,68 +222,46 @@ def target_standardization(ranges: SynthRanges, profile: DatasetProfile):
     return mid, half
 
 
-@dataclass
-class ToyEncoder:
-    """Fixed random projections shared by every sequence of a dataset."""
-
-    config: ToyTaskConfig
-    caption_tokens: np.ndarray
-    pos_token: np.ndarray
-    image_maps: list
-    image_biases: list
-    mid: np.ndarray
-    half: np.ndarray
-
-    @staticmethod
-    def create(config: ToyTaskConfig, ranges: SynthRanges, profile: DatasetProfile) -> "ToyEncoder":
-        rng = np.random.default_rng(config.encoding_seed)
-        d = config.d_model
-        mid, half = target_standardization(ranges, profile)
-        return ToyEncoder(
-            config=config,
-            caption_tokens=0.5 * rng.standard_normal((config.n_caption, d)),
-            pos_token=0.5 * rng.standard_normal(d),
-            image_maps=[rng.standard_normal((d, RAW_WIDTH)) / np.sqrt(RAW_WIDTH) for _ in range(config.n_image)],
-            image_biases=[0.1 * rng.standard_normal(d) for _ in range(config.n_image)],
-            mid=mid,
-            half=half,
-        )
-
-    @property
-    def kinds(self) -> tuple:
-        cfg = self.config
-        return (KIND_CAPTION,) * cfg.n_caption + (KIND_IMAGE,) * cfg.n_image + (KIND_POS, KIND_QUERY)
-
-    def encode_batch(self, targets: np.ndarray, noise_rng: np.random.Generator) -> np.ndarray:
-        """Token embeddings (N, T, d) of N target vectors (N, 12), with
-        positions as in :attr:`kinds`; the query slot is left zero. Noise is
-        drawn query by query, image token by image token."""
-        cfg = self.config
-        g = (targets - self.mid) / self.half
-        emb = np.zeros((len(g), len(self.kinds), cfg.d_model))
-        emb[:, : cfg.n_caption] = self.caption_tokens
-        image = emb[:, cfg.n_caption : cfg.n_caption + cfg.n_image]
-        for i, (m, b) in enumerate(zip(self.image_maps, self.image_biases)):
-            image[:, i] = np.matmul(m, g[:, :, None])[:, :, 0] + b
-        if cfg.noise_sigma > 0:
-            image += cfg.noise_sigma * noise_rng.standard_normal(image.shape)
-        emb[:, -2] = self.pos_token
-        return emb
+# Every toy sequence is two caption tokens, four image tokens, then the pos
+# marker and the query slot. Its fixed token maps are drawn from seed
+# _TOY_SEED and its noise from the next seed.
+_N_CAPTION, _N_IMAGE = 2, 4
+TOY_KINDS = (KIND_CAPTION,) * _N_CAPTION + (KIND_IMAGE,) * _N_IMAGE + (KIND_POS, KIND_QUERY)
+_TOY_SEED = 7
 
 
 def build_toy_dataset(
     scenes: SceneTable | list[SceneRecord],
     profile: DatasetProfile,
     ranges: SynthRanges,
-    config: ToyTaskConfig | None = None,
+    noise_sigma: float = 0.0,
 ):
-    """Embeddings (N, T, d), targets (N, 12) and (image_id, object_id) keys
-    of every query, in scene order; the query slot of each sequence is last."""
-    config = config or ToyTaskConfig()
-    encoder = ToyEncoder.create(config, ranges, profile)
+    """Embeddings (N, len(TOY_KINDS), d_model) for a default
+    :class:`DecoderConfig`, targets (N, 12) and (image_id, object_id) keys
+    of every query, in scene order.
+
+    The caption tokens and the pos token are fixed for every sequence, and
+    each image token is a fixed affine map of the whitened target plus, when
+    ``noise_sigma`` > 0, Gaussian noise drawn query by query, image token by
+    image token. The query slot, last, is left zero."""
+    d = DecoderConfig().d_model
+    rng = np.random.default_rng(_TOY_SEED)
+    caption_tokens = 0.5 * rng.standard_normal((_N_CAPTION, d))
+    pos_token = 0.5 * rng.standard_normal(d)
+    image_maps = rng.standard_normal((_N_IMAGE, d, RAW_WIDTH)) / np.sqrt(RAW_WIDTH)
+    image_biases = 0.1 * rng.standard_normal((_N_IMAGE, d))
+    mid, half = target_standardization(ranges, profile)
     boxes, cams, keys = _queries(scenes)
     targets = raw_from_box_batch(boxes, cams, profile)
-    embeddings = encoder.encode_batch(targets, np.random.default_rng(config.encoding_seed + 1))
+    g = (targets - mid) / half
+    embeddings = np.zeros((len(g), len(TOY_KINDS), d))
+    embeddings[:, :_N_CAPTION] = caption_tokens
+    image = embeddings[:, _N_CAPTION:-2]
+    for i, (m, b) in enumerate(zip(image_maps, image_biases)):
+        image[:, i] = np.matmul(m, g[:, :, None])[:, :, 0] + b
+    if noise_sigma > 0:
+        image += noise_sigma * np.random.default_rng(_TOY_SEED + 1).standard_normal(image.shape)
+    embeddings[:, -2] = pos_token
     return embeddings, targets, keys
 
 
@@ -299,8 +270,8 @@ def decoder_predictions(
     params: DecoderParams,
     profile: DatasetProfile,
     ranges: SynthRanges,
-    config: ToyTaskConfig | None = None,
+    noise_sigma: float = 0.0,
 ) -> PredictionTable:
     """Run the trained decoder over the toy encodings of these scenes, as one batch."""
-    embeddings, _, keys = build_toy_dataset(scenes, profile, ranges, config)
+    embeddings, _, keys = build_toy_dataset(scenes, profile, ranges, noise_sigma)
     return PredictionTable(keys, predict_batch(embeddings, params))

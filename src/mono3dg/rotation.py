@@ -53,7 +53,7 @@ def rotation_defects(R: np.ndarray) -> tuple:
     return err, np.linalg.det(R)
 
 
-def validate_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def validate_rotation(R: np.ndarray) -> np.ndarray:
     """Return R as a float64 array, raising NotARotation if it fails checks."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
@@ -61,9 +61,9 @@ def validate_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     if not np.all(np.isfinite(R)):
         raise NotARotation("matrix contains non-finite entries")
     err, det = rotation_defects(R)
-    if err > tol:
+    if err > ROTATION_TOL:
         raise NotARotation(f"R^T R deviates from identity by {err:.3e}")
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOL:
         raise NotARotation(f"determinant {float(det)} is not 1")
     return R
 
@@ -228,11 +228,6 @@ def view_rotation_batch(centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def view_rotation(center) -> np.ndarray:
-    """:func:`view_rotation_batch` for one center."""
-    return view_rotation_batch(np.asarray(tuple(center), dtype=float).reshape(1, 3))[0]
-
-
 def allocentric_to_egocentric_batch(R_alloc: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Camera-frame rotations (N, 3, 3) from viewing-ray-relative ones and their centers (N, 3)."""
     return _matmul3(view_rotation_batch(centers), R_alloc)
@@ -248,10 +243,3 @@ def allocentric_to_egocentric(R_alloc: np.ndarray, center) -> np.ndarray:
 def egocentric_to_allocentric_batch(R_ego: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Viewing-ray-relative rotations (N, 3, 3) from camera-frame ones and their centers (N, 3)."""
     return _matmul3(np.swapaxes(view_rotation_batch(centers), 1, 2), R_ego)
-
-
-def egocentric_to_allocentric(R_ego: np.ndarray, center) -> np.ndarray:
-    """:func:`egocentric_to_allocentric_batch` for one rotation."""
-    R = np.asarray(R_ego, dtype=float).reshape(1, 3, 3)
-    c = np.asarray(tuple(center), dtype=float).reshape(1, 3)
-    return egocentric_to_allocentric_batch(R, c)[0]

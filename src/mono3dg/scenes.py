@@ -127,7 +127,9 @@ def ranges_for_profile(name: str) -> SynthRanges:
     return _by_profile(_RANGES, name)
 
 
-@dataclass(frozen=True)
+# Records hold arrays, so == on them is identity (eq=False): field-wise
+# == would compare arrays and raise.
+@dataclass(frozen=True, eq=False)
 class SceneObject:
     object_id: str
     caption: str
@@ -136,14 +138,14 @@ class SceneObject:
     h2d: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneRecord:
     image_id: str
     intrinsics: CameraIntrinsics
     objects: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionRecord:
     """One prediction per query: either raw head outputs or a direct box."""
 

@@ -16,7 +16,7 @@ from mono3dg.box3d import (
     _require_yaw_only,
     iou3d_bev_yaw,
     iou3d_monte_carlo,
-    is_yaw_only,
+    yaw_only,
 )
 from mono3dg.errors import NotYawOnly
 from mono3dg.rotation import random_rotation
@@ -419,7 +419,7 @@ class TestBEVFastPath:
                 accepted = True
             except NotYawOnly:
                 accepted = False
-            assert is_yaw_only(box) == accepted
+            assert yaw_only(box.row[None])[0] == accepted
             verdicts.append(accepted)
         # Identity, yaw, flipped and the four entries at exactly the tolerance.
         assert sum(verdicts) == 7

@@ -469,11 +469,11 @@ def reference_adam(params, grads, state, cfg):
         if name not in state["m"]:
             state["m"][name] = np.zeros_like(arr)
             state["v"][name] = np.zeros_like(arr)
-        state["m"][name] = cfg.beta1 * state["m"][name] + (1 - cfg.beta1) * g
-        state["v"][name] = cfg.beta2 * state["v"][name] + (1 - cfg.beta2) * g * g
-        m_hat = state["m"][name] / (1 - cfg.beta1**t)
-        v_hat = state["v"][name] / (1 - cfg.beta2**t)
-        params.set_named(name, arr - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps))
+        state["m"][name] = D.ADAM_BETA1 * state["m"][name] + (1 - D.ADAM_BETA1) * g
+        state["v"][name] = D.ADAM_BETA2 * state["v"][name] + (1 - D.ADAM_BETA2) * g * g
+        m_hat = state["m"][name] / (1 - D.ADAM_BETA1**t)
+        v_hat = state["v"][name] / (1 - D.ADAM_BETA2**t)
+        params.set_named(name, arr - cfg.lr * m_hat / (np.sqrt(v_hat) + D.ADAM_EPS))
 
 
 def reference_train(embeddings, targets, params, cfg):
@@ -614,21 +614,19 @@ class TestFlatParameters:
         assert not np.shares_memory(clone.flat, params.flat)
 
     def test_vector_adam_equals_per_name_update(self):
-        # The first steps allocate their own scratch; the rest reuse one pair.
+        # The first steps get fresh scratch; the rest reuse one pair.
         rng = np.random.default_rng(36)
         cfg = D.TrainConfig(lr=3e-3)
         vector = D.init_params(small_config(), rng)
         named = vector.copy()
         m, v = np.zeros_like(vector.flat), np.zeros_like(vector.flat)
-        scratch = np.empty_like(vector.flat), np.empty_like(vector.flat)
         state = {"step": 0, "m": {}, "v": {}}
         for step in range(1, 61):
             grad = D.DecoderParams(vector.config, rng.standard_normal(vector.flat.size))
             before = grad.flat.copy()
             if step <= 3:
-                D._adam_step(vector.flat, grad.flat, m, v, step, cfg)
-            else:
-                D._adam_step(vector.flat, grad.flat, m, v, step, cfg, scratch)
+                scratch = np.empty_like(vector.flat), np.empty_like(vector.flat)
+            D._adam_step(vector.flat, grad.flat, m, v, step, cfg.lr, scratch)
             assert np.array_equal(grad.flat, before)
             reference_adam(named, dict(grad.named_arrays()), state, cfg)
             assert np.array_equal(vector.flat, named.flat)

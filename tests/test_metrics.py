@@ -97,7 +97,7 @@ class TestYawOnlyRouting:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_exact_iou(self, case):
         pred, gt = self.CASES[case]
-        assert box3d.is_yaw_only(pred) and box3d.is_yaw_only(gt)
+        assert box3d.yaw_only(np.array([pred.row, gt.row])).all()
         assert score_query(pred, gt, "q").iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
 
     def test_yaw_only_pair_skips_exact_clipper(self, monkeypatch):
@@ -119,7 +119,7 @@ class TestYawOnlyRouting:
         tilted_rot = yaw_rot(0.5)
         tilted_rot[2, 0] = 1e-6
         pred = OrientedBox3D([0.1, 0.0, 10.0], [2.0, 1.0, 1.0], tilted_rot)
-        assert not box3d.is_yaw_only(pred)
+        assert not box3d.yaw_only(pred.row[None])[0]
         assert score_query(pred, gt, "q").iou == iou3d(pred, gt)
         assert score_query(gt, pred, "q").iou == iou3d(gt, pred)
 
@@ -150,7 +150,7 @@ class TestYawOnlyRouting:
         for (pred, gt), score in zip(pairs, scores):
             assert score[0] == pytest.approx(iou3d(pred, gt), abs=1e-9)
         for (pred, gt), score in zip(tilted, scores[len(pairs):]):
-            assert not (box3d.is_yaw_only(pred) and box3d.is_yaw_only(gt))
+            assert not box3d.yaw_only(np.array([pred.row, gt.row])).all()
             assert score[0] == iou3d(pred, gt)
         # Each row of the batch is what scoring that pair alone gives.
         monkeypatch.undo()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,8 +15,7 @@ from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import MetricReport, score_query, score_query_batch
 from mono3dg.pipeline import (
-    ToyEncoder,
-    ToyTaskConfig,
+    TOY_KINDS,
     box_from_raw,
     box_from_raw_columns,
     box_predictions_from_gt,
@@ -139,6 +139,24 @@ class TestScoring:
         with pytest.raises(UnmatchedPrediction):
             run_pipeline(scenes, preds + [rogue], INDOOR_PROFILE)
 
+    @pytest.mark.parametrize(
+        "mode, column, value",
+        [("raw", D.D_V, np.nan), ("raw", D.D_V, np.inf), ("box", 0, np.nan)],
+        ids=["raw-nan", "raw-inf", "box-nan"],
+    )
+    def test_non_finite_prediction_row_raises_with_its_key(self, mode, column, value):
+        # Scored, a NaN d_v would count as a missing prediction and an inf
+        # one would make the mean depth error inf.
+        scenes = synth_scenes(20, seed=0, profile_name="outdoor")
+        if mode == "raw":
+            preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
+        else:
+            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+        values = preds.values.copy()
+        values[7, column] = value
+        with pytest.raises(ValueError, match=re.escape(f"prediction for {preds.keys[7]} is not finite")):
+            run_pipeline(scenes, PredictionTable(preds.keys, values), OUTDOOR_PROFILE)
+
 
 def _virtual_only_outdoor():
     return replace(OUTDOOR_PROFILE, depth_mode=DepthMode.VIRTUAL_ONLY)
@@ -186,6 +204,16 @@ class TestToyDataset:
         a, _, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
         b, _, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges)
         assert np.array_equal(a, b)
+
+    def test_tokens_fit_the_default_decoder(self):
+        scenes = synth_scenes(6, seed=10, profile_name="indoor")
+        embeddings, targets, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges_for_profile("indoor"))
+        assert embeddings.shape == (len(targets), len(TOY_KINDS), D.DecoderConfig().d_model)
+        for e in embeddings:
+            D.TokenSequence(e, TOY_KINDS)
+        params = D.init_params(D.DecoderConfig(), np.random.default_rng(10))
+        _, history = D.train(embeddings, targets, params, D.TrainConfig(epochs=1))
+        assert len(history) == 1 and np.isfinite(history[0])
 
 
 def _digest(values) -> str:
@@ -254,12 +282,10 @@ def _toy_model_digests(profile_name, sigma):
     from fixed initial parameters, and of ``predict`` query by query."""
     profile, ranges = profile_by_name(profile_name), ranges_for_profile(profile_name)
     scenes = synth_scenes(24, seed=13, profile_name=profile_name)
-    config = ToyTaskConfig(noise_sigma=sigma)
     params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
-    embeddings, _, _ = build_toy_dataset(scenes, profile, ranges, config)
-    preds = decoder_predictions(scenes, params, profile, ranges, config)
-    kinds = ToyEncoder.create(config, ranges, profile).kinds
-    single = [D.predict(D.TokenSequence(e, kinds), params) for e in embeddings]
+    embeddings, _, _ = build_toy_dataset(scenes, profile, ranges, sigma)
+    preds = decoder_predictions(scenes, params, profile, ranges, sigma)
+    single = [D.predict(D.TokenSequence(e, TOY_KINDS), params) for e in embeddings]
     return [_digest(embeddings), _digest([p.raw for p in preds]), _digest(single)]
 
 

@@ -9,7 +9,7 @@ from mono3dg.rotation import (
     Rot6D,
     allocentric_to_egocentric,
     allocentric_to_egocentric_batch,
-    egocentric_to_allocentric,
+    egocentric_to_allocentric_batch,
     euler_to_matrix,
     geodesic_distance,
     matrix_to_euler,
@@ -17,7 +17,6 @@ from mono3dg.rotation import (
     random_rotation,
     rot6d_to_matrix,
     validate_rotation,
-    view_rotation,
     view_rotation_batch,
 )
 
@@ -185,25 +184,26 @@ class TestViewFrame:
         rng = np.random.default_rng(7)
         for _ in range(200):
             center = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 50)])
-            R = view_rotation(center)
+            R = view_rotation_batch(center[None])[0]
             validate_rotation(R)
             ray = center / np.linalg.norm(center)
             assert np.allclose(R @ np.array([0, 0, 1.0]), ray, atol=1e-12)
 
     def test_on_axis_is_identity(self):
-        assert np.allclose(view_rotation(np.array([0, 0, 3.0])), np.eye(3))
+        assert np.allclose(view_rotation_batch(np.array([[0, 0, 3.0]]))[0], np.eye(3))
 
     def test_frame_conversions_invert(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             center = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 50)])
             R = random_rotation(rng)
-            back = allocentric_to_egocentric(egocentric_to_allocentric(R, center), center)
+            alloc = egocentric_to_allocentric_batch(R[None], center[None])[0]
+            back = allocentric_to_egocentric(alloc, center)
             assert np.abs(back - R).max() <= 1e-12
 
     def test_rejects_center_behind_camera(self):
         with pytest.raises(ValueError):
-            view_rotation(np.array([1.0, 0.0, -2.0]))
+            view_rotation_batch(np.array([[1.0, 0.0, -2.0]]))
 
     @pytest.mark.parametrize(
         "behind", [[1.0, 2.0, 0.0], [0.5, 0.0, -3.0], [0.0, 0.0, 1e-200]],

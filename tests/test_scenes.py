@@ -389,6 +389,25 @@ class TestPredictionTableShape:
         assert PredictionTable.of(list(table)).values.tobytes() == table.values.tobytes()
 
 
+class TestRecordEquality:
+    """Records hold arrays, so == is identity: a record equals itself, and
+    two reads of one row are unequal, without raising."""
+
+    def test_equality_is_identity(self):
+        scenes = synth_scenes(2, seed=4)
+        preds = perfect_raw_predictions(scenes, INDOOR_PROFILE)
+        first, second = scenes[0], scenes[0]
+        pairs = [
+            (first, second),
+            (first.objects[0], second.objects[0]),
+            (first.objects[0].box3d, second.objects[0].box3d),
+            (preds[0], preds[0]),
+        ]
+        for a, b in pairs:
+            assert a == a and not a != a
+            assert a != b and not a == b
+
+
 class TestPredictionJsonl:
     def test_raw_round_trip(self, tmp_path):
         scenes = synth_scenes(10, seed=12, profile_name="outdoor")
