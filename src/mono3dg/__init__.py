@@ -25,7 +25,6 @@ from .camera import (
 from .decoder import (
     DecoderConfig,
     DecoderParams,
-    TokenSequence,
     TrainConfig,
     backward,
     forward,

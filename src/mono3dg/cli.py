@@ -181,9 +181,7 @@ def _run_gradchecks(seed: int) -> float:
 
     config = decoder.DecoderConfig(d_model=8, n_layers=1, d_ff=12, head_hidden=6)
     params = decoder.init_params(config, rng)
-    kinds = (decoder.KIND_CAPTION, decoder.KIND_IMAGE, decoder.KIND_IMAGE,
-             decoder.KIND_POS, decoder.KIND_QUERY)
-    seq = decoder.TokenSequence(rng.standard_normal((5, 8)), kinds)
+    seq = rng.standard_normal((5, 8))
     target = np.concatenate([[0.4, 0.6, 1.5, 0.8, 0.6, 1.1], rng.standard_normal(6)])
     _, grads = decoder.backward(seq, params, target)
 

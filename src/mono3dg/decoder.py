@@ -1,73 +1,39 @@
 """Desk-scale token decoder: query substitution, self-attention stack,
 regression heads, L1 loss, hand-written backprop, and Adam training.
 
-The sequence carries caption/image tokens followed by a pos marker and a
-query slot; the slot's embedding is replaced by a learnable query vector
-whose final hidden state f3d feeds four small MLP heads (center
-projection, sizes, virtual depth, 6D rotation). Layers are causal
-single-head self-attention + feed-forward, both with residual connections
-and no normalization, so gradients stay exactly checkable against finite
-differences. Heads and feed-forward blocks share one MLP form
-(:func:`_mlp`/:func:`_mlp_backward`) and prediction and training one head
-forward (:func:`_heads`). A training step over a stacked (B, T, d)
-minibatch runs the stack forward, the head step :func:`_l1_head_step`
-(losses and the gradient on f3d), then the stack backward. Every parameter
-lives in one flat vector. scipy is the decoder's alone (gelu's ``erf``);
-:func:`_gelu` imports it on the first forward pass, so ``project``,
-``synth`` and ``evaluate`` never load it. :func:`attention` and
-:func:`attention_backward` are the one softmax attention of the package;
-the fusion block's cross-branch attention uses them too.
+A token sequence is its (T, d) float64 embeddings, and N of them stack as
+(N, T, d); the last token is the query slot. :func:`_sequences` checks
+every sequence input, and :func:`substitute_query` alone writes the
+learnable query vector into the slot. The slot's final hidden state f3d
+feeds four small MLP heads (center projection, sizes, virtual depth, 6D
+rotation). Layers are causal single-head self-attention + feed-forward,
+both with residual connections and no normalization, so gradients stay
+exactly checkable against finite differences. Heads and feed-forward
+blocks share one MLP form (:func:`_mlp`/:func:`_mlp_backward`) and
+prediction and training one head forward (:func:`_heads`). A training
+step over a stacked (B, T, d) minibatch runs the stack forward, the head
+step :func:`_l1_head_step` (losses and the gradient on f3d), then the
+stack backward. Every parameter lives in one flat vector. scipy is the
+decoder's alone (gelu's ``erf``); :func:`_gelu` imports it on the first
+forward pass, so ``project``, ``synth`` and ``evaluate`` never load it.
+:func:`attention` and :func:`attention_backward` are the one softmax
+attention of the package; the fusion block's cross-branch attention uses
+them too.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch
+from .errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch, reject_first
 from .jsonio import array_template, check_finite, dumps_canonical, loads_strict, object_template
 
-KIND_CAPTION = "caption"
-KIND_IMAGE = "image"
-KIND_POS = "pos_marker"
-KIND_QUERY = "query_slot"
-
 _MASK_VALUE = -1e30
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Embedded tokens (seq_len, d_model) with per-position kind tags.
-
-    The tail must be exactly [pos_marker, query_slot], and those kinds may
-    not appear anywhere else.
-    """
-
-    embeddings: np.ndarray
-    kinds: tuple
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=float)
-        object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        if emb.ndim != 2 or emb.shape[0] != len(self.kinds):
-            raise MalformedSequence(
-                f"embeddings {emb.shape} do not match {len(self.kinds)} kind tags"
-            )
-        if not np.all(np.isfinite(emb)):
-            raise MalformedSequence("embeddings contain non-finite values")
-        if self.kinds.count(KIND_POS) != 1 or self.kinds.count(KIND_QUERY) != 1:
-            raise MalformedSequence("sequence must contain exactly one pos_marker and one query_slot")
-        if self.kinds[-2:] != (KIND_POS, KIND_QUERY):
-            raise MalformedSequence("pos_marker must immediately precede the query_slot at the tail")
-
-    @property
-    def query_position(self) -> int:
-        return len(self.kinds) - 1
 
 
 # A raw row holds one query's head outputs, the RAW_FIELDS and then the
@@ -122,25 +88,29 @@ class DecoderConfig:
     d_ff: int = 64
     head_hidden: int = 32
 
+    def __post_init__(self):
+        """Raise SchemaError naming ``config.<field>`` for a width below 1 or
+        a negative ``n_layers``: a zero width has no checkpoint form."""
+        for name, value in self.to_json().items():
+            least = 0 if name == "n_layers" else 1
+            if value < least:
+                raise SchemaError(f"config.{name}", f"{value!r} is not an integer >= {least}")
+
     def to_json(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "head_hidden": self.head_hidden,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj) -> "DecoderConfig":
         """The config :meth:`to_json` wrote. Raises SchemaError naming
         ``config`` when obj is not an object with exactly these fields, and
-        ``config.<field>`` when a field is not a JSON integer >= 0."""
+        ``config.<field>`` when a field is not a JSON integer or is below
+        its least value, as construction does."""
         fields = DecoderConfig.__dataclass_fields__
         if not isinstance(obj, dict) or obj.keys() != fields.keys():
             raise SchemaError("config", f"not an object of the fields {', '.join(fields)}")
         for name, value in obj.items():
-            if type(value) is not int or value < 0:
-                raise SchemaError(f"config.{name}", f"{value!r} is not a JSON integer >= 0")
+            if type(value) is not int:
+                raise SchemaError(f"config.{name}", f"{value!r} is not a JSON integer")
         return DecoderConfig(**obj)
 
 
@@ -242,14 +212,29 @@ def softplus(x: np.ndarray) -> np.ndarray:
 # The stack runs on one sequence (T, d) or on a stacked minibatch (B, T, d).
 
 
-def substitute_query(seq: TokenSequence, query: np.ndarray) -> TokenSequence:
-    """Overwrite the query slot's embedding with the learnable query vector."""
+def _sequences(x, d_model: int, ndim: int) -> np.ndarray:
+    """x as float64 token sequences of rank ndim: one sequence (T, d_model)
+    when ndim is 2, a stack (N, T, d_model) when 3. Raises ShapeMismatch for
+    another rank or width or for zero tokens, and MalformedSequence for a
+    non-finite entry."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != d_model or x.shape[-2] == 0:
+        expected = ("N, " if ndim == 3 else "") + f"T >= 1, {d_model}"
+        raise ShapeMismatch(f"embeddings {x.shape} vs ({expected})")
+    if not np.isfinite(x).all():
+        raise MalformedSequence("embeddings contain non-finite values")
+    return x
+
+
+def substitute_query(x: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the sequences x [..., T, d] whose last token, the
+    query slot, is the learnable query vector (d,)."""
     query = np.asarray(query, dtype=float)
-    if query.shape != (seq.embeddings.shape[1],):
-        raise ShapeMismatch(f"query vector {query.shape} vs d_model {seq.embeddings.shape[1]}")
-    emb = seq.embeddings.copy()
-    emb[seq.query_position] = query
-    return TokenSequence(emb, seq.kinds)
+    x = np.array(x, dtype=float, order="C")
+    if query.shape != x.shape[-1:]:
+        raise ShapeMismatch(f"query vector {query.shape} vs d_model {x.shape[-1]}")
+    x[..., -1, :] = query
+    return x
 
 
 def attention(x_q: np.ndarray, x_kv: np.ndarray, w_q, w_k, w_v, mask=None):
@@ -294,8 +279,6 @@ def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
 
 
 def _stack_forward(x: np.ndarray, params: DecoderParams):
-    if x.shape[-1] != params.config.d_model:
-        raise ShapeMismatch(f"sequence d_model {x.shape[-1]} vs config {params.config.d_model}")
     n = x.shape[-2]
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     caches = []
@@ -305,10 +288,11 @@ def _stack_forward(x: np.ndarray, params: DecoderParams):
     return x, caches
 
 
-def forward(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
-    """Run the decoder stack; returns the query position's final hidden state."""
-    x, _ = _stack_forward(seq.embeddings, params)
-    return x[seq.query_position].copy()
+def forward(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Run the decoder stack on one sequence (T, d) with the query in its
+    slot; returns the query slot's final hidden state."""
+    x = substitute_query(_sequences(x, params.config.d_model, 2), params.query)
+    return _stack_forward(x, params)[0][-1].copy()
 
 
 def _heads(f3d: np.ndarray, params: DecoderParams):
@@ -338,21 +322,19 @@ _PREDICT_CHUNK = 32
 def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Predicted head outputs as (N, RAW_WIDTH) raw rows, of N stacked
     sequences (N, T, d) whose last position is the query slot."""
-    if embeddings.shape[-1] != params.config.d_model:
-        raise ShapeMismatch(f"sequence d_model {embeddings.shape[-1]} vs config {params.config.d_model}")
+    embeddings = _sequences(embeddings, params.config.d_model, 3)
     out = np.empty((len(embeddings), RAW_WIDTH))
     for start in range(0, len(embeddings), _PREDICT_CHUNK):
-        x = embeddings[start : start + _PREDICT_CHUNK].copy()
-        x[:, -1] = params.query
+        x = substitute_query(embeddings[start : start + _PREDICT_CHUNK], params.query)
         x_final, _ = _stack_forward(x, params)
         # (n, 1, d): the heads see a one-token sequence per query, as in training
         out[start : start + len(x)] = _heads(x_final[:, -1:], params)[0][:, 0]
     return out
 
 
-def predict(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
-    """:func:`predict_batch` for one sequence."""
-    return predict_batch(seq.embeddings[None], params)[0]
+def predict(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """:func:`predict_batch` for one sequence (T, d)."""
+    return predict_batch(_sequences(x, params.config.d_model, 2)[None], params)[0]
 
 
 def loss(raw: np.ndarray, target: np.ndarray) -> float:
@@ -446,15 +428,16 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     return losses
 
 
-def backward(seq: TokenSequence, params: DecoderParams, target: np.ndarray):
-    """Loss and analytic gradients for every parameter, query included.
+def backward(x: np.ndarray, params: DecoderParams, target: np.ndarray):
+    """Loss and analytic gradients for every parameter, query included, of
+    one sequence (T, d) and its target raw row.
 
     The query substitution is applied internally, so the gradient that lands
     on the query slot's input embedding is the query gradient.
     """
-    sub = substitute_query(seq, params.query)
+    x = substitute_query(_sequences(x, params.config.d_model, 2), params.query)
     grads = DecoderParams(params.config)
-    losses = _batch_backward(sub.embeddings[None], params, raw_row(target)[None], grads)
+    losses = _batch_backward(x[None], params, raw_row(target)[None], grads)
     return float(losses[0]), grads
 
 
@@ -504,21 +487,20 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
 
     Each minibatch runs one batched forward/backward; its gradient is the
     mean over its samples. Deterministic given cfg.seed. Returns the trained
-    parameters and the per-epoch mean training loss.
+    parameters and the per-epoch mean training loss. A non-finite target
+    raises ValueError naming its sample before the first step.
     """
     for name, value in (("epochs", cfg.epochs), ("batch_size", cfg.batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    embeddings, targets = np.asarray(embeddings, dtype=float), np.asarray(targets, dtype=float)
+    embeddings = _sequences(embeddings, params.config.d_model, 3)
+    targets = np.asarray(targets, dtype=float)
     n = len(embeddings)
     if n == 0:
         raise EmptyDataset("training requires at least one sample")
-    if embeddings.ndim != 3 or embeddings.shape[2] != params.config.d_model:
-        raise ShapeMismatch(f"embeddings {embeddings.shape} vs (N, T, {params.config.d_model})")
     if targets.shape != (n, RAW_WIDTH):
         raise ShapeMismatch(f"targets {targets.shape} vs ({n}, {RAW_WIDTH})")
-    if not np.all(np.isfinite(embeddings)):
-        raise MalformedSequence("embeddings contain non-finite values")
+    reject_first(~np.isfinite(targets).all(axis=1), np.arange(n), ValueError, "target {} is not finite")
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
@@ -531,8 +513,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
         sample_losses = np.zeros(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = embeddings[batch]
-            x[:, -1] = params.query
+            x = substitute_query(embeddings[batch], params.query)
             losses = _batch_backward(x, params, targets[batch], grads)
             sample_losses[batch] = losses
             grads.flat *= 1.0 / len(batch)

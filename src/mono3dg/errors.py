@@ -67,7 +67,7 @@ class EmptyValidMask(Mono3DGError):
 
 
 class MalformedSequence(Mono3DGError):
-    """Token sequence violates the pos-marker / query-slot structure."""
+    """Token sequence embeddings hold a non-finite value."""
 
 
 class EmptyDataset(Mono3DGError):

@@ -25,10 +25,6 @@ from .camera import (
     reason_center_batch,
 )
 from .decoder import (
-    KIND_CAPTION,
-    KIND_IMAGE,
-    KIND_POS,
-    KIND_QUERY,
     D_V,
     RAW_WIDTH,
     ROT6D_A,
@@ -223,10 +219,10 @@ def target_standardization(ranges: SynthRanges, profile: DatasetProfile):
 
 
 # Every toy sequence is two caption tokens, four image tokens, then the pos
-# marker and the query slot. Its fixed token maps are drawn from seed
-# _TOY_SEED and its noise from the next seed.
+# marker and the query slot: TOY_TOKENS in all. Its fixed token maps are
+# drawn from seed _TOY_SEED and its noise from the next seed.
 _N_CAPTION, _N_IMAGE = 2, 4
-TOY_KINDS = (KIND_CAPTION,) * _N_CAPTION + (KIND_IMAGE,) * _N_IMAGE + (KIND_POS, KIND_QUERY)
+TOY_TOKENS = _N_CAPTION + _N_IMAGE + 2
 _TOY_SEED = 7
 
 
@@ -236,7 +232,7 @@ def build_toy_dataset(
     ranges: SynthRanges,
     noise_sigma: float = 0.0,
 ):
-    """Embeddings (N, len(TOY_KINDS), d_model) for a default
+    """Embeddings (N, TOY_TOKENS, d_model) for a default
     :class:`DecoderConfig`, targets (N, 12) and (image_id, object_id) keys
     of every query, in scene order.
 
@@ -254,7 +250,7 @@ def build_toy_dataset(
     boxes, cams, keys = _queries(scenes)
     targets = raw_from_box_batch(boxes, cams, profile)
     g = (targets - mid) / half
-    embeddings = np.zeros((len(g), len(TOY_KINDS), d))
+    embeddings = np.zeros((len(g), TOY_TOKENS, d))
     embeddings[:, :_N_CAPTION] = caption_tokens
     image = embeddings[:, _N_CAPTION:-2]
     for i, (m, b) in enumerate(zip(image_maps, image_biases)):

@@ -22,12 +22,8 @@ def small_config(n_layers=1):
     return D.DecoderConfig(d_model=8, n_layers=n_layers, d_ff=12, head_hidden=6)
 
 
-def sequence_kinds(n_tokens):
-    return (D.KIND_CAPTION,) + (D.KIND_IMAGE,) * (n_tokens - 3) + (D.KIND_POS, D.KIND_QUERY)
-
-
 def make_sequence(rng, d_model=8, n_tokens=5):
-    return D.TokenSequence(rng.standard_normal((n_tokens, d_model)), sequence_kinds(n_tokens))
+    return rng.standard_normal((n_tokens, d_model))
 
 
 def make_target(rng):
@@ -40,49 +36,26 @@ def make_target(rng):
     )
 
 
-class TestTokenSequence:
-    def test_valid(self):
-        seq = make_sequence(np.random.default_rng(0))
-        assert seq.query_position == 4
-
-    def test_missing_pos_marker(self):
-        with pytest.raises(MalformedSequence):
-            D.TokenSequence(np.zeros((3, 4)), (D.KIND_CAPTION, D.KIND_IMAGE, D.KIND_QUERY))
-
-    def test_two_query_slots(self):
-        with pytest.raises(MalformedSequence):
-            D.TokenSequence(
-                np.zeros((4, 4)),
-                (D.KIND_QUERY, D.KIND_CAPTION, D.KIND_POS, D.KIND_QUERY),
-            )
-
-    def test_pos_must_precede_query_at_tail(self):
-        with pytest.raises(MalformedSequence):
-            D.TokenSequence(
-                np.zeros((4, 4)),
-                (D.KIND_POS, D.KIND_CAPTION, D.KIND_IMAGE, D.KIND_QUERY),
-            )
-        with pytest.raises(MalformedSequence):
-            D.TokenSequence(
-                np.zeros((4, 4)),
-                (D.KIND_CAPTION, D.KIND_POS, D.KIND_QUERY, D.KIND_IMAGE),
-            )
-
-    def test_non_finite_rejected(self):
-        emb = np.zeros((3, 4))
-        emb[0, 0] = np.nan
-        with pytest.raises(MalformedSequence):
-            D.TokenSequence(emb, (D.KIND_CAPTION, D.KIND_POS, D.KIND_QUERY))
-
-
 class TestSubstituteQuery:
     def test_overwrites_slot_exactly(self):
         rng = np.random.default_rng(1)
         seq = make_sequence(rng)
         q = rng.standard_normal(8)
         out = D.substitute_query(seq, q)
-        assert np.array_equal(out.embeddings[out.query_position], q)
-        assert np.array_equal(out.embeddings[:-1], seq.embeddings[:-1])
+        assert np.array_equal(out[-1], q)
+        assert np.array_equal(out[:-1], seq[:-1])
+        assert not np.shares_memory(out, seq)
+
+    def test_fills_the_last_slot_of_every_stacked_sequence(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((3, 5, 8))
+        q = rng.standard_normal(8)
+        out = D.substitute_query(stack, q)
+        assert out.flags.c_contiguous
+        for seq, row in zip(stack, out):
+            assert row.tobytes() == D.substitute_query(seq, q).tobytes()
+        with pytest.raises(ShapeMismatch, match="query vector"):
+            D.substitute_query(stack, np.zeros(7))
 
     def test_original_slot_content_is_irrelevant(self):
         rng = np.random.default_rng(2)
@@ -90,11 +63,11 @@ class TestSubstituteQuery:
         base = make_sequence(rng)
         reference = D.forward(D.substitute_query(base, params.query), params)
         for filler in (np.zeros(8), rng.standard_normal(8), 1e3 * np.ones(8)):
-            emb = base.embeddings.copy()
-            emb[-1] = filler
-            seq = D.TokenSequence(emb, base.kinds)
-            out = D.forward(D.substitute_query(seq, params.query), params)
-            assert np.array_equal(out, reference)
+            seq = base.copy()
+            seq[-1] = filler
+            assert np.array_equal(D.forward(D.substitute_query(seq, params.query), params), reference)
+            # forward fills the slot itself
+            assert np.array_equal(D.forward(seq, params), reference)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -102,12 +75,12 @@ class TestSubstituteQuery:
         q = rng.standard_normal(8)
         once = D.substitute_query(seq, q)
         twice = D.substitute_query(once, q)
-        assert np.array_equal(once.embeddings, twice.embeddings)
+        assert np.array_equal(once, twice)
 
 
 def naive_forward(seq, params):
     """Independent reference: per-position loops, explicit causal softmax."""
-    x = seq.embeddings.copy()
+    x = np.array(seq, dtype=float)
     n, d = x.shape
     for layer in params.layers:
         attended = np.zeros_like(x)
@@ -128,7 +101,7 @@ def naive_forward(seq, params):
             hidden = D.gelu(attended[i] @ layer.ff_w1 + layer.ff_b1)
             out[i] = attended[i] + hidden @ layer.ff_w2 + layer.ff_b2
         x = out
-    return x[seq.query_position]
+    return x[-1]
 
 
 class TestForward:
@@ -153,9 +126,8 @@ class TestForward:
         params = D.init_params(small_config(), rng)
         seq = make_sequence(rng)
         base = D.forward(D.substitute_query(seq, params.query), params)
-        emb = seq.embeddings.copy()
-        emb[1] += 0.1
-        bumped = D.TokenSequence(emb, seq.kinds)
+        bumped = seq.copy()
+        bumped[1] += 0.1
         moved = D.forward(D.substitute_query(bumped, params.query), params)
         assert np.abs(moved - base).max() > 0.0
 
@@ -316,7 +288,7 @@ class TestBackward:
 
 def tiny_dataset(rng, n=6):
     """(n, 5, 8) embeddings and their (n, 12) targets."""
-    rows = [(make_sequence(rng).embeddings, make_target(rng)) for _ in range(n)]
+    rows = [(make_sequence(rng), make_target(rng)) for _ in range(n)]
     embeddings, targets = map(np.stack, zip(*rows))
     return embeddings, targets
 
@@ -372,6 +344,24 @@ class TestCheckpoint:
         for (n1, a1), (n2, a2) in zip(params.named_arrays(), loaded.named_arrays()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_round_trip_at_every_depth(self, tmp_path, n_layers):
+        config = D.DecoderConfig(d_model=3, n_layers=n_layers, d_ff=1, head_hidden=1)
+        params = D.init_params(config, np.random.default_rng(n_layers))
+        path = tmp_path / "ckpt.json"
+        D.save_checkpoint(path, params, seed=7)
+        loaded = D.load_checkpoint(path)
+        assert loaded.config == config and loaded.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("field, value", [("d_model", 0), ("d_ff", 0), ("head_hidden", 0),
+                                              ("d_ff", -2), ("n_layers", -1)])
+    def test_config_without_a_checkpoint_form_rejected(self, field, value):
+        # a zero width would save a checkpoint that load_checkpoint rejects
+        with pytest.raises(SchemaError, match=f"'config.{field}'"):
+            D.DecoderConfig(**{field: value})
+        with pytest.raises(SchemaError, match=f"'config.{field}'"):
+            D.DecoderConfig.from_json({**D.DecoderConfig().to_json(), field: value})
 
     def test_bytes_match_the_reference(self, tmp_path):
         params = D.init_params(D.DecoderConfig(), np.random.default_rng(19))
@@ -444,20 +434,15 @@ class TestCheckpoint:
 
 
 def test_single_query_token_is_the_only_regression_source():
-    # All four heads consume the same single feature vector; a sequence can
-    # never carry a second query slot.
+    # All four heads consume the same single feature vector, the last
+    # token's, and predict is predict_batch's N = 1 case, bit for bit.
     rng = np.random.default_rng(19)
-    params = D.init_params(small_config(), rng)
-    seq = make_sequence(rng)
-    f3d = D.forward(D.substitute_query(seq, params.query), params)
-    raw_direct = D.heads(f3d, params)
-    raw_pipeline = D.predict(seq, params)
-    assert raw_direct.tobytes() == raw_pipeline.tobytes()
-    with pytest.raises(MalformedSequence):
-        D.TokenSequence(
-            np.zeros((5, 8)),
-            (D.KIND_CAPTION, D.KIND_POS, D.KIND_QUERY, D.KIND_POS, D.KIND_QUERY),
-        )
+    for config in (small_config(), small_config(n_layers=0), D.DecoderConfig()):
+        params = D.init_params(config, rng)
+        seq = make_sequence(rng, config.d_model, 6)
+        raw = D.predict(seq, params)
+        assert D.heads(D.forward(seq, params), params).tobytes() == raw.tobytes()
+        assert D.predict_batch(seq[None], params)[0].tobytes() == raw.tobytes()
 
 
 def reference_adam(params, grads, state, cfg):
@@ -477,14 +462,13 @@ def reference_adam(params, grads, state, cfg):
 
 
 def reference_train(embeddings, targets, params, cfg):
-    """Per-sample backward on one TokenSequence per row, gradients
+    """Per-sample backward on one sequence at a time, gradients
     accumulated by name, per-name Adam."""
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     state = {"step": 0, "m": {}, "v": {}}
     history = []
     n = len(embeddings)
-    kinds = sequence_kinds(embeddings.shape[1])
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         sample_losses = np.zeros(n)
@@ -492,8 +476,7 @@ def reference_train(embeddings, targets, params, cfg):
             batch = order[start : start + cfg.batch_size]
             sums = {}
             for idx in batch:
-                seq = D.TokenSequence(embeddings[idx], kinds)
-                sample_losses[idx], grads = D.backward(seq, params, targets[idx])
+                sample_losses[idx], grads = D.backward(embeddings[idx], params, targets[idx])
                 for name, arr in grads.named_arrays():
                     sums[name] = sums[name] + arr if name in sums else arr.copy()
             reference_adam(params, {k: v * (1.0 / len(batch)) for k, v in sums.items()}, state, cfg)
@@ -543,7 +526,7 @@ class TestBatchedBackward:
         rng = np.random.default_rng(30)
         params = D.init_params(config, rng)
         samples = [(make_sequence(rng, config.d_model, 6), make_target(rng)) for _ in range(5)]
-        x = np.stack([D.substitute_query(seq, params.query).embeddings for seq, _ in samples])
+        x = np.stack([D.substitute_query(seq, params.query) for seq, _ in samples])
         targets = np.stack([target for _, target in samples])
         # A buffer full of NaN: every gradient slot must be overwritten.
         batch_grads = D.DecoderParams(config, np.full_like(params.flat, np.nan))
@@ -658,3 +641,55 @@ class TestStackedDataset:
         embeddings[2, 1, 3] = value
         with pytest.raises(MalformedSequence, match="non-finite"):
             D.train(embeddings, targets, params, D.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, value):
+        rng = np.random.default_rng(41)
+        params = D.init_params(small_config(), rng)
+        embeddings, targets = tiny_dataset(rng, n=4)
+        targets[2, 7] = value
+        targets[3, 0] = value
+        with pytest.raises(ValueError, match="target 2 is not finite"):
+            D.train(embeddings, targets, params, D.TrainConfig(epochs=1))
+
+
+def _poke(x, value):
+    """A copy of x whose last sequence holds value at token 2, column 5."""
+    y = x.copy()
+    y.reshape(-1, *y.shape[-2:])[-1, 2, 5] = value
+    return y
+
+
+class TestSequenceEntryCheck:
+    """forward, predict and backward take one sequence (T, d), predict_batch
+    and train a stack (N, T, d), and each rejects a bad one alike."""
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda x: x[None], ShapeMismatch),
+        (lambda x: x[0], ShapeMismatch),
+        (lambda x: x[..., :6], ShapeMismatch),
+        (lambda x: x[..., :0, :], ShapeMismatch),
+        (lambda x: _poke(x, np.nan), MalformedSequence),
+        (lambda x: _poke(x, np.inf), MalformedSequence),
+        (lambda x: _poke(x, -np.inf), MalformedSequence),
+    ], ids=["rank-up", "rank-down", "width", "zero-tokens", "nan", "inf", "-inf"])
+    def test_every_entry_rejects_alike(self, edit, error):
+        rng = np.random.default_rng(42)
+        params = D.init_params(small_config(), rng)
+        target = make_target(rng)
+        one = {
+            "forward": lambda x: D.forward(x, params),
+            "predict": lambda x: D.predict(x, params),
+            "backward": lambda x: D.backward(x, params, target),
+        }
+        stacked = {
+            "predict_batch": lambda x: D.predict_batch(x, params),
+            "train": lambda x: D.train(x, np.tile(target, (len(x), 1)), params, D.TrainConfig(epochs=1)),
+        }
+        seq, stack = make_sequence(rng), rng.standard_normal((3, 5, 8))
+        for entries, x in ((one, seq), (stacked, stack)):
+            for name, call in entries.items():
+                call(x)
+                with pytest.raises(error, match="embeddings"):
+                    call(edit(x))
+                    pytest.fail(f"{name} took {edit(x).shape}")

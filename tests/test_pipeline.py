@@ -15,7 +15,7 @@ from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import MetricReport, score_query, score_query_batch
 from mono3dg.pipeline import (
-    TOY_KINDS,
+    TOY_TOKENS,
     box_from_raw,
     box_from_raw_columns,
     box_predictions_from_gt,
@@ -208,9 +208,8 @@ class TestToyDataset:
     def test_tokens_fit_the_default_decoder(self):
         scenes = synth_scenes(6, seed=10, profile_name="indoor")
         embeddings, targets, _ = build_toy_dataset(scenes, INDOOR_PROFILE, ranges_for_profile("indoor"))
-        assert embeddings.shape == (len(targets), len(TOY_KINDS), D.DecoderConfig().d_model)
-        for e in embeddings:
-            D.TokenSequence(e, TOY_KINDS)
+        assert embeddings.shape == (len(targets), TOY_TOKENS, D.DecoderConfig().d_model)
+        assert np.isfinite(embeddings).all() and not embeddings[:, -1].any()
         params = D.init_params(D.DecoderConfig(), np.random.default_rng(10))
         _, history = D.train(embeddings, targets, params, D.TrainConfig(epochs=1))
         assert len(history) == 1 and np.isfinite(history[0])
@@ -285,7 +284,7 @@ def _toy_model_digests(profile_name, sigma):
     params = D.init_params(D.DecoderConfig(), np.random.default_rng(3))
     embeddings, _, _ = build_toy_dataset(scenes, profile, ranges, sigma)
     preds = decoder_predictions(scenes, params, profile, ranges, sigma)
-    single = [D.predict(D.TokenSequence(e, TOY_KINDS), params) for e in embeddings]
+    single = [D.predict(e, params) for e in embeddings]
     return [_digest(embeddings), _digest([p.raw for p in preds]), _digest(single)]
 
 
