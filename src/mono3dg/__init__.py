@@ -1,7 +1,7 @@
 """Geometry engine and evaluation harness for monocular 3D grounding."""
 
 from .box3d import (
-    OrientedBox3D,
+    box_row,
     corners,
     intersection_volume,
     iou3d,

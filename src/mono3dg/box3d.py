@@ -24,11 +24,10 @@ Local box axes: length along x, width along y, height along z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotYawOnly, reject_first
+from .errors import NotYawOnly, ShapeMismatch, reject_first
 from .rotation import _cross, _matmul3, row_dots
 
 # Inside/on-plane band for vertices and 2D clipping; scene scale is <= 100 m.
@@ -68,42 +67,14 @@ _CHUNK = 64
 _SPHERE_GAP = 1e-6
 
 
-# A batch of N boxes is an (N, 15) array of rows, the layout of files and
-# tables: center, dims (L, W, H) and the row-major rotation, at these slots.
+# A box is a float64 (15,) row and a batch of N boxes an (N, 15) array of
+# rows, the layout of files and tables: center, dims (L, W, H) and the
+# row-major rotation, at these slots.
 BOX_WIDTH = 15
 CENTER, DIMS, ROT = slice(0, 3), slice(3, 6), slice(6, BOX_WIDTH)
 # The rot slots of R[2, 0], R[2, 1], R[0, 2] and R[1, 2], which vanish for a
 # rotation about z alone.
 _OUT_OF_PLANE = [12, 13, 8, 11]
-
-
-@dataclass(frozen=True, eq=False)
-class OrientedBox3D:
-    """3D box given by center (m), dims (L, W, H in m), and rotation matrix.
-
-    It holds arrays, so == is identity; compare rows to compare boxes."""
-
-    center: np.ndarray
-    dims: np.ndarray
-    rot: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        object.__setattr__(self, "dims", np.asarray(self.dims, dtype=float).reshape(3))
-        object.__setattr__(self, "rot", np.asarray(self.rot, dtype=float).reshape(3, 3))
-        length, width, height = self.dims.tolist()
-        if not (length > 0 and width > 0 and height > 0):
-            raise ValueError(f"box dims must be positive, got {self.dims}")
-
-    @staticmethod
-    def from_row(row: np.ndarray) -> "OrientedBox3D":
-        """The box of one (15,) row."""
-        return OrientedBox3D(row[CENTER], row[DIMS], row[ROT])
-
-    @property
-    def row(self) -> np.ndarray:
-        """The box as one (15,) row."""
-        return np.concatenate([self.center, self.dims, self.rot.ravel()])
 
 
 def check_dims(rows: np.ndarray) -> np.ndarray:
@@ -114,14 +85,26 @@ def check_dims(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _corners(center: np.ndarray, dims: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """The 8 corners of N boxes as (N, 8, 3), in the documented sign order."""
-    return center[:, None] + _matmul3(_CORNER_SIGNS * (dims[:, None] / 2.0), rot.transpose(0, 2, 1))
+def box_row(box) -> np.ndarray:
+    """One box as a float64 (15,) row; raises ShapeMismatch for any other
+    shape, and ValueError for a dim that is not positive."""
+    row = np.asarray(box, dtype=float)
+    if row.shape != (BOX_WIDTH,):
+        raise ShapeMismatch(f"box {row.shape} vs ({BOX_WIDTH},)")
+    return check_dims(row[None])[0]
 
 
-def corners(box: OrientedBox3D) -> np.ndarray:
-    """The 8 corners as an (8, 3) array, in the documented sign order."""
-    return _corners(box.center[None], box.dims[None], box.rot[None])[0]
+def _corners(rows: np.ndarray) -> np.ndarray:
+    """The 8 corners of N boxes, given as (N, 15) rows, as (N, 8, 3), in
+    the documented sign order."""
+    rot_t = rows[:, ROT].reshape(-1, 3, 3).transpose(0, 2, 1)
+    return rows[:, None, CENTER] + _matmul3(_CORNER_SIGNS * (rows[:, None, DIMS] / 2.0), rot_t)
+
+
+def corners(box: np.ndarray) -> np.ndarray:
+    """The 8 corners of one box row as an (8, 3) array, in the documented
+    sign order."""
+    return _corners(box_row(box)[None])[0]
 
 
 def _canonical_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,7 +139,7 @@ def _polytope_vertices(pairs: np.ndarray):
     n = len(pairs)
     boxes = pairs.reshape(-1, BOX_WIDTH)
     center, dims, rot = boxes[:, CENTER], boxes[:, DIMS], boxes[:, ROT].reshape(-1, 3, 3)
-    box_corners = _corners(center, dims, rot).reshape(n, 16, 3)
+    box_corners = _corners(boxes).reshape(n, 16, 3)
     # Outward unit normals ordered +x, -x, +y, -y, +z, -z, and plane offsets.
     normals = np.repeat(rot.transpose(0, 2, 1), 2, axis=1) * _FACE_SIGNS
     offsets = row_dots(normals, center[:, None]) + np.repeat(dims / 2.0, 2, axis=1)
@@ -240,10 +223,10 @@ def intersection_volume_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return volume
 
 
-def intersection_volume(a: OrientedBox3D, b: OrientedBox3D) -> float:
+def intersection_volume(a: np.ndarray, b: np.ndarray) -> float:
     """Volume of the convex intersection of two oriented boxes:
-    :func:`intersection_volume_batch` for one pair."""
-    return float(intersection_volume_batch(a.row[None], b.row[None])[0])
+    :func:`intersection_volume_batch` for one pair of rows."""
+    return float(intersection_volume_batch(box_row(a)[None], box_row(b)[None])[0])
 
 
 def _iou(inter: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,9 +243,9 @@ def iou3d_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _iou(intersection_volume_batch(a, b), a, b)
 
 
-def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    """:func:`iou3d_batch` for one pair."""
-    return float(iou3d_batch(a.row[None], b.row[None])[0])
+def iou3d(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`iou3d_batch` for one pair of rows."""
+    return float(iou3d_batch(box_row(a)[None], box_row(b)[None])[0])
 
 
 def yaw_only(rows: np.ndarray) -> np.ndarray:
@@ -369,17 +352,17 @@ def iou3d_bev_yaw_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _iou(area * dz, a, b)
 
 
-def iou3d_bev_yaw(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    """:func:`iou3d_bev_yaw_batch` for one pair."""
-    return float(iou3d_bev_yaw_batch(a.row[None], b.row[None])[0])
+def iou3d_bev_yaw(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`iou3d_bev_yaw_batch` for one pair of rows."""
+    return float(iou3d_bev_yaw_batch(box_row(a)[None], box_row(b)[None])[0])
 
 
-def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:
+def _points_inside(box: np.ndarray, points: np.ndarray) -> np.ndarray:
     # Offsets from the center as three contiguous columns, each projected on
     # the box's local axes.
-    x, y, z = np.subtract(points.T, box.center[:, None], order="C")
-    R = box.rot
-    inside = [np.abs(x * R[0, k] + y * R[1, k] + z * R[2, k]) <= box.dims[k] / 2.0 for k in range(3)]
+    x, y, z = np.subtract(points.T, box[CENTER, None], order="C")
+    R, dims = box[ROT].reshape(3, 3), box[DIMS]
+    inside = [np.abs(x * R[0, k] + y * R[1, k] + z * R[2, k]) <= dims[k] / 2.0 for k in range(3)]
     return inside[0] & inside[1] & inside[2]
 
 
@@ -389,16 +372,18 @@ def _points_inside(box: OrientedBox3D, points: np.ndarray) -> np.ndarray:
 _MC_CHUNK = 65536
 
 
-def iou3d_monte_carlo(a: OrientedBox3D, b: OrientedBox3D, samples: int, seed: int) -> float:
-    """Rejection-sampling IoU estimate over the pair's bounding hull.
+def iou3d_monte_carlo(a: np.ndarray, b: np.ndarray, samples: int, seed: int) -> float:
+    """Rejection-sampling IoU estimate over the bounding hull of a pair of
+    box rows.
 
     Deterministic for a fixed seed; the independent oracle for the exact
     path.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    a, b = box_row(a), box_row(b)
     rng = np.random.default_rng(seed)
-    all_corners = np.vstack([corners(a), corners(b)])
+    all_corners = _corners(np.stack([a, b])).reshape(16, 3)
     lo = all_corners.min(axis=0)
     hi = all_corners.max(axis=0)
     n_inter = n_union = 0

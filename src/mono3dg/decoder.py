@@ -53,6 +53,12 @@ def raw_row(raw) -> np.ndarray:
     return row
 
 
+def _finite_targets(targets: np.ndarray) -> np.ndarray:
+    """(N, RAW_WIDTH) targets, once each is finite; raises ValueError naming the first that is not."""
+    reject_first(~np.isfinite(targets).all(axis=1), np.arange(len(targets)), ValueError, "target {} is not finite")
+    return targets
+
+
 # -- parameters ---------------------------------------------------------------
 
 
@@ -338,8 +344,9 @@ def predict(x: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 
 def loss(raw: np.ndarray, target: np.ndarray) -> float:
-    """Unit-weight L1 over all twelve regressed components of two raw rows."""
-    return float(np.abs(raw_row(raw) - raw_row(target)).sum())
+    """Unit-weight L1 over all twelve regressed components of two raw rows.
+    A non-finite target raises ValueError, as in :func:`train`."""
+    return float(np.abs(raw_row(raw) - _finite_targets(raw_row(target)[None])[0]).sum())
 
 
 # -- backward ------------------------------------------------------------------
@@ -433,11 +440,12 @@ def backward(x: np.ndarray, params: DecoderParams, target: np.ndarray):
     one sequence (T, d) and its target raw row.
 
     The query substitution is applied internally, so the gradient that lands
-    on the query slot's input embedding is the query gradient.
+    on the query slot's input embedding is the query gradient. A non-finite
+    target raises ValueError, as in :func:`train`.
     """
     x = substitute_query(_sequences(x, params.config.d_model, 2), params.query)
     grads = DecoderParams(params.config)
-    losses = _batch_backward(x[None], params, raw_row(target)[None], grads)
+    losses = _batch_backward(x[None], params, _finite_targets(raw_row(target)[None]), grads)
     return float(losses[0]), grads
 
 
@@ -500,7 +508,7 @@ def train(embeddings: np.ndarray, targets: np.ndarray, params: DecoderParams, cf
         raise EmptyDataset("training requires at least one sample")
     if targets.shape != (n, RAW_WIDTH):
         raise ShapeMismatch(f"targets {targets.shape} vs ({n}, {RAW_WIDTH})")
-    reject_first(~np.isfinite(targets).all(axis=1), np.arange(n), ValueError, "target {} is not finite")
+    _finite_targets(targets)
     params = params.copy()
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import box3d
 # iou3d stays importable here, where the benchmark's tracer wraps it.
-from .box3d import CENTER, DIMS, OrientedBox3D, iou3d  # noqa: F401
+from .box3d import CENTER, DIMS, box_row, iou3d  # noqa: F401
 
 REPORT_COLUMNS = (
     "Acc@0.25",
@@ -85,13 +85,13 @@ def score_query_batch(pred: np.ndarray, gt: np.ndarray, depth_metric: str = "z")
 
 
 def score_query(
-    pred: OrientedBox3D,
-    gt: OrientedBox3D,
+    pred: np.ndarray,
+    gt: np.ndarray,
     query_id: str,
     depth_metric: str = "z",
 ) -> QueryResult:
-    """:func:`score_query_batch` for one query."""
-    scores = score_query_batch(pred.row[None], gt.row[None], depth_metric)
+    """:func:`score_query_batch` for one query's pair of box rows."""
+    scores = score_query_batch(box_row(pred)[None], box_row(gt)[None], depth_metric)
     return QueryResult(query_id, *scores[0].tolist())
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .box3d import CENTER, DIMS, ROT, OrientedBox3D, check_dims
+from .box3d import CENTER, DIMS, ROT, box_row, check_dims
 from .camera import (
     CameraIntrinsics,
     Point3D,
@@ -89,9 +89,9 @@ def raw_from_box_batch(
     return np.column_stack([pix.u / cam.width, pix.v / cam.height, d_v, boxes[:, DIMS], rot6d])
 
 
-def raw_from_box(box: OrientedBox3D, cam: CameraIntrinsics, profile: DatasetProfile) -> np.ndarray:
-    """:func:`raw_from_box_batch` for one box: its raw row."""
-    return raw_from_box_batch(box.row[None], [cam], profile)[0]
+def raw_from_box(box: np.ndarray, cam: CameraIntrinsics, profile: DatasetProfile) -> np.ndarray:
+    """:func:`raw_from_box_batch` for one box row: its raw row."""
+    return raw_from_box_batch(box_row(box)[None], [cam], profile)[0]
 
 
 def box_from_raw_columns(
@@ -119,14 +119,14 @@ def box_from_raw(
     cam: CameraIntrinsics,
     profile: DatasetProfile,
     h2d: float | None = None,
-) -> OrientedBox3D:
-    """:func:`box_from_raw_columns` for one query's raw row."""
-    return OrientedBox3D.from_row(box_from_raw_columns(
+) -> np.ndarray:
+    """:func:`box_from_raw_columns` for one query's raw row: its box row."""
+    return box_from_raw_columns(
         raw_row(raw)[None],
         np.array([cam], dtype=float),
         profile,
         None if h2d is None else np.array([h2d], dtype=float),
-    )[0])
+    )[0]
 
 
 def _queries(scenes: SceneTable | list[SceneRecord]):

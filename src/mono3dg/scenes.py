@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .box3d import BOX_WIDTH, CENTER, DIMS, ROT, OrientedBox3D, _corners
+from .box3d import BOX_WIDTH, CENTER, DIMS, ROT, _corners, box_row
 from . import decoder
 from .camera import (
     HEIGHT2D_EPSILON,
@@ -133,7 +133,7 @@ def ranges_for_profile(name: str) -> SynthRanges:
 class SceneObject:
     object_id: str
     caption: str
-    box3d: OrientedBox3D
+    box3d: np.ndarray  # (15,) box row
     box2d: tuple
     h2d: float
 
@@ -152,7 +152,7 @@ class PredictionRecord:
     image_id: str
     object_id: str
     raw: np.ndarray | None = None  # (decoder.RAW_WIDTH,) raw row
-    box3d: OrientedBox3D | None = None
+    box3d: np.ndarray | None = None  # (15,) box row
 
     def __post_init__(self):
         if (self.raw is None) == (self.box3d is None):
@@ -163,7 +163,8 @@ class PredictionRecord:
 # tables: synth_scenes draws every column at once, and the writers format
 # a table's columns a chunk of rows at a time. A table is also a read-only
 # sequence of the records above; each record is built when it is read and
-# not kept, so a table holds its columns only.
+# not kept, so a table holds its columns only. A record's box3d or raw is a
+# view of its table's row.
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,7 @@ class SceneTable(Sequence):
             np.array([row for row, _ in objects], dtype=int),
             [obj.object_id for _, obj in objects],
             [obj.caption for _, obj in objects],
-            np.array([obj.box3d.row for _, obj in objects], dtype=float).reshape(-1, BOX_WIDTH),
+            np.array([box_row(obj.box3d) for _, obj in objects]).reshape(-1, BOX_WIDTH),
             np.array([obj.box2d for _, obj in objects], dtype=float).reshape(-1, 4),
             np.array([obj.h2d for _, obj in objects], dtype=float),
         )
@@ -217,7 +218,7 @@ class SceneTable(Sequence):
             SceneObject(
                 self.object_ids[m],
                 self.captions[m],
-                OrientedBox3D.from_row(self.boxes[m]),
+                self.boxes[m],
                 tuple(self.box2d[m].tolist()),
                 float(self.h2d[m]),
             )
@@ -251,7 +252,7 @@ class PredictionTable(Sequence):
         box = bool(preds) and preds[0].raw is None
         if any((p.raw is None) != box for p in preds):
             raise ValueError("a prediction table holds raw predictions or boxes, not both")
-        rows = [p.box3d.row if box else decoder.raw_row(p.raw) for p in preds]
+        rows = [box_row(p.box3d) if box else decoder.raw_row(p.raw) for p in preds]
         values = np.array(rows) if rows else np.empty((0, decoder.RAW_WIDTH))
         return PredictionTable([(p.image_id, p.object_id) for p in preds], values)
 
@@ -269,7 +270,7 @@ class PredictionTable(Sequence):
         i = range(len(self))[i]  # negative from the end; IndexError past it
         if self.mode == "raw":
             return PredictionRecord(*self.keys[i], raw=self.values[i])
-        return PredictionRecord(*self.keys[i], box3d=OrientedBox3D.from_row(self.values[i]))
+        return PredictionRecord(*self.keys[i], box3d=self.values[i])
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -360,8 +361,9 @@ def synth_scenes(
 
     # Every 2D box is the image extent of its box's projected corners,
     # clipped to the image.
+    boxes = np.hstack([center, dims, rot.reshape(-1, 9)])
     fx, fy, cx, cy, width, height = cams[rows].T
-    pts = _corners(center, dims, rot)
+    pts = _corners(boxes)
     us = fx[:, None] * pts[:, :, 0] / pts[:, :, 2] + cx[:, None]
     vs = fy[:, None] * pts[:, :, 1] / pts[:, :, 2] + cy[:, None]
     box2d = np.stack(
@@ -379,7 +381,7 @@ def synth_scenes(
         rows,
         object_ids,
         [f"object {object_id}" for object_id in object_ids],
-        np.hstack([center, dims, rot.reshape(-1, 9)]),
+        boxes,
         box2d,
         fy * dims[:, 2] / center[:, 2],
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mono3dg
-from mono3dg.box3d import OrientedBox3D
+from mono3dg.box3d import CENTER, box_row
 from mono3dg.camera import CameraIntrinsics
 from mono3dg.rotation import random_rotation
 
@@ -32,7 +32,12 @@ def random_intrinsics(rng: np.random.Generator) -> CameraIntrinsics:
     )
 
 
-def random_box(rng: np.random.Generator, yaw_only: bool = False) -> OrientedBox3D:
+def make_box(center, dims, rot) -> np.ndarray:
+    """One box as its (15,) row: center, dims (L, W, H) and the row-major rot."""
+    return box_row(np.concatenate([np.ravel(center), np.ravel(dims), np.ravel(rot)]))
+
+
+def random_box(rng: np.random.Generator, yaw_only: bool = False) -> np.ndarray:
     center = rng.uniform(-2.0, 2.0, size=3)
     dims = rng.uniform(0.3, 2.0, size=3)
     if yaw_only:
@@ -41,13 +46,13 @@ def random_box(rng: np.random.Generator, yaw_only: bool = False) -> OrientedBox3
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     else:
         rot = random_rotation(rng)
-    return OrientedBox3D(center, dims, rot)
+    return make_box(center, dims, rot)
 
 
 def overlapping_box_pair(rng: np.random.Generator, yaw_only: bool = False):
     a = random_box(rng, yaw_only)
     offset = rng.uniform(-0.8, 0.8, size=3)
-    b_center = a.center + offset
+    b_center = a[CENTER] + offset
     dims = rng.uniform(0.3, 2.0, size=3)
     if yaw_only:
         yaw = rng.uniform(-np.pi, np.pi)
@@ -55,7 +60,7 @@ def overlapping_box_pair(rng: np.random.Generator, yaw_only: bool = False):
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     else:
         rot = random_rotation(rng)
-    return a, OrientedBox3D(b_center, dims, rot)
+    return a, make_box(b_center, dims, rot)
 
 
 def blas_kernel() -> str:

@@ -10,7 +10,7 @@ import pytest
 
 import test_box3d
 from conftest import blas_kernel, overlapping_box_pair, under_blas_kernel
-from mono3dg.box3d import OrientedBox3D, iou3d_batch, iou3d_bev_yaw_batch, iou3d_monte_carlo
+from mono3dg.box3d import iou3d_batch, iou3d_bev_yaw_batch, iou3d_monte_carlo
 from mono3dg.pipeline import box_from_raw_columns, raw_from_box_batch
 from mono3dg.scenes import SceneTable, profile_by_name, synth_scenes
 
@@ -27,13 +27,13 @@ def _inputs() -> dict:
         raw[:, 2] *= 1.1
         inputs.update({f"{name}_raw": raw, f"{name}_cams": cams, f"{name}_h2d": table.h2d})
     cases = test_box3d.TestBatchEqualsAlone._cases()
-    inputs["a"] = np.array([a.row for _, a, _, _ in cases])
-    inputs["b"] = np.array([b.row for _, _, b, _ in cases])
+    inputs["a"] = np.array([a for _, a, _, _ in cases])
+    inputs["b"] = np.array([b for _, _, b, _ in cases])
     rng = np.random.default_rng(40)
     yaw_pairs = [overlapping_box_pair(rng, yaw_only=True) for _ in range(50)]
-    inputs["yaw_a"] = np.array([a.row for a, _ in yaw_pairs])
-    inputs["yaw_b"] = np.array([b.row for _, b in yaw_pairs])
-    inputs["monte_carlo"] = np.array([box.row for box in overlapping_box_pair(rng)])
+    inputs["yaw_a"] = np.array([a for a, _ in yaw_pairs])
+    inputs["yaw_b"] = np.array([b for _, b in yaw_pairs])
+    inputs["monte_carlo"] = np.array(overlapping_box_pair(rng))
     return inputs
 
 
@@ -48,7 +48,7 @@ def geometry_digest(path: str) -> str:
         digest.update(raw_from_box_batch(boxes, cams, profile).tobytes())
     digest.update(iou3d_batch(inputs["a"], inputs["b"]).tobytes())
     digest.update(iou3d_bev_yaw_batch(inputs["yaw_a"], inputs["yaw_b"]).tobytes())
-    a, b = map(OrientedBox3D.from_row, inputs["monte_carlo"])
+    a, b = inputs["monte_carlo"]
     digest.update(np.float64(iou3d_monte_carlo(a, b, 200_000, seed=3)).tobytes())
     return digest.hexdigest()
 

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresh_python, overlapping_box_pair, random_box
+from conftest import fresh_python, make_box, overlapping_box_pair, random_box
 from mono3dg import box3d
 from mono3dg.box3d import (
-    OrientedBox3D,
+    CENTER,
+    DIMS,
+    ROT,
+    box_row,
     corners,
     intersection_volume,
     iou3d,
@@ -18,14 +21,17 @@ from mono3dg.box3d import (
     iou3d_monte_carlo,
     yaw_only,
 )
-from mono3dg.errors import NotYawOnly
+from mono3dg.errors import NotYawOnly, ShapeMismatch
+from mono3dg.metrics import score_query
+from mono3dg.pipeline import raw_from_box
+from mono3dg.scenes import OUTDOOR_PROFILE
 from mono3dg.rotation import random_rotation
 
 
 def yaw_box(center, dims, yaw):
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return OrientedBox3D(np.asarray(center, float), np.asarray(dims, float), rot)
+    return make_box(center, dims, rot)
 
 
 def turned(rot, axis, angle):
@@ -35,7 +41,7 @@ def turned(rot, axis, angle):
     return (np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k) @ rot
 
 
-UNIT_CUBE = OrientedBox3D(np.zeros(3), np.ones(3), np.eye(3))
+UNIT_CUBE = make_box(np.zeros(3), np.ones(3), np.eye(3))
 
 # Placements of a second box along one axis of a box spanning [-1, 1]:
 # (local center, extent, overlap length).
@@ -76,25 +82,25 @@ class TestCorners:
         rng = np.random.default_rng(0)
         box = random_box(rng)
         t = np.array([3.0, -2.0, 7.0])
-        moved = OrientedBox3D(box.center + t, box.dims, box.rot)
+        moved = make_box(box[CENTER] + t, box[DIMS], box[ROT])
         assert np.allclose(corners(moved), corners(box) + t, atol=1e-12)
 
 
 class TestIntersectionVolume:
     def test_identical(self):
-        box = OrientedBox3D([1, 2, 3], [2.0, 3.0, 1.5], np.eye(3))
+        box = make_box([1, 2, 3], [2.0, 3.0, 1.5], np.eye(3))
         assert intersection_volume(box, box) == pytest.approx(9.0, rel=1e-12)
 
     def test_axis_aligned_offset(self):
-        other = OrientedBox3D([0.5, 0, 0], np.ones(3), np.eye(3))
+        other = make_box([0.5, 0, 0], np.ones(3), np.eye(3))
         assert intersection_volume(UNIT_CUBE, other) == pytest.approx(0.5, rel=1e-12)
 
     def test_disjoint(self):
-        far = OrientedBox3D([100.0, 0, 0], np.ones(3), np.eye(3))
+        far = make_box([100.0, 0, 0], np.ones(3), np.eye(3))
         assert intersection_volume(UNIT_CUBE, far) == 0.0
 
     def test_contained_box(self):
-        small = OrientedBox3D([0, 0, 0], [0.5, 0.5, 0.5], random_rotation(np.random.default_rng(1)))
+        small = make_box([0, 0, 0], [0.5, 0.5, 0.5], random_rotation(np.random.default_rng(1)))
         assert intersection_volume(UNIT_CUBE, small) == pytest.approx(0.125, rel=1e-9)
 
     @pytest.mark.parametrize("far", [0.0, 50.0])
@@ -102,11 +108,11 @@ class TestIntersectionVolume:
         rng = np.random.default_rng(15)
         rot = random_rotation(rng)
         center = far * random_rotation(rng)[:, 0]
-        a = OrientedBox3D(center, [2.0, 2.0, 2.0], rot)
+        a = make_box(center, [2.0, 2.0, 2.0], rot)
         worst = 0.0
         for relations in itertools.product(AXIS_RELATIONS, repeat=3):
             local, dims, overlaps = np.array(relations).T
-            b = OrientedBox3D(center + rot @ local, dims, rot)
+            b = make_box(center + rot @ local, dims, rot)
             worst = max(worst, abs(intersection_volume(a, b) - np.prod(overlaps)))
         assert worst <= 1e-12
 
@@ -124,11 +130,11 @@ class TestIoU3D:
         assert iou3d(box, box) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_aligned_third(self):
-        other = OrientedBox3D([0.5, 0, 0], np.ones(3), np.eye(3))
+        other = make_box([0.5, 0, 0], np.ones(3), np.eye(3))
         assert iou3d(UNIT_CUBE, other) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_disjoint_zero(self):
-        far = OrientedBox3D([0, 50.0, 0], np.ones(3), np.eye(3))
+        far = make_box([0, 50.0, 0], np.ones(3), np.eye(3))
         assert iou3d(UNIT_CUBE, far) == 0.0
 
     def test_near_identical_general_rotation(self):
@@ -138,18 +144,18 @@ class TestIoU3D:
             a = random_box(rng)
             offset = rng.standard_normal(3)
             offset *= 1e-9 / np.linalg.norm(offset)
-            b = OrientedBox3D(a.center + offset, a.dims, turned(a.rot, rng.standard_normal(3), 1e-10))
+            b = make_box(a[CENTER] + offset, a[DIMS], turned(a[ROT].reshape(3, 3), rng.standard_normal(3), 1e-10))
             assert iou3d(a, b) >= 0.99
 
     def test_touching_is_zero(self):
         rot = random_rotation(np.random.default_rng(16))
-        a = OrientedBox3D(np.zeros(3), [2.0, 1.0, 1.5], rot)
+        a = make_box(np.zeros(3), [2.0, 1.0, 1.5], rot)
         for local in ([2.0, 0.3, 0.2], [0.4, -0.2, 1.5], [2.0, 1.0, 0.1]):  # side, top, edge
-            assert iou3d(a, OrientedBox3D(rot @ local, a.dims, rot)) == 0.0
+            assert iou3d(a, make_box(rot @ local, a[DIMS], rot)) == 0.0
         # Ridge edges crossing at one point: a cube turned 45 deg about x
         # under one turned 45 deg about y.
-        lower = OrientedBox3D(np.zeros(3), np.ones(3), turned(np.eye(3), [1, 0, 0], math.pi / 4))
-        upper = OrientedBox3D([0, 0, math.sqrt(2)], np.ones(3), turned(np.eye(3), [0, 1, 0], math.pi / 4))
+        lower = make_box(np.zeros(3), np.ones(3), turned(np.eye(3), [1, 0, 0], math.pi / 4))
+        upper = make_box([0, 0, math.sqrt(2)], np.ones(3), turned(np.eye(3), [0, 1, 0], math.pi / 4))
         assert iou3d(lower, upper) == 0.0
 
     def test_leaves_scipy_spatial_unloaded(self):
@@ -158,8 +164,8 @@ class TestIoU3D:
             "import sys, numpy as np, mono3dg\n"
             "from mono3dg.rotation import random_rotation\n"
             "rng = np.random.default_rng(0)\n"
-            "a = mono3dg.OrientedBox3D(np.zeros(3), np.ones(3), random_rotation(rng))\n"
-            "b = mono3dg.OrientedBox3D([0.2, 0.1, 0.0], np.ones(3), random_rotation(rng))\n"
+            "a = np.r_[np.zeros(3), np.ones(3), random_rotation(rng).ravel()]\n"
+            "b = np.r_[[0.2, 0.1, 0.0], np.ones(3), random_rotation(rng).ravel()]\n"
             "assert mono3dg.iou3d(a, b) > 0.0\n"
             "print('scipy.spatial' in sys.modules)\n"
         )
@@ -180,8 +186,8 @@ class TestIoU3D:
             base = iou3d(a, b)
             R = random_rotation(rng)
             t = rng.uniform(-10, 10, 3)
-            a2 = OrientedBox3D(R @ a.center + t, a.dims, R @ a.rot)
-            b2 = OrientedBox3D(R @ b.center + t, b.dims, R @ b.rot)
+            a2 = make_box(R @ a[CENTER] + t, a[DIMS], R @ a[ROT].reshape(3, 3))
+            b2 = make_box(R @ b[CENTER] + t, b[DIMS], R @ b[ROT].reshape(3, 3))
             assert iou3d(a2, b2) == pytest.approx(base, abs=1e-9)
 
 
@@ -198,13 +204,13 @@ def _apart_pairs(rng):
         axis = k % 3
         side = rng.choice([-1.0, 1.0])
         local = rng.uniform(-0.3, 0.3, size=3)
-        local[axis] = side * (a.dims[axis] + dims[axis]) / 2.0
+        local[axis] = side * (a[DIMS][axis] + dims[axis]) / 2.0
         if k % 2:
             local[axis] += side
             rot = random_rotation(rng)
         else:
-            rot = a.rot
-        pairs.append((a, OrientedBox3D(a.center + a.rot @ local, dims, rot)))
+            rot = a[ROT].reshape(3, 3)
+        pairs.append((a, make_box(a[CENTER] + a[ROT].reshape(3, 3) @ local, dims, rot)))
     return pairs
 
 
@@ -228,7 +234,7 @@ class TestSameBitsAsPerPairCode:
     @pytest.mark.parametrize("kind", ["overlapping", "apart"])
     def test_batch_and_single_pair_bits(self, kind):
         pairs = self._pairs(kind)
-        batch = iou3d_batch(np.array([a.row for a, _ in pairs]), np.array([b.row for _, b in pairs]))
+        batch = iou3d_batch(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
         assert _digest(batch) == self.DIGESTS[kind]
         assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
         assert np.count_nonzero(batch) == (280 if kind == "overlapping" else 0)
@@ -261,40 +267,40 @@ class TestBatchEqualsAlone:
         for r, rot in enumerate(cls.ROTATIONS):
             other = cls.ROTATIONS[(r + 1) % 4]
             center = rot @ [0.5, -1.0, 2.0]
-            a = OrientedBox3D(center, [2.0, 1.0, 1.5], rot)
+            a = make_box(center, [2.0, 1.0, 1.5], rot)
             for where, local in (("side", [2.0, 0.3, 0.2]), ("top", [0.4, -0.2, 1.5]), ("edge", [2.0, 1.0, 0.1])):
-                cases.append((f"touching {where} {r}", a, OrientedBox3D(center + rot @ local, a.dims, rot), 0.0))
-            cases.append((f"disjoint {r}", a, OrientedBox3D(center + [10.0, 0.0, 0.0], [1.0, 2.0, 1.0], other), 0.0))
-            inner = OrientedBox3D(center + rot @ [0.1, 0.05, -0.1], [0.5, 0.4, 0.3], other)
+                cases.append((f"touching {where} {r}", a, make_box(center + rot @ local, a[DIMS], rot), 0.0))
+            cases.append((f"disjoint {r}", a, make_box(center + [10.0, 0.0, 0.0], [1.0, 2.0, 1.0], other), 0.0))
+            inner = make_box(center + rot @ [0.1, 0.05, -0.1], [0.5, 0.4, 0.3], other)
             cases.append((f"contained {r}", a, inner, 0.06 / 3.0))
             offset = rot @ [1.0, 2.0, -2.0]
-            near = OrientedBox3D(center + 1e-9 * offset / 3.0, a.dims, turned(rot, [3, -1, 2], 1e-10))
+            near = make_box(center + 1e-9 * offset / 3.0, a[DIMS], turned(rot, [3, -1, 2], 1e-10))
             cases.append((f"near-identical {r}", a, near, None))
             for tilt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-                tilted = OrientedBox3D(center + rot @ [1.0, 0.0, 0.0], a.dims, turned(rot, rot[:, 2], tilt))
+                tilted = make_box(center + rot @ [1.0, 0.0, 0.0], a[DIMS], turned(rot, rot[:, 2], tilt))
                 cases.append((f"tilt {tilt:g} {r}", a, tilted, None))
             far = rot @ [100.0, -3.0, 1.2]
-            small = OrientedBox3D(far, [0.04, 0.03, 0.05], rot)
-            cases.append((f"100 m {r}", small, OrientedBox3D(far + 0.01, [0.05, 0.02, 0.04], other), None))
+            small = make_box(far, [0.04, 0.03, 0.05], rot)
+            cases.append((f"100 m {r}", small, make_box(far + 0.01, [0.05, 0.02, 0.04], other), None))
             for shift in (0.0, 0.3):
-                quarter = OrientedBox3D(center + shift * rot[:, 0], a.dims, turned(rot, rot[:, 2], math.pi / 2))
+                quarter = make_box(center + shift * rot[:, 0], a[DIMS], turned(rot, rot[:, 2], math.pi / 2))
                 cases.append((f"90 deg yaw {shift} {r}", a, quarter, None))
-        lower = OrientedBox3D(np.zeros(3), np.ones(3), _rot(([1, 0, 0], math.pi / 4)))
-        upper = OrientedBox3D([0, 0, math.sqrt(2)], np.ones(3), _rot(([0, 1, 0], math.pi / 4)))
+        lower = make_box(np.zeros(3), np.ones(3), _rot(([1, 0, 0], math.pi / 4)))
+        upper = make_box([0, 0, math.sqrt(2)], np.ones(3), _rot(([0, 1, 0], math.pi / 4)))
         cases.append(("ridge edges crossing", lower, upper, 0.0))
         for r, rot in enumerate(cls.ROTATIONS[:2]):
             center = 50.0 * r * rot[:, 1]
-            a = OrientedBox3D(center, [2.0, 2.0, 2.0], rot)
+            a = make_box(center, [2.0, 2.0, 2.0], rot)
             for relations in itertools.product(AXIS_RELATIONS, repeat=3):
                 local, dims, overlaps = np.array(relations).T
-                b = OrientedBox3D(center + rot @ local, dims, rot)
+                b = make_box(center + rot @ local, dims, rot)
                 cases.append((f"shared frame {relations} {r}", a, b, None))
         return cases
 
     def test_rows_match_single_pairs(self, monkeypatch):
         cases = self._cases()
-        a = np.array([a.row for _, a, _, _ in cases])
-        b = np.array([b.row for _, _, b, _ in cases])
+        a = np.array([a for _, a, _, _ in cases])
+        b = np.array([b for _, _, b, _ in cases])
         chunks = []
         volumes = box3d._polytope_volumes
 
@@ -332,10 +338,10 @@ def _spread_pairs(rng):
     for _ in range(200):
         a = random_box(rng)
         dims = rng.uniform(0.3, 2.0, size=3)
-        reach = (math.hypot(*a.dims) + math.hypot(*dims)) / 2.0
+        reach = (math.hypot(*a[DIMS]) + math.hypot(*dims)) / 2.0
         direction = rng.standard_normal(3)
         offset = rng.uniform(0.3, 1.5) * reach * direction / math.hypot(*direction)
-        pairs.append((a, OrientedBox3D(a.center + offset, dims, random_rotation(rng))))
+        pairs.append((a, make_box(a[CENTER] + offset, dims, random_rotation(rng))))
     return pairs
 
 
@@ -346,11 +352,11 @@ def _margin_pairs(rng):
     for _ in range(100):
         a = random_box(rng)
         dims = rng.uniform(0.3, 2.0, size=3)
-        ra, rb = np.linalg.norm(a.dims) / 2.0, np.linalg.norm(dims) / 2.0
-        toward = a.rot @ (a.dims / 2.0) / ra
+        ra, rb = np.linalg.norm(a[DIMS]) / 2.0, np.linalg.norm(dims) / 2.0
+        toward = a[ROT].reshape(3, 3) @ (a[DIMS] / 2.0) / ra
         rot = turned(_aligned(dims / 2.0 / rb, -toward), toward, rng.uniform(0.0, 2.0 * math.pi))
         gap = 1e-6 + rng.uniform(-1e-9, 1e-9)
-        pairs.append((a, OrientedBox3D(a.center + (ra + rb + gap) * toward, dims, rot)))
+        pairs.append((a, make_box(a[CENTER] + (ra + rb + gap) * toward, dims, rot)))
     return pairs
 
 
@@ -369,7 +375,7 @@ class TestSphereGapPairs:
     def test_batch_and_single_pair_bits(self, kind):
         rng = np.random.default_rng(31 if kind == "spread" else 32)
         pairs = _spread_pairs(rng) if kind == "spread" else _margin_pairs(rng)
-        a, b = np.array([a.row for a, _ in pairs]), np.array([b.row for _, b in pairs])
+        a, b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
         assert _digest(iou3d_batch(a, b)) == self.DIGESTS[kind]
         assert _digest(iou3d_batch(b, a)) == self.DIGESTS[kind]
         assert _digest([iou3d(a, b) for a, b in pairs]) == self.DIGESTS[kind]
@@ -393,7 +399,7 @@ class TestBEVFastPath:
         assert iou3d_monte_carlo(a, b, 400_000, seed=9) == pytest.approx(expected, abs=0.005)
 
     def test_rejects_tilted_box(self):
-        tilted = OrientedBox3D(
+        tilted = make_box(
             np.zeros(3),
             np.ones(3),
             random_rotation(np.random.default_rng(6)),
@@ -403,7 +409,7 @@ class TestBEVFastPath:
 
     def test_is_yaw_only_iff_require_does_not_raise(self):
         flipped = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, 0.0, -1.0]])
-        rots = [np.eye(3), yaw_box([0, 0, 0], [1, 1, 1], 2.5).rot, flipped]
+        rots = [np.eye(3), yaw_box([0, 0, 0], [1, 1, 1], 2.5)[ROT].reshape(3, 3), flipped]
         for row, col in ((2, 0), (2, 1), (0, 2), (1, 2)):
             for value in (1e-9, 1e-6, np.nan):
                 rot = np.eye(3)
@@ -413,13 +419,13 @@ class TestBEVFastPath:
         rots += [random_rotation(rng) for _ in range(5)]
         verdicts = []
         for rot in rots:
-            box = OrientedBox3D(np.zeros(3), np.ones(3), rot)
+            box = make_box(np.zeros(3), np.ones(3), rot)
             try:
-                _require_yaw_only(box.row[None])
+                _require_yaw_only(box[None])
                 accepted = True
             except NotYawOnly:
                 accepted = False
-            assert yaw_only(box.row[None])[0] == accepted
+            assert yaw_only(box[None])[0] == accepted
             verdicts.append(accepted)
         # Identity, yaw, flipped and the four entries at exactly the tolerance.
         assert sum(verdicts) == 7
@@ -455,22 +461,48 @@ class TestBEVFastPath:
 
 
 class TestRows:
-    """A batch of boxes is (N, 15) rows of center, dims and row-major rot."""
+    """A box is a (15,) row of center, dims and row-major rot, and a batch
+    of boxes (N, 15) rows."""
 
     def test_row_round_trip(self):
+        # box_row keeps a row's numbers as float64, and a float64 row as a view.
         box = random_box(np.random.default_rng(11))
-        row = box.row
-        assert row.tolist() == [*box.center, *box.dims, *box.rot.ravel()]
-        again = OrientedBox3D.from_row(row)
-        assert np.array_equal(again.center, box.center)
-        assert np.array_equal(again.dims, box.dims)
-        assert np.array_equal(again.rot, box.rot)
+        row = box_row(box.tolist())
+        assert row.dtype == np.float64 and row.tolist() == box.tolist()
+        assert np.shares_memory(box_row(row), row)
+        assert box_row([0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1]).tolist() == UNIT_CUBE.tolist()
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (1, 15), (3, 5), ()])
+    def test_box_row_rejects_another_shape(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"^box \("):
+            box_row(np.ones(shape))
+
+    @pytest.mark.parametrize("dims", [[1.0, 0.0, 1.0], [1.0, 1.0, -2.0], [np.nan, 1.0, 1.0]])
+    def test_box_row_rejects_a_dim_that_is_not_positive(self, dims):
+        with pytest.raises(ValueError, match=r"^box dims must be positive, got \["):
+            box_row(np.r_[np.zeros(3), dims, np.eye(3).ravel()])
+
+    @pytest.mark.parametrize("call", [
+        lambda box: corners(box),
+        lambda box: intersection_volume(box, UNIT_CUBE),
+        lambda box: iou3d(UNIT_CUBE, box),
+        lambda box: iou3d_bev_yaw(box, UNIT_CUBE),
+        lambda box: iou3d_monte_carlo(UNIT_CUBE, box, 10, 0),
+        lambda box: score_query(box, UNIT_CUBE, "q"),
+        lambda box: raw_from_box(box, (1000.0, 1000.0, 960.0, 540.0, 1920.0, 1080.0), OUTDOOR_PROFILE),
+    ], ids=["corners", "intersection_volume", "iou3d", "iou3d_bev_yaw", "iou3d_monte_carlo",
+            "score_query", "raw_from_box"])
+    def test_one_box_functions_check_their_rows(self, call):
+        with pytest.raises(ShapeMismatch):
+            call(UNIT_CUBE[:14])
+        with pytest.raises(ValueError, match=r"^box dims must be positive, got \[1\. 0\. 1\.\]$"):
+            call(np.r_[UNIT_CUBE[CENTER], 1.0, 0.0, 1.0, UNIT_CUBE[ROT]])
 
     @pytest.mark.parametrize(
         "kernel", [box3d.iou3d_batch, box3d.iou3d_bev_yaw_batch, box3d.intersection_volume_batch]
     )
     def test_kernels_reject_a_zero_dim(self, kernel):
-        good = np.array([UNIT_CUBE.row, UNIT_CUBE.row])
+        good = np.array([UNIT_CUBE, UNIT_CUBE])
         bad = good.copy()
         bad[1, box3d.DIMS] = [1.0, 0.0, 1.0]
         for a, b in ((good, bad), (bad, good)):
@@ -486,7 +518,7 @@ class TestMonteCarlo:
             assert iou3d_monte_carlo(box, box, 10_000, seed) == 1.0
 
     def test_disjoint_is_zero(self):
-        far = OrientedBox3D([30.0, 0, 0], np.ones(3), np.eye(3))
+        far = make_box([30.0, 0, 0], np.ones(3), np.eye(3))
         assert iou3d_monte_carlo(UNIT_CUBE, far, 10_000, seed=0) == 0.0
 
     def test_deterministic_per_seed(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_box, random_intrinsics
+from conftest import make_box, random_box, random_intrinsics
+from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.camera import (
     CameraIntrinsics,
     DepthMode,
@@ -192,10 +193,10 @@ def closed_form_fused_center(raw, cam, vc, h2d):
 
 class TestReasonCenter:
     def _perfect_raw(self, box, cam, vc):
-        center = Point3D(*box.center)
+        center = Point3D(*box[CENTER])
         pix = project(center, cam)
         d_v = real_to_virtual_depth(center.Z, cam, vc)
-        return make_raw(pix.u / cam.width, pix.v / cam.height, d_v, *box.dims)
+        return make_raw(pix.u / cam.width, pix.v / cam.height, d_v, *box[DIMS])
 
     def test_virtual_only_recovers_center(self):
         rng = np.random.default_rng(3)
@@ -203,10 +204,10 @@ class TestReasonCenter:
         for _ in range(100):
             cam = random_intrinsics(rng)
             box = random_box(rng)
-            box = type(box)(box.center + np.array([0, 0, 5.0]), box.dims, box.rot)
+            box = make_box(box[CENTER] + np.array([0, 0, 5.0]), box[DIMS], box[ROT])
             raw = self._perfect_raw(box, cam, vc)
             got = reason_center(raw, cam, vc, DepthMode.VIRTUAL_ONLY)
-            assert np.allclose(got, box.center, atol=1e-9)
+            assert np.allclose(got, box[CENTER], atol=1e-9)
 
     def test_fused_recovers_center_with_exact_h2d(self):
         rng = np.random.default_rng(4)
@@ -214,11 +215,11 @@ class TestReasonCenter:
         for _ in range(100):
             cam = random_intrinsics(rng)
             box = random_box(rng)
-            box = type(box)(box.center + np.array([0, 0, 10.0]), box.dims, box.rot)
+            box = make_box(box[CENTER] + np.array([0, 0, 10.0]), box[DIMS], box[ROT])
             raw = self._perfect_raw(box, cam, vc)
-            h2d = cam.fy * box.dims[2] / box.center[2]
+            h2d = cam.fy * box[DIMS][2] / box[CENTER][2]
             got = reason_center(raw, cam, vc, DepthMode.FUSED_AVERAGE, h2d=h2d)
-            assert np.allclose(got, box.center, atol=1e-9)
+            assert np.allclose(got, box[CENTER], atol=1e-9)
 
     def test_matches_closed_form_oracle(self):
         rng = np.random.default_rng(5)
@@ -246,7 +247,7 @@ class TestReasonCenter:
         for _ in range(100):
             cam = random_intrinsics(rng)
             box = random_box(rng)
-            box = type(box)(box.center + np.array([0, 0, 8.0]), box.dims, box.rot)
+            box = make_box(box[CENTER] + np.array([0, 0, 8.0]), box[DIMS], box[ROT])
             got_a = reason_center(self._perfect_raw(box, cam, vc_a), cam, vc_a, DepthMode.VIRTUAL_ONLY)
             got_b = reason_center(self._perfect_raw(box, cam, vc_b), cam, vc_b, DepthMode.VIRTUAL_ONLY)
             assert np.allclose(got_a, got_b, rtol=1e-12, atol=1e-14)
@@ -276,7 +277,7 @@ def test_raw_from_box_round_trip_uses_both_profiles():
     for profile in (INDOOR_PROFILE, OUTDOOR_PROFILE):
         cam = random_intrinsics(rng)
         box = random_box(rng, yaw_only=True)
-        box = type(box)(box.center + np.array([0, 0, 12.0]), box.dims, box.rot)
+        box = make_box(box[CENTER] + np.array([0, 0, 12.0]), box[DIMS], box[ROT])
         raw = raw_from_box(box, cam, profile)
         assert raw[D_V] > 0 and np.all((0 <= raw[UV]) & (raw[UV] <= 1))
-        assert math.isclose(raw[SIZE][2], box.dims[2])
+        assert math.isclose(raw[SIZE][2], box[DIMS][2])

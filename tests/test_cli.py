@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 import test_pipeline
-from conftest import fresh_python, haswell_pinned
-from mono3dg.box3d import OrientedBox3D
+from conftest import fresh_python, haswell_pinned, make_box
+from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.cli import main
 from mono3dg.jsonio import loads_strict
 from mono3dg.pipeline import box_predictions_from_gt, perfect_raw_predictions, scale_virtual_depth
@@ -309,8 +309,8 @@ class TestGoldenReports:
         boxes = []
         for k, p in enumerate(box_predictions_from_gt(scenes)):
             b = p.box3d
-            shift = b.rot @ ((0.05 * (k % 10)) * b.dims)
-            boxes.append(replace(p, box3d=OrientedBox3D(b.center + shift, 1.05 * b.dims, b.rot)))
+            shift = b[ROT].reshape(3, 3) @ ((0.05 * (k % 10)) * b[DIMS])
+            boxes.append(replace(p, box3d=make_box(b[CENTER] + shift, 1.05 * b[DIMS], b[ROT])))
         return gt, raw, boxes
 
     @staticmethod

@@ -652,6 +652,17 @@ class TestStackedDataset:
         with pytest.raises(ValueError, match="target 2 is not finite"):
             D.train(embeddings, targets, params, D.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_loss_and_backward_reject_a_non_finite_target_as_train_does(self, value):
+        rng = np.random.default_rng(43)
+        params = D.init_params(small_config(), rng)
+        seq, raw, target = make_sequence(rng), make_target(rng), make_target(rng)
+        target[3] = value
+        for call in (lambda: D.loss(raw, target), lambda: D.backward(seq, params, target),
+                     lambda: D.train(seq[None], target[None], params, D.TrainConfig(epochs=1))):
+            with pytest.raises(ValueError, match=r"^target 0 is not finite$"):
+                call()
+
 
 def _poke(x, value):
     """A copy of x whose last sequence holds value at token 2, column 5."""

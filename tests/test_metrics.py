@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3dg import box3d, metrics
-from mono3dg.box3d import OrientedBox3D, iou3d
+from conftest import make_box
+from mono3dg.box3d import CENTER, DIMS, ROT, iou3d
 from mono3dg.metrics import (
     REPORT_COLUMNS,
     MetricReport,
@@ -21,7 +22,7 @@ from mono3dg.metrics import (
 
 
 def axis_box(center, dims):
-    return OrientedBox3D(np.asarray(center, float), np.asarray(dims, float), np.eye(3))
+    return make_box(center, dims, np.eye(3))
 
 
 def yaw_rot(yaw: float) -> np.ndarray:
@@ -71,33 +72,33 @@ class TestScoreQuery:
 class TestYawOnlyRouting:
     CASES = {
         "contained": (
-            OrientedBox3D([1.0, 2.0, 20.0], [4.0, 2.0, 1.5], yaw_rot(0.3)),
-            OrientedBox3D([1.2, 2.1, 20.1], [1.0, 0.5, 0.5], yaw_rot(-1.1)),
+            make_box([1.0, 2.0, 20.0], [4.0, 2.0, 1.5], yaw_rot(0.3)),
+            make_box([1.2, 2.1, 20.1], [1.0, 0.5, 0.5], yaw_rot(-1.1)),
         ),
         "touching_faces": (
-            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.7)),
-            OrientedBox3D(
+            make_box([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.7)),
+            make_box(
                 [2.0 * math.cos(0.7), 2.0 * math.sin(0.7), 10.0], [2.0, 1.0, 1.0], yaw_rot(0.7)
             ),
         ),
         "touching_top": (
-            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
-            OrientedBox3D([0.3, 0.1, 11.0], [2.0, 1.0, 1.0], yaw_rot(1.2)),
+            make_box([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
+            make_box([0.3, 0.1, 11.0], [2.0, 1.0, 1.0], yaw_rot(1.2)),
         ),
         "disjoint": (
-            OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
-            OrientedBox3D([5.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(2.0)),
+            make_box([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.2)),
+            make_box([5.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(2.0)),
         ),
         "flipped": (
-            OrientedBox3D([0.0, 0.0, 10.0], [3.0, 1.5, 1.0], flipped_yaw_rot(0.4)),
-            OrientedBox3D([0.5, 0.2, 10.3], [2.5, 1.2, 1.4], yaw_rot(-0.6)),
+            make_box([0.0, 0.0, 10.0], [3.0, 1.5, 1.0], flipped_yaw_rot(0.4)),
+            make_box([0.5, 0.2, 10.3], [2.5, 1.2, 1.4], yaw_rot(-0.6)),
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_exact_iou(self, case):
         pred, gt = self.CASES[case]
-        assert box3d.yaw_only(np.array([pred.row, gt.row])).all()
+        assert box3d.yaw_only(np.array([pred, gt])).all()
         assert score_query(pred, gt, "q").iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
 
     def test_yaw_only_pair_skips_exact_clipper(self, monkeypatch):
@@ -115,19 +116,19 @@ class TestYawOnlyRouting:
 
         monkeypatch.setattr(box3d, "iou3d_bev_yaw", fail)
         monkeypatch.setattr(box3d, "iou3d_bev_yaw_batch", fail)
-        gt = OrientedBox3D([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.3))
+        gt = make_box([0.0, 0.0, 10.0], [2.0, 1.0, 1.0], yaw_rot(0.3))
         tilted_rot = yaw_rot(0.5)
         tilted_rot[2, 0] = 1e-6
-        pred = OrientedBox3D([0.1, 0.0, 10.0], [2.0, 1.0, 1.0], tilted_rot)
-        assert not box3d.yaw_only(pred.row[None])[0]
+        pred = make_box([0.1, 0.0, 10.0], [2.0, 1.0, 1.0], tilted_rot)
+        assert not box3d.yaw_only(pred[None])[0]
         assert score_query(pred, gt, "q").iou == iou3d(pred, gt)
         assert score_query(gt, pred, "q").iou == iou3d(gt, pred)
 
     @staticmethod
-    def _tilted(box: OrientedBox3D) -> OrientedBox3D:
-        rot = box.rot.copy()
+    def _tilted(box: np.ndarray) -> np.ndarray:
+        rot = box[ROT].reshape(3, 3).copy()
         rot[2, 0] = 1e-6
-        return OrientedBox3D(box.center, box.dims, rot)
+        return make_box(box[CENTER], box[DIMS], rot)
 
     def test_mixed_batch_routes_each_pair(self, monkeypatch):
         pairs = [self.CASES[name] for name in sorted(self.CASES)]
@@ -143,14 +144,14 @@ class TestYawOnlyRouting:
 
         monkeypatch.setattr(box3d, "iou3d_batch", counting_iou3d_batch)
         scores = metrics.score_query_batch(
-            np.array([p.row for p, _ in rows]),
-            np.array([g.row for _, g in rows]),
+            np.array([p for p, _ in rows]),
+            np.array([g for _, g in rows]),
         )
-        assert exact_rows == [(p.center.tolist(), g.center.tolist()) for p, g in tilted]
+        assert exact_rows == [(p[CENTER].tolist(), g[CENTER].tolist()) for p, g in tilted]
         for (pred, gt), score in zip(pairs, scores):
             assert score[0] == pytest.approx(iou3d(pred, gt), abs=1e-9)
         for (pred, gt), score in zip(tilted, scores[len(pairs):]):
-            assert not box3d.yaw_only(np.array([pred.row, gt.row])).all()
+            assert not box3d.yaw_only(np.array([pred, gt])).all()
             assert score[0] == iou3d(pred, gt)
         # Each row of the batch is what scoring that pair alone gives.
         monkeypatch.undo()

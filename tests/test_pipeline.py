@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import haswell_pinned, under_blas_kernel
+from conftest import haswell_pinned, make_box, under_blas_kernel
 from mono3dg import cli
 from mono3dg import decoder as D
-from mono3dg.box3d import OrientedBox3D, iou3d, iou3d_monte_carlo
+from mono3dg.box3d import CENTER, DIMS, ROT, iou3d, iou3d_monte_carlo
 from mono3dg.camera import DepthMode
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import MetricReport, score_query, score_query_batch
@@ -87,9 +87,9 @@ class TestPerfectPredictions:
                 for obj in record.objects:
                     raw = raw_from_box(obj.box3d, record.intrinsics, profile)
                     box = box_from_raw(raw, record.intrinsics, profile, h2d=obj.h2d)
-                    assert np.allclose(box.center, obj.box3d.center, atol=1e-9)
-                    assert np.allclose(box.dims, obj.box3d.dims, atol=1e-12)
-                    assert np.abs(box.rot - obj.box3d.rot).max() <= 1e-9
+                    assert np.allclose(box[CENTER], obj.box3d[CENTER], atol=1e-9)
+                    assert np.allclose(box[DIMS], obj.box3d[DIMS], atol=1e-12)
+                    assert np.abs(box[ROT] - obj.box3d[ROT]).max() <= 1e-9
                     assert iou3d(box, obj.box3d) >= 1.0 - 1e-6
 
 
@@ -100,8 +100,8 @@ class TestScoring:
         scenes = synth_scenes(4, seed=3, ranges=SynthRanges(objects_per_scene=(1, 1)))
         preds = box_predictions_from_gt(scenes)
         victim = scenes[0].objects[0].box3d
-        shift = np.array([0.4 * victim.dims[0], 0.0, 0.0])
-        shifted = OrientedBox3D(victim.center + victim.rot @ shift, victim.dims, victim.rot)
+        shift = np.array([0.4 * victim[DIMS][0], 0.0, 0.0])
+        shifted = make_box(victim[CENTER] + victim[ROT].reshape(3, 3) @ shift, victim[DIMS], victim[ROT])
         overlap = iou3d(shifted, victim)
         assert 0.25 < overlap < 0.5
         assert iou3d_monte_carlo(shifted, victim, 200_000, seed=0) == pytest.approx(overlap, abs=0.01)
@@ -196,7 +196,7 @@ class TestToyDataset:
         for target, (image_id, object_id), record in zip(targets, keys, scenes):
             assert record.image_id == image_id
             box = box_from_raw(target, record.intrinsics, INDOOR_PROFILE, record.objects[0].h2d)
-            assert np.allclose(box.center, record.objects[0].box3d.center, atol=1e-9)
+            assert np.allclose(box[CENTER], record.objects[0].box3d[CENTER], atol=1e-9)
 
     def test_encoding_is_deterministic(self):
         ranges = SynthRanges(objects_per_scene=(1, 1))
@@ -244,9 +244,9 @@ class TestSameBitsAsPerQueryCode:
         queries = [(r, o) for r in scenes for o in r.objects]
         single = [box_from_raw(p.raw, r.intrinsics, profile, o.h2d) for (r, o), p in zip(queries, preds)]
         batch = box_from_raw_columns(preds.values, scenes.cams[scenes.rows], profile, scenes.h2d)
-        gt = np.array([o.box3d.row for _, o in queries])
+        gt = np.array([o.box3d for _, o in queries])
         boxes_digest, iou_digest = self.DIGESTS[profile_name]
-        assert _digest([np.concatenate([b.center, b.dims, b.rot.ravel()]) for b in single]) == boxes_digest
+        assert _digest(single) == boxes_digest
         assert _digest(batch) == boxes_digest
         single_ious = [score_query(b, o.box3d, "q").iou for b, (_, o) in zip(single, queries)]
         batch_ious = score_query_batch(batch, gt)[:, 0]
@@ -368,15 +368,15 @@ class TestRawFromBoxBatchErrors:
 
     @staticmethod
     def _behind(box):
-        return OrientedBox3D(box.center * np.array([1.0, 1.0, -1.0]), box.dims, box.rot)
+        return make_box(box[CENTER] * np.array([1.0, 1.0, -1.0]), box[DIMS], box[ROT])
 
     @staticmethod
     def _scaled(box):
-        return OrientedBox3D(box.center, box.dims, 2.0 * box.rot)
+        return make_box(box[CENTER], box[DIMS], 2.0 * box[ROT])
 
     @staticmethod
     def _reflected(box):
-        return OrientedBox3D(box.center, box.dims, box.rot * np.array([1.0, 1.0, -1.0]))
+        return make_box(box[CENTER], box[DIMS], box[ROT].reshape(3, 3) * [1.0, 1.0, -1.0])
 
     @pytest.mark.parametrize("profile_name", ["indoor", "outdoor"])
     @pytest.mark.parametrize("first, second, error", [
@@ -393,7 +393,7 @@ class TestRawFromBoxBatchErrors:
         with pytest.raises(error) as single:
             raw_from_box(boxes[2], cams[2], profile)
         with pytest.raises(error) as batch:
-            raw_from_box_batch(np.array([box.row for box in boxes]), cams, profile)
+            raw_from_box_batch(np.array(boxes), cams, profile)
         assert str(batch.value) == str(single.value)
 
 
@@ -438,7 +438,7 @@ class TestTablesMatchRecords:
         if mode == "raw":
             preds = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
         else:
-            preds = [replace(p, box3d=OrientedBox3D(p.box3d.center + 0.1, p.box3d.dims, p.box3d.rot))
+            preds = [replace(p, box3d=make_box(p.box3d[CENTER] + 0.1, p.box3d[DIMS], p.box3d[ROT]))
                      for p in box_predictions_from_gt(scenes)]
         gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
         write_scenes(gt, scenes)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.camera import VirtualCamera, real_to_virtual_depth
 from mono3dg.cli import main
 from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError, ShapeMismatch
@@ -55,7 +56,7 @@ class TestSynth:
             for record in synth_scenes(50, seed=3, profile_name=profile):
                 cam = record.intrinsics
                 for obj in record.objects:
-                    x, y, z = obj.box3d.center
+                    x, y, z = obj.box3d[CENTER]
                     u = cam.fx * x / z + cam.cx
                     v = cam.fy * y / z + cam.cy
                     assert 0.0 <= u <= cam.width
@@ -64,13 +65,13 @@ class TestSynth:
     def test_h2d_is_exact_projected_height(self):
         for record in synth_scenes(20, seed=4, profile_name="outdoor"):
             for obj in record.objects:
-                expected = record.intrinsics.fy * obj.box3d.dims[2] / obj.box3d.center[2]
+                expected = record.intrinsics.fy * obj.box3d[DIMS][2] / obj.box3d[CENTER][2]
                 assert obj.h2d == pytest.approx(expected, rel=1e-12)
 
     def test_outdoor_boxes_are_yaw_only(self):
         for record in synth_scenes(20, seed=6, profile_name="outdoor"):
             for obj in record.objects:
-                R = obj.box3d.rot
+                R = obj.box3d[ROT].reshape(3, 3)
                 assert abs(R[2, 0]) <= 1e-12 and abs(R[2, 1]) <= 1e-12
                 assert abs(R[0, 2]) <= 1e-12 and abs(R[1, 2]) <= 1e-12
 
@@ -84,8 +85,8 @@ class TestSynth:
             base = by_id[pair.image_id.removesuffix(FOCAL_PAIR_SUFFIX)]
             assert pair.intrinsics.fx == pytest.approx(2.0 * base.intrinsics.fx)
             for obj_base, obj_pair in zip(base.objects, pair.objects):
-                dv_base = real_to_virtual_depth(obj_base.box3d.center[2], base.intrinsics, vc)
-                dv_pair = real_to_virtual_depth(obj_pair.box3d.center[2], pair.intrinsics, vc)
+                dv_base = real_to_virtual_depth(obj_base.box3d[CENTER][2], base.intrinsics, vc)
+                dv_pair = real_to_virtual_depth(obj_pair.box3d[CENTER][2], pair.intrinsics, vc)
                 assert dv_pair == pytest.approx(dv_base, rel=1e-9)
 
     def test_invalid_ranges(self):
@@ -158,8 +159,8 @@ class TestSceneJsonl:
         write_scenes(path, records)
         loaded = read_scenes(path)
         for orig, back in zip(records, loaded):
-            assert np.array_equal(orig.objects[0].box3d.center, back.objects[0].box3d.center)
-            assert np.array_equal(orig.objects[0].box3d.rot, back.objects[0].box3d.rot)
+            assert np.array_equal(orig.objects[0].box3d[CENTER], back.objects[0].box3d[CENTER])
+            assert np.array_equal(orig.objects[0].box3d[ROT], back.objects[0].box3d[ROT])
 
     def test_missing_intrinsics_names_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -388,6 +389,32 @@ class TestPredictionTableShape:
             assert record.raw.shape == row.shape and np.shares_memory(record.raw, row)
         assert PredictionTable.of(list(table)).values.tobytes() == table.values.tobytes()
 
+    def test_box_records_are_views_of_their_rows(self):
+        scenes = synth_scenes(3, seed=1)
+        preds = PredictionTable.of(box_predictions_from_gt(scenes))
+        for table, boxes in ((preds, [p.box3d for p in preds]),
+                             (scenes, [o.box3d for r in scenes for o in r.objects])):
+            rows = table.values if table is preds else table.boxes
+            for box, row in zip(boxes, rows, strict=True):
+                assert box.shape == (15,) and np.shares_memory(box, row)
+        assert preds.values.tobytes() == scenes.boxes.tobytes()
+        assert SceneTable.of(list(scenes)).boxes.tobytes() == scenes.boxes.tobytes()
+
+    @pytest.mark.parametrize("box, error", [
+        (np.ones(14), ShapeMismatch), (np.ones((1, 15)), ShapeMismatch),
+        (np.r_[np.zeros(3), 1.0, 0.0, 1.0, np.eye(3).ravel()], ValueError),
+    ], ids=["width-14", "2-d", "zero-dim"])
+    def test_of_passes_record_boxes_through_box_row(self, box, error):
+        records = list(synth_scenes(2, seed=2))
+        preds = box_predictions_from_gt(records)
+        objects = records[-1].objects
+        objects[-1] = dataclasses.replace(objects[-1], box3d=box)
+        preds[-1] = dataclasses.replace(preds[-1], box3d=box)
+        with pytest.raises(error, match=r"^box (\(|dims)"):
+            SceneTable.of(records)
+        with pytest.raises(error, match=r"^box (\(|dims)"):
+            PredictionTable.of(preds)
+
 
 class TestRecordEquality:
     """Records hold arrays, so == is identity: a record equals itself, and
@@ -400,7 +427,6 @@ class TestRecordEquality:
         pairs = [
             (first, second),
             (first.objects[0], second.objects[0]),
-            (first.objects[0].box3d, second.objects[0].box3d),
             (preds[0], preds[0]),
         ]
         for a, b in pairs:
@@ -429,7 +455,7 @@ class TestPredictionJsonl:
         write_predictions(path, preds)
         loaded = read_predictions(path, "box")
         assert len(loaded) == len(preds)
-        assert np.array_equal(loaded[0].box3d.rot, preds[0].box3d.rot)
+        assert np.array_equal(loaded[0].box3d[ROT], preds[0].box3d[ROT])
 
     def test_mode_mismatch_is_schema_error(self, tmp_path):
         scenes = synth_scenes(3, seed=14)

@@ -1,8 +1,10 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and its
+workloads' library calls still run and pass their checks.
 
 perfbench/tracing.py wraps package functions by name at the modules where
-their callers look them up; a refactor that renames or moves one of them
-would otherwise only show at benchmark time.
+their callers look them up, and perfbench/workloads.py calls the package
+directly; a refactor that renames, moves or retypes one of them would
+otherwise only show at benchmark time.
 """
 
 import importlib.util
@@ -10,14 +12,15 @@ from pathlib import Path
 
 import mono3dg
 from mono3dg import box3d, cli, metrics, pipeline
+import pytest
 from mono3dg.pipeline import perfect_raw_predictions, scale_virtual_depth
-from mono3dg.scenes import OUTDOOR_PROFILE, synth_scenes, write_predictions, write_scenes
+from mono3dg.scenes import OUTDOOR_PROFILE, profile_by_name, synth_scenes, write_predictions, write_scenes
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +37,7 @@ def _lookup_sites(tracing):
 
 
 def test_tracer_installs_traces_and_uninstalls(tmp_path, capsys):
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     before = _lookup_sites(tracing)
     scenes = synth_scenes(6, seed=3, profile_name="outdoor")
     gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
@@ -57,3 +60,23 @@ def test_tracer_installs_traces_and_uninstalls(tmp_path, capsys):
             "pipeline.run_pipeline", "metrics.aggregate"} <= names
     assert _lookup_sites(tracing) == before
     assert metrics.iou3d is box3d.iou3d
+
+
+@pytest.mark.parametrize("profile_name", ["outdoor", "indoor"])
+def test_eval_oracle_checks_pass(tmp_path, profile_name):
+    # The benchmark's record-level box_from_raw -> iou3d, iou3d_monte_carlo
+    # and (outdoor) iou3d_bev_yaw calls, on one small shard.
+    workloads = _load_perfbench("workloads")
+    workloads.ORACLE_PAIRS = 2
+    scenes = synth_scenes(8, seed=5, profile_name=profile_name)
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    write_scenes(gt, scenes)
+    raw = perfect_raw_predictions(scenes, profile_by_name(profile_name))
+    write_predictions(pred, scale_virtual_depth(raw, workloads.DEPTH_SCALE))
+    ledger = workloads.Ledger()
+    workload = workloads.EvalWorkload(profile_name, 3, tmp_path, ledger)
+    workload.shards = [(gt, pred)]
+    workload._check_oracles()
+    expected = {"iou_matches_monte_carlo"} | ({"iou_matches_bev_yaw"} if profile_name == "outdoor" else set())
+    assert set(ledger.checks) == expected
+    assert ledger.correct, ledger.notes
