@@ -10,13 +10,16 @@ the fast kernel for pairs of yaw-only boxes; it and a Monte-Carlo
 estimator are independent cross-checks of the exact path.
 
 Both IoU kernels score N pairs at once, and their one-pair functions are
-the N = 1 case with the same bits. The exact kernel runs on chunks of pairs
+the N = 1 case with the same bits. The exact kernel first culls the pairs
+it proves apart: their bounding spheres lie apart, or the 15-axis
+separating-axis test finds a gap, in either case by more than a margin, so
+touching pairs are never culled. It then runs on chunks of the other pairs
 in two stages: stage 1 finds every pair's kept vertices on a fixed set of
-160 candidates, skipping the pairs whose bounding spheres lie apart, and
-stage 2 builds the faces of the pairs with a solid intersection, their
-vertices padded to the chunk's largest count. Products are elementwise and
-sums run in index order with padding that adds -0.0, so each pair's bits
-depend on that pair alone.
+160 candidates, and stage 2 builds the faces of the pairs with a solid
+intersection, their vertices padded to the chunk's largest count. A culled
+pair keeps no vertex in stage 1 either, so its volume is 0.0 both ways.
+Products are elementwise and sums run in index order with padding that
+adds -0.0, so each pair's bits depend on that pair alone.
 
 Local box axes: length along x, width along y, height along z.
 """
@@ -61,10 +64,16 @@ _FACE_SPAN = np.array(
 )
 # The exact kernel runs on at most this many pairs at once.
 _CHUNK = 64
-# Stage 1 skips a pair whose bounding spheres lie more than this far apart
-# (m): no point then lies within CLIP_EPSILON of both boxes, so the pair
-# keeps no vertex.
-_SPHERE_GAP = 1e-6
+# Stage 1 skips a pair whose bounding spheres, or whose extents along a
+# separating axis, lie more than this far apart (m): no point then lies
+# within CLIP_EPSILON of both boxes, so the pair keeps no vertex.
+_CULL_GAP = 1e-6
+# The separating-axis test trusts only rotations this close to orthonormal
+# (max |R^T R - I|); their error then moves its gaps by far less than
+# _CULL_GAP. A pair with another rotation goes to stage 1.
+_CULL_ORTHO_TOL = 1e-12
+# The cyclic successors of axis i, (i + 1) % 3 and (i + 2) % 3.
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
 
 
 # A box is a float64 (15,) row and a batch of N boxes an (N, 15) array of
@@ -183,7 +192,9 @@ def _polytope_volumes(pts: np.ndarray, on: np.ndarray, count: np.ndarray, normal
     # (inclusion-exclusion). Planes that cross instead share a segment,
     # which has no area.
     partner = 6 + row_dots(normals[:, :6, None], normals[:, None, 6:]).argmax(axis=2)
-    on = np.concatenate([on, on[:, :, :6] & np.take_along_axis(on, partner[:, None], axis=2)], axis=2)
+    slot = np.arange(on.shape[1])
+    shared = on[:, :, :6] & on[np.arange(len(on))[:, None, None], slot[:, None], partner[:, None]]
+    on = np.concatenate([on, shared], axis=2)
     face_count = on.sum(axis=1)
     pair, face = (face_count >= 3).nonzero()
     n_on, face_on, vertices = face_count[pair, face, None], on[pair, :, face], pts[pair]
@@ -192,14 +203,44 @@ def _polytope_volumes(pts: np.ndarray, on: np.ndarray, count: np.ndarray, normal
     span = normals[pair[:, None], _FACE_SPAN[face]]
     uv = row_dots(rel[:, :, None], span[:, None])
     angle = np.where(face_on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
-    ring = np.take_along_axis(rel, angle.argsort(axis=1, kind="stable")[..., None], axis=1)
-    slot = np.arange(ring.shape[1])
-    following = np.take_along_axis(ring, ((slot + 1) % n_on)[..., None], axis=1)
+    polygon = np.arange(len(pair))[:, None]
+    ring = rel[polygon, angle.argsort(axis=1, kind="stable")]
+    following = ring[polygon, (slot + 1) % n_on]
     area = _ordered_sum(np.where((slot < n_on)[..., None], _cross(ring, following), -0.0), axis=1) / 2.0
     centroid = _ordered_sum(np.where((slot < count[:, None])[..., None], pts, -0.0), axis=1) / count[:, None]
     cones = np.full(face_count.shape, -0.0)
     cones[pair, face] = _FACE_SIGN[face] * np.abs(row_dots(area, mean - centroid[pair]))
     return _ordered_sum(cones, axis=1) / 3.0
+
+
+def _separated(pairs: np.ndarray) -> np.ndarray:
+    """Which of N (N, 2, 15) pairs the 15-axis separating-axis test
+    (Gottschalk, Lin and Manocha, "OBBTree", SIGGRAPH 1996) proves more than
+    _CULL_GAP apart, along a face normal of either box or along the cross
+    product L of an edge of each.
+
+    It works in the first box's frame: r[i, j] is its axis i dotted with
+    the second box's axis j, and t is the center offset. On an edge axis the
+    gap it compares is |L| <= 1 times the distance, so it claims no more
+    than on a unit axis, and near-parallel edges (|L| near 0) claim nothing.
+    """
+    rot = pairs[:, :, ROT].reshape(-1, 2, 3, 3)
+    half = pairs[:, :, DIMS] / 2.0
+    ha, hb = half[:, 0], half[:, 1]
+    rot_a_t = rot[:, 0].transpose(0, 2, 1)
+    r = _matmul3(rot_a_t, rot[:, 1])
+    abs_r = np.abs(r)
+    t = row_dots(rot_a_t, (pairs[:, 1, CENTER] - pairs[:, 0, CENTER])[:, None])
+    face_a = np.abs(t) - ha - row_dots(abs_r, hb[:, None])
+    face_b = np.abs(row_dots(r.transpose(0, 2, 1), t[:, None])) - row_dots(abs_r.transpose(0, 2, 1), ha[:, None]) - hb
+    edge = (
+        np.abs(t[:, _AFTER, None] * r[:, _NEXT] - t[:, _NEXT, None] * r[:, _AFTER])
+        - ha[:, _NEXT, None] * abs_r[:, _AFTER] - ha[:, _AFTER, None] * abs_r[:, _NEXT]
+        - hb[:, None, _NEXT] * abs_r[:, :, _AFTER] - hb[:, None, _AFTER] * abs_r[:, :, _NEXT]
+    )
+    gap = np.maximum(np.maximum(face_a, face_b).max(axis=1), edge.max(axis=(1, 2)))
+    defect = np.abs(_matmul3(rot.transpose(0, 1, 3, 2), rot) - np.eye(3)).max(axis=(1, 2, 3))
+    return (gap > _CULL_GAP) & (defect <= _CULL_ORTHO_TOL)
 
 
 def intersection_volume_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,7 +251,8 @@ def intersection_volume_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     volume = np.zeros(len(pairs))
     gap = np.linalg.norm(pairs[:, 0, CENTER] - pairs[:, 1, CENTER], axis=1)
     gap -= np.linalg.norm(pairs[:, :, DIMS], axis=2).sum(axis=1) / 2.0
-    near = (gap <= _SPHERE_GAP).nonzero()[0]
+    near = (gap <= _CULL_GAP).nonzero()[0]
+    near = near[~_separated(pairs[near])]
     # Both stages run on a bounded number of pairs at a time, which bounds
     # their scratch memory. Fewer than 4 kept vertices, or all of them on
     # one face plane, make a flat intersection.

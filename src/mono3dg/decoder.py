@@ -10,7 +10,12 @@ rotation). Layers are causal single-head self-attention + feed-forward,
 both with residual connections and no normalization, so gradients stay
 exactly checkable against finite differences. Heads and feed-forward
 blocks share one MLP form (:func:`_mlp`/:func:`_mlp_backward`) and
-prediction and training one head forward (:func:`_heads`). A training
+prediction and training one head forward (:func:`_heads`). The heads read
+the query row alone, so the last layer's feed-forward block activates that
+row alone, forward and backward; its products keep their full (..., T, .)
+shape, so the query row keeps the bits of an every-row pass.
+:func:`predict_batch` drops each layer's activations once the next layer
+has run, and runs the heads once over all its queries. A training
 step over a stacked (B, T, d) minibatch runs the stack forward, the head
 step :func:`_l1_head_step` (losses and the gradient on f3d), then the
 stack backward. Every parameter lives in one flat vector. scipy is the
@@ -269,36 +274,48 @@ def attention_backward(d_out: np.ndarray, cache):
     return d_logits @ k, d_logits.swapaxes(-1, -2) @ q, d_v
 
 
-def _mlp(x: np.ndarray, mlp: MLPParams):
-    """gelu(x w1 + b1) w2 and the cache :func:`_mlp_backward` needs. The
-    caller adds b2, so a residual block keeps its order of addition."""
+def _mlp(x: np.ndarray, mlp: MLPParams, query_only: bool = False):
+    """gelu(x w1 + b1) w2 on rows (..., T, d) and the cache
+    :func:`_mlp_backward` needs. The caller adds b2, so a residual block
+    keeps its order of addition. With query_only, gelu runs on the last
+    (query) row alone and the other rows' hidden units are 0; both products
+    keep their full shape, whose rows BLAS computes independently, so the
+    query row keeps its bits."""
     pre = x @ mlp.w1 + mlp.b1
-    hidden, term = _gelu(pre)
+    if query_only:
+        hidden = np.zeros_like(pre)
+        hidden[..., -1:, :], term = _gelu(pre[..., -1:, :])
+    else:
+        hidden, term = _gelu(pre)
     return hidden @ mlp.w2, (x, pre, term, hidden)
 
 
-def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray):
+def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray, query_only: bool = False):
     summary, attn_cache = attention(x, x, layer.w_q, layer.w_k, layer.w_v, mask)
     attended = x + summary @ layer.w_o
-    ff_out, ff_cache = _mlp(attended, layer.ff)
+    ff_out, ff_cache = _mlp(attended, layer.ff, query_only)
     return attended + ff_out + layer.ff_b2, (x, attn_cache, summary, ff_cache)
 
 
-def _stack_forward(x: np.ndarray, params: DecoderParams):
+def _stack_forward(x: np.ndarray, params: DecoderParams, caches: list | None = None) -> np.ndarray:
+    """The stack's output on x (..., T, d), exact on the query row: the heads
+    read that row alone, so the last layer's feed-forward block activates no
+    other. Appends each layer's cache to caches when given."""
     n = x.shape[-2]
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    caches = []
-    for layer in params.layers:
-        x, cache = _layer_forward(x, layer, mask)
-        caches.append(cache)
-    return x, caches
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
+        x, cache = _layer_forward(x, layer, mask, query_only=i == last)
+        if caches is not None:
+            caches.append(cache)
+    return x
 
 
 def forward(x: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Run the decoder stack on one sequence (T, d) with the query in its
     slot; returns the query slot's final hidden state."""
     x = substitute_query(_sequences(x, params.config.d_model, 2), params.query)
-    return _stack_forward(x, params)[0][-1].copy()
+    return _stack_forward(x, params)[-1].copy()
 
 
 def _heads(f3d: np.ndarray, params: DecoderParams):
@@ -314,14 +331,18 @@ def _heads(f3d: np.ndarray, params: DecoderParams):
 
 def heads(f3d: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Regress all geometric quantities, as a raw row, from the single 3D
-    feature vector."""
-    return _heads(np.asarray(f3d, dtype=float), params)[0]
+    feature vector (d_model,). Raises ShapeMismatch for another shape and
+    MalformedSequence for a non-finite entry."""
+    f3d = np.asarray(f3d, dtype=float)
+    if f3d.shape != (params.config.d_model,):
+        raise ShapeMismatch(f"f3d {f3d.shape} vs ({params.config.d_model},)")
+    if not np.isfinite(f3d).all():
+        raise MalformedSequence("f3d contains non-finite values")
+    return _heads(f3d, params)[0]
 
 
-# Queries per forward pass in predict_batch. A pass keeps every layer's
-# activations, about 55 KB per query at the default sizes, until the heads
-# run: 521 queries in one pass raised peak RSS by 28 MB and were no faster
-# than passes of 32.
+# Queries per forward pass in predict_batch. A pass drops each layer's
+# activations once the next layer has run, and keeps only the query rows.
 _PREDICT_CHUNK = 32
 
 
@@ -329,13 +350,12 @@ def predict_batch(embeddings: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Predicted head outputs as (N, RAW_WIDTH) raw rows, of N stacked
     sequences (N, T, d) whose last position is the query slot."""
     embeddings = _sequences(embeddings, params.config.d_model, 3)
-    out = np.empty((len(embeddings), RAW_WIDTH))
+    # (N, 1, d): the heads see a one-token sequence per query, as in training
+    f3d = np.empty((len(embeddings), 1, params.config.d_model))
     for start in range(0, len(embeddings), _PREDICT_CHUNK):
         x = substitute_query(embeddings[start : start + _PREDICT_CHUNK], params.query)
-        x_final, _ = _stack_forward(x, params)
-        # (n, 1, d): the heads see a one-token sequence per query, as in training
-        out[start : start + len(x)] = _heads(x_final[:, -1:], params)[0][:, 0]
-    return out
+        f3d[start : start + len(x)] = _stack_forward(x, params)[:, -1:]
+    return _heads(f3d, params)[0][:, 0]
 
 
 def predict(x: np.ndarray, params: DecoderParams) -> np.ndarray:
@@ -379,7 +399,12 @@ def _mlp_backward(d_out: np.ndarray, mlp: MLPParams, cache, grads: MLPParams) ->
     x, pre, term, hidden = cache
     grads.b2[...] = _sample_sum(d_out.sum(axis=1))
     grads.w2[...] = _batch_sum_outer(hidden, d_out)
-    d_pre = (d_out @ mlp.w2.T) * (0.5 * term + pre * np.exp(-0.5 * pre * pre) / math.sqrt(2.0 * math.pi))
+    # gelu ran on the last term.shape[-2] rows: all of them, or the query
+    # row alone, where d_out is 0 on the others and so is d_pre
+    rows = slice(-term.shape[-2], None)
+    act = pre[..., rows, :]
+    d_pre = d_out @ mlp.w2.T
+    d_pre[..., rows, :] *= 0.5 * term + act * np.exp(-0.5 * act * act) / math.sqrt(2.0 * math.pi)
     grads.b1[...] = _sample_sum(d_pre.sum(axis=1))
     grads.w1[...] = _batch_sum_outer(x, d_pre)
     return d_pre @ mlp.w1.T
@@ -414,7 +439,8 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     Every slot of ``grads`` is overwritten, so it needs no zeroing between
     calls.
     """
-    x_final, caches = _stack_forward(x, params)
+    caches = []
+    x_final = _stack_forward(x, params, caches)
     # (B, 1, d): the heads see a one-token sequence per sample
     losses, g_f3d = _l1_head_step(x_final[:, -1:], params, targets, grads)
 

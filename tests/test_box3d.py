@@ -382,6 +382,111 @@ class TestSphereGapPairs:
         assert np.count_nonzero(iou3d_batch(a, b)) == (73 if kind == "spread" else 0)
 
 
+def _axis_gaps(a, b):
+    """Gaps (m) between the corner projections of box rows a and b on the
+    unit axes of the separating-axis test: a's 3 face normals, b's 3, then
+    the 9 cross products of an edge of each, a's axis major. A gap below 0
+    is an overlap; a near-parallel edge pair reads -inf."""
+    ca, cb = corners(a), corners(b)
+    ra, rb = a[ROT].reshape(3, 3), b[ROT].reshape(3, 3)
+    axes = [ra[:, i] for i in range(3)] + [rb[:, j] for j in range(3)]
+    axes += [np.cross(ra[:, i], rb[:, j]) for i in range(3) for j in range(3)]
+    gaps = []
+    for axis in axes:
+        norm = np.linalg.norm(axis)
+        if norm < 1e-9:
+            gaps.append(-np.inf)
+            continue
+        pa, pb = ca @ axis / norm, cb @ axis / norm
+        gaps.append(max(pb.min() - pa.max(), pa.min() - pb.max()))
+    return np.array(gaps)
+
+
+def _posed(rows, rot, shift):
+    """Box rows moved rigidly: turned by rot about the origin, then shifted."""
+    return [make_box(rot @ r[CENTER] + shift, r[DIMS], rot @ r[ROT].reshape(3, 3)) for r in rows]
+
+
+def _face_apart(gap):
+    """A wide plate and a turned cube above it, `gap` m apart along the
+    plate's normal, the only axis that separates them."""
+    plate = make_box([0.0, 0.0, 0.0], [4.0, 4.0, 0.2], np.eye(3))
+    rot = _rot(([1, 2, 3], 1.1))
+    reach = 0.25 * np.abs(rot[2]).sum()
+    cube = make_box([0.3, -0.2, 0.1 + reach + gap], [0.5, 0.5, 0.5], rot)
+    return _posed([plate, cube], _rot(([-2, 1, 0.5], 2.4)), np.array([3.0, -1.0, 7.0]))
+
+
+def _edge_apart(gap):
+    """Two bars crossed at right angles, each turned 45 degrees about its
+    length, so a ridge edge of one faces a ridge edge of the other `gap` m
+    away along the cross product of those edges, the only axes that
+    separate them."""
+    lower = make_box([0.0, 0.0, 0.0], [4.0, 0.2, 0.2], _rot(([1, 0, 0], math.pi / 4)))
+    upper = make_box([0.0, 0.0, 0.2 * math.sqrt(2.0) + gap], [0.2, 4.0, 0.2], _rot(([0, 1, 0], math.pi / 4)))
+    return _posed([lower, upper], _rot(([1, 2, 3], 1.1)), np.array([-5.0, 2.0, 10.0]))
+
+
+class TestSeparatingAxisCull:
+    """After the sphere cull, the exact kernel culls the pairs that the
+    separating-axis test proves more than 1e-6 m apart; they score 0.0
+    without reaching stage 1, and no IoU changes a bit."""
+
+    @staticmethod
+    def _stage1_pairs(monkeypatch, a, b):
+        """The IoU of box rows a and b, and how many pairs reached stage 1."""
+        seen = []
+        vertices = box3d._polytope_vertices
+
+        def counting(pairs):
+            seen.append(len(pairs))
+            return vertices(pairs)
+
+        monkeypatch.setattr(box3d, "_polytope_vertices", counting)
+        iou = iou3d(a, b)
+        monkeypatch.undo()
+        return iou, sum(seen)
+
+    @pytest.mark.parametrize("build, axes", [(_face_apart, slice(0, 6)), (_edge_apart, slice(6, 15))],
+                             ids=["face", "edge"])
+    def test_separated_pairs_skip_stage_1(self, monkeypatch, build, axes):
+        a, b = build(0.01)
+        gaps = _axis_gaps(a, b)
+        others = np.ones(15, bool)
+        others[axes] = False
+        assert gaps[axes].max() > 0.009 and gaps[others].max() < 0.0
+        # the bounding spheres overlap, so the sphere cull keeps the pair
+        assert np.linalg.norm(a[CENTER] - b[CENTER]) < (np.linalg.norm(a[DIMS]) + np.linalg.norm(b[DIMS])) / 2.0
+        for first, second in ((a, b), (b, a)):
+            iou, reached = self._stage1_pairs(monkeypatch, first, second)
+            assert iou == 0.0 and reached == 0
+
+    @pytest.mark.parametrize("build", [_face_apart, _edge_apart], ids=["face", "edge"])
+    @pytest.mark.parametrize("gap", [0.0, 1e-9])
+    def test_touching_and_near_pairs_reach_stage_1(self, monkeypatch, build, gap):
+        iou, reached = self._stage1_pairs(monkeypatch, *build(gap))
+        assert iou == 0.0 and reached == 1
+
+    def test_rotation_off_orthonormal_reaches_stage_1(self, monkeypatch):
+        a, b = _face_apart(0.01)
+        b[ROT] *= 1.0 + 1e-9
+        assert self._stage1_pairs(monkeypatch, a, b) == (0.0, 1)
+
+    def test_culling_changes_no_bit(self, monkeypatch):
+        pairs = _spread_pairs(np.random.default_rng(31)) + _margin_pairs(np.random.default_rng(32))
+        pairs += [(a, b) for _, a, b, _ in TestBatchEqualsAlone._cases()]
+        pairs += [build(gap) for build in (_face_apart, _edge_apart) for gap in (0.0, 1e-9, 5e-7, 2e-6, 0.01)]
+        a, b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        culled = iou3d_batch(a, b)
+        separated = box3d._separated
+        claimed = []
+        monkeypatch.setattr(box3d, "_separated", lambda p: claimed.extend(p[separated(p)]) or np.zeros(len(p), bool))
+        assert culled.tobytes() == iou3d_batch(a, b).tobytes()
+        # 47 of the 358 pairs that pass the sphere cull, each more than 1e-6 m apart
+        assert len(claimed) == 47
+        assert min(_axis_gaps(*pair).max() for pair in claimed) > 1e-6
+
+
 class TestBEVFastPath:
     def test_identical(self):
         box = yaw_box([1, 2, 3], [2, 1, 1], 0.7)

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blas_kernel, under_blas_kernel
 from mono3dg import decoder as D
 from mono3dg.errors import EmptyDataset, MalformedSequence, SchemaError, ShapeMismatch
 from mono3dg.jsonio import dumps_canonical
@@ -171,6 +173,21 @@ class TestHeads:
         z = 2.0 * h1 + 1.0 * h2 + 0.25
         expected = math.log1p(math.exp(z))
         assert D.heads(f, params)[D.D_V] == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("f3d, error", [
+        (np.ones(5), ShapeMismatch),
+        (np.ones((2, 8)), ShapeMismatch),
+        (np.ones((1, 8)), ShapeMismatch),
+        (np.float64(1.0), ShapeMismatch),
+        (np.where(np.arange(8) == 3, np.nan, 1.0), MalformedSequence),
+        (np.where(np.arange(8) == 0, np.inf, 1.0), MalformedSequence),
+        (np.where(np.arange(8) == 7, -np.inf, 1.0), MalformedSequence),
+    ], ids=["short", "stack", "row", "scalar", "nan", "inf", "-inf"])
+    def test_takes_one_finite_feature_vector(self, f3d, error):
+        params = D.init_params(small_config(), np.random.default_rng(7))
+        with pytest.raises(error, match="f3d"):
+            D.heads(f3d, params)
 
 
 class TestLoss:
@@ -553,6 +570,69 @@ class TestBatchedBackward:
         expected, expected_history = reference_train(*dataset, params, cfg)
         assert history == expected_history
         assert np.array_equal(trained.flat, expected.flat)
+
+
+def _every_row_mlp(x, mlp, query_only=False):
+    """The reference feed-forward block: gelu on every row, whatever
+    query_only asks."""
+    pre = x @ mlp.w1 + mlp.b1
+    hidden, term = D._gelu(pre)
+    return hidden @ mlp.w2, (x, pre, term, hidden)
+
+
+def query_row_mismatches() -> list:
+    """The (T, N, output) cases where predict_batch's raw rows or a 2-epoch
+    train's parameters and loss history differ in any bit from a run whose
+    last layer activates every row, at the default sizes."""
+    mismatches = []
+    query_row_mlp = D._mlp
+    for t, n in itertools.product((1, 2, 8, 13), (1, 3, 33, 70)):
+        rng = np.random.default_rng(100 * t + n)
+        params = D.init_params(D.DecoderConfig(), rng)
+        x = rng.standard_normal((n, t, params.config.d_model))
+        targets = np.array([make_target(rng) for _ in range(n)])
+        runs = []
+        for mlp in (query_row_mlp, _every_row_mlp):
+            D._mlp = mlp
+            try:
+                trained, history = D.train(x, targets, params, D.TrainConfig(epochs=2, seed=t))
+                runs.append({"predict": D.predict_batch(x, params).tobytes(),
+                             "train": trained.flat.tobytes() + np.array(history).tobytes()})
+            finally:
+                D._mlp = query_row_mlp
+        mismatches += [[t, n, output] for output in runs[0] if runs[0][output] != runs[1][output]]
+    return mismatches
+
+
+class TestQueryRowLastLayer:
+    """The heads read the query row alone, so the last layer activates that
+    row alone; every product keeps its full shape, so no bit changes, under
+    this process's BLAS kernel and under others."""
+
+    def test_same_bits_as_every_row(self):
+        assert query_row_mismatches() == []
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS kernels are forced by x86-64 name"
+    )
+    def test_same_bits_under_other_blas_kernels(self):
+        kernels = set()
+        for coretype in ("Haswell", "Prescott"):
+            kernel, mismatches = under_blas_kernel(coretype, "test_decoder", "query_row_mismatches")
+            assert mismatches == [], (coretype, kernel)
+            kernels.add(kernel)
+        assert kernels - {blas_kernel()}, kernels
+
+    def test_other_rows_stay_inactive(self):
+        config = small_config(n_layers=2)
+        params = D.init_params(config, np.random.default_rng(50))
+        x = D.substitute_query(np.random.default_rng(51).standard_normal((3, 5, 8)), params.query)
+        caches = []
+        D._stack_forward(x, params, caches)
+        first, last = (ff_cache for *_, ff_cache in caches)
+        assert first[2].shape == (3, 5, config.d_ff)
+        assert last[2].shape == (3, 1, config.d_ff)
+        assert not last[3][:, :-1].any()
 
 
 class TestFlatParameters:
