@@ -35,7 +35,7 @@ from .decoder import (
     substitute_query,
     train,
 )
-from .metrics import MetricReport, QueryResult, aggregate, format_report, score_query
+from .metrics import MetricReport, aggregate, format_report, score_query
 from .pipeline import (
     box_from_raw,
     box_predictions_from_gt,
@@ -45,7 +45,6 @@ from .pipeline import (
 )
 from .rotation import (
     EulerAngles,
-    Rot6D,
     euler_to_matrix,
     geodesic_distance,
     matrix_to_euler,

@@ -9,7 +9,8 @@ Conventions: camera frame is x-right, y-down, z-forward; all lengths in
 meters, all image quantities in pixels. Every function here is pure. The
 projection, depth and back-projection steps take scalars or (N,) columns
 alike, so the chain runs on one query or on a whole file of them with the
-same code.
+same code. The chain returns box centers as (N, 3) rows, and one query's
+center is row 0 of them.
 """
 
 from __future__ import annotations
@@ -160,19 +161,15 @@ def reason_center(
     vc: VirtualCamera,
     mode: DepthMode,
     h2d: float | None = None,
-) -> Point3D:
-    """:func:`reason_center_batch` for one query's raw row."""
-    def column(value):
-        return np.array([value], dtype=float)
-
-    raw = raw_row(raw)
-    center = reason_center_batch(
-        *map(column, raw[UV]),
-        column(raw[D_V]),
-        column(raw[SIZE][2]),
-        CameraIntrinsics(*map(column, cam)),
+) -> np.ndarray:
+    """:func:`reason_center_batch` for one query's raw row: its (3,) center."""
+    raw = raw_row(raw)[None]
+    return reason_center_batch(
+        *raw[:, UV].T,
+        raw[:, D_V],
+        raw[:, SIZE][:, 2],
+        CameraIntrinsics(*np.array([cam], dtype=float).T),
         vc,
         mode,
-        None if h2d is None else column(h2d),
-    )
-    return Point3D(*center[0].tolist())
+        None if h2d is None else np.array([h2d], dtype=float),
+    )[0]

@@ -41,12 +41,12 @@ from .jsonio import array_template, check_finite, dumps_canonical, loads_strict,
 _MASK_VALUE = -1e30
 
 
-# A raw row holds one query's head outputs, the RAW_FIELDS and then the
-# rot6d columns a and b, at these slots; N queries are (N, RAW_WIDTH) rows.
+# A raw row holds one query's head outputs, the RAW_FIELDS and then the 6D
+# rotation row (see :mod:`rotation`), at these slots; N queries are
+# (N, RAW_WIDTH) rows.
 RAW_FIELDS = ("u_norm", "v_norm", "d_v", "L", "W", "H")
 RAW_WIDTH = 12
 UV, D_V, SIZE, ROT6D = slice(0, 2), 2, slice(3, 6), slice(6, 12)
-ROT6D_A, ROT6D_B = slice(6, 9), slice(9, 12)
 
 
 def raw_row(raw) -> np.ndarray:

@@ -92,6 +92,8 @@ def depth_head_loss_grads(
     """Analytic gradient of depth_l1_loss(depth_head(...), gt) w.r.t. the head."""
     f_spatial = _check_grid(f_spatial, "spatial features")
     z = apply_linear_map(f_spatial, depth_map_params)[:, :, 0]
+    if z.shape != gt.data.shape:
+        raise ShapeMismatch(f"depth maps differ: {z.shape} vs {gt.data.shape}")
     pred = softplus(z)
     valid = gt.valid
     if not valid.any():

@@ -1,20 +1,23 @@
 """Per-query grounding scores and dataset-level aggregation.
 
 One predicted box is scored against one ground-truth box per query; there is
-no assignment step. Accuracy thresholds are strict: a query counts toward
-Acc@t only when its IoU exceeds t.
+no assignment step. A query's scores are its (5,) row: the IoU, then the
+depth, length, width and height errors; N queries' are (N, 5) rows.
+Accuracy thresholds are strict: a query counts toward Acc@t only when its
+IoU exceeds t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import box3d
 # iou3d stays importable here, where the benchmark's tracer wraps it.
 from .box3d import CENTER, DIMS, box_row, iou3d  # noqa: F401
+from .errors import ShapeMismatch
 
 REPORT_COLUMNS = (
     "Acc@0.25",
@@ -24,20 +27,6 @@ REPORT_COLUMNS = (
     "WidthError",
     "HeightError",
 )
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """Scores for one query. Error fields are None for a missing prediction,
-    which keeps the query in the accuracy denominator but out of the error
-    means."""
-
-    query_id: str
-    iou: float
-    depth_error: float | None
-    length_error: float | None
-    width_error: float | None
-    height_error: float | None
 
 
 @dataclass(frozen=True)
@@ -84,24 +73,19 @@ def score_query_batch(pred: np.ndarray, gt: np.ndarray, depth_metric: str = "z")
     return scores
 
 
-def score_query(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    query_id: str,
-    depth_metric: str = "z",
-) -> QueryResult:
-    """:func:`score_query_batch` for one query's pair of box rows."""
-    scores = score_query_batch(box_row(pred)[None], box_row(gt)[None], depth_metric)
-    return QueryResult(query_id, *scores[0].tolist())
+def score_query(pred: np.ndarray, gt: np.ndarray, depth_metric: str = "z") -> np.ndarray:
+    """:func:`score_query_batch` for one query's pair of box rows: its (5,) score row."""
+    return score_query_batch(box_row(pred)[None], box_row(gt)[None], depth_metric)[0]
 
 
-def aggregate(scores: np.ndarray | list[QueryResult]) -> MetricReport:
+def aggregate(scores: np.ndarray) -> MetricReport:
     """Acc@0.25, Acc@0.5 and the mean errors of (N, 5) score rows, as
-    :func:`score_query_batch` returns them, or of query results. A row with
-    NaN errors (a result with None) is a query that received no prediction:
-    it counts toward accuracy and stays out of the means."""
-    if not isinstance(scores, np.ndarray):
-        scores = np.array([astuple(r)[1:] for r in scores], dtype=float).reshape(-1, 5)
+    :func:`score_query_batch` returns them; raises ShapeMismatch for any
+    other shape. A row with NaN errors is a query that received no
+    prediction: it counts toward accuracy and stays out of the means."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[1] != 5:
+        raise ShapeMismatch(f"score rows {scores.shape} vs (N, 5)")
     count = len(scores)
     if count == 0:
         return MetricReport(0.0, 0.0, None, None, None, None, 0)

@@ -27,8 +27,7 @@ from .camera import (
 from .decoder import (
     D_V,
     RAW_WIDTH,
-    ROT6D_A,
-    ROT6D_B,
+    ROT6D,
     SIZE,
     UV,
     DecoderConfig,
@@ -108,7 +107,7 @@ def box_from_raw_columns(
     center = reason_center_batch(
         u_norm, v_norm, d_v, size[:, 2], cam, profile.virtual_camera, profile.depth_mode, h2d
     )
-    rot = rot6d_to_matrix_batch(raw[:, ROT6D_A], raw[:, ROT6D_B])
+    rot = rot6d_to_matrix_batch(raw[:, ROT6D])
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
         rot = allocentric_to_egocentric_batch(rot, center)
     return check_dims(np.hstack([center, size, rot.reshape(-1, 9)]))
@@ -143,12 +142,10 @@ def perfect_raw_predictions(
     return PredictionTable(keys, raw_from_box_batch(boxes, cams, profile))
 
 
-def box_predictions_from_gt(scenes: list[SceneRecord]) -> list[PredictionRecord]:
-    return [
-        PredictionRecord(r.image_id, o.object_id, box3d=o.box3d)
-        for r in scenes
-        for o in r.objects
-    ]
+def box_predictions_from_gt(scenes: SceneTable | list[SceneRecord]) -> PredictionTable:
+    """The ground-truth boxes of these scenes as a box table of their own."""
+    boxes, _, keys = _queries(scenes)
+    return PredictionTable(keys, boxes.copy())
 
 
 def scale_virtual_depth(

@@ -1,9 +1,11 @@
-"""Rotation representations: 6D vectors, matrices, Euler angles.
+"""Rotation representations: 6D rows, matrices, Euler angles.
 
-The regression head emits the first two (un-normalized) columns of a
-rotation matrix; Gram-Schmidt recovers the full matrix. Euler angles exist
-only as the discontinuous baseline representation. Matrices are plain 3x3
-float64 numpy arrays, row-major.
+The regression head emits the first two (un-normalized) columns a and b of
+a rotation matrix; Gram-Schmidt recovers the full matrix. A 6D rotation is
+its float64 (6,) row [a, b], and N of them are (N, 6) rows; this module
+alone splits a row into a and b. Euler angles exist only as the
+discontinuous baseline representation. Matrices are plain 3x3 float64
+numpy arrays, row-major.
 """
 
 from __future__ import annotations
@@ -13,23 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation, reject_first
+from .errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation, ShapeMismatch, reject_first
 
 # Below this, a 6D input is considered unrecoverable rather than noisy.
 SIXD_EPSILON = 1e-8
 # Orthonormality / determinant tolerance for accepting a matrix as a rotation.
 ROTATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Rot6D:
-    """Two raw 3-vectors; a seeds the first column, b the second."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.a, float), np.asarray(self.b, float)])
 
 
 @dataclass(frozen=True)
@@ -95,11 +86,12 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def sixd_gram_schmidt(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Gram-Schmidt on N pairs of raw columns a and b (N, 3): c1 = a/|a|, b's
-    residual off c1, and |a| and |residual|; a pair is degenerate where either
-    norm is below SIXD_EPSILON or not finite (a squared norm that overflows
-    reads inf). A zero |a| or an overflow leaves NaN or inf, with no warning."""
+def sixd_gram_schmidt(rot6d: np.ndarray) -> tuple:
+    """Gram-Schmidt on N 6D rows [a, b] (N, 6): c1 = a/|a|, b's residual off
+    c1, and |a| and |residual|; a row is degenerate where either norm is
+    below SIXD_EPSILON or not finite (a squared norm that overflows reads
+    inf). A zero |a| or an overflow leaves NaN or inf, with no warning."""
+    a, b = rot6d[:, :3], rot6d[:, 3:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         na = np.sqrt(row_dots(a, a))
         c1 = a / na[:, None]
@@ -107,10 +99,10 @@ def sixd_gram_schmidt(a: np.ndarray, b: np.ndarray) -> tuple:
         return c1, b_perp, na, np.sqrt(row_dots(b_perp, b_perp))
 
 
-def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt N pairs of raw columns, a and b (N, 3), into (N, 3, 3)
-    rotation matrices; a degenerate pair raises for its first row."""
-    c1, b_perp, na, nb = sixd_gram_schmidt(a, b)
+def rot6d_to_matrix_batch(rot6d: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt N 6D rows (N, 6) into (N, 3, 3) rotation matrices; the
+    first degenerate row raises."""
+    c1, b_perp, na, nb = sixd_gram_schmidt(rot6d)
     reject_first(
         na < SIXD_EPSILON,
         na,
@@ -129,17 +121,18 @@ def rot6d_to_matrix_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([c1, c2, _cross(c1, c2)], axis=2)
 
 
-def rot6d_to_matrix(r: Rot6D) -> np.ndarray:
-    """:func:`rot6d_to_matrix_batch` for one 6D vector."""
-    a = np.asarray(r.a, dtype=float).reshape(1, 3)
-    b = np.asarray(r.b, dtype=float).reshape(1, 3)
-    return rot6d_to_matrix_batch(a, b)[0]
+def rot6d_to_matrix(rot6d) -> np.ndarray:
+    """:func:`rot6d_to_matrix_batch` for one 6D row; raises ShapeMismatch
+    for any shape but (6,)."""
+    row = np.asarray(rot6d, dtype=float)
+    if row.shape != (6,):
+        raise ShapeMismatch(f"6D rotation {row.shape} vs (6,)")
+    return rot6d_to_matrix_batch(row[None])[0]
 
 
-def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
-    """First two columns of a valid rotation matrix."""
-    R = validate_rotation(R)
-    return Rot6D(R[:, 0].copy(), R[:, 1].copy())
+def matrix_to_rot6d(R: np.ndarray) -> np.ndarray:
+    """The (6,) row [a, b] of a valid rotation matrix's first two columns."""
+    return matrix_to_rot6d_batch(validate_rotation(R)[None])[0]
 
 
 def matrix_to_rot6d_batch(R: np.ndarray) -> np.ndarray:

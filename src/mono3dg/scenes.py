@@ -804,7 +804,7 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
         lambda i: "raw.L", lambda i: f"volume L*W*H = {volume[i]} is not finite",
     )
     # Reasoning rejects exactly the rot6d columns rejected here.
-    _, _, a_norm, residual_norm = sixd_gram_schmidt(cols[:, decoder.ROT6D_A], cols[:, decoder.ROT6D_B])
+    _, _, a_norm, residual_norm = sixd_gram_schmidt(cols[:, decoder.ROT6D])
     fail.column(
         (a_norm < SIXD_EPSILON) | ~np.isfinite(a_norm), rows, objects, _ROT6D_ZERO, lambda i: "raw.rot6d",
         lambda i: "first column is numerically zero" if a_norm[i] < SIXD_EPSILON else "first column norm overflows",

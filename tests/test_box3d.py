@@ -593,7 +593,7 @@ class TestRows:
         lambda box: iou3d(UNIT_CUBE, box),
         lambda box: iou3d_bev_yaw(box, UNIT_CUBE),
         lambda box: iou3d_monte_carlo(UNIT_CUBE, box, 10, 0),
-        lambda box: score_query(box, UNIT_CUBE, "q"),
+        lambda box: score_query(box, UNIT_CUBE),
         lambda box: raw_from_box(box, (1000.0, 1000.0, 960.0, 540.0, 1920.0, 1080.0), OUTDOOR_PROFILE),
     ], ids=["corners", "intersection_volume", "iou3d", "iou3d_bev_yaw", "iou3d_monte_carlo",
             "score_query", "raw_from_box"])

@@ -236,7 +236,7 @@ class TestReasonCenter:
             )
             h2d = rng.uniform(10.0, 300.0)
             got = reason_center(raw, cam, vc, DepthMode.FUSED_AVERAGE, h2d=h2d)
-            assert got == pytest.approx(closed_form_fused_center(raw, cam, vc, h2d), rel=1e-12)
+            assert got == pytest.approx(np.array(closed_form_fused_center(raw, cam, vc, h2d)), rel=1e-12)
 
     def test_virtual_camera_choice_cancels(self):
         # Encoding d_v under one reference camera and decoding under the same

@@ -125,6 +125,17 @@ class TestDepthHead:
                 a = grad.ravel()[idx]
                 assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-3)
 
+    def test_gradients_reject_a_ground_truth_of_another_shape(self):
+        # A (1, 4) ground truth would broadcast against a (3, 4) prediction.
+        rng = np.random.default_rng(5)
+        grid = rng.standard_normal((3, 4, 5))
+        m = LinearMap(rng.standard_normal((5, 1)), rng.standard_normal(1))
+        gt = DepthMap.dense(np.ones((1, 4)))
+        with pytest.raises(ShapeMismatch, match=r"^depth maps differ: \(3, 4\) vs \(1, 4\)$"):
+            depth_l1_loss(depth_head(grid, m), gt)
+        with pytest.raises(ShapeMismatch, match=r"^depth maps differ: \(3, 4\) vs \(1, 4\)$"):
+            depth_head_loss_grads(grid, m, gt)
+
 
 class TestAddFuse:
     def test_zero_identity(self):

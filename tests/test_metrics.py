@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from mono3dg import box3d, metrics
 from conftest import make_box
 from mono3dg.box3d import CENTER, DIMS, ROT, iou3d
+from mono3dg.errors import ShapeMismatch
 from mono3dg.metrics import (
     REPORT_COLUMNS,
     MetricReport,
-    QueryResult,
     aggregate,
     format_report,
     report_to_json,
@@ -36,37 +36,37 @@ def flipped_yaw_rot(yaw: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
 
 
-def result_with_iou(iou: float) -> QueryResult:
-    return QueryResult(f"q{iou}", iou, 0.1, 0.1, 0.1, 0.1)
+def result_with_iou(iou: float) -> np.ndarray:
+    return np.array([iou, 0.1, 0.1, 0.1, 0.1])
 
 
 class TestScoreQuery:
     def test_perfect(self):
         box = axis_box([1, 2, 10], [2, 1, 1.5])
-        r = score_query(box, box, "q0")
-        assert r.iou == pytest.approx(1.0, abs=1e-12)
-        assert r.depth_error == r.length_error == r.width_error == r.height_error == 0.0
+        iou, *errors = score_query(box, box)
+        assert iou == pytest.approx(1.0, abs=1e-12)
+        assert errors == [0.0] * 4
 
     def test_depth_error_is_z_difference(self):
         gt = axis_box([0, 0, 10], [2, 1, 1])
         pred = axis_box([0, 0, 12], [2, 1, 1])
-        assert score_query(pred, gt, "q").depth_error == pytest.approx(2.0)
+        assert score_query(pred, gt)[1] == pytest.approx(2.0)
 
     def test_dimension_errors_componentwise(self):
         gt = axis_box([0, 0, 10], [2, 1, 1])
         pred = axis_box([0, 0, 10], [1.5, 1, 1.2])
-        r = score_query(pred, gt, "q")
-        assert r.length_error == pytest.approx(0.5)
-        assert r.width_error == pytest.approx(0.0)
-        assert r.height_error == pytest.approx(0.2)
+        _, _, length_error, width_error, height_error = score_query(pred, gt)
+        assert length_error == pytest.approx(0.5)
+        assert width_error == pytest.approx(0.0)
+        assert height_error == pytest.approx(0.2)
 
     def test_euclidean_depth_option(self):
         gt = axis_box([0, 0, 10], [2, 1, 1])
         pred = axis_box([3, 4, 10], [2, 1, 1])
-        assert score_query(pred, gt, "q", depth_metric="z").depth_error == 0.0
-        assert score_query(pred, gt, "q", depth_metric="euclidean").depth_error == pytest.approx(5.0)
+        assert score_query(pred, gt, depth_metric="z")[1] == 0.0
+        assert score_query(pred, gt, depth_metric="euclidean")[1] == pytest.approx(5.0)
         with pytest.raises(ValueError):
-            score_query(pred, gt, "q", depth_metric="chebyshev")
+            score_query(pred, gt, depth_metric="chebyshev")
 
 
 class TestYawOnlyRouting:
@@ -99,7 +99,7 @@ class TestYawOnlyRouting:
     def test_matches_exact_iou(self, case):
         pred, gt = self.CASES[case]
         assert box3d.yaw_only(np.array([pred, gt])).all()
-        assert score_query(pred, gt, "q").iou == pytest.approx(iou3d(pred, gt), abs=1e-9)
+        assert score_query(pred, gt)[0] == pytest.approx(iou3d(pred, gt), abs=1e-9)
 
     def test_yaw_only_pair_skips_exact_clipper(self, monkeypatch):
         def fail(a, b):
@@ -108,7 +108,7 @@ class TestYawOnlyRouting:
         monkeypatch.setattr(metrics, "iou3d", fail)
         monkeypatch.setattr(box3d, "iou3d_batch", fail)
         pred, gt = self.CASES["flipped"]
-        assert score_query(pred, gt, "q").iou > 0.0
+        assert score_query(pred, gt)[0] > 0.0
 
     def test_tilted_pair_never_reaches_bev(self, monkeypatch):
         def fail(a, b):
@@ -121,8 +121,8 @@ class TestYawOnlyRouting:
         tilted_rot[2, 0] = 1e-6
         pred = make_box([0.1, 0.0, 10.0], [2.0, 1.0, 1.0], tilted_rot)
         assert not box3d.yaw_only(pred[None])[0]
-        assert score_query(pred, gt, "q").iou == iou3d(pred, gt)
-        assert score_query(gt, pred, "q").iou == iou3d(gt, pred)
+        assert score_query(pred, gt)[0] == iou3d(pred, gt)
+        assert score_query(gt, pred)[0] == iou3d(gt, pred)
 
     @staticmethod
     def _tilted(box: np.ndarray) -> np.ndarray:
@@ -153,10 +153,10 @@ class TestYawOnlyRouting:
         for (pred, gt), score in zip(tilted, scores[len(pairs):]):
             assert not box3d.yaw_only(np.array([pred, gt])).all()
             assert score[0] == iou3d(pred, gt)
-        # Each row of the batch is what scoring that pair alone gives.
+        # Each row of the batch is what scoring that pair alone gives, bit for bit.
         monkeypatch.undo()
-        for k, ((pred, gt), score) in enumerate(zip(rows, scores)):
-            assert score_query(pred, gt, f"q{k}") == QueryResult(f"q{k}", *score.tolist())
+        for (pred, gt), score in zip(rows, scores):
+            assert score_query(pred, gt).tobytes() == score.tobytes()
 
 
 class TestAggregate:
@@ -167,7 +167,7 @@ class TestAggregate:
         assert report.count == 4
 
     def test_single_perfect(self):
-        report = aggregate([QueryResult("q", 1.0, 0.0, 0.0, 0.0, 0.0)])
+        report = aggregate([[1.0, 0.0, 0.0, 0.0, 0.0]])
         assert report.acc_25 == report.acc_50 == 1.0
         assert report.mean_depth_error == 0.0
 
@@ -179,11 +179,16 @@ class TestAggregate:
         assert aggregate([result_with_iou(0.5)]).acc_50 == 0.0
 
     def test_empty(self):
-        report = aggregate([])
+        report = aggregate(np.empty((0, 5)))
         assert report == MetricReport(0.0, 0.0, None, None, None, None, 0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 4), (2, 6), (0,)])
+    def test_rejects_anything_but_score_rows(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"vs \(N, 5\)"):
+            aggregate(np.full(shape, 0.5))
+
     def test_missing_excluded_from_means_included_in_accuracy(self):
-        results = [QueryResult("a", 1.0, 2.0, 0.0, 0.0, 0.0), QueryResult("b", 0.0, None, None, None, None)]
+        results = [[1.0, 2.0, 0.0, 0.0, 0.0], [0.0, np.nan, np.nan, np.nan, np.nan]]
         report = aggregate(results)
         assert report.count == 2
         assert report.acc_25 == 0.5
@@ -192,25 +197,21 @@ class TestAggregate:
     def test_means_sum_left_to_right(self):
         # Compensated summation (the builtin sum since Python 3.12) totals
         # 1.0000000000000002e16 here; adding in index order rounds both ones away.
-        results = [QueryResult(f"q{i}", 1.0, e, 0.0, 0.0, 0.0) for i, e in enumerate([1e16, 1.0, 1.0])]
+        results = [[1.0, e, 0.0, 0.0, 0.0] for e in [1e16, 1.0, 1.0]]
         assert aggregate(results).mean_depth_error == 1e16 / 3
 
     def test_means_sum_left_to_right_past_the_pairwise_block(self):
         # numpy adds a 1-D sum pairwise once it is 8 or more long, which
         # totals 1.0000000000000016e16 here; in index order every one is lost.
         errors = [1e16] + [1.0] * 16
-        results = [QueryResult(f"q{i}", 1.0, e, 0.0, e, 0.0) for i, e in enumerate(errors)]
-        scores = np.array([[1.0, e, 0.0, e, 0.0] for e in errors])
-        for report in (aggregate(results), aggregate(scores)):
-            assert report.mean_depth_error == report.mean_width_error == 1e16 / 17
+        report = aggregate(np.array([[1.0, e, 0.0, e, 0.0] for e in errors]))
+        assert report.mean_depth_error == report.mean_width_error == 1e16 / 17
         assert np.sum(errors) / 17 != 1e16 / 17
 
     def test_score_rows_with_nan_errors_count_only_toward_accuracy(self):
         scores = np.array([[0.6, 2.0, 0.5, 0.0, 0.25], [0.0, np.nan, np.nan, np.nan, np.nan]])
         report = aggregate(scores)
-        assert report == aggregate(
-            [QueryResult("a", 0.6, 2.0, 0.5, 0.0, 0.25), QueryResult("b", 0.0, None, None, None, None)]
-        ) == MetricReport(0.5, 0.5, 2.0, 0.5, 0.0, 0.25, 2)
+        assert report == MetricReport(0.5, 0.5, 2.0, 0.5, 0.0, 0.25, 2)
         assert [type(v) for v in astuple(report)] == [float] * 6 + [int]
 
     def test_monotone_in_single_iou(self):
@@ -239,10 +240,10 @@ class TestFormatReport:
     def test_fixture_line(self):
         report = aggregate(
             [
-                QueryResult("a", 0.6, 0.1, 0.0, 0.0, 0.0),
-                QueryResult("b", 0.3, 0.5, 0.0, 0.0, 0.0),
-                QueryResult("c", 0.2, 0.3, 0.0, 0.0, 0.0),
-                QueryResult("d", 0.0, 0.3, 0.0, 0.0, 0.0),
+                [0.6, 0.1, 0.0, 0.0, 0.0],
+                [0.3, 0.5, 0.0, 0.0, 0.0],
+                [0.2, 0.3, 0.0, 0.0, 0.0],
+                [0.0, 0.3, 0.0, 0.0, 0.0],
             ]
         )
         text = format_report(report)
@@ -255,7 +256,7 @@ class TestFormatReport:
         assert positions == sorted(positions)
 
     def test_empty_report_blank_errors(self):
-        text = format_report(aggregate([]))
+        text = format_report(aggregate(np.empty((0, 5))))
         assert "count 0" in text
         for cell in text.split(" | "):
             name = cell.split()[0]
@@ -272,7 +273,7 @@ class TestFormatReport:
 
 class TestReportJson:
     def test_full_schema(self):
-        report = aggregate([QueryResult("a", 0.6, 0.1, 0.2, 0.3, 0.4)])
+        report = aggregate([[0.6, 0.1, 0.2, 0.3, 0.4]])
         obj = report_to_json(report)
         assert set(obj) == {
             "acc_25",
@@ -286,7 +287,7 @@ class TestReportJson:
         assert obj["count"] == 1
 
     def test_empty_omits_means(self):
-        obj = report_to_json(aggregate([]))
+        obj = report_to_json(aggregate(np.empty((0, 5))))
         assert set(obj) == {"acc_25", "acc_50", "count"}
         assert obj["count"] == 0
         assert not any(math.isnan(v) for v in obj.values())

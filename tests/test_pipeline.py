@@ -11,7 +11,7 @@ from conftest import haswell_pinned, make_box, under_blas_kernel
 from mono3dg import cli
 from mono3dg import decoder as D
 from mono3dg.box3d import CENTER, DIMS, ROT, iou3d, iou3d_monte_carlo
-from mono3dg.camera import DepthMode
+from mono3dg.camera import DepthMode, reason_center
 from mono3dg.errors import NonPositiveDepth, NotARotation, UnmatchedPrediction
 from mono3dg.metrics import MetricReport, score_query, score_query_batch
 from mono3dg.pipeline import (
@@ -98,7 +98,7 @@ class TestScoring:
         # Shift one of four boxes so its IoU lands strictly between the two
         # thresholds; verified against the sampling oracle.
         scenes = synth_scenes(4, seed=3, ranges=SynthRanges(objects_per_scene=(1, 1)))
-        preds = box_predictions_from_gt(scenes)
+        preds = list(box_predictions_from_gt(scenes))
         victim = scenes[0].objects[0].box3d
         shift = np.array([0.4 * victim[DIMS][0], 0.0, 0.0])
         shifted = make_box(victim[CENTER] + victim[ROT].reshape(3, 3) @ shift, victim[DIMS], victim[ROT])
@@ -134,7 +134,7 @@ class TestScoring:
 
     def test_unmatched_prediction_raises(self):
         scenes = synth_scenes(2, seed=5)
-        preds = box_predictions_from_gt(scenes)
+        preds = list(box_predictions_from_gt(scenes))
         rogue = PredictionRecord("scene_999999", "ghost", box3d=scenes[0].objects[0].box3d)
         with pytest.raises(UnmatchedPrediction):
             run_pipeline(scenes, preds + [rogue], INDOOR_PROFILE)
@@ -151,7 +151,7 @@ class TestScoring:
         if mode == "raw":
             preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
         else:
-            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+            preds = box_predictions_from_gt(scenes)
         values = preds.values.copy()
         values[7, column] = value
         with pytest.raises(ValueError, match=re.escape(f"prediction for {preds.keys[7]} is not finite")):
@@ -248,10 +248,14 @@ class TestSameBitsAsPerQueryCode:
         boxes_digest, iou_digest = self.DIGESTS[profile_name]
         assert _digest(single) == boxes_digest
         assert _digest(batch) == boxes_digest
-        single_ious = [score_query(b, o.box3d, "q").iou for b, (_, o) in zip(single, queries)]
-        batch_ious = score_query_batch(batch, gt)[:, 0]
-        assert _digest(single_ious) == iou_digest
-        assert _digest(batch_ious) == iou_digest
+        single_centers = [reason_center(p.raw, r.intrinsics, profile.virtual_camera, profile.depth_mode, o.h2d)
+                          for (r, o), p in zip(queries, preds)]
+        assert np.array(single_centers).tobytes() == batch[:, CENTER].tobytes()
+        single_scores = np.array([score_query(b, o.box3d) for b, (_, o) in zip(single, queries)])
+        batch_scores = score_query_batch(batch, gt)
+        assert single_scores.tobytes() == batch_scores.tobytes()
+        assert _digest(single_scores[:, 0]) == iou_digest
+        assert _digest(batch_scores[:, 0]) == iou_digest
 
 
 def test_indoor_scoring_emits_no_warnings():

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mono3dg.errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation
+from mono3dg.errors import BehindCamera, DegenerateSixD, GimbalLockRegion, NotARotation, ShapeMismatch
 from mono3dg.rotation import (
     EulerAngles,
-    Rot6D,
     allocentric_to_egocentric,
     allocentric_to_egocentric_batch,
     egocentric_to_allocentric_batch,
@@ -14,8 +13,10 @@ from mono3dg.rotation import (
     geodesic_distance,
     matrix_to_euler,
     matrix_to_rot6d,
+    matrix_to_rot6d_batch,
     random_rotation,
     rot6d_to_matrix,
+    rot6d_to_matrix_batch,
     validate_rotation,
     view_rotation_batch,
 )
@@ -28,26 +29,24 @@ def yaw_matrix(angle: float) -> np.ndarray:
 
 class TestRot6DToMatrix:
     def test_already_orthonormal(self):
-        r = Rot6D(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-        assert np.allclose(rot6d_to_matrix(r), np.eye(3), atol=0)
+        assert np.allclose(rot6d_to_matrix([1.0, 0, 0, 0, 1.0, 0]), np.eye(3), atol=0)
 
     def test_hand_gram_schmidt(self):
         # c1 = (1,0,0); b - (c1.b) c1 = (0,1,0); c3 = (0,0,1)
-        r = Rot6D(np.array([2.0, 0, 0]), np.array([1.0, 1.0, 0]))
-        assert np.allclose(rot6d_to_matrix(r), np.eye(3), atol=1e-15)
+        assert np.allclose(rot6d_to_matrix([2.0, 0, 0, 1.0, 1.0, 0]), np.eye(3), atol=1e-15)
 
     def test_parallel_columns(self):
         with pytest.raises(DegenerateSixD):
-            rot6d_to_matrix(Rot6D(np.array([1.0, 0, 0]), np.array([2.0, 0, 0])))
+            rot6d_to_matrix([1.0, 0, 0, 2.0, 0, 0])
 
     def test_zero_first_column(self):
         with pytest.raises(DegenerateSixD):
-            rot6d_to_matrix(Rot6D(np.zeros(3), np.array([0, 1.0, 0])))
+            rot6d_to_matrix([0.0, 0, 0, 0, 1.0, 0])
 
     def test_output_always_rotation(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            r = Rot6D(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
+            r = np.concatenate([rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)])
             try:
                 R = rot6d_to_matrix(r)
             except DegenerateSixD:
@@ -60,21 +59,31 @@ class TestRot6DToMatrix:
         for _ in range(100):
             a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             k = rng.uniform(0.1, 10.0)
-            base = rot6d_to_matrix(Rot6D(a, b))
-            scaled = rot6d_to_matrix(Rot6D(k * a, b))
+            base = rot6d_to_matrix(np.r_[a, b])
+            scaled = rot6d_to_matrix(np.r_[k * a, b])
             assert np.allclose(base, scaled, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (3, 2), (1, 6), (3, 1)])
+    def test_anything_but_one_6d_row_rejected(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"vs \(6,\)"):
+            rot6d_to_matrix(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+
+    def test_one_row_is_row_0_of_the_batch(self):
+        rows = np.random.default_rng(9).uniform(-2, 2, (50, 6))
+        batch = rot6d_to_matrix_batch(rows)
+        for row, R in zip(rows, batch):
+            assert rot6d_to_matrix(row).tobytes() == R.tobytes()
 
 
 class TestMatrixToRot6D:
     def test_identity(self):
-        r = matrix_to_rot6d(np.eye(3))
-        assert np.allclose(r.a, [1, 0, 0]) and np.allclose(r.b, [0, 1, 0])
+        assert matrix_to_rot6d(np.eye(3)).tolist() == [1, 0, 0, 0, 1, 0]
 
     def test_rotation_about_y(self):
         # 90 degrees about the camera y-axis, built analytically.
         R = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
         r = matrix_to_rot6d(R)
-        assert np.allclose(r.a, R[:, 0]) and np.allclose(r.b, R[:, 1])
+        assert np.allclose(r[:3], R[:, 0]) and np.allclose(r[3:], R[:, 1])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(2)
@@ -90,10 +99,16 @@ class TestMatrixToRot6D:
             matrix_to_rot6d(np.diag([1.0, 1.0, -1.0]))  # det -1
 
     def test_serialization_order(self):
-        r = matrix_to_rot6d(yaw_matrix(0.3))
-        arr = r.as_array()
-        assert arr.shape == (6,)
-        assert np.allclose(arr[:3], r.a) and np.allclose(arr[3:], r.b)
+        R = yaw_matrix(0.3)
+        r = matrix_to_rot6d(R)
+        assert r.shape == (6,) and r.dtype == np.float64
+        assert r.tolist() == R[:, 0].tolist() + R[:, 1].tolist()
+
+    def test_one_matrix_is_row_0_of_the_batch(self):
+        rng = np.random.default_rng(10)
+        stack = np.array([random_rotation(rng) for _ in range(50)])
+        for R, row in zip(stack, matrix_to_rot6d_batch(stack)):
+            assert matrix_to_rot6d(R).tobytes() == row.tobytes()
 
 
 class TestEuler:
@@ -159,9 +174,7 @@ class TestContinuity:
             R2 = R @ delta
             dist = geodesic_distance(R, R2)
             assert dist <= 0.0101
-            d6 = np.abs(
-                matrix_to_rot6d(R).as_array() - matrix_to_rot6d(R2).as_array()
-            ).max()
+            d6 = np.abs(matrix_to_rot6d(R) - matrix_to_rot6d(R2)).max()
             assert d6 <= 2.0 * dist
 
     def test_euler_discontinuity_witness(self):
@@ -175,7 +188,7 @@ class TestContinuity:
         gap = max(abs(e1.pitch - e2.pitch), abs(e1.roll - e2.roll), abs(e1.yaw - e2.yaw))
         assert gap > 1.0
         # ... while the 6D representations stay as close as the matrices.
-        d6 = np.abs(matrix_to_rot6d(r1).as_array() - matrix_to_rot6d(r2).as_array()).max()
+        d6 = np.abs(matrix_to_rot6d(r1) - matrix_to_rot6d(r2)).max()
         assert d6 <= 2e-3
 
 

@@ -309,7 +309,7 @@ class TestWritersTakeTablesOrRecords:
         scenes = self._awkward_scenes()
         preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
         if mode == "box":
-            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+            preds = box_predictions_from_gt(scenes)
         assert len(preds) > 2 * 2  # several chunks
         path = tmp_path / "preds.jsonl"
         write_predictions(path, preds)
@@ -332,7 +332,7 @@ class TestRejectedWriteLeavesNoFile:
             return write_scenes, dataclasses.replace(scenes, h2d=h2d)
         preds = perfect_raw_predictions(scenes, OUTDOOR_PROFILE)
         if kind == "box":
-            preds = PredictionTable.of(box_predictions_from_gt(scenes))
+            preds = box_predictions_from_gt(scenes)
         values = preds.values.copy()
         values[-1, -1] = np.inf
         return write_predictions, PredictionTable(preds.keys, values)
@@ -391,7 +391,7 @@ class TestPredictionTableShape:
 
     def test_box_records_are_views_of_their_rows(self):
         scenes = synth_scenes(3, seed=1)
-        preds = PredictionTable.of(box_predictions_from_gt(scenes))
+        preds = box_predictions_from_gt(scenes)
         for table, boxes in ((preds, [p.box3d for p in preds]),
                              (scenes, [o.box3d for r in scenes for o in r.objects])):
             rows = table.values if table is preds else table.boxes
@@ -406,7 +406,7 @@ class TestPredictionTableShape:
     ], ids=["width-14", "2-d", "zero-dim"])
     def test_of_passes_record_boxes_through_box_row(self, box, error):
         records = list(synth_scenes(2, seed=2))
-        preds = box_predictions_from_gt(records)
+        preds = list(box_predictions_from_gt(records))
         objects = records[-1].objects
         objects[-1] = dataclasses.replace(objects[-1], box3d=box)
         preds[-1] = dataclasses.replace(preds[-1], box3d=box)
@@ -573,7 +573,7 @@ class TestParseTimeGaps:
             with pytest.raises(SchemaError) as info:
                 read_predictions(path, "raw")
             with pytest.raises(DegenerateSixD, match="is not finite"):
-                rot6d_to_matrix_batch(np.array([rot6d[:3]]), np.array([rot6d[3:]]))
+                rot6d_to_matrix_batch(np.array([rot6d]))
         assert str(info.value) == f"field 'raw.rot6d': line 2: field 'raw.rot6d': {message}"
         code = main(["evaluate", "--gt", str(gt), "--pred", str(path), "--mode", "raw"])
         out, err = capsys.readouterr()
@@ -600,7 +600,7 @@ class TestParseTimeGaps:
                 assert error.field == "raw.rot6d" and "columns are parallel" in str(error)
                 parsed.append(False)
             try:
-                rot6d_to_matrix_batch(ak[None], bk[None])
+                rot6d_to_matrix_batch(np.r_[ak, bk][None])
                 reasoned.append(True)
             except DegenerateSixD:
                 reasoned.append(False)
