@@ -11,9 +11,8 @@ estimator are independent cross-checks of the exact path.
 
 Both IoU kernels score N pairs at once, and their one-pair functions are
 the N = 1 case with the same bits. The exact kernel first culls the pairs
-it proves apart: their bounding spheres lie apart, or the 15-axis
-separating-axis test finds a gap, in either case by more than a margin, so
-touching pairs are never culled. It then runs on chunks of the other pairs
+that the 15-axis separating-axis test proves apart by more than a margin,
+so touching pairs are never culled. It then runs on chunks of the other pairs
 in two stages: stage 1 finds every pair's kept vertices on a fixed set of
 160 candidates, and stage 2 builds the faces of the pairs with a solid
 intersection, their vertices padded to the chunk's largest count. A culled
@@ -64,9 +63,9 @@ _FACE_SPAN = np.array(
 )
 # The exact kernel runs on at most this many pairs at once.
 _CHUNK = 64
-# Stage 1 skips a pair whose bounding spheres, or whose extents along a
-# separating axis, lie more than this far apart (m): no point then lies
-# within CLIP_EPSILON of both boxes, so the pair keeps no vertex.
+# Stage 1 skips a pair whose extents along a separating axis lie more than
+# this far apart (m): no point then lies within CLIP_EPSILON of both boxes,
+# so the pair keeps no vertex.
 _CULL_GAP = 1e-6
 # The separating-axis test trusts only rotations this close to orthonormal
 # (max |R^T R - I|); their error then moves its gaps by far less than
@@ -249,10 +248,7 @@ def intersection_volume_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its pair."""
     pairs = _canonical_pairs(check_dims(a), check_dims(b))
     volume = np.zeros(len(pairs))
-    gap = np.linalg.norm(pairs[:, 0, CENTER] - pairs[:, 1, CENTER], axis=1)
-    gap -= np.linalg.norm(pairs[:, :, DIMS], axis=2).sum(axis=1) / 2.0
-    near = (gap <= _CULL_GAP).nonzero()[0]
-    near = near[~_separated(pairs[near])]
+    near = (~_separated(pairs)).nonzero()[0]
     # Both stages run on a bounded number of pairs at a time, which bounds
     # their scratch memory. Fewer than 4 kept vertices, or all of them on
     # one face plane, make a flat intersection.
@@ -313,8 +309,9 @@ def _require_yaw_only(rows: np.ndarray) -> None:
 
 
 def _footprints(rows: np.ndarray):
-    """Counter-clockwise footprint corners of yaw-only boxes, given as
-    (N, 15) rows, as (N, 4) x and y."""
+    """Footprint corners of yaw-only boxes, given as (N, 15) rows, as
+    (N, 4) x and y: the counter-clockwise rectangle (+-L/2, +-W/2) turned
+    by the (cos, sin) of each yaw, which keeps it counter-clockwise."""
     center, dims, R = rows[:, CENTER], rows[:, DIMS], rows[:, ROT].reshape(-1, 3, 3)
     yaw = [math.atan2(s, c) for s, c in zip(R[:, 1, 0].tolist(), R[:, 0, 0].tolist())]
     c = np.array([math.cos(t) for t in yaw])[:, None]
@@ -322,10 +319,7 @@ def _footprints(rows: np.ndarray):
     hl, hw = dims[:, 0] / 2.0, dims[:, 1] / 2.0
     x = np.stack([hl, -hl, -hl, hl], axis=1)
     y = np.stack([hw, hw, -hw, -hw], axis=1)
-    px = center[:, 0, None] + c * x - s * y
-    py = center[:, 1, None] + s * x + c * y
-    clockwise = (_signed_areas(px, py, np.full(len(px), 4)) < 0)[:, None]
-    return np.where(clockwise, px[:, ::-1], px), np.where(clockwise, py[:, ::-1], py)
+    return center[:, 0, None] + c * x - s * y, center[:, 1, None] + s * x + c * y
 
 
 def _following(values: np.ndarray, count: np.ndarray) -> np.ndarray:

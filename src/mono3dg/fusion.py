@@ -32,6 +32,10 @@ class DepthMap:
     data: np.ndarray
     valid: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.valid) != np.shape(self.data):
+            raise ShapeMismatch(f"valid mask {np.shape(self.valid)} vs depths {np.shape(self.data)}")
+
     @staticmethod
     def dense(data: np.ndarray) -> "DepthMap":
         data = np.asarray(data, dtype=float)

@@ -10,7 +10,7 @@ IoU exceeds t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,15 +119,6 @@ def format_report(report: MetricReport) -> str:
 
 
 def report_to_json(report: MetricReport) -> dict:
-    """Machine-readable report; mean-error keys are omitted when absent."""
-    out: dict = {"acc_25": report.acc_25, "acc_50": report.acc_50}
-    for key, value in (
-        ("mean_depth_error", report.mean_depth_error),
-        ("mean_length_error", report.mean_length_error),
-        ("mean_width_error", report.mean_width_error),
-        ("mean_height_error", report.mean_height_error),
-    ):
-        if value is not None:
-            out[key] = value
-    out["count"] = report.count
-    return out
+    """Machine-readable report, keyed by MetricReport's fields in order;
+    mean-error keys are omitted when absent."""
+    return {k: v for k, v in asdict(report).items() if v is not None}

@@ -390,12 +390,12 @@ def synth_scenes(
 # -- JSON schemas --------------------------------------------------------------
 #
 # Records are validated as columns. One walk per record kind (_walk_scene,
-# _walk_prediction) visits each record once, in step order: it checks the
-# record's structure (fields present, strings, list lengths, ids) with plain
-# subscripts, whose KeyError or TypeError marks a missing field, and type
-# tests, and gathers every number, unchecked, into a column. At the
-# record's first structural fault it raises _Structure; the numbers read
-# before the fault stay gathered and the rest of the record reads as NaN.
+# _walk_prediction), driven by _walk_records, visits each record once, in
+# step order: it checks the record's structure (fields present, strings,
+# list lengths, ids) through _field and type tests, and gathers every
+# number, unchecked, into a column. At the record's first structural fault
+# it raises _Structure; the numbers read before the fault stay gathered and
+# the rest of the record reads as NaN.
 # Each remaining rule is then one predicate over whole columns. Every check
 # has a position (record, object, step): object -1 is the scene level
 # before any object, _AFTER_OBJECTS follows the last one, and steps follow
@@ -458,12 +458,9 @@ class _Failures:
         self.position = None
         self.error = None
 
-    def add(self, position: tuple, field: str, message: str) -> None:
-        """Note a SchemaError for field at position."""
-        self.add_error(position, (field, message))
-
-    def add_error(self, position: tuple, error) -> None:
-        """Note a failure at position: a (field, message) pair or a ready error."""
+    def add(self, position: tuple, error) -> None:
+        """Note a failure at position: a SchemaError's (field, message) pair
+        or a ready error."""
         if self.position is None or position < self.position:
             self.position, self.error = position, error
 
@@ -472,7 +469,7 @@ class _Failures:
         file order; field and message map the first one's index to text."""
         if bad.any():
             i = int(bad.argmax())
-            self.add((rows[i], objects[i], step), field(i), message(i))
+            self.add((rows[i], objects[i], step), (field(i), message(i)))
 
     def numbers(self, values: list, width: int, rows, objects, steps, name):
         """The gathered values as a float64 (-1, width) array, once each is
@@ -498,7 +495,7 @@ class _Failures:
                 message = f"expected a number, got {type(values[i * width + c]).__name__}"
             else:
                 message = "NaN/Inf forbidden"
-            self.add((rows[i], objects[i], steps[c]), name(i, c), message)
+            self.add((rows[i], objects[i], steps[c]), (name(i, c), message))
         return array
 
     def raise_first(self) -> None:
@@ -521,34 +518,41 @@ def _to_float(value) -> float:
         return math.inf
 
 
-def _missing(obj, keys: tuple, path: str, first_step: int, out: list) -> _Structure:
-    """The fault of a group of number fields once a subscript of it failed:
-    the first of keys that obj lacks, present at first_step + 2k, with path
-    prefixed to its name. The fields before it are gathered into out."""
-    for k, key in enumerate(keys):
-        if not isinstance(obj, dict) or key not in obj:
-            return _Structure(first_step + 2 * k, path + key, "missing")
-        out.append(obj[key])
+def _field(obj, key: str, step: int, path: str = ""):
+    """obj[key]; a record or object without it, or one that is not an
+    object, is missing field path + key at step."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise _Structure(step, path + key, "missing")
+
+
+def _string(obj, key: str, step: int) -> str:
+    """obj[key], present at step and a string at step + 1."""
+    value = _field(obj, key, step)
+    if not isinstance(value, str):
+        raise _Structure(step + 1, key, "must be a string")
+    return value
 
 
 def _number_list(obj, path: str, key: str, length: int, step: int, out: list) -> None:
     """Gather obj[key], a list of length numbers, into out; path is the
     prefix of the field's name."""
-    try:
-        value = obj[key]
-    except (KeyError, TypeError):
-        raise _Structure(step, path + key, "missing")
+    value = _field(obj, key, step, path)
     if not isinstance(value, list) or len(value) != length:
         raise _Structure(step, path + key, f"expected a list of {length} numbers")
     out += value
 
 
 def _walk_intrinsics(obj, out: list) -> None:
-    """Gather the six numbers of an intrinsics object into out, in CameraIntrinsics order."""
+    """Gather the six numbers of an intrinsics object into out, in
+    CameraIntrinsics order. Field k is present at 2 + 2k; when one is
+    missing, the fields before it, whose checks precede it, are gathered."""
     try:
         out += obj["fx"], obj["fy"], obj["cx"], obj["cy"], obj["width"], obj["height"]
     except (KeyError, TypeError):
-        raise _missing(obj, CameraIntrinsics._fields, "intrinsics.", 2, out)
+        for k, key in enumerate(CameraIntrinsics._fields):
+            out.append(_field(obj, key, 2 + 2 * k, "intrinsics."))
 
 
 def _walk_box(box, out: list) -> None:
@@ -557,71 +561,47 @@ def _walk_box(box, out: list) -> None:
         _number_list(box, "box3d.", name, length, step, out)
 
 
-def _walk_scene(rec, image_ids, cams, counts, object_ids, captions, values) -> None:
+def _walk_scene(rec, seen: set, image_ids, cams, counts, object_ids, captions, values) -> None:
     """Walk one scene record, appending its image_id, its six intrinsics, its
-    number of objects and each object's id, caption and numbers."""
-    try:
-        image_id = rec["image_id"]
-    except (KeyError, TypeError):
-        raise _Structure(0, "image_id", "missing")
-    if not isinstance(image_id, str):
-        raise _Structure(1, "image_id", "must be a string")
+    number of objects and each object's id, caption and numbers; seen holds
+    the image_ids of the records before it."""
+    image_id = _string(rec, "image_id", 0)
     image_ids.append(image_id)
-    try:
-        intrinsics = rec["intrinsics"]
-    except KeyError:
-        raise _Structure(2, "intrinsics", "missing")
-    _walk_intrinsics(intrinsics, cams)
-    try:
-        objects = rec["objects"]
-    except KeyError:
-        raise _Structure(_OBJECTS_PRESENT, "objects", "missing")
+    _walk_intrinsics(_field(rec, "intrinsics", 2), cams)
+    objects = _field(rec, "objects", _OBJECTS_PRESENT)
     if not isinstance(objects, list):
         raise _Structure(_OBJECTS_LIST, "objects", "must be a list")
     ids = set()
     try:
         for slot, entry in enumerate(objects):
-            try:
-                object_id = entry["object_id"]
-            except (KeyError, TypeError):
-                raise _Structure(0, "object_id", "missing")
-            if not isinstance(object_id, str):
-                raise _Structure(1, "object_id", "must be a string")
+            object_id = _string(entry, "object_id", 0)
             if object_id in ids:
                 raise _Structure(2, "object_id", f"duplicate id {object_id!r}")
             ids.add(object_id)
             object_ids.append(object_id)
-            try:
-                caption = entry["caption"]
-            except KeyError:
-                raise _Structure(3, "caption", "missing")
-            if not isinstance(caption, str):
-                raise _Structure(4, "caption", "must be a string")
-            captions.append(caption)
-            try:
-                box = entry["box3d"]
-            except KeyError:
-                raise _Structure(5, "box3d", "missing")
-            _walk_box(box, values)
+            captions.append(_string(entry, "caption", 3))
+            _walk_box(_field(entry, "box3d", 5), values)
             _number_list(entry, "", "box2d", 4, _BOX2D_LIST, values)
-            try:
-                values.append(entry["h2d"])
-            except KeyError:
-                raise _Structure(_H2D_PRESENT, "h2d", "missing")
+            values.append(_field(entry, "h2d", _H2D_PRESENT))
     except _Structure as failure:
         counts.append(slot + 1)  # the objects begun, the failing one last
         # The object's path is built only here, once the walk has failed.
         failure.slot, failure.field = slot, f"objects[{slot}].{failure.field}"
         raise
     counts.append(len(objects))
+    if image_id in seen:
+        raise _Structure(0, "image_id", f"duplicate image_id {image_id!r}", _AFTER_OBJECTS)
+    seen.add(image_id)
 
 
 def _walk_raw(raw, out: list) -> None:
-    """Gather the 12 numbers of a raw object into out, in raw row order."""
+    """Gather the 12 numbers of a raw object into out, in raw row order;
+    see _walk_intrinsics. Field k is present at 4 + 2k."""
     try:
         out += raw["u_norm"], raw["v_norm"], raw["d_v"], raw["L"], raw["W"], raw["H"]
     except (KeyError, TypeError):
-        raise _missing(raw, decoder.RAW_FIELDS, "raw.", 4, out)
+        for k, key in enumerate(decoder.RAW_FIELDS):
+            out.append(_field(raw, key, 4 + 2 * k, "raw."))
     _number_list(raw, "raw.", "rot6d", 6, _ROT6D_LIST, out)
 
 
@@ -629,25 +609,32 @@ def _walk_raw(raw, out: list) -> None:
 _PAYLOADS = {"raw": ("raw", _walk_raw), "box": ("box3d", _walk_box)}
 
 
-def _walk_prediction(rec, mode: str, keys: list, values: list) -> None:
-    """Walk one prediction record, appending its key and its numbers."""
-    try:
-        image_id = rec["image_id"]
-    except (KeyError, TypeError):
-        raise _Structure(0, "image_id", "missing")
-    try:
-        object_id = rec["object_id"]
-    except KeyError:
-        raise _Structure(1, "object_id", "missing")
-    if not isinstance(image_id, str) or not isinstance(object_id, str):
+def _walk_prediction(rec, name: str, walk, seen: set, keys: list, values: list) -> None:
+    """Walk one prediction record, appending its key and the numbers of its
+    payload, rec[name], which walk gathers; seen holds the keys before it."""
+    key = _field(rec, "image_id", 0), _field(rec, "object_id", 1)
+    if not isinstance(key[0], str) or not isinstance(key[1], str):
         raise _Structure(2, "image_id", "ids must be strings")
-    keys.append((image_id, object_id))
-    name, walk = _PAYLOADS[mode]
+    keys.append(key)
+    walk(_field(rec, name, 3), values)
+    if key in seen:
+        raise _Structure(0, "object_id", f"multiple predictions for {key}", _AFTER_OBJECTS)
+    seen.add(key)
+
+
+def _walk_records(fail: _Failures, numbered, walk, *args) -> None:
+    """Walk each (line number or None, record) of numbered with
+    walk(record, *args) up to the first ParseError or structural fault,
+    which fail notes at its position. Callers pad the numbers of a record
+    cut short with NaN: every check on them sits after the fault."""
     try:
-        payload = rec[name]
-    except KeyError:
-        raise _Structure(3, name, "missing")
-    walk(payload, values)
+        for row, (line, rec) in enumerate(numbered):
+            fail.lines.append(line)
+            walk(rec, *args)
+    except ParseError as error:
+        fail.add((len(fail.lines), -1, -1), error)
+    except _Structure as failure:
+        fail.add((row, failure.slot, failure.step), (failure.field, failure.message))
 
 
 def _check_intrinsics(fail: _Failures, values: list, rows, objects) -> np.ndarray:
@@ -698,23 +685,9 @@ def _decode_scenes(numbered) -> SceneTable:
     walked as it arrives, so only its numbers are kept."""
     fail = _Failures()
     image_ids, cam_values, counts, obj_ids, captions, obj_values = [], [], [], [], [], []
-    seen = set()
-    row = -1
-    try:
-        for row, (line, rec) in enumerate(numbered):
-            fail.lines.append(line)
-            _walk_scene(rec, image_ids, cam_values, counts, obj_ids, captions, obj_values)
-            if image_ids[-1] in seen:
-                raise _Structure(0, "image_id", f"duplicate image_id {image_ids[-1]!r}", _AFTER_OBJECTS)
-            seen.add(image_ids[-1])
-    except ParseError as error:
-        fail.add_error((len(fail.lines), -1, -1), error)
-    except _Structure as failure:
-        fail.add((row, failure.slot, failure.step), failure.field, failure.message)
-        # The numbers of a record cut short read as NaN; every check on them
-        # sits after the structural failure.
-        cam_values += [math.nan] * (_CAM_WIDTH * len(image_ids) - len(cam_values))
-        obj_values += [math.nan] * (len(_OBJECT_STEPS) * sum(counts) - len(obj_values))
+    _walk_records(fail, numbered, _walk_scene, set(), image_ids, cam_values, counts, obj_ids, captions, obj_values)
+    cam_values += [math.nan] * (_CAM_WIDTH * len(image_ids) - len(cam_values))
+    obj_values += [math.nan] * (len(_OBJECT_STEPS) * sum(counts) - len(obj_values))
 
     scene_rows = np.arange(len(image_ids))
     cam = _check_intrinsics(fail, cam_values, scene_rows, np.full(len(image_ids), -1))
@@ -758,21 +731,10 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
     if mode not in _PAYLOADS:
         raise ValueError(f"unknown prediction mode {mode!r}")
     fail = _Failures()
+    keys, values = [], []
+    _walk_records(fail, numbered, _walk_prediction, *_PAYLOADS[mode], set(), keys, values)
     width = len(_RAW_STEPS) if mode == "raw" else BOX_WIDTH
-    keys, values, seen = [], [], set()
-    row = -1
-    try:
-        for row, (line, rec) in enumerate(numbered):
-            fail.lines.append(line)
-            _walk_prediction(rec, mode, keys, values)
-            if keys[-1] in seen:
-                raise _Structure(0, "object_id", f"multiple predictions for {keys[-1]}", _AFTER_OBJECTS)
-            seen.add(keys[-1])
-    except ParseError as error:
-        fail.add_error((len(fail.lines), -1, -1), error)
-    except _Structure as failure:
-        fail.add((row, failure.slot, failure.step), failure.field, failure.message)
-        values += [math.nan] * (width * len(keys) - len(values))
+    values += [math.nan] * (width * len(keys) - len(values))
 
     rows, objects = np.arange(len(keys)), np.full(len(keys), -1)
     if mode == "box":
@@ -822,13 +784,9 @@ def _decode_predictions(numbered, mode: str) -> PredictionTable:
 def intrinsics_from_json(obj) -> CameraIntrinsics:
     """Camera intrinsics, walked and checked as a scene record's are."""
     fail = _Failures()
-    fail.lines.append(None)
     values: list = []
-    try:
-        _walk_intrinsics(obj, values)
-    except _Structure as failure:
-        fail.add((0, -1, failure.step), failure.field, failure.message)
-        values += [math.nan] * (_CAM_WIDTH - len(values))
+    _walk_records(fail, [(None, obj)], _walk_intrinsics, values)
+    values += [math.nan] * (_CAM_WIDTH - len(values))
     cam = _check_intrinsics(fail, values, [0], [-1])
     fail.raise_first()
     return CameraIntrinsics(*cam[0].tolist())

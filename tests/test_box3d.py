@@ -361,10 +361,9 @@ def _margin_pairs(rng):
 
 
 class TestSphereGapPairs:
-    """SHA-256 of the exact IoUs of pairs far apart, near, and at the
-    bounding-sphere gap where stage 1 stops looking: pairs whose spheres
-    lie apart are skipped, and every pair keeps its bits in both argument
-    orders and through the one-pair wrapper."""
+    """SHA-256 of the exact IoUs of pairs far apart, near, and 1e-6 m past
+    the sum of their bounding-sphere radii: every pair keeps its bits in
+    both argument orders and through the one-pair wrapper."""
 
     DIGESTS = {
         "spread": "986fd00c8c3f079537d0cc405ffddf39deab59913cd703346dc9632683d0025b",
@@ -428,9 +427,9 @@ def _edge_apart(gap):
 
 
 class TestSeparatingAxisCull:
-    """After the sphere cull, the exact kernel culls the pairs that the
-    separating-axis test proves more than 1e-6 m apart; they score 0.0
-    without reaching stage 1, and no IoU changes a bit."""
+    """The exact kernel culls the pairs that the separating-axis test
+    proves more than 1e-6 m apart; they score 0.0 without reaching stage 1,
+    and no IoU changes a bit."""
 
     @staticmethod
     def _stage1_pairs(monkeypatch, a, b):
@@ -455,7 +454,7 @@ class TestSeparatingAxisCull:
         others = np.ones(15, bool)
         others[axes] = False
         assert gaps[axes].max() > 0.009 and gaps[others].max() < 0.0
-        # the bounding spheres overlap, so the sphere cull keeps the pair
+        # the bounding spheres overlap: only a separating axis tells them apart
         assert np.linalg.norm(a[CENTER] - b[CENTER]) < (np.linalg.norm(a[DIMS]) + np.linalg.norm(b[DIMS])) / 2.0
         for first, second in ((a, b), (b, a)):
             iou, reached = self._stage1_pairs(monkeypatch, first, second)
@@ -482,9 +481,20 @@ class TestSeparatingAxisCull:
         claimed = []
         monkeypatch.setattr(box3d, "_separated", lambda p: claimed.extend(p[separated(p)]) or np.zeros(len(p), bool))
         assert culled.tobytes() == iou3d_batch(a, b).tobytes()
-        # 47 of the 358 pairs that pass the sphere cull, each more than 1e-6 m apart
-        assert len(claimed) == 47
+        # 135 of the 495 pairs, each more than 1e-6 m apart
+        assert len(claimed) == 135
         assert min(_axis_gaps(*pair).max() for pair in claimed) > 1e-6
+        # A bounding-sphere rule (centers more than the sum of the radii
+        # plus 1e-6 m apart) claims only pairs the axis test claims, but
+        # for the 49 margin pairs that lie corner to corner just past it,
+        # which no face or edge axis separates: they reach stage 1, keep
+        # no vertex and score 0.0.
+        pairs = box3d._canonical_pairs(a, b)
+        gap = np.linalg.norm(pairs[:, 0, CENTER] - pairs[:, 1, CENTER], axis=1)
+        sphere = gap - np.linalg.norm(pairs[:, :, DIMS], axis=2).sum(axis=1) / 2.0 > 1e-6
+        only_sphere = (sphere & ~separated(pairs)).nonzero()[0]
+        assert len(only_sphere) == 49 and (only_sphere >= 200).all() and (only_sphere < 300).all()
+        assert not culled[only_sphere].any()
 
 
 class TestBEVFastPath:
@@ -547,6 +557,18 @@ class TestBEVFastPath:
         for a, b in pairs:
             assert iou3d_bev_yaw(a, b) == pytest.approx(iou3d(a, b), abs=1e-9)
 
+    def test_footprints_are_counter_clockwise(self):
+        # A footprint is the counter-clockwise rectangle turned by its yaw,
+        # so its signed area is positive and the clipper needs no flip.
+        rng = np.random.default_rng(16)
+        rows = np.array([
+            yaw_box(rng.uniform(-60.0, 60.0, 3), rng.uniform(0.01, 10.0, 3), yaw)
+            for yaw in rng.uniform(-4.0, 4.0, 500)
+        ])
+        px, py = box3d._footprints(rows)
+        areas = box3d._signed_areas(px, py, np.full(len(px), 4))
+        assert (areas > 0.0).all()
+        assert areas == pytest.approx(rows[:, 3] * rows[:, 4], rel=1e-9)
 
     def test_signed_areas_add_in_vertex_order(self):
         # Polygons of 0 to 9 vertices, with values past each count: every

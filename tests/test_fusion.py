@@ -101,6 +101,12 @@ class TestDepthHead:
         with pytest.raises(EmptyValidMask):
             depth_l1_loss(DepthMap.dense(np.ones((2, 2))), gt)
 
+    def test_mask_of_another_shape_rejected(self):
+        # A (1, 4) mask used to broadcast over all three rows: the loss read 1.0.
+        with pytest.raises(ShapeMismatch):
+            pred = DepthMap(np.full((3, 4), 2.0), np.array([[True, False, True, False]]))
+            depth_l1_loss(pred, DepthMap.dense(np.ones((3, 4))))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         grid = rng.standard_normal((3, 3, 5))

@@ -714,6 +714,12 @@ _MALFORMED = {
     "scene object list": ("scenes", ("objects", 1), []),
     "scene object string": ("scenes", ("objects", 1), "obj"),
     "scene object number": ("scenes", ("objects", 0), 3),
+    # scenes: null, a string or a number where an object is read
+    "scene intrinsics null": ("scenes", ("intrinsics",), None),
+    "scene intrinsics string": ("scenes", ("intrinsics",), "abc"),
+    "scene objects null": ("scenes", ("objects",), None),
+    "scene box3d null": ("scenes", ("objects", 1, "box3d"), None),
+    "scene box3d number": ("scenes", ("objects", 0, "box3d"), 2),
     # scenes: a list where a dict is expected, and a dict where a list is
     "scene intrinsics list": ("scenes", ("intrinsics",), [1000.0, 1000.0, 500.0, 400.0, 1000.0, 800.0]),
     "scene box3d list": ("scenes", ("objects", 1, "box3d"), [[0.0, 0.0, 5.0], [1.0, 1.0, 1.0]]),
@@ -755,6 +761,9 @@ _MALFORMED = {
     "raw missing rot6d": ("raw", ("raw", "rot6d"), _DELETE),
     "raw record list": ("raw", (), []),
     "raw record string": ("raw", (), "abc"),
+    "raw record number": ("raw", (), 7),
+    "raw payload null": ("raw", ("raw",), None),
+    "raw payload string": ("raw", ("raw",), "abc"),
     "raw payload list": ("raw", ("raw",), [0.5, 0.5, 3.0, 1.0, 1.0, 1.0]),
     "raw rot6d dict": ("raw", ("raw", "rot6d"), {str(k): 1.0 for k in range(6)}),
     "raw rot6d string": ("raw", ("raw", "rot6d"), "abcdef"),
@@ -777,8 +786,11 @@ _MALFORMED = {
     # box predictions
     "box missing box3d": ("box", ("box3d",), _DELETE),
     "box missing center": ("box", ("box3d", "center"), _DELETE),
+    "box missing object_id": ("box", ("object_id",), _DELETE),
     "box record null": ("box", (), None),
     "box payload list": ("box", ("box3d",), [0.0, 0.0, 5.0]),
+    "box payload number": ("box", ("box3d",), 1.5),
+    "box payload null": ("box", ("box3d",), None),
     "box center abc": ("box", ("box3d", "center"), "abc"),
     "box rot dict": ("box", ("box3d", "rot"), {"r": 1.0}),
     "box dims true": ("box", ("box3d", "dims", 1), True),
@@ -838,6 +850,11 @@ class TestStructuralErrorsPinned:
         'scene object list': ('objects[1].object_id', 'missing'),
         'scene object string': ('objects[1].object_id', 'missing'),
         'scene object number': ('objects[0].object_id', 'missing'),
+        'scene intrinsics null': ('intrinsics.fx', 'missing'),
+        'scene intrinsics string': ('intrinsics.fx', 'missing'),
+        'scene objects null': ('objects', 'must be a list'),
+        'scene box3d null': ('objects[1].box3d.center', 'missing'),
+        'scene box3d number': ('objects[0].box3d.center', 'missing'),
         'scene intrinsics list': ('intrinsics.fx', 'missing'),
         'scene box3d list': ('objects[1].box3d.center', 'missing'),
         'scene objects dict': ('objects', 'must be a list'),
@@ -876,6 +893,9 @@ class TestStructuralErrorsPinned:
         'raw missing rot6d': ('raw.rot6d', 'missing'),
         'raw record list': ('image_id', 'missing'),
         'raw record string': ('image_id', 'missing'),
+        'raw record number': ('image_id', 'missing'),
+        'raw payload null': ('raw.u_norm', 'missing'),
+        'raw payload string': ('raw.u_norm', 'missing'),
         'raw payload list': ('raw.u_norm', 'missing'),
         'raw rot6d dict': ('raw.rot6d', 'expected a list of 6 numbers'),
         'raw rot6d string': ('raw.rot6d', 'expected a list of 6 numbers'),
@@ -900,8 +920,11 @@ class TestStructuralErrorsPinned:
         'raw duplicate key': ('object_id', "multiple predictions for ('scene_000000', 'obj_000000_0')"),
         'box missing box3d': ('box3d', 'missing'),
         'box missing center': ('box3d.center', 'missing'),
+        'box missing object_id': ('object_id', 'missing'),
         'box record null': ('image_id', 'missing'),
         'box payload list': ('box3d.center', 'missing'),
+        'box payload number': ('box3d.center', 'missing'),
+        'box payload null': ('box3d.center', 'missing'),
         'box center abc': ('box3d.center', 'expected a list of 3 numbers'),
         'box rot dict': ('box3d.rot', 'expected a list of 9 numbers'),
         'box dims true': ('box3d.dims[1]', 'expected a number, got bool'),
