@@ -9,8 +9,8 @@ Conventions: camera frame is x-right, y-down, z-forward; all lengths in
 meters, all image quantities in pixels. Every function here is pure. The
 projection, depth and back-projection steps take scalars or (N,) columns
 alike, so the chain runs on one query or on a whole file of them with the
-same code. The chain returns box centers as (N, 3) rows, and one query's
-center is row 0 of them.
+same code. The chain takes raw rows and camera rows and returns box
+centers as (N, 3) rows, and one query's center is row 0 of them.
 """
 
 from __future__ import annotations
@@ -125,32 +125,32 @@ def backproject_center(p: Point2D, z, cam: CameraIntrinsics) -> Point3D:
 
 
 def reason_center_batch(
-    u_norm: np.ndarray,
-    v_norm: np.ndarray,
-    d_v: np.ndarray,
-    h3d: np.ndarray,
-    cam: CameraIntrinsics,
+    raw: np.ndarray,
+    cams: np.ndarray,
     vc: VirtualCamera,
     mode: DepthMode,
     h2d: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full reasoning chain from head outputs to 3D box centers, for N queries.
 
-    Each argument is an (N,) column, and every field of cam is one too (one
-    camera per query). Scales the normalized projection back to pixels,
-    converts virtual depth to real depth, optionally fuses with the
+    raw holds their (N, RAW_WIDTH) raw rows, of which only the center slots
+    (UV, D_V and the height H) are read, cams their (N, 6) camera rows and
+    h2d their (N,) 2D heights. Scales the normalized projection back to
+    pixels, converts virtual depth to real depth, optionally fuses with the
     height-based depth (h2d is required in that mode), and back-projects.
     Returns the (N, 3) centers. The checks run in that order, each over all
     queries, and the first one to fail raises for its first failing query.
     """
+    cam = CameraIntrinsics(*cams.T)
+    u_norm, v_norm = raw[:, UV].T
     u = u_norm * cam.width
     v = v_norm * cam.height
-    z1 = virtual_to_real_depth(d_v, cam, vc)
+    z1 = virtual_to_real_depth(raw[:, D_V], cam, vc)
     z2 = None
     if mode is DepthMode.FUSED_AVERAGE:
         if h2d is None:
             raise MissingHeight2D("fused depth mode requires a 2D height")
-        z2 = height_depth(h3d, h2d, cam)
+        z2 = height_depth(raw[:, SIZE][:, 2], h2d, cam)
     z = fuse_depth(z1, z2, mode)
     return np.stack(backproject_center(Point2D(u, v), z, cam), axis=-1)
 
@@ -163,12 +163,9 @@ def reason_center(
     h2d: float | None = None,
 ) -> np.ndarray:
     """:func:`reason_center_batch` for one query's raw row: its (3,) center."""
-    raw = raw_row(raw)[None]
     return reason_center_batch(
-        *raw[:, UV].T,
-        raw[:, D_V],
-        raw[:, SIZE][:, 2],
-        CameraIntrinsics(*np.array([cam], dtype=float).T),
+        raw_row(raw)[None],
+        np.array([cam], dtype=float),
         vc,
         mode,
         None if h2d is None else np.array([h2d], dtype=float),

@@ -99,8 +99,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    records = synth_scenes(args.scenes, seed, profile_name=args.profile)
+    records = synth_scenes(args.scenes, args.seed, profile_name=args.profile)
     write_scenes(args.out, records)
     if args.perfect_preds is not None:
         profile = profile_by_name(args.profile)
@@ -139,16 +138,15 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     scenes = read_scenes(args.data)
     profile = profile_by_name(args.profile)
     ranges = ranges_for_profile(args.profile)
     embeddings, targets, _ = build_toy_dataset(scenes, profile, ranges)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     params = decoder.init_params(decoder.DecoderConfig(), rng)
-    cfg = decoder.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=seed)
+    cfg = decoder.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     trained, history = decoder.train(embeddings, targets, params, cfg)
-    decoder.save_checkpoint(args.out, trained, seed)
+    decoder.save_checkpoint(args.out, trained, args.seed)
     loss_csv = args.loss_csv or args.out.with_suffix(args.out.suffix + ".loss.csv")
     decoder.write_loss_history(loss_csv, history)
     print(
@@ -206,8 +204,7 @@ def _run_gradchecks(seed: int) -> float:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    worst = _run_gradchecks(seed)
+    worst = _run_gradchecks(args.seed)
     print(f"max relative gradient error: {worst:.3e}")
     if worst > GRADCHECK_TOLERANCE:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOLERANCE})", file=sys.stderr)
@@ -227,6 +224,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -38,13 +38,17 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def _emit(obj: Any, parts: list[str]) -> None:
-    # Exact types first: these are nearly every value a record holds.
-    kind = type(obj)
-    if kind is float:
+    if obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, float):
         parts.append(_float_text(obj))
-    elif kind is str:
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, str):
         parts.append(encode_basestring(obj))
-    elif kind is dict or isinstance(obj, dict):
+    elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
@@ -53,25 +57,13 @@ def _emit(obj: Any, parts: list[str]) -> None:
             parts.append(":")
             _emit(value, parts)
         parts.append("}")
-    elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, value in enumerate(obj):
             if i:
                 parts.append(",")
             _emit(value, parts)
         parts.append("]")
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_float_text(obj))
-    elif isinstance(obj, str):
-        parts.append(encode_basestring(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -10,7 +10,7 @@ IoU exceeds t.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -103,19 +103,11 @@ def aggregate(scores: np.ndarray) -> MetricReport:
 def format_report(report: MetricReport) -> str:
     """One-line table in the headline column order; accuracies as percent
     with one decimal, errors in meters with two."""
-    def err(value: float | None) -> str:
-        return "-" if value is None else f"{value:.2f}"
-
-    cells = [
-        f"Acc@0.25 {100.0 * report.acc_25:.1f}",
-        f"Acc@0.5 {100.0 * report.acc_50:.1f}",
-        f"DepthError {err(report.mean_depth_error)}",
-        f"LengthError {err(report.mean_length_error)}",
-        f"WidthError {err(report.mean_width_error)}",
-        f"HeightError {err(report.mean_height_error)}",
-        f"count {report.count}",
-    ]
-    return " | ".join(cells)
+    values = astuple(report)
+    texts = [f"{100.0 * v:.1f}" for v in values[:2]]
+    texts += ["-" if v is None else f"{v:.2f}" for v in values[2:6]]
+    cells = [f"{name} {text}" for name, text in zip(REPORT_COLUMNS, texts)]
+    return " | ".join(cells + [f"count {report.count}"])
 
 
 def report_to_json(report: MetricReport) -> dict:

@@ -29,7 +29,6 @@ from .decoder import (
     RAW_WIDTH,
     ROT6D,
     SIZE,
-    UV,
     DecoderConfig,
     DecoderParams,
     predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.predict
@@ -64,17 +63,17 @@ from .scenes import (
 
 def raw_from_box_batch(
     boxes: np.ndarray,
-    cams: list[CameraIntrinsics],
+    cams: np.ndarray,
     profile: DatasetProfile,
 ) -> np.ndarray:
     """The head outputs a perfect network would emit for N boxes, given as
-    (N, 15) rows, one camera per box, as (N, RAW_WIDTH) raw rows.
+    (N, 15) rows with their (N, 6) camera rows, as (N, RAW_WIDTH) raw rows.
 
     Queries are checked as if one at a time, depth before rotation: the
     first query behind the camera or with a non-rotation raises.
     """
     check_dims(boxes)
-    cam = CameraIntrinsics(*np.array(cams, dtype=float).reshape(-1, len(CameraIntrinsics._fields)).T)
+    cam = CameraIntrinsics(*cams.T)
     centers = boxes[:, CENTER]
     behind = centers[:, 2] <= 0.0
     ahead = int(behind.argmax()) if behind.any() else len(behind)
@@ -90,27 +89,23 @@ def raw_from_box_batch(
 
 def raw_from_box(box: np.ndarray, cam: CameraIntrinsics, profile: DatasetProfile) -> np.ndarray:
     """:func:`raw_from_box_batch` for one box row: its raw row."""
-    return raw_from_box_batch(box_row(box)[None], [cam], profile)[0]
+    return raw_from_box_batch(box_row(box)[None], np.array([cam], dtype=float), profile)[0]
 
 
-def box_from_raw_columns(
+def box_from_raw_batch(
     raw: np.ndarray,
     cams: np.ndarray,
     profile: DatasetProfile,
     h2d: np.ndarray | None = None,
 ) -> np.ndarray:
     """Geometry reasoning for N queries: head outputs as (N, RAW_WIDTH) raw
-    rows -> oriented boxes in the camera frame as (N, 15) rows, with one
-    camera (N, 6) (and 2D height) per query."""
-    (u_norm, v_norm), d_v, size = raw[:, UV].T, raw[:, D_V], raw[:, SIZE]
-    cam = CameraIntrinsics(*cams.T)
-    center = reason_center_batch(
-        u_norm, v_norm, d_v, size[:, 2], cam, profile.virtual_camera, profile.depth_mode, h2d
-    )
+    rows -> oriented boxes in the camera frame as (N, 15) rows, given their
+    (N, 6) camera rows (and (N,) 2D heights)."""
+    center = reason_center_batch(raw, cams, profile.virtual_camera, profile.depth_mode, h2d)
     rot = rot6d_to_matrix_batch(raw[:, ROT6D])
     if profile.rotation_frame == ROTATION_ALLOCENTRIC:
         rot = allocentric_to_egocentric_batch(rot, center)
-    return check_dims(np.hstack([center, size, rot.reshape(-1, 9)]))
+    return check_dims(np.hstack([center, raw[:, SIZE], rot.reshape(-1, 9)]))
 
 
 def box_from_raw(
@@ -119,8 +114,8 @@ def box_from_raw(
     profile: DatasetProfile,
     h2d: float | None = None,
 ) -> np.ndarray:
-    """:func:`box_from_raw_columns` for one query's raw row: its box row."""
-    return box_from_raw_columns(
+    """:func:`box_from_raw_batch` for one query's raw row: its box row."""
+    return box_from_raw_batch(
         raw_row(raw)[None],
         np.array([cam], dtype=float),
         profile,
@@ -191,7 +186,7 @@ def run_pipeline(
     boxes = preds.values[picked[queries]]
     if preds.mode == "raw":
         cams = scenes.cams[scenes.rows[queries]]
-        boxes = box_from_raw_columns(boxes, cams, profile, scenes.h2d[queries])
+        boxes = box_from_raw_batch(boxes, cams, profile, scenes.h2d[queries])
     # A query with no prediction keeps IoU 0 and NaN errors.
     scores = np.full((len(gt_keys), 5), np.nan)
     scores[:, 0] = 0.0

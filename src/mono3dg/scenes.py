@@ -99,7 +99,7 @@ class SynthRanges:
     yaw_only: bool = False
     objects_per_scene: tuple = (1, 3)
 
-    def validate(self) -> "SynthRanges":
+    def __post_init__(self):
         for name in ("fx", "depth", "length", "width", "height", "image_width"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi) or not math.isfinite(lo) or not math.isfinite(hi):
@@ -107,7 +107,6 @@ class SynthRanges:
         lo, hi = self.objects_per_scene
         if not (1 <= lo <= hi):
             raise InvalidRanges(f"objects_per_scene=({lo}, {hi}) is invalid")
-        return self
 
 
 INDOOR_RANGES = SynthRanges()
@@ -308,7 +307,7 @@ def synth_scenes(
     pairs of the first n//10 base scenes."""
     if n < 1:
         raise InvalidRanges(f"need at least one scene, got n={n}")
-    ranges = (ranges or ranges_for_profile(profile_name)).validate()
+    ranges = ranges or ranges_for_profile(profile_name)
     rng = np.random.default_rng(seed)
     n_pairs = n // FOCAL_PAIR_FRACTION
     object_bounds = _object_bounds(ranges)

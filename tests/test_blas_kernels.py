@@ -11,7 +11,7 @@ import pytest
 import test_box3d
 from conftest import blas_kernel, overlapping_box_pair, under_blas_kernel
 from mono3dg.box3d import iou3d_batch, iou3d_bev_yaw_batch, iou3d_monte_carlo
-from mono3dg.pipeline import box_from_raw_columns, raw_from_box_batch
+from mono3dg.pipeline import box_from_raw_batch, raw_from_box_batch
 from mono3dg.scenes import SceneTable, profile_by_name, synth_scenes
 
 
@@ -43,7 +43,7 @@ def geometry_digest(path: str) -> str:
     digest = hashlib.sha256()
     for name in ("outdoor", "indoor"):
         profile, cams = profile_by_name(name), inputs[f"{name}_cams"]
-        boxes = box_from_raw_columns(inputs[f"{name}_raw"], cams, profile, inputs[f"{name}_h2d"])
+        boxes = box_from_raw_batch(inputs[f"{name}_raw"], cams, profile, inputs[f"{name}_h2d"])
         digest.update(boxes.tobytes())
         digest.update(raw_from_box_batch(boxes, cams, profile).tobytes())
     digest.update(iou3d_batch(inputs["a"], inputs["b"]).tobytes())

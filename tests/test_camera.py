@@ -21,7 +21,7 @@ from mono3dg.camera import (
     reason_center,
     virtual_to_real_depth,
 )
-from mono3dg.decoder import D_V, SIZE, UV
+from mono3dg.decoder import D_V, ROT6D, SIZE, UV
 from mono3dg.errors import DegenerateHeight, MissingHeight2D, NonPositiveDepth, ShapeMismatch
 from mono3dg.pipeline import raw_from_box
 from mono3dg.scenes import INDOOR_PROFILE, OUTDOOR_PROFILE
@@ -266,6 +266,31 @@ class TestReasonCenter:
     def test_raw_that_is_not_one_row_rejected(self, shape):
         with pytest.raises(ShapeMismatch):
             reason_center(np.ones(shape), CAM, VirtualCamera(), DepthMode.VIRTUAL_ONLY)
+
+
+class TestReasonCenterReadsCenterSlots:
+    """A center depends on u, v and d_v of its raw row, and on H in fused
+    mode only: L, W and the 6D rotation are never read."""
+
+    RAW = make_raw(0.4, 0.7, 3.5, 1.2, 0.8, 1.6)
+    H2D = 150.0
+
+    def _center(self, raw, mode):
+        return reason_center(raw, CAM, VirtualCamera(), mode, h2d=self.H2D)
+
+    @pytest.mark.parametrize("mode", list(DepthMode))
+    @pytest.mark.parametrize("slot", [SIZE.start, SIZE.start + 1, *range(ROT6D.start, ROT6D.stop)])
+    def test_size_and_rotation_slots_leave_the_center(self, mode, slot):
+        moved = self.RAW.copy()
+        moved[slot] += 0.37
+        assert self._center(moved, mode).tobytes() == self._center(self.RAW, mode).tobytes()
+
+    def test_height_moves_the_center_in_fused_mode_only(self):
+        moved = self.RAW.copy()
+        moved[SIZE.stop - 1] *= 1.5
+        virtual, fused = DepthMode.VIRTUAL_ONLY, DepthMode.FUSED_AVERAGE
+        assert self._center(moved, virtual).tobytes() == self._center(self.RAW, virtual).tobytes()
+        assert self._center(moved, fused)[2] > self._center(self.RAW, fused)[2]
 
 
 def test_profile_virtual_cameras_share_defaults():

@@ -112,6 +112,14 @@ class TestSeedEnvVar:
         assert out == ""
         assert err == "error: MONO3DG_SEED must be an integer, got 'abc'\n"
 
+    def test_non_integer_env_seed_is_ignored_without_seed_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONO3DG_SEED", "abc")
+        intrinsics = '{"fx":1000,"fy":1000,"cx":960,"cy":540,"width":1920,"height":1080}'
+        code, out, err = run_cli(capsys, "project", "--intrinsics", intrinsics, "--point", "1,0,5")
+        assert code == 0
+        assert out == '{"u":1160,"v":540}\n'
+        assert err == ""
+
 
 class TestProject:
     def test_projects_point(self, capsys):

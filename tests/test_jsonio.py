@@ -8,6 +8,14 @@ import pytest
 from mono3dg.jsonio import dumps_canonical, loads_strict
 
 
+class _Text(str):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -64,6 +72,15 @@ def test_first_non_finite_is_named():
         (True, "true"),
         (np.float64(1e-3), "0.001"),
         ({"a": [1.0, {"b": (2.0, "c")}], "d": 7}, '{"a":[1,{"b":[2,"c"]}],"d":7}'),
+        (np.float64(-0.0), "-0"),
+        ([np.float64(0.1), np.float64(2.0)], "[0.10000000000000001,2]"),
+        (_Text('a"b'), r'"a\"b"'),
+        ([_Text("x"), "y"], '["x","y"]'),
+        (_Mapping(b=1.0, a=[_Text("z")]), '{"b":1,"a":["z"]}'),
+        ({"k": _Mapping(n=None)}, '{"k":{"n":null}}'),
+        ((True, False, None), "[true,false,null]"),
+        ([True, False, None], "[true,false,null]"),
+        ([[None], (False,), {"t": True}], '[[null],[false],{"t":true}]'),
     ],
 )
 def test_mixed_values(value, text):

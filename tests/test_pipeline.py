@@ -17,7 +17,7 @@ from mono3dg.metrics import MetricReport, score_query, score_query_batch
 from mono3dg.pipeline import (
     TOY_TOKENS,
     box_from_raw,
-    box_from_raw_columns,
+    box_from_raw_batch,
     box_predictions_from_gt,
     build_toy_dataset,
     decoder_predictions,
@@ -243,7 +243,7 @@ class TestSameBitsAsPerQueryCode:
         preds = scale_virtual_depth(perfect_raw_predictions(scenes, profile), 1.1)
         queries = [(r, o) for r in scenes for o in r.objects]
         single = [box_from_raw(p.raw, r.intrinsics, profile, o.h2d) for (r, o), p in zip(queries, preds)]
-        batch = box_from_raw_columns(preds.values, scenes.cams[scenes.rows], profile, scenes.h2d)
+        batch = box_from_raw_batch(preds.values, scenes.cams[scenes.rows], profile, scenes.h2d)
         gt = np.array([o.box3d for _, o in queries])
         boxes_digest, iou_digest = self.DIGESTS[profile_name]
         assert _digest(single) == boxes_digest
@@ -397,7 +397,7 @@ class TestRawFromBoxBatchErrors:
         with pytest.raises(error) as single:
             raw_from_box(boxes[2], cams[2], profile)
         with pytest.raises(error) as batch:
-            raw_from_box_batch(np.array(boxes), cams, profile)
+            raw_from_box_batch(np.array(boxes), np.array(cams), profile)
         assert str(batch.value) == str(single.value)
 
 
@@ -415,12 +415,12 @@ class TestNonPositiveDims:
         with pytest.raises(ValueError, match=r"^box dims must be positive, got \[-1\. "):
             run_pipeline(scenes, preds, INDOOR_PROFILE)
 
-    def test_box_from_raw_columns(self):
+    def test_box_from_raw_batch(self):
         scenes = synth_scenes(4, seed=3)
         raw = perfect_raw_predictions(scenes, INDOOR_PROFILE).values.copy()
         raw[2, 4] = 0.0  # W
         with pytest.raises(ValueError, match=r"^box dims must be positive, got \[\S+ 0\. "):
-            box_from_raw_columns(raw, scenes.cams[scenes.rows], INDOOR_PROFILE, scenes.h2d)
+            box_from_raw_batch(raw, scenes.cams[scenes.rows], INDOOR_PROFILE, scenes.h2d)
 
     @pytest.mark.parametrize("profile_name", ["indoor", "outdoor"])
     def test_raw_from_box_batch(self, profile_name):
