@@ -50,14 +50,20 @@ def _default_seed() -> int:
         raise ValueError(f"MONO3DG_SEED must be an integer, got {value!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (parsing does not change it). Each
+    subcommand carries its handler as ``run``."""
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", choices=["indoor", "outdoor"], default="indoor")
     parser = argparse.ArgumentParser(prog="mono3dg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate synthetic scene records")
+    p_synth = sub.add_parser("synth", parents=[seed, profile], help="generate synthetic scene records")
+    p_synth.set_defaults(run=_cmd_synth)
     p_synth.add_argument("--scenes", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--profile", choices=["indoor", "outdoor"], default="indoor")
     p_synth.add_argument("--out", type=Path, required=True)
     p_synth.add_argument(
         "--perfect-preds",
@@ -66,36 +72,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the exact raw predictions for the generated scenes",
     )
 
-    p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
+    p_eval = sub.add_parser("evaluate", parents=[profile], help="score predictions against ground truth")
+    p_eval.set_defaults(run=_cmd_evaluate)
     p_eval.add_argument("--gt", type=Path, required=True)
     p_eval.add_argument("--pred", type=Path, required=True)
     p_eval.add_argument("--mode", choices=["raw", "box"], required=True)
-    p_eval.add_argument("--profile", choices=["indoor", "outdoor"], default="indoor")
     p_eval.add_argument("--report", type=Path, default=None)
     p_eval.add_argument("--depth-metric", choices=["z", "euclidean"], default="z")
 
     p_proj = sub.add_parser("project", help="project a 3D point with given intrinsics")
+    p_proj.set_defaults(run=_cmd_project)
     p_proj.add_argument("--intrinsics", required=True, help='JSON, e.g. {"fx":1000,...}')
     p_proj.add_argument("--point", required=True, help="X,Y,Z in meters")
 
-    p_train = sub.add_parser("train-toy", help="train the toy decoder on scene records")
+    p_train = sub.add_parser("train-toy", parents=[seed, profile], help="train the toy decoder on scene records")
+    p_train.set_defaults(run=_cmd_train_toy)
     p_train.add_argument("--data", type=Path, required=True)
     p_train.add_argument("--epochs", type=int, default=500)
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", type=Path, required=True)
-    p_train.add_argument("--profile", choices=["indoor", "outdoor"], default="indoor")
     p_train.add_argument("--batch-size", type=int, default=16)
     p_train.add_argument("--loss-csv", type=Path, default=None)
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p_grad.add_argument("--seed", type=int, default=None)
+    p_grad = sub.add_parser("gradcheck", parents=[seed], help="finite-difference check of all gradients")
+    p_grad.set_defaults(run=_cmd_gradcheck)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built once per process; parsing does not change it."""
-    return build_parser()
 
 
 def _cmd_synth(args) -> int:
@@ -212,21 +212,12 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "evaluate": _cmd_evaluate,
-    "project": _cmd_project,
-    "train-toy": _cmd_train_toy,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

@@ -72,13 +72,18 @@ def branch_split(f_local: np.ndarray, spatial_map: LinearMap, rgb_map: LinearMap
     return apply_linear_map(f_local, spatial_map), apply_linear_map(f_local, rgb_map)
 
 
-def depth_head(f_spatial: np.ndarray, depth_map_params: LinearMap) -> DepthMap:
-    """Project each cell to one channel and squash through softplus so the
-    predicted depth is positive everywhere."""
+def _depth_logits(f_spatial: np.ndarray, depth_map_params: LinearMap) -> np.ndarray:
+    """The depth head's one channel before softplus, (rows, cols)."""
     out = apply_linear_map(f_spatial, depth_map_params)
     if out.shape[2] != 1:
         raise ShapeMismatch(f"depth head must emit 1 channel, got {out.shape[2]}")
-    return DepthMap.dense(softplus(out[:, :, 0]))
+    return out[:, :, 0]
+
+
+def depth_head(f_spatial: np.ndarray, depth_map_params: LinearMap) -> DepthMap:
+    """Project each cell to one channel and squash through softplus so the
+    predicted depth is positive everywhere."""
+    return DepthMap.dense(softplus(_depth_logits(f_spatial, depth_map_params)))
 
 
 def depth_l1_loss(pred: DepthMap, gt: DepthMap) -> float:
@@ -95,7 +100,7 @@ def depth_head_loss_grads(
 ) -> LinearMap:
     """Analytic gradient of depth_l1_loss(depth_head(...), gt) w.r.t. the head."""
     f_spatial = _check_grid(f_spatial, "spatial features")
-    z = apply_linear_map(f_spatial, depth_map_params)[:, :, 0]
+    z = _depth_logits(f_spatial, depth_map_params)
     if z.shape != gt.data.shape:
         raise ShapeMismatch(f"depth maps differ: {z.shape} vs {gt.data.shape}")
     pred = softplus(z)

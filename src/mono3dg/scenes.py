@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .box3d import BOX_WIDTH, CENTER, DIMS, ROT, _corners, box_row
+from .box3d import BOX_WIDTH, CENTER, DIMS, ROT, _CULL_ORTHO_TOL, _corners, box_row
 from . import decoder
 from .camera import (
     HEIGHT2D_EPSILON,
@@ -41,7 +41,7 @@ from .jsonio import (
     read_jsonl,
     write_templated,
 )
-from .rotation import SIXD_EPSILON, random_rotation, rotation_defects, sixd_gram_schmidt
+from .rotation import SIXD_EPSILON, random_rotation, rot6d_to_matrix_batch, rotation_defects, sixd_gram_schmidt
 
 # A camera table row holds the CameraIntrinsics fields, in order.
 _CAM_WIDTH = len(CameraIntrinsics._fields)
@@ -405,6 +405,7 @@ def synth_scenes(
 _AFTER_OBJECTS = 1 << 30
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is a subclass of int but not one
 _JSON_ROTATION_TOL = 1e-6  # loose: serialized at 17 digits
+_ROT_FIRST_COLUMNS = [6, 9, 12, 7, 10, 13]  # R's first two columns, as a 6D row of a box row
 
 # Scene-level steps: image_id 0-1, intrinsics field k present at 2 + 2k and a
 # number at 3 + 2k, then the intrinsics rules, then the objects list.
@@ -654,7 +655,8 @@ def _check_intrinsics(fail: _Failures, values: list, rows, objects) -> np.ndarra
 
 def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
     """Rules on (M, 15) box columns (center, dims, row-major rot); path(i)
-    is entry i's box field."""
+    is entry i's box field. A near-rotation is stored, in place, as the frame
+    of its first two columns."""
     dims = box[:, DIMS]
     fail.column(
         (dims <= 0).any(axis=1), rows, objects, _DIMS_POSITIVE,
@@ -676,6 +678,12 @@ def _check_boxes(fail: _Failures, box: np.ndarray, rows, objects, path) -> None:
         np.abs(det - 1.0) > _JSON_ROTATION_TOL, rows, objects, _DETERMINANT,
         lambda i: f"{path(i)}.rot", lambda i: f"determinant {float(det[i])} is not 1",
     )
+    # A rotation read within _JSON_ROTATION_TOL (rounded through float32,
+    # say) would place the exact IoU kernel's corners off its own faces;
+    # one orthonormal to rounding keeps its bits.
+    near = (err > _CULL_ORTHO_TOL) & (err <= _JSON_ROTATION_TOL)
+    if near.any():
+        box[near, ROT] = rot6d_to_matrix_batch(box[near][:, _ROT_FIRST_COLUMNS]).reshape(-1, 9)
 
 
 def _decode_scenes(numbered) -> SceneTable:
@@ -791,39 +799,27 @@ def intrinsics_from_json(obj) -> CameraIntrinsics:
     return CameraIntrinsics(*cam[0].tolist())
 
 
-def _scenes_json(table: SceneTable):
-    """The JSON object of each scene of a table, in order."""
-    cams, boxes, box2d, h2d = (a.tolist() for a in (table.cams, table.boxes, table.box2d, table.h2d))
-    starts = table._starts
-    for i, image_id in enumerate(table.image_ids):
-        yield {
-            "image_id": image_id,
-            "intrinsics": dict(zip(CameraIntrinsics._fields, cams[i])),
-            "objects": [
-                {
-                    "object_id": table.object_ids[m],
-                    "caption": table.captions[m],
-                    "box3d": {"center": boxes[m][CENTER], "dims": boxes[m][DIMS], "rot": boxes[m][ROT]},
-                    "box2d": box2d[m],
-                    "h2d": h2d[m],
-                }
-                for m in range(starts[i], starts[i + 1])
-            ],
-        }
-
-
-def _predictions_json(table: PredictionTable):
-    """The JSON object of each prediction of a table, in order."""
-    if table.mode == "raw":
-        name, payload = "raw", lambda row: dict(zip(decoder.RAW_FIELDS, row), rot6d=row[decoder.ROT6D])
-    else:
-        name, payload = "box3d", lambda row: {"center": row[CENTER], "dims": row[DIMS], "rot": row[ROT]}
-    for (image_id, object_id), row in zip(table.keys, table.values.tolist()):
-        yield {"image_id": image_id, "object_id": object_id, name: payload(row)}
+def _box_json(box) -> dict:
+    row = box_row(box).tolist()
+    return {"center": row[CENTER], "dims": row[DIMS], "rot": row[ROT]}
 
 
 def scene_to_json(record: SceneRecord) -> dict:
-    return next(_scenes_json(SceneTable.of([record])))
+    """One scene's JSON object, built from its fields."""
+    return {
+        "image_id": record.image_id,
+        "intrinsics": dict(zip(CameraIntrinsics._fields, map(float, record.intrinsics))),
+        "objects": [
+            {
+                "object_id": obj.object_id,
+                "caption": obj.caption,
+                "box3d": _box_json(obj.box3d),
+                "box2d": [float(x) for x in obj.box2d],
+                "h2d": float(obj.h2d),
+            }
+            for obj in record.objects
+        ],
+    }
 
 
 def scene_from_json(obj) -> SceneRecord:
@@ -832,7 +828,14 @@ def scene_from_json(obj) -> SceneRecord:
 
 
 def prediction_to_json(pred: PredictionRecord) -> dict:
-    return next(_predictions_json(PredictionTable.of([pred])))
+    """One prediction's JSON object, built from its fields."""
+    obj = {"image_id": pred.image_id, "object_id": pred.object_id}
+    if pred.raw is None:
+        obj["box3d"] = _box_json(pred.box3d)
+    else:
+        row = decoder.raw_row(pred.raw).tolist()
+        obj["raw"] = dict(zip(decoder.RAW_FIELDS, row), rot6d=row[decoder.ROT6D])
+    return obj
 
 
 def prediction_from_json(obj, mode: str) -> PredictionRecord:
@@ -843,9 +846,9 @@ def prediction_from_json(obj, mode: str) -> PredictionRecord:
 # -- JSONL I/O -----------------------------------------------------------------
 
 
-# The writers give the bytes dumps_canonical gives for _scenes_json and
-# _predictions_json, one template of a chunk of records at a time; the
-# chunk bounds the text and values held at once.
+# The writers give the bytes dumps_canonical gives for scene_to_json and
+# prediction_to_json of each record, one template of a chunk of records at
+# a time; the chunk bounds the text and values held at once.
 WRITE_CHUNK = 512  # records per % pass
 
 _BOX3D_TEMPLATE = object_template((name, array_template((width,))) for name, width, _ in _BOX_LISTS)

@@ -1,16 +1,19 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import test_pipeline
 from conftest import fresh_python, haswell_pinned, make_box
 from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.cli import main
-from mono3dg.jsonio import loads_strict
+from mono3dg.jsonio import dumps_canonical, loads_strict
 from mono3dg.pipeline import box_predictions_from_gt, perfect_raw_predictions, scale_virtual_depth
-from mono3dg.scenes import profile_by_name, synth_scenes, write_predictions, write_scenes
+from mono3dg.rotation import rotation_defects
+from mono3dg.scenes import profile_by_name, read_scenes, synth_scenes, write_predictions, write_scenes
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +94,53 @@ class TestSynthEvaluate:
         )
         assert code == 1
         assert "line 1" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, options", [
+        ("synth", {"--scenes", "--seed", "--profile", "--out", "--perfect-preds"}),
+        ("evaluate", {"--gt", "--pred", "--mode", "--profile", "--report", "--depth-metric"}),
+        ("project", {"--intrinsics", "--point"}),
+        ("train-toy", {"--data", "--epochs", "--seed", "--out", "--profile", "--batch-size", "--loss-csv"}),
+        ("gradcheck", {"--seed"}),
+    ])
+    def test_every_subcommand_names_its_options(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: mono3dg {command} ")
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == options | {"--help"}
+
+
+class TestNearRotations:
+    def test_float32_rotations_are_read_as_frames(self, tmp_path, capsys):
+        # Rounded through float32, a rotation is off by ~5e-8 and passes the
+        # reader's 1e-6 check. Stored as read, its corners sat off the exact
+        # kernel's faces (Acc@0.5 read far below 100 on perfect predictions),
+        # and train-toy rejected it against validate_rotation's 1e-9.
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        code, _, _ = run_cli(
+            capsys, "synth", "--scenes", "40", "--seed", "3", "--out", str(gt), "--perfect-preds", str(preds)
+        )
+        assert code == 0
+        records = [loads_strict(line) for line in gt.read_text().splitlines()]
+        for record in records:
+            for obj in record["objects"]:
+                obj["box3d"]["rot"] = np.float32(obj["box3d"]["rot"]).tolist()
+        gt.write_text("".join(dumps_canonical(record) + "\n" for record in records))
+        rot = np.array([obj["box3d"]["rot"] for record in records for obj in record["objects"]])
+        assert (rotation_defects(rot.reshape(-1, 3, 3))[0] > 1e-12).all()
+
+        stored = read_scenes(gt).boxes[:, ROT]
+        err, det = rotation_defects(stored.reshape(-1, 3, 3))
+        assert err.max() <= 1e-15 and np.abs(det - 1.0).max() <= 1e-15
+        assert np.abs(stored - rot).max() <= 1e-6
+        code, out, _ = run_cli(capsys, "evaluate", "--gt", str(gt), "--pred", str(preds), "--mode", "raw")
+        assert code == 0 and "Acc@0.5 100.0" in out
+        ckpt = tmp_path / "ckpt.json"
+        code, _, err = run_cli(capsys, "train-toy", "--data", str(gt), "--epochs", "1", "--seed", "0", "--out", str(ckpt))
+        assert code == 0, err
 
 
 class TestSeedEnvVar:

@@ -142,6 +142,17 @@ class TestDepthHead:
         with pytest.raises(ShapeMismatch, match=r"^depth maps differ: \(3, 4\) vs \(1, 4\)$"):
             depth_head_loss_grads(grid, m, gt)
 
+    def test_gradients_reject_a_head_of_two_channels(self):
+        # The gradient once read channel 0 only and returned (4, 1) / (1,)
+        # gradients for a (4, 2) / (2,) head that depth_head rejects.
+        rng = np.random.default_rng(6)
+        grid = rng.standard_normal((3, 3, 4))
+        m = LinearMap(rng.standard_normal((4, 2)), rng.standard_normal(2))
+        gt = DepthMap.dense(np.ones((3, 3)))
+        for run in (lambda: depth_head(grid, m), lambda: depth_head_loss_grads(grid, m, gt)):
+            with pytest.raises(ShapeMismatch, match=r"^depth head must emit 1 channel, got 2$"):
+                run()
+
 
 class TestAddFuse:
     def test_zero_identity(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mono3dg.box3d import CENTER, DIMS, ROT
-from mono3dg.camera import VirtualCamera, real_to_virtual_depth
+from mono3dg.camera import CameraIntrinsics, VirtualCamera, real_to_virtual_depth
 from mono3dg.cli import main
 from mono3dg.errors import DegenerateSixD, InvalidRanges, ParseError, SchemaError, ShapeMismatch
 from mono3dg import scenes as scenes_module
@@ -19,6 +19,7 @@ from mono3dg.scenes import (
     OUTDOOR_RANGES,
     PredictionRecord,
     PredictionTable,
+    SceneObject,
     SceneRecord,
     SceneTable,
     SynthRanges,
@@ -277,6 +278,25 @@ class TestWritersTakeTablesOrRecords:
         with pytest.raises(ValueError, match="raw predictions or boxes, not both"):
             PredictionTable.of(mixed)
         assert PredictionTable.of([]).values.shape == (0, 12)
+
+    def test_hand_built_records_match_the_writers(self, tmp_path):
+        # The references read a record's fields, whatever their types: list
+        # box rows, integer intrinsics, box2d and h2d, and raw lists.
+        box = [1, -2, 10, 4, 2, 1.5, *np.eye(3).ravel().tolist()]
+        crate = np.array([2.5, 0.125, 12, 1, 1, 1, *np.eye(3).ravel()])
+        scene = SceneRecord(
+            "img", CameraIntrinsics(1000, 1000, 640, 360, 1280, 720),
+            [SceneObject("a", "a car", box, (10, 20, 110, 220), 200),
+             SceneObject("b", "a crate", crate, (0.5, 1, 2, 3.25), 2.5)],
+        )
+        path = tmp_path / "out.jsonl"
+        write_scenes(path, [scene])
+        assert path.read_text() == dumps_canonical(scene_to_json(scene)) + "\n"
+        assert '"fx":1000,' in path.read_text()
+        raw = [0.5, 0.25, 10, 4, 2, 1, 1, 0, 0, 0, 1, 0]
+        for pred in (PredictionRecord("img", "a", raw=raw), PredictionRecord("img", "a", box3d=box)):
+            write_predictions(path, [pred])
+            assert path.read_text() == dumps_canonical(prediction_to_json(pred)) + "\n"
 
     # Text a JSON string must escape, and % signs a template must not read.
     AWKWARD = 'say "hi" \\ back\nnaïve %s %.17g %% '
