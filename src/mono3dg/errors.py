@@ -62,10 +62,6 @@ class ShapeMismatch(Mono3DGError):
     """Tensor arguments have incompatible shapes."""
 
 
-class EmptyValidMask(Mono3DGError):
-    """A depth-map loss was requested with no valid cells."""
-
-
 class MalformedSequence(Mono3DGError):
     """Token sequence embeddings hold a non-finite value."""
 

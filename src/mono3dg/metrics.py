@@ -15,8 +15,8 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import box3d
-# iou3d stays importable here, where the benchmark's tracer wraps it.
-from .box3d import CENTER, DIMS, box_row, iou3d  # noqa: F401
+from .box3d import CENTER, DIMS, box_row
+from .box3d import iou3d  # noqa: F401  perfbench/tracing.py wraps metrics.iou3d
 from .errors import ShapeMismatch
 
 REPORT_COLUMNS = (

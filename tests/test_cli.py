@@ -8,6 +8,7 @@ import pytest
 
 import test_pipeline
 from conftest import fresh_python, haswell_pinned, make_box
+from mono3dg import fusion
 from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.cli import main
 from mono3dg.jsonio import dumps_canonical, loads_strict
@@ -224,6 +225,20 @@ class TestGradcheck:
         code, out, _ = run_cli(capsys, "gradcheck", "--seed", "3")
         assert code == 0
         assert "max relative gradient error" in out
+
+    def test_fails_on_scaled_attention_gradients(self, capsys, monkeypatch):
+        exact = fusion.cross_branch_attention_grads
+
+        def scaled(*args):
+            g = exact(*args)
+            return fusion.AttentionParams(1.01 * g.w_q, 1.01 * g.w_k, 1.01 * g.w_v)
+
+        monkeypatch.setattr(fusion, "cross_branch_attention_grads", scaled)
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "3")
+        assert code == 1
+        worst = float(re.fullmatch(r"max relative gradient error: (\S+)\n", out).group(1))
+        assert worst > 1e-3
+        assert err == "gradcheck FAILED (tolerance 1e-05)\n"
 
 
 class TestTrainToy:

@@ -4,173 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import haswell_pinned, under_blas_kernel
-from mono3dg.errors import EmptyValidMask, ShapeMismatch
-from mono3dg.fusion import (
-    AttentionParams,
-    DepthMap,
-    LinearMap,
-    add_fuse,
-    apply_linear_map,
-    branch_split,
-    cross_branch_attention,
-    cross_branch_attention_grads,
-    depth_head,
-    depth_head_loss_grads,
-    depth_l1_loss,
-    softplus,
-)
-
-
-def identity_map(channels: int) -> LinearMap:
-    return LinearMap(np.eye(channels), np.zeros(channels))
-
-
-def naive_per_cell(grid, m: LinearMap):
-    rows, cols, _ = grid.shape
-    out = np.zeros((rows, cols, m.weight.shape[1]))
-    for r in range(rows):
-        for c in range(cols):
-            for j in range(m.weight.shape[1]):
-                acc = m.bias[j]
-                for i in range(grid.shape[2]):
-                    acc += grid[r, c, i] * m.weight[i, j]
-                out[r, c, j] = acc
-    return out
-
-
-class TestBranchSplit:
-    def test_identity_maps(self):
-        rng = np.random.default_rng(0)
-        grid = rng.standard_normal((3, 4, 5))
-        spatial, rgb = branch_split(grid, identity_map(5), identity_map(5))
-        assert np.array_equal(spatial, grid) and np.array_equal(rgb, grid)
-
-    def test_zero_rgb_map(self):
-        rng = np.random.default_rng(1)
-        grid = rng.standard_normal((2, 2, 3))
-        _, rgb = branch_split(grid, identity_map(3), LinearMap(np.zeros((3, 3)), np.zeros(3)))
-        assert np.all(rgb == 0.0)
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(2)
-        grid = rng.standard_normal((4, 4, 8))
-        m1 = LinearMap(rng.standard_normal((8, 6)), rng.standard_normal(6))
-        m2 = LinearMap(rng.standard_normal((8, 6)), rng.standard_normal(6))
-        spatial, rgb = branch_split(grid, m1, m2)
-        assert np.abs(spatial - naive_per_cell(grid, m1)).max() <= 1e-12
-        assert np.abs(rgb - naive_per_cell(grid, m2)).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            branch_split(np.zeros((2, 2, 3)), identity_map(4), identity_map(4))
-        with pytest.raises(ShapeMismatch):
-            apply_linear_map(np.zeros((2, 3)), identity_map(3))
-
-
-class TestDepthHead:
-    def test_positive_everywhere(self):
-        rng = np.random.default_rng(3)
-        grid = 5.0 * rng.standard_normal((4, 4, 6))
-        m = LinearMap(rng.standard_normal((6, 1)), rng.standard_normal(1))
-        depth = depth_head(grid, m)
-        assert np.all(depth.data > 0.0)
-        assert depth.valid.all()
-
-    def test_loss_zero_on_equal(self):
-        d = DepthMap.dense(np.full((3, 3), 2.0))
-        assert depth_l1_loss(d, d) == 0.0
-
-    def test_loss_constant_offset(self):
-        gt = DepthMap.dense(np.full((3, 3), 2.0))
-        pred = DepthMap.dense(np.full((3, 3), 3.0))
-        assert depth_l1_loss(pred, gt) == pytest.approx(1.0)
-
-    def test_loss_half_cells_off_by_two(self):
-        gt = DepthMap.dense(np.full((2, 4), 1.0))
-        data = np.full((2, 4), 1.0)
-        data[:, :2] += 2.0
-        assert depth_l1_loss(DepthMap.dense(data), gt) == pytest.approx(1.0)
-
-    def test_only_valid_cells_count(self):
-        gt = DepthMap(np.full((2, 2), 1.0), np.array([[True, False], [False, False]]))
-        pred = DepthMap.dense(np.array([[2.0, 99.0], [99.0, 99.0]]))
-        assert depth_l1_loss(pred, gt) == pytest.approx(1.0)
-
-    def test_empty_mask(self):
-        gt = DepthMap(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
-        with pytest.raises(EmptyValidMask):
-            depth_l1_loss(DepthMap.dense(np.ones((2, 2))), gt)
-
-    def test_mask_of_another_shape_rejected(self):
-        # A (1, 4) mask used to broadcast over all three rows: the loss read 1.0.
-        with pytest.raises(ShapeMismatch):
-            pred = DepthMap(np.full((3, 4), 2.0), np.array([[True, False, True, False]]))
-            depth_l1_loss(pred, DepthMap.dense(np.ones((3, 4))))
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(4)
-        grid = rng.standard_normal((3, 3, 5))
-        m = LinearMap(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        gt = DepthMap.dense(softplus(rng.standard_normal((3, 3))))
-        grads = depth_head_loss_grads(grid, m, gt)
-        step = 1e-6
-
-        def loss_at():
-            return depth_l1_loss(depth_head(grid, m), gt)
-
-        for arr, grad in ((m.weight, grads.weight), (m.bias, grads.bias)):
-            flat = arr.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up = loss_at()
-                flat[idx] = orig - step
-                down = loss_at()
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                a = grad.ravel()[idx]
-                assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-3)
-
-    def test_gradients_reject_a_ground_truth_of_another_shape(self):
-        # A (1, 4) ground truth would broadcast against a (3, 4) prediction.
-        rng = np.random.default_rng(5)
-        grid = rng.standard_normal((3, 4, 5))
-        m = LinearMap(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        gt = DepthMap.dense(np.ones((1, 4)))
-        with pytest.raises(ShapeMismatch, match=r"^depth maps differ: \(3, 4\) vs \(1, 4\)$"):
-            depth_l1_loss(depth_head(grid, m), gt)
-        with pytest.raises(ShapeMismatch, match=r"^depth maps differ: \(3, 4\) vs \(1, 4\)$"):
-            depth_head_loss_grads(grid, m, gt)
-
-    def test_gradients_reject_a_head_of_two_channels(self):
-        # The gradient once read channel 0 only and returned (4, 1) / (1,)
-        # gradients for a (4, 2) / (2,) head that depth_head rejects.
-        rng = np.random.default_rng(6)
-        grid = rng.standard_normal((3, 3, 4))
-        m = LinearMap(rng.standard_normal((4, 2)), rng.standard_normal(2))
-        gt = DepthMap.dense(np.ones((3, 3)))
-        for run in (lambda: depth_head(grid, m), lambda: depth_head_loss_grads(grid, m, gt)):
-            with pytest.raises(ShapeMismatch, match=r"^depth head must emit 1 channel, got 2$"):
-                run()
-
-
-class TestAddFuse:
-    def test_zero_identity(self):
-        grid = np.random.default_rng(5).standard_normal((2, 3, 4))
-        assert np.array_equal(add_fuse(grid, np.zeros_like(grid)), grid)
-
-    def test_cancellation(self):
-        grid = np.random.default_rng(6).standard_normal((2, 3, 4))
-        assert np.all(add_fuse(grid, -grid) == 0.0)
-
-    def test_commutative(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 2, 3))
-        assert np.array_equal(add_fuse(a, b), add_fuse(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            add_fuse(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)))
+from mono3dg.errors import ShapeMismatch
+from mono3dg.fusion import AttentionParams, cross_branch_attention, cross_branch_attention_grads
 
 
 def naive_attention(t_vit, cells, params):
@@ -322,3 +157,12 @@ class TestCrossBranchAttention:
                 np.zeros((2, 2, 4)),
                 AttentionParams(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 3))),
             )
+        # W_V reads the grid's channels too, so its input width is checked
+        # with W_K's before any product runs.
+        t_vit, f = np.zeros((2, 5)), np.zeros((2, 2, 4))
+        params = AttentionParams(np.zeros((5, 6)), np.zeros((4, 6)), np.zeros((5, 6)))
+        message = r"^projection input dims do not match features$"
+        with pytest.raises(ShapeMismatch, match=message):
+            cross_branch_attention(t_vit, f, params)
+        with pytest.raises(ShapeMismatch, match=message):
+            cross_branch_attention_grads(t_vit, f, params, np.zeros((2, 6)))
