@@ -11,11 +11,10 @@ both with residual connections and no normalization, so gradients stay
 exactly checkable against finite differences. Heads and feed-forward
 blocks share one MLP form (:func:`_mlp`/:func:`_mlp_backward`) and
 prediction and training one head forward (:func:`_heads`). The heads read
-the query row alone, so the last layer's feed-forward block activates that
-row alone, forward and backward; its products keep their full (..., T, .)
-shape, so the query row keeps the bits of an every-row pass.
-:func:`predict_batch` drops each layer's activations once the next layer
-has run, and runs the heads once over all its queries. A training
+the query row alone, so the last layer computes only its last row pair
+(:func:`_last_layer_rows`), and the query row keeps the bits of an every-row
+pass. :func:`predict_batch` drops each layer's activations once the next
+layer has run, and runs the heads once over all its queries. A training
 step over a stacked (B, T, d) minibatch runs the stack forward, the head
 step :func:`_l1_head_step` (losses and the gradient on f3d), then the
 stack backward. Every parameter lives in one flat vector. scipy is the
@@ -274,40 +273,40 @@ def attention_backward(d_out: np.ndarray, cache):
     return d_logits @ k, d_logits.swapaxes(-1, -2) @ q, d_v
 
 
-def _mlp(x: np.ndarray, mlp: MLPParams, query_only: bool = False):
+def _mlp(x: np.ndarray, mlp: MLPParams):
     """gelu(x w1 + b1) w2 on rows (..., T, d) and the cache
     :func:`_mlp_backward` needs. The caller adds b2, so a residual block
-    keeps its order of addition. With query_only, gelu runs on the last
-    (query) row alone and the other rows' hidden units are 0; both products
-    keep their full shape, whose rows BLAS computes independently, so the
-    query row keeps its bits."""
+    keeps its order of addition."""
     pre = x @ mlp.w1 + mlp.b1
-    if query_only:
-        hidden = np.zeros_like(pre)
-        hidden[..., -1:, :], term = _gelu(pre[..., -1:, :])
-    else:
-        hidden, term = _gelu(pre)
+    hidden, term = _gelu(pre)
     return hidden @ mlp.w2, (x, pre, term, hidden)
 
 
-def _layer_forward(x: np.ndarray, layer: LayerParams, mask: np.ndarray, query_only: bool = False):
-    summary, attn_cache = attention(x, x, layer.w_q, layer.w_k, layer.w_v, mask)
-    attended = x + summary @ layer.w_o
-    ff_out, ff_cache = _mlp(attended, layer.ff, query_only)
-    return attended + ff_out + layer.ff_b2, (x, attn_cache, summary, ff_cache)
+def _last_layer_rows(n: int) -> slice:
+    """The last layer's rows of a T = n sequence, from an even row on: two for even n, three for odd n, all for n <= 3."""
+    # The even start keeps every-row bits. A one-row product runs as gemv, and a plain
+    # two-row trim mismatched at every odd T >= 3 with OPENBLAS_CORETYPE Haswell, Prescott or Zen.
+    # The even start matched in every case probed: predictions for T = 1-16 and training
+    # gradients for T = 1-13, on SkylakeX and with Haswell, Prescott, Sandybridge or Zen forced.
+    return slice(max(n - 2 - n % 2, 0), None)
 
 
 def _stack_forward(x: np.ndarray, params: DecoderParams, caches: list | None = None) -> np.ndarray:
-    """The stack's output on x (..., T, d), exact on the query row: the heads
-    read that row alone, so the last layer's feed-forward block activates no
-    other. Appends each layer's cache to caches when given."""
+    """The stack's output on x (..., T, d): each layer attends from its rows (every row, or
+    :func:`_last_layer_rows` in the last layer) to every row. Appends each layer's cache,
+    rows included, to caches when given."""
     n = x.shape[-2]
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        x, cache = _layer_forward(x, layer, mask, query_only=i == last)
+        rows = _last_layer_rows(n) if i == last else slice(None)
+        x_q = x[..., rows, :]
+        summary, attn_cache = attention(x_q, x, layer.w_q, layer.w_k, layer.w_v, mask[rows])
+        attended = x_q + summary @ layer.w_o
+        ff_out, ff_cache = _mlp(attended, layer.ff)
         if caches is not None:
-            caches.append(cache)
+            caches.append((x, rows, attn_cache, summary, ff_cache))
+        x = attended + ff_out + layer.ff_b2
     return x
 
 
@@ -342,7 +341,7 @@ def heads(f3d: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 
 # Queries per forward pass in predict_batch. A pass drops each layer's
-# activations once the next layer has run, and keeps only the query rows.
+# activations once the next has run, and keeps each row pair's query row.
 _PREDICT_CHUNK = 32
 
 
@@ -399,12 +398,8 @@ def _mlp_backward(d_out: np.ndarray, mlp: MLPParams, cache, grads: MLPParams) ->
     x, pre, term, hidden = cache
     grads.b2[...] = _sample_sum(d_out.sum(axis=1))
     grads.w2[...] = _batch_sum_outer(hidden, d_out)
-    # gelu ran on the last term.shape[-2] rows: all of them, or the query
-    # row alone, where d_out is 0 on the others and so is d_pre
-    rows = slice(-term.shape[-2], None)
-    act = pre[..., rows, :]
     d_pre = d_out @ mlp.w2.T
-    d_pre[..., rows, :] *= 0.5 * term + act * np.exp(-0.5 * act * act) / math.sqrt(2.0 * math.pi)
+    d_pre *= 0.5 * term + pre * np.exp(-0.5 * pre * pre) / math.sqrt(2.0 * math.pi)
     grads.b1[...] = _sample_sum(d_pre.sum(axis=1))
     grads.w1[...] = _batch_sum_outer(x, d_pre)
     return d_pre @ mlp.w1.T
@@ -447,14 +442,18 @@ def _batch_backward(x: np.ndarray, params: DecoderParams, targets: np.ndarray, g
     g_x = np.zeros_like(x_final)
     g_x[:, -1:] = g_f3d
     for layer, g_layer, cache in zip(params.layers[::-1], grads.layers[::-1], caches[::-1]):
-        x, attn_cache, summary, ff_cache = cache
+        x, rows, attn_cache, summary, ff_cache = cache
         g_attended = g_x + _mlp_backward(g_x, layer.ff, ff_cache, g_layer.ff)
         g_layer.w_o[...] = _batch_sum_outer(summary, g_attended)
         d_q, d_k, d_v = attention_backward(g_attended @ layer.w_o.T, attn_cache)
-        g_layer.w_q[...] = _batch_sum_outer(x, d_q)
+        g_layer.w_q[...] = _batch_sum_outer(x[:, rows], d_q)
         g_layer.w_k[...] = _batch_sum_outer(x, d_k)
         g_layer.w_v[...] = _batch_sum_outer(x, d_v)
-        g_x = g_attended + d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v @ layer.w_v.T
+        # g_attended, then the d_q, d_k and d_v terms: the bits hang on this order
+        g_x = np.zeros_like(x)
+        g_x[:, rows] = g_attended + d_q @ layer.w_q.T
+        g_x += d_k @ layer.w_k.T
+        g_x += d_v @ layer.w_v.T
 
     # the query fills the last slot of every sample
     grads.query[...] = _sample_sum(g_x[:, -1])

@@ -8,7 +8,7 @@ import pytest
 
 import test_pipeline
 from conftest import fresh_python, haswell_pinned, make_box
-from mono3dg import fusion
+from mono3dg import decoder, fusion
 from mono3dg.box3d import CENTER, DIMS, ROT
 from mono3dg.cli import main
 from mono3dg.jsonio import dumps_canonical, loads_strict
@@ -238,6 +238,19 @@ class TestGradcheck:
         assert code == 1
         worst = float(re.fullmatch(r"max relative gradient error: (\S+)\n", out).group(1))
         assert worst > 1e-3
+        assert err == "gradcheck FAILED (tolerance 1e-05)\n"
+
+    def test_fails_on_scaled_decoder_attention_gradients(self, capsys, monkeypatch):
+        # fusion binds its own attention_backward, so only the decoder's changes
+        exact = decoder.attention_backward
+
+        def scaled(d_out, cache):
+            return tuple(1.01 * g for g in exact(d_out, cache))
+
+        monkeypatch.setattr(decoder, "attention_backward", scaled)
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "3")
+        assert code == 1
+        assert float(re.fullmatch(r"max relative gradient error: (\S+)\n", out).group(1)) > 1e-5
         assert err == "gradcheck FAILED (tolerance 1e-05)\n"
 
 

@@ -572,42 +572,34 @@ class TestBatchedBackward:
         assert np.array_equal(trained.flat, expected.flat)
 
 
-def _every_row_mlp(x, mlp, query_only=False):
-    """The reference feed-forward block: gelu on every row, whatever
-    query_only asks."""
-    pre = x @ mlp.w1 + mlp.b1
-    hidden, term = D._gelu(pre)
-    return hidden @ mlp.w2, (x, pre, term, hidden)
-
-
 def query_row_mismatches() -> list:
     """The (T, N, output) cases where predict_batch's raw rows or a 2-epoch
     train's parameters and loss history differ in any bit from a run whose
-    last layer activates every row, at the default sizes."""
+    last layer computes every row, at the default sizes."""
     mismatches = []
-    query_row_mlp = D._mlp
-    for t, n in itertools.product((1, 2, 8, 13), (1, 3, 33, 70)):
+    row_pair = D._last_layer_rows
+    for t, n in itertools.product((1, 2, 4, 5, 8, 13), (1, 3, 33, 70)):
         rng = np.random.default_rng(100 * t + n)
         params = D.init_params(D.DecoderConfig(), rng)
         x = rng.standard_normal((n, t, params.config.d_model))
         targets = np.array([make_target(rng) for _ in range(n)])
         runs = []
-        for mlp in (query_row_mlp, _every_row_mlp):
-            D._mlp = mlp
+        for rows in (row_pair, lambda n_tokens: slice(None)):
+            D._last_layer_rows = rows
             try:
                 trained, history = D.train(x, targets, params, D.TrainConfig(epochs=2, seed=t))
                 runs.append({"predict": D.predict_batch(x, params).tobytes(),
                              "train": trained.flat.tobytes() + np.array(history).tobytes()})
             finally:
-                D._mlp = query_row_mlp
+                D._last_layer_rows = row_pair
         mismatches += [[t, n, output] for output in runs[0] if runs[0][output] != runs[1][output]]
     return mismatches
 
 
 class TestQueryRowLastLayer:
-    """The heads read the query row alone, so the last layer activates that
-    row alone; every product keeps its full shape, so no bit changes, under
-    this process's BLAS kernel and under others."""
+    """The heads read the query row alone, so the last layer computes only
+    its last row pair; no bit changes against a last layer that computes
+    every row, under this process's BLAS kernel and under others."""
 
     def test_same_bits_as_every_row(self):
         assert query_row_mismatches() == []
@@ -623,16 +615,20 @@ class TestQueryRowLastLayer:
             kernels.add(kernel)
         assert kernels - {blas_kernel()}, kernels
 
-    def test_other_rows_stay_inactive(self):
+    @pytest.mark.parametrize("t, kept", [(1, 1), (2, 2), (3, 3), (5, 3), (8, 2)])
+    def test_last_layer_caches_its_row_pair(self, t, kept):
         config = small_config(n_layers=2)
         params = D.init_params(config, np.random.default_rng(50))
-        x = D.substitute_query(np.random.default_rng(51).standard_normal((3, 5, 8)), params.query)
+        x = D.substitute_query(np.random.default_rng(51).standard_normal((3, t, 8)), params.query)
         caches = []
-        D._stack_forward(x, params, caches)
-        first, last = (ff_cache for *_, ff_cache in caches)
-        assert first[2].shape == (3, 5, config.d_ff)
-        assert last[2].shape == (3, 1, config.d_ff)
-        assert not last[3][:, :-1].any()
+        out = D._stack_forward(x, params, caches)
+        (x0, rows0, _, _, ff0), (x1, rows1, (q, k, _, _), summary, ff1) = caches
+        assert x0.shape == x1.shape == (3, t, 8)
+        assert rows0 == slice(None) and ff0[2].shape == (3, t, config.d_ff)
+        assert list(range(t)[rows1]) == list(range(t - kept, t))
+        assert q.shape == summary.shape == (3, kept, 8) and k.shape == (3, t, 8)
+        assert ff1[2].shape == (3, kept, config.d_ff)
+        assert out.shape == (3, kept, 8)
 
 
 class TestFlatParameters:
